@@ -28,7 +28,6 @@ from .dgp import (
 from .eif import (
     GTildeSpec,
     Observation,
-    QuadratureConfig,
     chi,
     gtilde_cdf_indicator,
     gtilde_counterfactual_mean,
@@ -96,7 +95,6 @@ __all__ = [
     "OrthogonalityResult",
     "PanelDataset",
     "Perturbation",
-    "QuadratureConfig",
     "StmConfig",
     "TransformSpec",
     "chi",

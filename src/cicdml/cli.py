@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,9 +25,12 @@ from .data_model import EstimandSpec, PanelDataset, validate
 from .dgp import DGP_NAMES, gen_stm, named_config, qq_invariance_diagnostic
 from .errors import CicError, NonBinaryTreatment, ParseError
 from .estimator import CrossFitConfig, estimate
-from .validation import CoverageReport, Perturbation, coverage_study, orthogonality_check
+from .nuisance import KERNELS
+from .validation import Perturbation, coverage_study, orthogonality_check
 
 SCHEMA_VERSION = 1
+ESTIMANDS = ("att", "cdt", "qtt")
+FORMATS = ("json", "tsv")
 
 _CONFIG_KEYS = {
     "estimate": {"estimand", "y_point", "tau", "input", "folds", "reps", "cv_folds",
@@ -39,6 +42,10 @@ _CONFIG_KEYS = {
     "coverage": {"dgp", "n", "mc_reps", "folds", "reps", "alpha", "seed",
                  "output", "format"},
 }
+# Checked after parsing, so that a --config file can supply them too.
+_REQUIRED = {"estimate": ("input",), "simulate": ("dgp", "out"), "validate": ("dgp",),
+             "coverage": ("dgp",)}
+_CHOICES = {"estimand": ESTIMANDS, "kernel": KERNELS, "dgp": DGP_NAMES, "fmt": FORMATS}
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +261,9 @@ def run(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` maps a subcommand to argument defaults
+    that replace the built-in ones (explicit flags still win)."""
     parser = argparse.ArgumentParser(
         prog="cicdml",
         description="Quantile-transport panel treatment-effect estimation")
@@ -263,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", help="write the report here instead of stdout")
-        sp.add_argument("--format", dest="fmt", choices=("json", "tsv"), default="json")
+        sp.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
         sp.add_argument("--config", help="JSON file with defaults for this subcommand")
 
     sp = sub.add_parser("estimate", help="estimate a target from a CSV dataset")
-    sp.add_argument("--estimand", choices=("att", "cdt", "qtt"), default="att")
+    sp.add_argument("--estimand", choices=ESTIMANDS, default="att")
     sp.add_argument("--y-point", type=float, help="evaluation point (cdt)")
     sp.add_argument("--tau", type=float, help="quantile level (qtt)")
-    sp.add_argument("--input", required=True, help="dataset CSV path")
+    sp.add_argument("--input", help="dataset CSV path (required)")
     sp.add_argument("--folds", type=int, default=5, help="cross-fitting folds K")
     sp.add_argument("--reps", type=int, default=1, help="repetitions S")
     sp.add_argument("--cv-folds", type=int, default=None,
@@ -280,22 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
                     help="plain random folds instead of arm-stratified")
     sp.add_argument("--eps-clip", type=float, default=0.01)
     sp.add_argument("--f-min", type=float, default=1e-3)
-    sp.add_argument("--kernel", choices=("gaussian", "epanechnikov"), default="gaussian")
+    sp.add_argument("--kernel", choices=KERNELS, default="gaussian")
     sp.add_argument("--bandwidth", type=float, default=None)
     common(sp)
 
     sp = sub.add_parser("simulate", help="write a simulated dataset and its oracle")
-    sp.add_argument("--dgp", choices=DGP_NAMES, required=True)
+    sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--trend", type=float, default=None)
     sp.add_argument("--effect", type=float, default=None)
     sp.add_argument("--pi", type=float, default=0.5)
-    sp.add_argument("--out", required=True, help="dataset CSV path to write")
+    sp.add_argument("--out", help="dataset CSV path to write (required)")
     sp.add_argument("--oracle-out", help="oracle JSON path (default: <out>.oracle.json)")
     common(sp)
 
     sp = sub.add_parser("validate", help="run orthogonality and invariance checks")
-    sp.add_argument("--dgp", choices=DGP_NAMES, required=True)
+    sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
     sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--mc-size", type=int, default=100_000)
     sp.add_argument("--h", type=float, default=0.05)
@@ -303,35 +312,49 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("coverage", help="Monte Carlo interval-coverage study")
-    sp.add_argument("--dgp", choices=DGP_NAMES, required=True)
+    sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--mc-reps", type=int, default=100)
     sp.add_argument("--folds", type=int, default=5)
     sp.add_argument("--reps", type=int, default=1)
     sp.add_argument("--alpha", type=float, default=0.05)
     common(sp)
+
+    for name, values in (defaults or {}).items():
+        sub.choices[name].set_defaults(**values)
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """Argument defaults from the ``--config`` JSON file, by subcommand."""
     with open(args.config, encoding="utf-8") as fh:
         try:
             overrides = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON config: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ParseError("config must be a JSON object")
     allowed = _CONFIG_KEYS[args.subcommand]
     unknown = set(overrides) - allowed
     if unknown:
         raise ParseError(f"unknown config keys for {args.subcommand}: {sorted(unknown)}")
+    values = {}
     for key, value in overrides.items():
-        attr = {"format": "fmt", "folds": "folds", "cv_folds": "cv_folds"}.get(key, key)
-        setattr(args, attr, value)
+        if key == "stratify":
+            values["no_stratify"] = not value
+        else:
+            values["fmt" if key == "format" else key] = value
+    return {args.subcommand: values}
 
 
 def _to_run_config(args: argparse.Namespace) -> RunConfig:
     sub = args.subcommand
+    for dest in _REQUIRED[sub]:
+        if getattr(args, dest) is None:
+            raise ParseError(f"--{dest} is required")
+    for dest, choices in _CHOICES.items():
+        if getattr(args, dest, None) not in (None,) + choices:
+            raise ParseError(f"{dest} must be one of {choices}, got {getattr(args, dest)!r}")
     estimand = None
     crossfit = None
     if sub == "estimate":
@@ -376,12 +399,12 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(args)
+        if args.config:
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         cfg = _to_run_config(args)
-    except (ParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

@@ -8,7 +8,7 @@ vector. Everything downstream consumes the immutable :class:`PanelDataset`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

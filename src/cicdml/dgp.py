@@ -17,7 +17,7 @@ module; nothing downstream ever observes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from scipy.special import expit, logit
 from .data_model import PanelDataset, validate
 from .errors import InvalidTransform
 from .nuisance import (
-    GridAntiderivative,
     NuisanceSet,
     _as_matrix,
     _bandwidth_vector,
@@ -261,7 +260,6 @@ class GaussHermiteNu:
         cov_mb = float(m @ bu)
         self._kappa = cov_mb / var_z
         self._post_var = max(float(bu @ bu) - cov_mb ** 2 / var_z, 0.0)
-        self._grid = None
 
     def propensity_many(self, x, l):
         cfg = self.cfg
@@ -286,13 +284,6 @@ class GaussHermiteNu:
         pr = self.propensity_many(x_arr, l_arr)
         out = pr / (1.0 - pr)
         return float(out[0]) if np.isscalar(x) else out
-
-    def integral_many(self, lo, hi, l=None):
-        if self.cfg.p:
-            raise NotImplementedError("cached antiderivative requires p = 0")
-        if self._grid is None:
-            self._grid = GridAntiderivative(lambda gx: self(gx, None))
-        return self._grid.integrate(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,21 @@
 """Efficient influence functions for the ATT and distributional targets.
 
-Implements the orthogonal scores built from the nuisance triple
-(gamma, nu, pi): the ATT score, the counterfactual-distribution and
-counterfactual-quantile scores, and a generic evaluator for moment-type
-targets defined through a right-continuous, bounded-variation link
-function of the transported baseline outcome. The control-arm correction
-is an integral of the treatment odds between the observed period-1
-outcome and the transported baseline outcome; it is computed by adaptive
-Simpson quadrature by default.
+Every target is a moment of a link function ``g(x, t)`` of the
+transported baseline outcome x = gamma(y0, l) among the treated. Its
+orthogonal score, built from the nuisance triple (gamma, nu, pi), is
+
+    psi = (a * g(gamma(y0, l), t) - (1 - a) * C) / denom,
+
+where ``denom`` is minus pi times the derivative of the moment in t and
+C, the control correction, integrates the treatment odds against the
+link's variation in x over the half-open interval (y1, gamma(y0, l)]:
+the odds-weighted x-derivative for smooth links, the odds-weighted jump
+sum for step links. The counterfactual mean, distribution and quantile
+are links; the ATT is the treated outcome minus the counterfactual-mean
+link and the QTT the treated quantile minus the counterfactual-quantile
+link. Odds integrals go through :func:`integrate_nu_many`: a closed form
+when the odds object has one, a grid antiderivative without covariates,
+fixed-node composite Simpson with them.
 """
 
 from __future__ import annotations
@@ -17,35 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingDensity, QuadratureNonConvergence, ZeroDenominator
-from .nuisance import NuisanceSet
-
-DEFAULT_ABS_TOL = 1e-6
-DEFAULT_MAX_DEPTH = 20
-DEFAULT_N_POINTS = 256
-
-QUAD_RULES = ("adaptive-simpson", "fixed-trapezoid")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Quadrature scheme for the odds integral.
-
-    ``adaptive-simpson`` refines until the absolute tolerance is met
-    (raising if ``max_depth`` is exhausted first); ``fixed-trapezoid``
-    uses a deterministic ``n_points``-node composite rule.
-    """
-
-    rule: str = "adaptive-simpson"
-    abs_tol: float = DEFAULT_ABS_TOL
-    max_depth: int = DEFAULT_MAX_DEPTH
-    n_points: int = DEFAULT_N_POINTS
-
-    def __post_init__(self):
-        if self.rule not in QUAD_RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+from .errors import MissingDensity, ZeroDenominator
+from .nuisance import NuisanceSet, integrate_nu_many
 
 
 @dataclass(frozen=True)
@@ -66,126 +47,27 @@ class Observation:
         return cls(y0=float(dataset.y0[i]), y1=float(dataset.y1[i]),
                    a=int(dataset.a[i]), l=dataset.l[i])
 
-
-# ---------------------------------------------------------------------------
-# Quadrature
-# ---------------------------------------------------------------------------
-
-
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise QuadratureNonConvergence(
-            f"adaptive Simpson did not reach tol={tol:g} on [{a:g}, {b:g}]")
-    return (_simpson_recurse(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-            + _simpson_recurse(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+    def as_arrays(self):
+        """(y0, y1, a, l) as one-row arrays; l is None without covariates."""
+        return (np.array([self.y0]), np.array([self.y1]), np.array([self.a]),
+                _l_rows(self.l))
 
 
-def _adaptive_simpson(f, a, b, abs_tol, max_depth):
-    fa = f(a)
-    fb = f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, abs_tol, max_depth)
+def _l_rows(l):
+    """Covariates as an (n, p) matrix, or None when there are none."""
+    if l is None or np.asarray(l).size == 0:
+        return None
+    l = np.asarray(l, dtype=float)
+    return l.reshape(1, -1) if l.ndim == 1 else l
 
 
-def integrate_nu(lo: float, hi: float, l, nu, quad: Optional[QuadratureConfig] = None) -> float:
+def integrate_nu(lo: float, hi: float, l, nu) -> float:
     """Signed integral of the odds function over [lo, hi] at covariates l.
 
     Orientation: swapping the limits flips the sign, so
     ``integrate_nu(hi, lo, ...) == -integrate_nu(lo, hi, ...)``.
     """
-    quad = quad or QuadratureConfig()
-    lo = float(lo)
-    hi = float(hi)
-    if lo == hi:
-        return 0.0
-    sign = 1.0
-    a, b = lo, hi
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    def f(x):
-        return float(nu(x, l))
-
-    if quad.rule == "fixed-trapezoid":
-        xs = np.linspace(a, b, quad.n_points)
-        ys = np.array([f(x) for x in xs])
-        return sign * float(np.trapezoid(ys, xs))
-    return sign * _adaptive_simpson(f, a, b, quad.abs_tol, quad.max_depth)
-
-
-def integrate_nu_many(lo, hi, l, nu, quad: Optional[QuadratureConfig] = None) -> np.ndarray:
-    """Vectorized signed odds integrals over per-unit intervals.
-
-    Dispatches to the odds object's own ``integral_many`` when it offers
-    one (closed forms for analytic odds; a cached dense antiderivative
-    for the covariate-free kernel fit), otherwise falls back to a
-    batched fixed-node Simpson rule with ``quad.n_points`` nodes.
-    """
-    quad = quad or QuadratureConfig()
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = lo.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if hasattr(nu, "integral_many"):
-        try:
-            return nu.integral_many(lo, hi, l)
-        except NotImplementedError:
-            pass
-    n_nodes = quad.n_points + 1 - quad.n_points % 2  # odd node count
-    t = np.linspace(0.0, 1.0, n_nodes)
-    x = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-    l_mat = np.empty((n, 0)) if l is None or np.asarray(l).size == 0 else np.asarray(l, dtype=float)
-    l_rep = np.repeat(l_mat, n_nodes, axis=0)
-    vals = np.asarray(nu(x.ravel(), l_rep)).reshape(n, n_nodes)
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (vals @ w) * (hi - lo) / (3.0 * (n_nodes - 1))
-
-
-# ---------------------------------------------------------------------------
-# Scores
-# ---------------------------------------------------------------------------
-
-
-def psi_att(w: Observation, theta: float, eta: NuisanceSet,
-            quad: Optional[QuadratureConfig] = None) -> float:
-    """ATT score at one observation.
-
-    Treated arm: ``(a / pi) * ((y1 - gamma(y0, l)) - theta)``.
-    Control arm: ``((1 - a) / pi)`` times the odds integral from y1 to
-    the transported baseline outcome.
-    """
-    g = float(eta.gamma(w.y0, w.l))
-    treated = w.a / eta.pi * ((w.y1 - g) - theta)
-    if w.a == 1:
-        return treated
-    return treated + (1 - w.a) / eta.pi * integrate_nu(w.y1, g, w.l, eta.nu, quad)
-
-
-def psi_counterfactual_mean(w: Observation, vartheta: float, eta: NuisanceSet,
-                            quad: Optional[QuadratureConfig] = None) -> float:
-    """Score of the counterfactual mean on the treated (the transported part
-    of the ATT score, with opposite sign on the control correction)."""
-    g = float(eta.gamma(w.y0, w.l))
-    val = w.a * (g - vartheta)
-    if w.a == 0:
-        val -= integrate_nu(w.y1, g, w.l, eta.nu, quad)
-    return val / eta.pi
+    return float(integrate_nu_many([float(lo)], [float(hi)], _l_rows(l), nu)[0])
 
 
 def chi(x: float, w: Observation, gamma) -> int:
@@ -201,32 +83,8 @@ def chi(x: float, w: Observation, gamma) -> int:
     return 0
 
 
-def psi_cdt(w: Observation, y: float, vartheta: float, eta: NuisanceSet) -> float:
-    """Counterfactual-distribution score at evaluation point y."""
-    g = float(eta.gamma(w.y0, w.l))
-    out = w.a / eta.pi * ((1.0 if g < y else 0.0) - vartheta)
-    if w.a == 0:
-        out += (w.a - 1) / eta.pi * float(eta.nu(y, w.l)) * chi(y, w, eta.gamma)
-    return out
-
-
-def psi_qtt(w: Observation, tau: float, vartheta1: float, vartheta2: float,
-            eta: NuisanceSet) -> float:
-    """Quantile-treatment-effect score; needs both fitted densities."""
-    if eta.dens_y1_treated is None or eta.dens_gamma_treated is None:
-        raise MissingDensity("QTT score needs dens_y1_treated and dens_gamma_treated")
-    f1 = float(eta.dens_y1_treated(vartheta1))
-    f2 = float(eta.dens_gamma_treated(vartheta2))
-    g = float(eta.gamma(w.y0, w.l))
-    first = w.a / eta.pi * ((1.0 if w.y1 <= vartheta1 else 0.0) - tau) / (-f1)
-    num = w.a * ((1.0 if g < vartheta2 else 0.0) - tau)
-    if w.a == 0:
-        num += (w.a - 1) * float(eta.nu(vartheta2, w.l)) * chi(vartheta2, w, eta.gamma)
-    return first - num / (-eta.pi * f2)
-
-
 # ---------------------------------------------------------------------------
-# General moment-type targets
+# Links
 # ---------------------------------------------------------------------------
 
 
@@ -234,24 +92,23 @@ def psi_qtt(w: Observation, tau: float, vartheta1: float, vartheta2: float,
 class GTildeSpec:
     """Link function of the transported outcome defining a moment target.
 
-    Either smooth (``dx`` is the partial derivative in x) or a step
-    function described by its jump locations and sizes, which may depend
-    on the target value. Right-continuity and bounded variation on the
-    outcome range are assumed.
+    Either smooth, with ``dx`` its partial derivative in x (a callable of
+    (x, t), or a number when it is constant), or a step function whose
+    jump locations and sizes ``jumps(t)`` may depend on the target value.
+    Bounded variation on the outcome range is assumed.
+
+    ``dtheta`` is d/dt of the conditional moment among the treated: a
+    nonzero constant for links affine in t (mean- and CDF-type), solved
+    in closed form, or ``"gamma-density"`` for quantile-type links, whose
+    moment is nondecreasing in t; they are root-solved and the derivative
+    is a kernel density of the transported outcome.
     """
 
     value: Callable[[float, float], float]
     kind: str
-    dx: Optional[Callable[[float, float], float]] = None
+    dx: object = None
     jumps: Optional[Callable[[float], tuple]] = None
-    right_continuous: bool = True
-    # d/dt of the conditional moment among the treated: a known constant
-    # for mean- and CDF-type links, or "gamma-density" for quantile-type
-    # links (estimated by a kernel density of the transported outcome).
     dtheta: object = -1.0
-    # For smooth links whose x-derivative does not involve the target
-    # value, the control correction can be computed once per solve.
-    dx_constant_in_target: bool = False
 
     def __post_init__(self):
         if self.kind not in ("smooth", "step"):
@@ -260,13 +117,13 @@ class GTildeSpec:
             raise ValueError("smooth link needs its x-derivative")
         if self.kind == "step" and self.jumps is None:
             raise ValueError("step link needs jump locations and sizes")
+        if self.dtheta != "gamma-density" and float(self.dtheta) == 0.0:
+            raise ValueError("dtheta must be a nonzero constant or 'gamma-density'")
 
 
 def gtilde_counterfactual_mean() -> GTildeSpec:
     """g(x, t) = x - t: the counterfactual mean on the treated."""
-    return GTildeSpec(value=lambda x, t: x - t, kind="smooth",
-                      dx=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
-                      dx_constant_in_target=True)
+    return GTildeSpec(value=lambda x, t: np.asarray(x, dtype=float) - t, kind="smooth", dx=1.0)
 
 
 def gtilde_cdf_indicator(y: float) -> GTildeSpec:
@@ -288,31 +145,44 @@ def gtilde_quantile(tau: float) -> GTildeSpec:
     )
 
 
-def _stieltjes_step(y1: float, g: float, l, nu, spec: GTildeSpec, vartheta: float) -> float:
-    """Oriented Lebesgue-Stieltjes sum over the half-open interval (y1, g].
+def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
+                       integrate=integrate_nu_many) -> np.ndarray:
+    """Control correction of a link at target value t, per unit.
 
-    Jumps exactly at the lower endpoint are excluded, at the upper
-    endpoint included; when g < y1 the interval flips to (g, y1] with a
-    minus sign.
+    The oriented Lebesgue-Stieltjes integral of the odds against the
+    link's variation in x over the half-open interval (y1_i, g_i]; when
+    g_i < y1_i the interval is (g_i, y1_i] and the sign flips. Smooth
+    links integrate nu times ``dx`` with ``integrate`` (a constant ``dx``
+    scales the plain odds integral); step links sum the odds times the
+    jump size over the jumps inside the interval. Without covariates
+    (``l`` None) the odds at a jump are one number, evaluated once.
     """
-    pts, sizes = spec.jumps(vartheta)
-    pts = np.asarray(pts, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    if g >= y1:
-        mask = (pts > y1) & (pts <= g)
-        sign = 1.0
-    else:
-        mask = (pts > g) & (pts <= y1)
-        sign = -1.0
-    if not mask.any():
-        return 0.0
-    nu_vals = np.array([float(nu(pt, l)) for pt in pts[mask]])
-    return sign * float(np.sum(nu_vals * sizes[mask]))
+    y1 = np.asarray(y1, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if link.kind == "smooth":
+        if not callable(link.dx):
+            return link.dx * integrate(y1, g, l, nu)
+        return integrate(y1, g, l, lambda x, lx=None: (np.asarray(nu(x, lx))
+                                                       * np.asarray(link.dx(x, t))))
+    out = np.zeros(y1.shape[0])
+    pts, sizes = link.jumps(t)
+    for pt, size in zip(np.asarray(pts, dtype=float), np.asarray(sizes, dtype=float)):
+        fwd = (pt > y1) & (pt <= g)
+        active = fwd | ((pt > g) & (pt <= y1))
+        if active.any():
+            odds = nu(pt, None) if l is None else nu(np.full(int(active.sum()), pt), l[active])
+            out[active] += np.where(fwd[active], size, -size) * odds
+    return out
 
 
-def psi_general(w: Observation, spec: GTildeSpec, vartheta: float, eta: NuisanceSet,
-                denom: float, quad: Optional[QuadratureConfig] = None) -> float:
-    """Score for a general moment-type target.
+# ---------------------------------------------------------------------------
+# Vectorized scores
+# ---------------------------------------------------------------------------
+
+
+def psi_general_many(y0, y1, a, l, spec: GTildeSpec, vartheta: float, eta: NuisanceSet,
+                     denom: float) -> np.ndarray:
+    """Score of a general moment-type target over arrays of observations.
 
     ``denom`` is minus pi times the derivative of the conditional moment
     in the target value (a known constant for mean- and CDF-type links;
@@ -320,50 +190,73 @@ def psi_general(w: Observation, spec: GTildeSpec, vartheta: float, eta: Nuisance
     """
     if denom == 0.0:
         raise ZeroDenominator("moment-derivative denominator is zero")
-    g = float(eta.gamma(w.y0, w.l))
-    num = w.a * float(np.asarray(spec.value(g, vartheta)))
-    if w.a == 0:
-        if spec.kind == "step":
-            integral = _stieltjes_step(w.y1, g, w.l, eta.nu, spec, vartheta)
-        else:
-            quad_ = quad or QuadratureConfig()
-            lo, hi = w.y1, g
-            sign = 1.0
-            if hi < lo:
-                lo, hi = hi, lo
-                sign = -1.0
-            if lo == hi:
-                integral = 0.0
-            elif quad_.rule == "fixed-trapezoid":
-                xs = np.linspace(lo, hi, quad_.n_points)
-                ys = np.array([float(eta.nu(x, w.l)) * float(np.asarray(spec.dx(x, vartheta)))
-                               for x in xs])
-                integral = sign * float(np.trapezoid(ys, xs))
-            else:
-                def f(x):
-                    return float(eta.nu(x, w.l)) * float(np.asarray(spec.dx(x, vartheta)))
-
-                integral = sign * _adaptive_simpson(f, lo, hi, quad_.abs_tol, quad_.max_depth)
-        num += (w.a - 1) * integral
+    y1 = np.asarray(y1, dtype=float)
+    a = np.asarray(a)
+    l = _l_rows(l)
+    g = np.asarray(eta.gamma(np.asarray(y0, dtype=float), l), dtype=float)
+    num = a * np.asarray(spec.value(g, vartheta), dtype=float)
+    ctrl = a == 0
+    if ctrl.any():
+        num[ctrl] -= control_correction(y1[ctrl], g[ctrl], None if l is None else l[ctrl],
+                                        eta.nu, spec, vartheta)
     return num / denom
 
 
-# ---------------------------------------------------------------------------
-# Vectorized scores (Monte Carlo and estimation hot paths)
-# ---------------------------------------------------------------------------
-
-
-def psi_att_many(y0, y1, a, l, theta: float, eta: NuisanceSet,
-                 quad: Optional[QuadratureConfig] = None) -> np.ndarray:
-    """ATT score evaluated over arrays of observations."""
-    y0 = np.asarray(y0, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
+def psi_att_many(y0, y1, a, l, theta: float, eta: NuisanceSet) -> np.ndarray:
+    """ATT score over arrays: the treated outcome's score minus the
+    counterfactual-mean link's score at zero."""
     a = np.asarray(a)
-    g = np.asarray(eta.gamma(y0, l))
-    psi = a * ((y1 - g) - theta)
-    ctrl = a == 0
-    if ctrl.any():
-        l_ctrl = None if l is None else np.asarray(l)[ctrl]
-        integrals = integrate_nu_many(y1[ctrl], g[ctrl], l_ctrl, eta.nu, quad)
-        psi[ctrl] += integrals
-    return psi / eta.pi
+    treated = a * (np.asarray(y1, dtype=float) - theta) / eta.pi
+    return treated - psi_general_many(y0, y1, a, l, gtilde_counterfactual_mean(), 0.0, eta,
+                                      eta.pi)
+
+
+def psi_qtt_many(y0, y1, a, l, tau: float, vartheta1: float, vartheta2: float,
+                 eta: NuisanceSet) -> np.ndarray:
+    """QTT score over arrays: the treated quantile's score minus the
+    counterfactual-quantile link's; needs both fitted densities."""
+    if eta.dens_y1_treated is None or eta.dens_gamma_treated is None:
+        raise MissingDensity("QTT score needs dens_y1_treated and dens_gamma_treated")
+    f1 = float(eta.dens_y1_treated(vartheta1))
+    f2 = float(eta.dens_gamma_treated(vartheta2))
+    a = np.asarray(a)
+    first = a / eta.pi * ((np.asarray(y1) <= vartheta1) - tau) / (-f1)
+    return first - psi_general_many(y0, y1, a, l, gtilde_quantile(tau), vartheta2, eta,
+                                    -eta.pi * f2)
+
+
+# ---------------------------------------------------------------------------
+# One-observation scores
+# ---------------------------------------------------------------------------
+
+
+def psi_general(w: Observation, spec: GTildeSpec, vartheta: float, eta: NuisanceSet,
+                denom: float) -> float:
+    """Score for a general moment-type target at one observation."""
+    return float(psi_general_many(*w.as_arrays(), spec, vartheta, eta, denom)[0])
+
+
+def psi_att(w: Observation, theta: float, eta: NuisanceSet) -> float:
+    """ATT score at one observation.
+
+    Treated arm: ``(a / pi) * ((y1 - gamma(y0, l)) - theta)``.
+    Control arm: ``((1 - a) / pi)`` times the odds integral from y1 to
+    the transported baseline outcome.
+    """
+    return float(psi_att_many(*w.as_arrays(), theta, eta)[0])
+
+
+def psi_counterfactual_mean(w: Observation, vartheta: float, eta: NuisanceSet) -> float:
+    """Score of the counterfactual mean on the treated."""
+    return psi_general(w, gtilde_counterfactual_mean(), vartheta, eta, eta.pi)
+
+
+def psi_cdt(w: Observation, y: float, vartheta: float, eta: NuisanceSet) -> float:
+    """Counterfactual-distribution score at evaluation point y."""
+    return psi_general(w, gtilde_cdf_indicator(y), vartheta, eta, eta.pi)
+
+
+def psi_qtt(w: Observation, tau: float, vartheta1: float, vartheta2: float,
+            eta: NuisanceSet) -> float:
+    """Quantile-treatment-effect score; needs both fitted densities."""
+    return float(psi_qtt_many(*w.as_arrays(), tau, vartheta1, vartheta2, eta)[0])

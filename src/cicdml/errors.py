@@ -29,10 +29,6 @@ class InsufficientData(CicError, ValueError):
     """Too few observations to fit the requested object."""
 
 
-class QuadratureNonConvergence(CicError, RuntimeError):
-    """Adaptive quadrature exhausted its depth before reaching tolerance."""
-
-
 class MissingDensity(CicError, ValueError):
     """A quantile-type influence function needs densities that were not fitted."""
 

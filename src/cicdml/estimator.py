@@ -11,7 +11,7 @@ formulas directly (no cross-fitting, no inference) live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -25,9 +25,17 @@ from .data_model import (
     partition_folds,
     validate,
 )
-from .eif import GTildeSpec, QuadratureConfig, chi, integrate_nu_many
+from .eif import (
+    GTildeSpec,
+    control_correction,
+    gtilde_cdf_indicator,
+    gtilde_counterfactual_mean,
+    gtilde_quantile,
+)
 from .errors import DegenerateArm, InsufficientData, NoBracket, NoTreatedInEvaluation
 from .nuisance import (
+    DEFAULT_EPS_CLIP,
+    DEFAULT_F_MIN,
     NuisanceSet,
     compose_gamma,
     estimate_pi,
@@ -35,13 +43,10 @@ from .nuisance import (
     fit_cond_quantile,
     fit_density,
     fit_nu,
+    integrate_nu_many,
     select_bandwidth_scale,
-    silverman_bandwidth,
     _bandwidth_vector,
 )
-
-DEFAULT_EPS_CLIP = 0.01
-DEFAULT_F_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,8 @@ class CrossFitConfig:
 
     K folds, S repetitions, optional K' model-selection folds (None
     keeps the rule-of-thumb bandwidths), confidence level alpha, master
-    seed, nuisance options, quadrature scheme, and whether folds are
-    stratified by treatment arm.
+    seed, nuisance options (kernel, bandwidth, propensity clip, density
+    floor), and whether folds are stratified by treatment arm.
     """
 
     K: int = 5
@@ -63,7 +68,6 @@ class CrossFitConfig:
     bandwidth: Optional[float] = None
     eps_clip: float = DEFAULT_EPS_CLIP
     f_min: float = DEFAULT_F_MIN
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     stratify: bool = True
 
     def __post_init__(self):
@@ -73,6 +77,14 @@ class CrossFitConfig:
             raise ValueError("S must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.K_prime is not None and self.K_prime < 2:
+            raise ValueError("K_prime must be at least 2")
+        if not 0.0 < self.eps_clip < 0.5:
+            raise ValueError("eps_clip must lie in (0, 0.5)")
+        if not self.f_min > 0.0:
+            raise ValueError("f_min must be positive")
+        if self.bandwidth is not None and not np.all(np.asarray(self.bandwidth) > 0.0):
+            raise ValueError("bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -185,68 +197,150 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
                        dens_y1_treated=dens_y1, dens_gamma_treated=dens_gamma)
 
 
-@dataclass
-class _FoldPieces:
-    """Per-unit quantities shared by the solvers, in dataset order."""
+class _CrossFit:
+    """One repetition's fold assignment and fitted nuisances, with each
+    unit's transported baseline outcome and fold-specific pi in dataset
+    order, computed once and shared by every estimand's solve."""
 
-    gamma_of: np.ndarray      # transported baseline outcome per unit
-    integral: np.ndarray      # odds integral (controls; 0 for treated)
-    pi_of: np.ndarray         # fold-specific pi per unit
-    fold_of: np.ndarray
+    def __init__(self, data: PanelDataset, folds: FoldAssignment,
+                 fitted: List[NuisanceSet]):
+        self.data = data
+        self.folds = folds
+        self.fitted = fitted
+        self.gamma_of = np.empty(data.n)
+        for k, eta in enumerate(fitted):
+            ev = folds.eval_indices(k)
+            self.gamma_of[ev] = eta.gamma(data.y0[ev], _l_or_none(data, ev))
+        self.pi_of = self.fold_values(lambda eta: eta.pi)
+        self.ctrl = np.nonzero(data.a == 0)[0]
+
+    def fold_values(self, fn: Callable[[NuisanceSet], float]) -> np.ndarray:
+        """``fn`` of each unit's fold nuisances, per unit."""
+        out = np.empty(self.data.n)
+        for k, eta in enumerate(self.fitted):
+            out[self.folds.eval_indices(k)] = fn(eta)
+        return out
+
+    def correction(self, link: GTildeSpec, t: float) -> np.ndarray:
+        """Control correction of each control unit (in ``self.ctrl``
+        order), with the odds of the unit's fold."""
+        data = self.data
+        out = np.empty(self.ctrl.shape[0])
+        fold_c = self.folds.fold_of[self.ctrl]
+        for k, eta in enumerate(self.fitted):
+            sel = fold_c == k
+            if sel.any():
+                idx = self.ctrl[sel]
+                # Passed by this module's name, so a wrapper installed on
+                # estimator.integrate_nu_many sees every odds integral.
+                out[sel] = control_correction(data.y1[idx], self.gamma_of[idx],
+                                              _l_or_none(data, idx), eta.nu, link, t,
+                                              integrate=integrate_nu_many)
+        return out
+
+    def terms(self, link: GTildeSpec, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Link value at every unit's transported outcome, and the control
+        correction in dataset order (zero for treated units)."""
+        corr = np.zeros(self.data.n)
+        corr[self.ctrl] = self.correction(link, t)
+        return np.asarray(link.value(self.gamma_of, t), dtype=float), corr
+
+    def scores(self, v: np.ndarray, corr: np.ndarray, slope) -> np.ndarray:
+        """Per-unit scores ``(a v - (1 - a) C) / (-pi slope)``."""
+        a = self.data.a
+        return (a * v - (1 - a) * corr) / (-self.pi_of * slope)
+
+    def solve_affine(self, h: np.ndarray, corr: np.ndarray,
+                     dtheta: float) -> Tuple[float, np.ndarray]:
+        """Closed-form root of a moment affine in the target,
+        ``t = sum((a h - (1 - a) C) / pi) / (-dtheta sum(a / pi))`` with h
+        the link value at t = 0, and the per-unit scores at the root."""
+        a = self.data.a
+        den = -dtheta * float(np.sum(a / self.pi_of))
+        if den == 0.0:
+            raise NoTreatedInEvaluation("no treated units in the evaluation folds")
+        t = float(np.sum((a * h - (1 - a) * corr) / self.pi_of)) / den
+        return t, self.scores(h + dtheta * t, corr, dtheta)
+
+    def quantile_root(self, link: GTildeSpec) -> float:
+        """Root of a quantile-type link's pi-weighted moment, nondecreasing
+        in t: a 256-point scan of the outcome range padded by 5% on each
+        side, then bisection."""
+        treated = self.data.a == 1
+        w_treat = 1.0 / self.pi_of[treated]
+        w_ctrl = 1.0 / self.pi_of[self.ctrl]
+        g_treat = self.gamma_of[treated]
+
+        def moment(t: float) -> float:
+            val = float(np.sum(w_treat * np.asarray(link.value(g_treat, t), dtype=float)))
+            corr = self.correction(link, t)
+            # A sparse sum: only controls whose interval holds a jump count.
+            active = corr != 0.0
+            return val - float(np.sum(w_ctrl[active] * corr[active]))
+
+        span = np.concatenate([self.data.y1, self.gamma_of])
+        pad = 0.05 * (span.max() - span.min()) + 1e-9
+        return solve_quantile_root(moment, bracket=(span.min() - pad, span.max() + pad))
+
+    def solve_link(self, link: GTildeSpec) -> Tuple[float, np.ndarray]:
+        """Target value and per-unit scores of a link's pooled estimating
+        equation: closed form for affine links, root-solved for
+        quantile-type links (with the fold densities of the transported
+        outcome as the moment derivative)."""
+        if link.dtheta != "gamma-density":
+            h, corr = self.terms(link, 0.0)
+            return self.solve_affine(h, corr, float(link.dtheta))
+        t = self.quantile_root(link)
+        v, corr = self.terms(link, t)
+        return t, self.scores(v, corr, self.fold_values(
+            lambda eta: float(eta.dens_gamma_treated(t))))
+
+    def att_terms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """ATT as the treated outcome minus the counterfactual-mean link."""
+        h, corr = self.terms(gtilde_counterfactual_mean(), 0.0)
+        return self.data.y1 - h, -corr
+
+    def solve_qtt(self, tau: float) -> Tuple[float, np.ndarray]:
+        """QTT as the treated quantile minus the counterfactual-quantile link."""
+        data = self.data
+        treated = data.a == 1
+        w_treat = 1.0 / self.pi_of[treated]
+        y1_treated = data.y1[treated]
+
+        def moment(t: float) -> float:
+            return float(np.sum(w_treat * ((y1_treated <= t) - tau)))
+
+        vartheta1 = solve_quantile_root(moment, bracket=None,
+                                        candidates=np.sort(y1_treated))
+        vartheta2, psi2 = self.solve_link(gtilde_quantile(tau))
+        f1 = self.fold_values(lambda eta: float(eta.dens_y1_treated(vartheta1)))
+        first = data.a / self.pi_of * ((data.y1 <= vartheta1) - tau) / (-f1)
+        return vartheta1 - vartheta2, first - psi2
 
 
-def _att_pieces(data: PanelDataset, folds: FoldAssignment, fitted: List[NuisanceSet],
-                quad: Optional[QuadratureConfig]) -> _FoldPieces:
-    n = data.n
-    gamma_of = np.empty(n)
-    integral = np.zeros(n)
-    pi_of = np.empty(n)
-    for k in range(folds.K):
-        ev = folds.eval_indices(k)
-        eta = fitted[k]
-        g = np.asarray(eta.gamma(data.y0[ev], _l_or_none(data, ev)))
-        gamma_of[ev] = g
-        pi_of[ev] = eta.pi
-        ctrl = data.a[ev] == 0
-        if ctrl.any():
-            idx = ev[ctrl]
-            l_ctrl = _l_or_none(data, idx)
-            integral[idx] = integrate_nu_many(data.y1[idx], g[ctrl], l_ctrl, eta.nu, quad)
-    return _FoldPieces(gamma_of=gamma_of, integral=integral, pi_of=pi_of,
-                       fold_of=folds.fold_of)
-
-
-def solve_att_once(data: PanelDataset, folds: FoldAssignment, fitted: List[NuisanceSet],
-                   quad: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+def solve_att_once(data: PanelDataset, folds: FoldAssignment,
+                   fitted: List[NuisanceSet]) -> Tuple[float, float]:
     """Solve the pooled ATT estimating equation for one fold assignment.
 
-    The score is linear in the target with coefficient a / pi_fold, so
+    The ATT is the treated outcome minus the counterfactual-mean link.
+    Its score is linear in the target with coefficient a / pi_fold, so
     the solution is closed-form: a pi-weighted ratio of the treated
     outcome contrasts plus the control odds integrals over the treated
     weights. With stratified folds all fold pi's coincide and this
     reduces to the plain ratio. Returns the point estimate and the mean
     squared score.
     """
-    pieces = _att_pieces(data, folds, fitted, quad)
-    a = data.a
-    d = data.y1 - pieces.gamma_of
-    num = float(np.sum((a * d + (1 - a) * pieces.integral) / pieces.pi_of))
-    den = float(np.sum(a / pieces.pi_of))
-    if den == 0.0:
-        raise NoTreatedInEvaluation("no treated units in the evaluation folds")
-    theta = num / den
-    psi = (a * (d - theta) + (1 - a) * pieces.integral) / pieces.pi_of
-    sigma2 = float(np.mean(psi * psi))
-    return theta, sigma2
+    cf = _CrossFit(data, folds, fitted)
+    theta, psi = cf.solve_affine(*cf.att_terms(), -1.0)
+    return theta, float(np.mean(psi * psi))
 
 
 def att_psi_values(data: PanelDataset, folds: FoldAssignment, fitted: List[NuisanceSet],
-                   theta: float, quad: Optional[QuadratureConfig] = None) -> np.ndarray:
+                   theta: float) -> np.ndarray:
     """Per-unit ATT scores at a given target value (for residual checks)."""
-    pieces = _att_pieces(data, folds, fitted, quad)
-    a = data.a
-    d = data.y1 - pieces.gamma_of
-    return (a * (d - theta) + (1 - a) * pieces.integral) / pieces.pi_of
+    cf = _CrossFit(data, folds, fitted)
+    h, corr = cf.att_terms()
+    return cf.scores(h - theta, corr, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,250 +430,6 @@ def confidence_interval(theta_hat: float, sigma2_hat: float, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _solve_cdt_once(data, folds, fitted, y_point):
-    n = data.n
-    a = data.a
-    ind = np.empty(n)
-    corr = np.zeros(n)
-    pi_of = np.empty(n)
-    gamma_of = np.empty(n)
-    for k in range(folds.K):
-        ev = folds.eval_indices(k)
-        eta = fitted[k]
-        gamma_of[ev] = np.asarray(eta.gamma(data.y0[ev], _l_or_none(data, ev)))
-        pi_of[ev] = eta.pi
-    ind = (gamma_of < y_point).astype(float)
-    nu_at = _make_nu_at_point(data, folds, fitted)
-    ctrl_idx = np.nonzero(a == 0)[0]
-    if ctrl_idx.size:
-        chi_vals = _chi_many(y_point, data.y1[ctrl_idx], gamma_of[ctrl_idx])
-        corr[ctrl_idx] = -nu_at(y_point, ctrl_idx) * chi_vals
-    den = float(np.sum(a / pi_of))
-    if den == 0.0:
-        raise NoTreatedInEvaluation("no treated units in the evaluation folds")
-    vartheta = float(np.sum((a * ind + corr) / pi_of) / den)
-    psi = (a * (ind - vartheta) + corr) / pi_of
-    return vartheta, float(np.mean(psi * psi))
-
-
-def _chi_many(x: float, y1: np.ndarray, g: np.ndarray) -> np.ndarray:
-    inside = (np.minimum(y1, g) <= x) & (x <= np.maximum(y1, g))
-    return np.sign(y1 - g) * inside
-
-
-def _make_nu_at_point(data: PanelDataset, folds: FoldAssignment, fitted):
-    """Evaluator for fold-specific odds at one x across selected units.
-
-    With no covariates the odds at a point are a single number per fold,
-    so they are computed once and broadcast."""
-    if data.p == 0:
-        cache = {}
-
-        def nu_at(point: float, idx: np.ndarray) -> np.ndarray:
-            vals = np.empty(idx.shape[0])
-            for k in range(folds.K):
-                sel = folds.fold_of[idx] == k
-                if sel.any():
-                    key = (k, point)
-                    if key not in cache:
-                        cache[key] = float(fitted[k].nu(point, None))
-                    vals[sel] = cache[key]
-            return vals
-    else:
-        def nu_at(point: float, idx: np.ndarray) -> np.ndarray:
-            vals = np.empty(idx.shape[0])
-            for k in range(folds.K):
-                sel = folds.fold_of[idx] == k
-                if sel.any():
-                    vals[sel] = np.asarray(fitted[k].nu(
-                        np.full(int(sel.sum()), point), _l_or_none(data, idx[sel])))
-            return vals
-    return nu_at
-
-
-def _solve_qtt_once(data, folds, fitted, tau):
-    a = data.a
-    n = data.n
-    gamma_of = np.empty(n)
-    pi_of = np.empty(n)
-    for k in range(folds.K):
-        ev = folds.eval_indices(k)
-        eta = fitted[k]
-        gamma_of[ev] = np.asarray(eta.gamma(data.y0[ev], _l_or_none(data, ev)))
-        pi_of[ev] = eta.pi
-    treated = a == 1
-    w_treat = 1.0 / pi_of[treated]
-
-    y1_treated_sorted = np.sort(data.y1[treated])
-
-    def moment1(t):
-        return float(np.sum(w_treat * ((data.y1[treated] <= t) - tau)))
-
-    vartheta1 = solve_quantile_root(moment1, bracket=None, candidates=y1_treated_sorted)
-
-    ctrl_idx = np.nonzero(~treated)[0]
-    y1_ctrl = data.y1[ctrl_idx]
-    g_ctrl = gamma_of[ctrl_idx]
-    w_ctrl = 1.0 / pi_of[ctrl_idx]
-    nu_at = _make_nu_at_point(data, folds, fitted)
-
-    def moment2(t):
-        val = float(np.sum(w_treat * ((gamma_of[treated] < t) - tau)))
-        if ctrl_idx.size:
-            chi_vals = _chi_many(t, y1_ctrl, g_ctrl)
-            active = chi_vals != 0
-            if active.any():
-                idx = ctrl_idx[active]
-                val -= float(np.sum(w_ctrl[active] * nu_at(t, idx) * chi_vals[active]))
-        return val
-
-    all_points = np.concatenate([data.y1, gamma_of])
-    pad = 0.05 * (all_points.max() - all_points.min()) + 1e-9
-    vartheta2 = solve_quantile_root(moment2,
-                                    bracket=(all_points.min() - pad, all_points.max() + pad))
-
-    theta = vartheta1 - vartheta2
-    # Variance from the full quantile score with fold-specific densities.
-    psi = np.empty(n)
-    for k in range(folds.K):
-        ev = folds.eval_indices(k)
-        eta = fitted[k]
-        f1 = float(eta.dens_y1_treated(vartheta1))
-        f2 = float(eta.dens_gamma_treated(vartheta2))
-        a_ev = a[ev]
-        first = a_ev / eta.pi * ((data.y1[ev] <= vartheta1) - tau) / (-f1)
-        num = a_ev * ((gamma_of[ev] < vartheta2) - tau).astype(float)
-        ctrl = a_ev == 0
-        if ctrl.any():
-            idx = ev[ctrl]
-            chi_vals = _chi_many(vartheta2, data.y1[idx], gamma_of[idx])
-            num[ctrl] += -nu_at(vartheta2, idx) * chi_vals
-        psi[ev] = first - num / (-eta.pi * f2)
-    return theta, float(np.mean(psi * psi))
-
-
-class _WeightedNu:
-    """Odds times the x-derivative of a smooth link, as one integrand.
-
-    With no covariates the signed integrals go through a cached dense
-    antiderivative, like the plain odds integrals.
-    """
-
-    def __init__(self, nu, dx, vartheta):
-        self.nu = nu
-        self.dx = dx
-        self.vartheta = vartheta
-        self._grid = None
-
-    def __call__(self, x, l=None):
-        return np.asarray(self.nu(x, l)) * np.asarray(self.dx(x, self.vartheta))
-
-    def integral_many(self, lo, hi, l=None):
-        if getattr(self.nu, "p", 0):
-            raise NotImplementedError("cached antiderivative requires p = 0")
-        if self._grid is None:
-            from .nuisance import GridAntiderivative
-
-            self._grid = GridAntiderivative(lambda gx: self(gx, None))
-        return self._grid.integrate(lo, hi)
-
-
-def _solve_general_once(data, folds, fitted, gspec: GTildeSpec, quad):
-    """Solve the pooled estimating equation of a general moment-type link.
-
-    The target solves the pi-weighted numerator moment; the (sign-fixed)
-    denominator enters only the variance, via the full score.
-    """
-    a = data.a
-    n = data.n
-    gamma_of = np.empty(n)
-    pi_of = np.empty(n)
-    for k in range(folds.K):
-        ev = folds.eval_indices(k)
-        eta = fitted[k]
-        gamma_of[ev] = np.asarray(eta.gamma(data.y0[ev], _l_or_none(data, ev)))
-        pi_of[ev] = eta.pi
-    ctrl_idx = np.nonzero(a == 0)[0]
-    y1c = data.y1[ctrl_idx]
-    gc = gamma_of[ctrl_idx]
-    w_ctrl = 1.0 / pi_of[ctrl_idx]
-    treated = a == 1
-    w_treat = 1.0 / pi_of[treated]
-
-    fold_nu_at = _make_nu_at_point(data, folds, fitted)
-
-    smooth_cache = {}
-
-    def stieltjes(t: float) -> np.ndarray:
-        """Oriented Lebesgue-Stieltjes term per control unit."""
-        out = np.zeros(ctrl_idx.shape[0])
-        if gspec.kind == "step":
-            pts, sizes = gspec.jumps(t)
-            for pt, sz in zip(np.asarray(pts, dtype=float), np.asarray(sizes, dtype=float)):
-                fwd = (gc >= y1c) & (pt > y1c) & (pt <= gc)
-                bwd = (gc < y1c) & (pt > gc) & (pt <= y1c)
-                active = fwd | bwd
-                if active.any():
-                    nu_vals = fold_nu_at(float(pt), ctrl_idx[active])
-                    out[active] += np.where(fwd[active], 1.0, -1.0) * nu_vals * sz
-            return out
-        cache_key = None if not gspec.dx_constant_in_target else "fixed"
-        if cache_key in smooth_cache:
-            return smooth_cache[cache_key]
-        for k in range(folds.K):
-            sel = folds.fold_of[ctrl_idx] == k
-            if sel.any():
-                idx = ctrl_idx[sel]
-                out[sel] = integrate_nu_many(
-                    data.y1[idx], gamma_of[idx], _l_or_none(data, idx),
-                    _WeightedNu(fitted[k].nu, gspec.dx, t), quad)
-        if cache_key is not None:
-            smooth_cache[cache_key] = out
-        return out
-
-    def numerator_moment(t: float) -> float:
-        val = float(np.sum(np.asarray(gspec.value(gamma_of[treated], t), dtype=float)
-                           * w_treat))
-        if ctrl_idx.size:
-            val -= float(np.sum(w_ctrl * stieltjes(t)))
-        return val
-
-    span = np.concatenate([data.y1, gamma_of])
-    pad = 4.0 * (span.max() - span.min() + 1.0)
-    lo, hi = float(span.min() - pad), float(span.max() + pad)
-    if gspec.kind == "step":
-        vartheta = solve_quantile_root(numerator_moment, bracket=(lo, hi))
-    else:
-        f_lo, f_hi = numerator_moment(lo), numerator_moment(hi)
-        if f_lo == 0.0:
-            vartheta = lo
-        elif f_lo * f_hi > 0.0:
-            raise NoBracket("general moment has no sign change over the padded range")
-        else:
-            sgn = 1.0 if f_lo < 0.0 else -1.0
-            vartheta = solve_quantile_root(lambda t: sgn * numerator_moment(t),
-                                           bracket=(lo, hi))
-
-    # Full score for the variance, with the moment-derivative denominator.
-    st = stieltjes(vartheta)
-    psi = np.empty(n)
-    for k in range(folds.K):
-        ev = folds.eval_indices(k)
-        eta = fitted[k]
-        if gspec.dtheta == "gamma-density":
-            if eta.dens_gamma_treated is None:
-                raise InsufficientData("quantile-type link needs the gamma density")
-            denom = -eta.pi * float(eta.dens_gamma_treated(vartheta))
-        else:
-            denom = -eta.pi * float(gspec.dtheta)
-        num = a[ev] * np.asarray(gspec.value(gamma_of[ev], vartheta), dtype=float)
-        sel = folds.fold_of[ctrl_idx] == k
-        if sel.any():
-            num[data.a[ev] == 0] += -st[sel]
-        psi[ev] = num / denom
-    return vartheta, float(np.mean(psi * psi))
-
-
 def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> EstimateReport:
     """Run the full cross-fitted procedure for one estimand.
 
@@ -602,13 +452,16 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
                                      need_densities=need_densities)
                   for k in range(cfg.K)]
         if spec.kind == EstimandKind.ATT:
-            reps.append(solve_att_once(data, folds, fitted, cfg.quad))
+            reps.append(solve_att_once(data, folds, fitted))
+            continue
+        cf = _CrossFit(data, folds, fitted)
+        if spec.kind == EstimandKind.QTT:
+            theta, psi = cf.solve_qtt(spec.tau)
         elif spec.kind == EstimandKind.CDT:
-            reps.append(_solve_cdt_once(data, folds, fitted, spec.y_point))
-        elif spec.kind == EstimandKind.QTT:
-            reps.append(_solve_qtt_once(data, folds, fitted, spec.tau))
+            theta, psi = cf.solve_link(gtilde_cdf_indicator(spec.y_point))
         else:
-            reps.append(_solve_general_once(data, folds, fitted, spec.gtilde, cfg.quad))
+            theta, psi = cf.solve_link(spec.gtilde)
+        reps.append((theta, float(np.mean(psi * psi))))
     theta_hat, sigma2_hat = median_adjust(reps)
     ci_lo, ci_hi = confidence_interval(theta_hat, sigma2_hat, data.n, cfg.alpha)
     return EstimateReport(theta_hat=theta_hat, sigma2_hat=sigma2_hat,

@@ -12,7 +12,7 @@ quantile, and sample means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,7 @@ from .errors import DegenerateArm, InsufficientData
 
 GRID_POINTS = 512          # evaluation grid for monotone rearrangement
 ANTIDERIV_GRID = 2048      # grid for cached odds antiderivatives (p = 0)
+SIMPSON_NODES = 257        # fixed composite-Simpson nodes per odds integral (p > 0)
 _CHUNK_BUDGET = 8_000_000  # max elements per kernel weight matrix chunk
 
 
@@ -124,7 +125,8 @@ class GridAntiderivative:
         self._gx = None
         self._anti = None
 
-    def _ensure(self, lo: float, hi: float):
+    def cover(self, lo: float, hi: float):
+        """Make the grid span [lo, hi], building or widening it as needed."""
         pad = 1e-9 + 0.05 * max(hi - lo, 1e-12)
         if self._gx is not None:
             if self._gx[0] <= lo - 0.5 * pad and self._gx[-1] >= hi + 0.5 * pad:
@@ -142,8 +144,37 @@ class GridAntiderivative:
         hi = np.asarray(hi, dtype=float)
         if lo.size == 0:
             return np.zeros(0)
-        self._ensure(float(min(lo.min(), hi.min())), float(max(lo.max(), hi.max())))
+        self.cover(float(min(lo.min(), hi.min())), float(max(lo.max(), hi.max())))
         return np.interp(hi, self._gx, self._anti) - np.interp(lo, self._gx, self._anti)
+
+
+def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
+    """Signed integrals of the odds over per-unit intervals [lo_i, hi_i].
+
+    The one place where the rule is chosen: the odds object's own
+    ``integral_many`` when it has one (closed forms for analytic odds);
+    with no covariates (``l`` None or empty), a trapezoid antiderivative
+    on a dense grid; otherwise composite Simpson on ``SIMPSON_NODES``
+    fixed nodes per interval. Swapping the limits flips the sign.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = lo.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    own = getattr(nu, "integral_many", None)
+    if own is not None:
+        return own(lo, hi, l)
+    if l is None or np.asarray(l).size == 0:
+        return GridAntiderivative(lambda gx: nu(gx, None)).integrate(lo, hi)
+    t = np.linspace(0.0, 1.0, SIMPSON_NODES)
+    x = lo[:, None] + (hi - lo)[:, None] * t[None, :]
+    l_rep = np.repeat(np.asarray(l, dtype=float), SIMPSON_NODES, axis=0)
+    vals = np.asarray(nu(x.ravel(), l_rep)).reshape(n, SIMPSON_NODES)
+    w = np.ones(SIMPSON_NODES)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (vals @ w) * (hi - lo) / (3.0 * (SIMPSON_NODES - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +405,6 @@ class NuFn:
     h: np.ndarray
     eps_clip: float = DEFAULT_EPS_CLIP
     kernel: str = "gaussian"
-    _grid: Optional["GridAntiderivative"] = field(default=None, repr=False)
 
     @property
     def p(self) -> int:
@@ -397,21 +427,11 @@ class NuFn:
         res = self.evaluate_many(x_arr, l_arr)
         return float(res[0]) if np.isscalar(x) else res
 
-    # -- fast integration support (covariate-free case) --------------------
-
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """Signed integrals of the odds over [lo_i, hi_i] (p = 0 only).
-
-        Uses a cached trapezoid antiderivative on a dense grid spanning
-        the requested endpoints; accuracy is comparable to the default
-        adaptive rule for the smooth fitted odds.
-        """
-        if self.p:
-            raise NotImplementedError("cached antiderivative requires p = 0")
-        if self._grid is None:
-            self._grid = GridAntiderivative(
-                lambda gx: self.evaluate_many(gx, np.empty((gx.shape[0], 0))))
-        return self._grid.integrate(lo, hi)
+        """Signed integrals of the odds over [lo_i, hi_i], by the rule
+        :func:`integrate_nu_many` picks for the covariate dimension (it is
+        handed the bound call, which has no ``integral_many`` of its own)."""
+        return integrate_nu_many(lo, hi, l, self.__call__)
 
 
 ScalarPi = float

@@ -33,9 +33,10 @@ from .dgp import (
     true_nuisances,
     true_pi,
 )
-from .eif import QuadratureConfig, integrate_nu_many
+from .eif import psi_att_many
 from .estimator import CrossFitConfig, estimate
 from .nuisance import (
+    GridAntiderivative,
     NuisanceSet,
     _bandwidth_vector,
     compose_gamma,
@@ -99,90 +100,79 @@ def _derived_seed(seed: int, tag: int) -> int:
 
 
 def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[float],
-                       mc_size: int, seed: int, base: Optional[NuisanceSet] = None,
-                       quad: Optional[QuadratureConfig] = None) -> np.ndarray:
+                       mc_size: int, seed: int,
+                       base: Optional[NuisanceSet] = None) -> np.ndarray:
     """Per-draw ATT scores at each lambda, sharing one Monte Carlo sample.
 
-    Returns an array of shape (len(lambdas), mc_size). The zero
-    perturbation short-circuits to identical rows so that stencil
-    differences vanish exactly.
+    Returns an array of shape (len(lambdas), mc_size); row j is the
+    vectorised ATT score under the nuisances perturbed by lambda_j. With
+    no covariates the odds integrals interpolate two antiderivatives, of
+    the base odds and of the odds direction, built once on a grid that
+    covers every lambda's endpoints.
     """
     cfg = replace(dgp, n=mc_size, seed=_derived_seed(seed, 11))
     data, truth = gen_stm(cfg)
     eta = base if base is not None else true_nuisances(dgp)
-    theta = truth.att_true
     l = data.l if dgp.p else None
-    gamma0 = np.asarray(eta.gamma(data.y0, l))
-    a = data.a
-    ctrl = a == 0
     lam_arr = np.asarray(list(lambdas), dtype=float)
 
-    dg = np.zeros(data.n) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0, l))
-    dg = np.broadcast_to(dg, (data.n,)).astype(float)
+    grids = None
+    if dgp.p == 0:
+        ctrl = data.a == 0
+        g0 = np.asarray(eta.gamma(data.y0[ctrl], None))
+        dg = np.zeros_like(g0) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0[ctrl]))
+        ends = np.concatenate([data.y1[ctrl], g0 + lam_arr.min(initial=0.0) * dg,
+                               g0 + lam_arr.max(initial=0.0) * dg])
+        grids = [GridAntiderivative(lambda x: eta.nu(x, None), n_grid=_PHI_GRID)]
+        if pert.d_nu is not None:
+            grids.append(GridAntiderivative(lambda x: pert.d_nu(x, None), n_grid=_PHI_GRID))
+        for grid in grids:
+            grid.cover(float(ends.min()), float(ends.max()))
 
     out = np.empty((lam_arr.shape[0], data.n))
-    lo_c = data.y1[ctrl]
-    g0_c = gamma0[ctrl]
-    dg_c = dg[ctrl]
-    l_c = data.l[ctrl] if dgp.p else None
-
-    if dgp.p == 0:
-        # Antiderivatives of the base odds and the odds direction on a
-        # dense shared grid; per-lambda integrals become interpolations.
-        lam_min = float(lam_arr.min(initial=0.0))
-        lam_max = float(lam_arr.max(initial=0.0))
-        ends = np.concatenate([lo_c, g0_c, g0_c + lam_min * dg_c, g0_c + lam_max * dg_c])
-        span = float(ends.max() - ends.min())
-        pad = 0.02 * span + 1e-9
-        gx = np.linspace(ends.min() - pad, ends.max() + pad, _PHI_GRID)
-        nu0_vals = np.asarray(eta.nu(gx, None))
-        anti0 = np.concatenate([[0.0], np.cumsum(0.5 * (nu0_vals[1:] + nu0_vals[:-1])
-                                                 * np.diff(gx))])
-        if pert.d_nu is not None:
-            dnu_vals = np.asarray(pert.d_nu(gx, None))
-            anti_d = np.concatenate([[0.0], np.cumsum(0.5 * (dnu_vals[1:] + dnu_vals[:-1])
-                                                      * np.diff(gx))])
-        r0_lo = np.interp(lo_c, gx, anti0)
-        rd_lo = np.interp(lo_c, gx, anti_d) if pert.d_nu is not None else None
-        for j, lam in enumerate(lam_arr):
-            hi = g0_c + lam * dg_c
-            integral = np.interp(hi, gx, anti0) - r0_lo
-            if pert.d_nu is not None:
-                integral = integral + lam * (np.interp(hi, gx, anti_d) - rd_lo)
-            psi = a * (data.y1 - gamma0 - lam * dg - theta)
-            psi[ctrl] = integral
-            out[j] = psi / (eta.pi + lam * pert.d_pi)
-    else:
-        for j, lam in enumerate(lam_arr):
-            hi = g0_c + lam * dg_c
-            nu_lam = _PerturbedNu(eta.nu, pert.d_nu, lam)
-            integral = integrate_nu_many(lo_c, hi, l_c, nu_lam, quad)
-            psi = a * (data.y1 - gamma0 - lam * dg - theta)
-            psi[ctrl] = integral
-            out[j] = psi / (eta.pi + lam * pert.d_pi)
+    for j, lam in enumerate(lam_arr):
+        nu = (_Perturbed(eta.nu, pert.d_nu, lam) if grids is None
+              else _GridPerturbedNu(eta.nu, pert.d_nu, lam, grids))
+        eta_lam = NuisanceSet(gamma=_Perturbed(eta.gamma, pert.d_gamma, lam), nu=nu,
+                              pi=eta.pi + lam * pert.d_pi)
+        out[j] = psi_att_many(data.y0, data.y1, data.a, l, theta=truth.att_true, eta=eta_lam)
     return out
 
 
-class _PerturbedNu:
-    def __init__(self, nu0, d_nu, lam):
-        self.nu0 = nu0
-        self.d_nu = d_nu
+class _Perturbed:
+    """The map f0 + lam * d of (x, l); d None means zero."""
+
+    def __init__(self, f0, d, lam):
+        self.f0 = f0
+        self.d = d
         self.lam = lam
 
     def __call__(self, x, l=None):
-        base = np.asarray(self.nu0(x, l))
-        if self.d_nu is None or self.lam == 0.0:
-            return base
-        return base + self.lam * np.asarray(self.d_nu(x, l))
+        base = np.asarray(self.f0(x, l))
+        return base if self.d is None else base + self.lam * np.asarray(self.d(x, l))
+
+
+class _GridPerturbedNu(_Perturbed):
+    """Covariate-free perturbed odds, integrated through antiderivatives
+    of the base odds and of the odds direction shared by every lambda."""
+
+    def __init__(self, f0, d, lam, grids):
+        super().__init__(f0, d, lam)
+        self.grids = grids
+
+    def integral_many(self, lo, hi, l=None):
+        out = self.grids[0].integrate(lo, hi)
+        for grid in self.grids[1:]:
+            out = out + self.lam * grid.integrate(lo, hi)
+        return out
 
 
 def phi_at(lam: float, dgp: StmConfig, pert: Perturbation, mc_size: int = DEFAULT_MC_SIZE,
-           seed: int = 0, base: Optional[NuisanceSet] = None,
-           quad: Optional[QuadratureConfig] = None) -> float:
+           seed: int = 0, base: Optional[NuisanceSet] = None) -> float:
     """Monte Carlo estimate of the moment map at one lambda."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
-    psi = _psi_lambda_matrix(dgp, pert, [lam], mc_size, seed, base=base, quad=quad)
+    psi = _psi_lambda_matrix(dgp, pert, [lam], mc_size, seed, base=base)
     return float(psi[0].mean())
 
 

@@ -6,7 +6,6 @@ from cicdml.dgp import ConstantNu, LinearNu, gen_did, named_config, gen_stm, tru
 from cicdml.eif import (
     GTildeSpec,
     Observation,
-    QuadratureConfig,
     chi,
     gtilde_cdf_indicator,
     gtilde_counterfactual_mean,
@@ -20,7 +19,7 @@ from cicdml.eif import (
     psi_general,
     psi_qtt,
 )
-from cicdml.errors import MissingDensity, QuadratureNonConvergence, ZeroDenominator
+from cicdml.errors import MissingDensity, ZeroDenominator
 from cicdml.estimator import fit_fold_nuisances, CrossFitConfig
 from cicdml.data_model import partition_folds
 from cicdml.nuisance import NuisanceSet
@@ -50,20 +49,6 @@ class TestIntegrateNu:
             fwd = integrate_nu(lo, hi, None, nu)
             bwd = integrate_nu(hi, lo, None, nu)
             assert fwd == pytest.approx(-bwd, abs=1e-12)
-
-    def test_fixed_trapezoid_rule(self):
-        quad = QuadratureConfig(rule="fixed-trapezoid", n_points=2001)
-        got = integrate_nu(0.0, 2.0, None, LinearNu(1.0, 1.0), quad)
-        assert got == pytest.approx(4.0, abs=1e-6)
-
-    def test_depth_exhaustion_raises(self):
-        class Spiky:
-            def __call__(self, x, l=None):
-                return np.sin(1.0 / (np.abs(x) + 1e-14)) * 1e6
-
-        quad = QuadratureConfig(abs_tol=1e-12, max_depth=3)
-        with pytest.raises(QuadratureNonConvergence):
-            integrate_nu(-1.0, 1.0, None, Spiky(), quad)
 
     def test_vectorized_matches_scalar(self):
         nu = true_nuisances(named_config("did", n=100)).nu
@@ -195,6 +180,15 @@ class TestPsiGeneral:
             via_general = psi_general(w, gtilde_cdf_indicator(y_point), vartheta, eta,
                                       denom=eta.pi)
             assert abs(direct - via_general) <= 1e-10
+
+    def test_cdt_score_uses_the_half_open_interval(self):
+        # A control whose y1 sits exactly at the evaluation point: the
+        # increment of the link between y1 and gamma is zero.
+        eta = NuisanceSet(gamma=const_gamma(4.0), nu=ConstantNu(1.0), pi=0.5)
+        w = Observation(y0=0.0, y1=2.0, a=0)
+        direct = psi_cdt(w, 2.0, 0.4, eta)
+        via_general = psi_general(w, gtilde_cdf_indicator(2.0), 0.4, eta, denom=eta.pi)
+        assert direct == via_general == 0.0
 
     def test_jump_outside_interval_contributes_nothing(self):
         eta = NuisanceSet(gamma=const_gamma(3.0), nu=ConstantNu(1.0), pi=0.5)

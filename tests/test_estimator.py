@@ -279,3 +279,76 @@ class TestPlugins:
             transformed = data.transform_outcomes(T)
             assert_allclose(imputed_counterfactuals(transformed), T(base),
                             rtol=0, atol=1e-10)
+
+
+def _general(gtilde):
+    from cicdml.data_model import EstimandKind
+    return EstimandSpec(kind=EstimandKind.GENERAL_MOMENT, gtilde=gtilde)
+
+
+def _arm_balanced(data, K):
+    """Drop the last units of each arm so both arm sizes divide by K; then
+    every training complement has the same treated share."""
+    keep = []
+    for arm in (1, 0):
+        idx = np.nonzero(data.a == arm)[0]
+        keep.append(idx[:idx.size - idx.size % K])
+    sel = np.sort(np.concatenate(keep))
+    return PanelDataset(y0=data.y0[sel], y1=data.y1[sel], a=data.a[sel], l=data.l[sel])
+
+
+class TestGeneralMomentLinks:
+    @pytest.mark.parametrize("name,n,y", [("did", 2000, 1.0), ("stm-cov", 400, 1.0)])
+    def test_cdf_indicator_link_equals_cdt(self, name, n, y):
+        from cicdml.eif import gtilde_cdf_indicator
+        data, _ = gen_stm(named_config(name, n=n, seed=5))
+        cfg = CrossFitConfig(K=5)
+        cdt = estimate(data, EstimandSpec.cdt(y), cfg)
+        general = estimate(data, _general(gtilde_cdf_indicator(y)), cfg)
+        assert 0.0 < cdt.theta_hat < 1.0
+        assert general.theta_hat == pytest.approx(cdt.theta_hat, abs=1e-10)
+        assert general.sigma2_hat == pytest.approx(cdt.sigma2_hat, rel=1e-10)
+
+    @pytest.mark.parametrize("name,n", [("did", 2000), ("stm-cov", 400)])
+    def test_treated_quantile_minus_quantile_link_equals_qtt(self, name, n):
+        from cicdml.eif import gtilde_quantile
+        K = 5
+        data, _ = gen_stm(named_config(name, n=n, seed=5))
+        data = _arm_balanced(data, K)
+        y1_treated = np.sort(data.y1[data.a == 1])
+        n1 = y1_treated.size
+        # tau * n1 sits halfway between integers, so the quantile is unambiguous.
+        tau = (n1 // 2 + 0.5) / n1
+        cfg = CrossFitConfig(K=K, seed=3)
+        qtt = estimate(data, EstimandSpec.qtt(tau), cfg)
+        general = estimate(data, _general(gtilde_quantile(tau)), cfg)
+        treated_q = float(y1_treated[n1 // 2])
+        assert qtt.theta_hat == pytest.approx(treated_q - general.theta_hat, abs=1e-10)
+
+
+class TestParityPins:
+    """End-to-end estimates pinned at rtol 1e-12, with and without covariates."""
+
+    Y_POINT = {"did": 1.0, "stm-exp": 2.0, "stm-cov": 1.0}
+    PINNED = {
+        ("did", "att"): (2.120972061067494, 8.541735598504788),
+        ("did", "cdt"): (0.5181396781912045, 1.1009073116074013),
+        ("did", "qtt"): (2.2471379202469537, 18.955723752492773),
+        ("stm-exp", "att"): (2.725148810008458, 159.82974839663893),
+        ("stm-exp", "cdt"): (0.34610624216110186, 0.6814906332478567),
+        ("stm-exp", "qtt"): (1.5715154170253296, 79.03628014163505),
+        ("stm-cov", "att"): (0.8158543927818697, 399.08392647744785),
+        ("stm-cov", "cdt"): (0.3819970068326227, 3.6376874567999113),
+        ("stm-cov", "qtt"): (1.9652511433895925, 53.90019037802562),
+    }
+
+    @pytest.mark.parametrize("name", ["did", "stm-exp", "stm-cov"])
+    def test_pinned_estimates(self, name):
+        data, _ = gen_stm(named_config(name, n=400, seed=11))
+        specs = {"att": EstimandSpec.att(), "cdt": EstimandSpec.cdt(self.Y_POINT[name]),
+                 "qtt": EstimandSpec.qtt(0.5)}
+        for kind, spec in specs.items():
+            report = estimate(data, spec, CrossFitConfig(K=3, seed=11))
+            theta, sigma2 = self.PINNED[(name, kind)]
+            assert report.theta_hat == pytest.approx(theta, rel=1e-12, abs=0), kind
+            assert report.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0), kind
