@@ -38,7 +38,7 @@ _CONFIG_KEYS = {
                  "bandwidth", "output", "format"},
     "simulate": {"dgp", "n", "trend", "effect", "pi", "seed", "out", "oracle_out",
                  "output", "format"},
-    "validate": {"dgp", "seed", "mc_size", "h", "perturbations", "output", "format"},
+    "validate": {"dgp", "seed", "mc_size", "h", "perturbations", "output"},
     "coverage": {"dgp", "n", "mc_reps", "folds", "reps", "alpha", "seed",
                  "output", "format"},
 }
@@ -195,7 +195,8 @@ def _run_simulate(cfg: RunConfig) -> int:
 
 
 def _run_validate(cfg: RunConfig) -> int:
-    model = named_config(cfg.dgp, n=cfg.n, seed=cfg.seed)
+    # The checks draw their own mc_size samples; the model's n is unused.
+    model = named_config(cfg.dgp, seed=cfg.seed)
     failures = 0
     lines = []
 
@@ -269,10 +270,11 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         description="Quantile-transport panel treatment-effect estimation")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def common(sp, formats=True):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", help="write the report here instead of stdout")
-        sp.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
+        if formats:
+            sp.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
         sp.add_argument("--config", help="JSON file with defaults for this subcommand")
 
     sp = sub.add_parser("estimate", help="estimate a target from a CSV dataset")
@@ -303,13 +305,13 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--oracle-out", help="oracle JSON path (default: <out>.oracle.json)")
     common(sp)
 
-    sp = sub.add_parser("validate", help="run orthogonality and invariance checks")
+    sp = sub.add_parser("validate", help="run orthogonality and invariance checks; "
+                                         "prints one tab-separated line per check")
     sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
-    sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--mc-size", type=int, default=100_000)
     sp.add_argument("--h", type=float, default=0.05)
     sp.add_argument("--perturbations", type=int, default=3)
-    common(sp)
+    common(sp, formats=False)
 
     sp = sub.add_parser("coverage", help="Monte Carlo interval-coverage study")
     sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
@@ -394,7 +396,7 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
         perturbations=getattr(args, "perturbations", 3),
         seed=args.seed,
         output=args.output,
-        fmt=args.fmt,
+        fmt=getattr(args, "fmt", "json"),
     )
 
 

@@ -8,6 +8,12 @@ quantile-type targets. Estimators are kernel-based: Nadaraya-Watson
 smoothing over covariates with Silverman-type per-coordinate bandwidths.
 With no covariates they reduce exactly to the empirical CDF, empirical
 quantile, and sample means.
+
+Kernel weights are formed in row chunks of at most ``_CHUNK_BUDGET``
+elements, one coordinate at a time. Odds integrals with covariates use
+the product kernel's factorisation into an outcome part and a covariate
+part, so each unit's covariate weights are formed once per integral
+rather than once per quadrature node.
 """
 
 from __future__ import annotations
@@ -22,15 +28,26 @@ from .errors import DegenerateArm, InsufficientData
 GRID_POINTS = 512          # evaluation grid for monotone rearrangement
 ANTIDERIV_GRID = 2048      # grid for cached odds antiderivatives (p = 0)
 SIMPSON_NODES = 257        # fixed composite-Simpson nodes per odds integral (p > 0)
-_CHUNK_BUDGET = 8_000_000  # max elements per kernel weight matrix chunk
-
-
-def _row_chunk(m: int) -> int:
-    return max(1, _CHUNK_BUDGET // max(m, 1))
+# Max elements per kernel-weight chunk. A chunk of float64 temporaries of
+# this size is 8 MiB, below glibc's 32 MiB dynamic mmap ceiling, so the
+# allocator reuses heap memory instead of mapping, faulting in and
+# unmapping a fresh region for every chunk.
+_CHUNK_BUDGET = 1 << 20
 DEFAULT_EPS_CLIP = 0.01
 DEFAULT_F_MIN = 1e-3
 
 KERNELS = ("gaussian", "epanechnikov")
+
+# Composite-Simpson nodes on [0, 1] and their 1-4-2-...-4-1 weights.
+_SIMPSON_T = np.linspace(0.0, 1.0, SIMPSON_NODES)
+_SIMPSON_W = np.ones(SIMPSON_NODES)
+_SIMPSON_W[1:-1:2] = 4.0
+_SIMPSON_W[2:-1:2] = 2.0
+
+
+def _row_chunk(m: int) -> int:
+    """Query rows per chunk when each row has m kernel weights."""
+    return max(1, _CHUNK_BUDGET // max(m, 1))
 
 
 def silverman_bandwidth(x: np.ndarray) -> float:
@@ -69,27 +86,40 @@ def _bandwidth_vector(x: np.ndarray, bandwidth) -> np.ndarray:
 
 
 def _product_weights(query: np.ndarray, train: np.ndarray, h: np.ndarray, kernel: str) -> np.ndarray:
-    """Unnormalized product-kernel weights, shape (Q, m). d = 0 gives ones."""
-    q = query.shape[0]
-    m = train.shape[0]
+    """Unnormalized product-kernel weights, shape (Q, m). d = 0 gives ones.
+
+    One (Q, m) buffer per coordinate: the Gaussian sums the squared
+    scaled distances before one exp, the Epanechnikov multiplies the
+    per-coordinate factors max(0, 1 - u^2) and scales by 0.75^d.
+    """
     d = train.shape[1]
     if d == 0:
-        return np.ones((q, m))
-    if d == 1:
-        u = (query[:, 0, None] - train[None, :, 0]) / h[0]
-        if kernel == "gaussian":
-            u *= u
-            u *= -0.5
-            return np.exp(u, out=u)
-        w = 1.0 - u * u
-        np.clip(w, 0.0, None, out=w)
-        return 0.75 * w
-    u = (query[:, None, :] - train[None, :, :]) / h
+        return np.ones((query.shape[0], train.shape[0]))
+    acc = None
+    for j in range(d):
+        u = (query[:, j, None] - train[None, :, j]) / h[j]
+        u *= u
+        if kernel != "gaussian":
+            np.subtract(1.0, u, out=u)
+            np.clip(u, 0.0, None, out=u)
+        if acc is None:
+            acc = u
+        elif kernel == "gaussian":
+            acc += u
+        else:
+            acc *= u
     if kernel == "gaussian":
-        return np.exp(-0.5 * np.einsum("qmd,qmd->qm", u, u))
-    w = 1.0 - u * u
-    np.clip(w, 0.0, None, out=w)
-    return 0.75 ** d * w.prod(axis=2)
+        acc *= -0.5
+        return np.exp(acc, out=acc)
+    acc *= 0.75 ** d
+    return acc
+
+
+def _nw_ratio(num, denom, fallback):
+    """Nadaraya-Watson estimate num / denom, or fallback where no training
+    row carries weight."""
+    ok = denom > 1e-300
+    return np.where(ok, num / np.where(ok, denom, 1.0), fallback)
 
 
 def _nw_mean(query, train, resp, h, kernel, fallback):
@@ -99,10 +129,7 @@ def _nw_mean(query, train, resp, h, kernel, fallback):
     for start in range(0, query.shape[0], step):
         sl = slice(start, start + step)
         w = _product_weights(query[sl], train, h, kernel)
-        denom = w.sum(axis=1)
-        num = w @ resp
-        ok = denom > 1e-300
-        out[sl] = np.where(ok, num / np.where(ok, denom, 1.0), fallback)
+        out[sl] = _nw_ratio(w @ resp, w.sum(axis=1), fallback)
     return out
 
 
@@ -152,10 +179,11 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
     """Signed integrals of the odds over per-unit intervals [lo_i, hi_i].
 
     The one place where the rule is chosen: the odds object's own
-    ``integral_many`` when it has one (closed forms for analytic odds);
-    with no covariates (``l`` None or empty), a trapezoid antiderivative
-    on a dense grid; otherwise composite Simpson on ``SIMPSON_NODES``
-    fixed nodes per interval. Swapping the limits flips the sign.
+    ``integral_many`` when it has one (closed forms for analytic odds,
+    the factorised Simpson rule of fitted odds with covariates); with no
+    covariates (``l`` None or empty), a trapezoid antiderivative on a
+    dense grid; otherwise composite Simpson on ``SIMPSON_NODES`` fixed
+    nodes per interval. Swapping the limits flips the sign.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -167,14 +195,15 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
         return own(lo, hi, l)
     if l is None or np.asarray(l).size == 0:
         return GridAntiderivative(lambda gx: nu(gx, None)).integrate(lo, hi)
-    t = np.linspace(0.0, 1.0, SIMPSON_NODES)
-    x = lo[:, None] + (hi - lo)[:, None] * t[None, :]
+    x = lo[:, None] + (hi - lo)[:, None] * _SIMPSON_T[None, :]
     l_rep = np.repeat(np.asarray(l, dtype=float), SIMPSON_NODES, axis=0)
     vals = np.asarray(nu(x.ravel(), l_rep)).reshape(n, SIMPSON_NODES)
-    w = np.ones(SIMPSON_NODES)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (vals @ w) * (hi - lo) / (3.0 * (SIMPSON_NODES - 1))
+    return _simpson_sum(vals, lo, hi)
+
+
+def _simpson_sum(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Composite Simpson from values at the ``SIMPSON_NODES`` nodes, (n, nodes)."""
+    return (vals @ _SIMPSON_W) * (hi - lo) / (3.0 * (SIMPSON_NODES - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +334,9 @@ class CondQuantile:
             ok = total > 1e-300
             cum /= np.where(ok, total, 1.0)[:, None]
             target = u[sl] * (1.0 - 1e-12)
-            rows = np.empty(cum.shape[0], dtype=int)
-            for i in range(cum.shape[0]):
-                rows[i] = np.searchsorted(cum[i], target[i], side="left")
+            # Each row of cum is nondecreasing, so counting the entries
+            # below the target is a left-sided searchsorted per row.
+            rows = (cum < target[:, None]).sum(axis=1)
             out[sl] = ys[np.clip(rows, 0, m - 1)]
         return out
 
@@ -428,10 +457,45 @@ class NuFn:
         return float(res[0]) if np.isscalar(x) else res
 
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """Signed integrals of the odds over [lo_i, hi_i], by the rule
-        :func:`integrate_nu_many` picks for the covariate dimension (it is
-        handed the bound call, which has no ``integral_many`` of its own)."""
-        return integrate_nu_many(lo, hi, l, self.__call__)
+        """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
+
+        Without covariates, the grid antiderivative of
+        :func:`integrate_nu_many` (handed the bound call, which has no
+        ``integral_many`` of its own). With covariates, the same
+        composite Simpson rule on the same nodes, computed from the
+        factorised product kernel K(x) C(l): each unit's covariate
+        weights C are formed once and reused at all its nodes, and one
+        batched product with [C a, C] gives the regression's numerator
+        and denominator at every node.
+        """
+        if self.p == 0:
+            return integrate_nu_many(lo, hi, l, self.__call__)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        l = np.asarray(l, dtype=float)
+        n = lo.shape[0]
+        m = self.z.shape[0]
+        fallback = float(self.a.mean())
+        x_train = self.z[:, :1]
+        # Whole intervals per chunk while their node weights fit the
+        # budget; past that, one interval with its nodes in pieces.
+        node_step = min(SIMPSON_NODES, _row_chunk(m))
+        step = max(1, _row_chunk(m) // SIMPSON_NODES)
+        out = np.empty(n)
+        for start in range(0, n, step):
+            sl = slice(start, start + step)
+            c = _product_weights(l[sl], self.z[:, 1:], self.h[1:], self.kernel)
+            ca = np.stack([c * self.a, c], axis=2)
+            x = lo[sl, None] + (hi[sl] - lo[sl])[:, None] * _SIMPSON_T[None, :]
+            nd = np.empty(x.shape + (2,))
+            for s0 in range(0, SIMPSON_NODES, node_step):
+                xs = x[:, s0:s0 + node_step]
+                kx = _product_weights(xs.reshape(-1, 1), x_train, self.h[:1], self.kernel)
+                nd[:, s0:s0 + node_step] = np.matmul(kx.reshape(xs.shape + (m,)), ca)
+            pr = np.clip(_nw_ratio(nd[..., 0], nd[..., 1], fallback),
+                         self.eps_clip, 1.0 - self.eps_clip)
+            out[sl] = _simpson_sum(pr / (1.0 - pr), lo[sl], hi[sl])
+        return out
 
 
 ScalarPi = float

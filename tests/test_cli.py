@@ -114,3 +114,32 @@ class TestExitCodes:
         path.write_text("y0,y1,a\n1.0,2.0,0\n1.5,oops,1\n")
         assert main(["estimate", "--input", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+
+class TestValidate:
+    ARGS = ["validate", "--dgp", "did", "--mc-size", "2000", "--perturbations", "1"]
+
+    def test_prints_one_tab_separated_line_per_check(self, capsys):
+        assert main(self.ARGS) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:2] for line in lines] == [
+            ["qq-invariance", "PASS"], ["orthogonality[0]", "PASS"]]
+
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--n", "500"]])
+    def test_options_with_no_effect_are_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + flag)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("values", [{"format": "json"}, {"n": 500}])
+    def test_config_keys_with_no_effect_are_rejected(self, tmp_path, capsys, values):
+        config = write_config(tmp_path, values)
+        assert main(self.ARGS + ["--config", config]) == 2
+        assert f"unknown config keys for validate: {sorted(values)}" in capsys.readouterr().err
+
+    def test_config_supplies_the_settings(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"dgp": "did", "mc_size": 2000, "perturbations": 1})
+        assert main(["validate", "--config", config]) == 0
+        via_config = capsys.readouterr().out
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out == via_config
