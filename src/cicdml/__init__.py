@@ -27,16 +27,9 @@ from .dgp import (
 )
 from .eif import (
     GTildeSpec,
-    Observation,
-    chi,
     gtilde_cdf_indicator,
     gtilde_counterfactual_mean,
     gtilde_quantile,
-    integrate_nu,
-    psi_att,
-    psi_cdt,
-    psi_general,
-    psi_qtt,
 )
 from .estimator import (
     CrossFitConfig,
@@ -90,14 +83,12 @@ __all__ = [
     "GammaMap",
     "NuFn",
     "NuisanceSet",
-    "Observation",
     "OracleTruth",
     "OrthogonalityResult",
     "PanelDataset",
     "Perturbation",
     "StmConfig",
     "TransformSpec",
-    "chi",
     "compose_gamma",
     "confidence_interval",
     "coverage_study",
@@ -112,7 +103,6 @@ __all__ = [
     "gtilde_cdf_indicator",
     "gtilde_counterfactual_mean",
     "gtilde_quantile",
-    "integrate_nu",
     "median_adjust",
     "named_config",
     "orthogonality_check",
@@ -121,10 +111,6 @@ __all__ = [
     "plugin_att",
     "plugin_cdt",
     "plugin_qtt",
-    "psi_att",
-    "psi_cdt",
-    "psi_general",
-    "psi_qtt",
     "qq_invariance_diagnostic",
     "rate_probe",
     "solve_att_once",

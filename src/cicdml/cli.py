@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .data_model import EstimandSpec, PanelDataset, validate
-from .dgp import DGP_NAMES, gen_stm, named_config, qq_invariance_diagnostic
+from .dgp import DGP_NAMES, StmConfig, gen_stm, named_config, qq_invariance_diagnostic
 from .errors import CicError, NonBinaryTreatment, ParseError
 from .estimator import CrossFitConfig, estimate
 from .nuisance import KERNELS
@@ -114,26 +114,24 @@ def write_dataset_csv(path: str, data: PanelDataset) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One parsed CLI invocation."""
+    """One parsed CLI invocation; fields its subcommand does not define
+    are None (the parser holds every default)."""
 
     subcommand: str
+    seed: int
+    output: Optional[str]
     estimand: Optional[EstimandSpec] = None
     input: Optional[str] = None
     dgp: Optional[str] = None
+    model: Optional[StmConfig] = None
     crossfit: Optional[CrossFitConfig] = None
-    n: int = 1000
-    trend: Optional[float] = None
-    effect: Optional[float] = None
-    pi: float = 0.5
     out: Optional[str] = None
     oracle_out: Optional[str] = None
-    mc_size: int = 100_000
-    mc_reps: int = 100
-    h: float = 0.05
-    perturbations: int = 3
-    seed: int = 0
-    output: Optional[str] = None
-    fmt: str = "json"
+    mc_size: Optional[int] = None
+    mc_reps: Optional[int] = None
+    h: Optional[float] = None
+    perturbations: Optional[int] = None
+    fmt: Optional[str] = None
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
@@ -172,9 +170,7 @@ def _run_estimate(cfg: RunConfig) -> int:
 
 
 def _run_simulate(cfg: RunConfig) -> int:
-    model = named_config(cfg.dgp, n=cfg.n, seed=cfg.seed,
-                         effect=cfg.effect, trend=cfg.trend, pi=cfg.pi)
-    data, truth = gen_stm(model)
+    data, truth = gen_stm(cfg.model)
     write_dataset_csv(cfg.out, data)
     oracle_path = cfg.oracle_out or (cfg.out + ".oracle.json")
     oracle = {
@@ -185,7 +181,7 @@ def _run_simulate(cfg: RunConfig) -> int:
         "n": data.n,
         "p": data.p,
         "seed": cfg.seed,
-        "config": model.to_dict(),
+        "config": cfg.model.to_dict(),
     }
     with open(oracle_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(oracle, indent=2) + "\n")
@@ -195,12 +191,10 @@ def _run_simulate(cfg: RunConfig) -> int:
 
 
 def _run_validate(cfg: RunConfig) -> int:
-    # The checks draw their own mc_size samples; the model's n is unused.
-    model = named_config(cfg.dgp, seed=cfg.seed)
     failures = 0
     lines = []
 
-    dev = qq_invariance_diagnostic(model)
+    dev = qq_invariance_diagnostic(cfg.model)
     qq_ok = dev <= 1e-10
     lines.append(f"qq-invariance\t{'PASS' if qq_ok else 'FAIL'}\tmax_deviation={dev:.3e}")
     failures += 0 if qq_ok else 1
@@ -208,7 +202,7 @@ def _run_validate(cfg: RunConfig) -> int:
     for j in range(cfg.perturbations):
         pert = Perturbation.random_bounded(seed=cfg.seed * 1000 + j,
                                            gamma_scale=0.4, nu_scale=0.1)
-        res = orthogonality_check(model, pert, h=cfg.h, mc_size=cfg.mc_size,
+        res = orthogonality_check(cfg.model, pert, h=cfg.h, mc_size=cfg.mc_size,
                                   seed=cfg.seed * 1000 + j)
         tol = 4.0 * res.phi_prime_se + 1e-6
         ok = abs(res.phi_prime_0) <= tol
@@ -227,10 +221,9 @@ def _run_validate(cfg: RunConfig) -> int:
 
 
 def _run_coverage(cfg: RunConfig) -> int:
-    model = named_config(cfg.dgp, n=cfg.n, seed=cfg.seed)
-    report = coverage_study(model, cfg.crossfit, cfg.mc_reps, master_seed=cfg.seed)
+    report = coverage_study(cfg.model, cfg.crossfit, cfg.mc_reps, master_seed=cfg.seed)
     payload = {"schema_version": SCHEMA_VERSION, "command": "coverage",
-               "dgp": cfg.dgp, "n": cfg.n, "K": cfg.crossfit.K, "S": cfg.crossfit.S,
+               "dgp": cfg.dgp, "n": cfg.model.n, "K": cfg.crossfit.K, "S": cfg.crossfit.S,
                "alpha": cfg.crossfit.alpha, "seed": cfg.seed}
     payload.update(report.to_dict())
     _emit(cfg, payload)
@@ -375,28 +368,39 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
             seed=args.seed, kernel=args.kernel, bandwidth=args.bandwidth,
             eps_clip=args.eps_clip, f_min=args.f_min,
             stratify=not args.no_stratify)
+    model = None
+    if sub == "simulate":
+        model = named_config(args.dgp, n=args.n, seed=args.seed, effect=args.effect,
+                             trend=args.trend, pi=args.pi)
+    if sub == "validate":
+        # The checks draw their own mc_size samples; the model's n is unused.
+        model = named_config(args.dgp, seed=args.seed)
+        if not 0.0 < args.h < 0.5:
+            raise ValueError("--h must lie in (0, 0.5)")
+        if args.perturbations < 0:
+            raise ValueError("--perturbations must be nonnegative")
     if sub == "coverage":
+        model = named_config(args.dgp, n=args.n, seed=args.seed)
+        if args.mc_reps < 2:
+            raise ValueError("--mc-reps must be at least 2")
         crossfit = CrossFitConfig(K=args.folds, S=args.reps, alpha=args.alpha,
                                   seed=args.seed)
     return RunConfig(
         subcommand=sub,
+        seed=args.seed,
+        output=args.output,
         estimand=estimand,
         input=getattr(args, "input", None),
         dgp=getattr(args, "dgp", None),
+        model=model,
         crossfit=crossfit,
-        n=getattr(args, "n", 1000),
-        trend=getattr(args, "trend", None),
-        effect=getattr(args, "effect", None),
-        pi=getattr(args, "pi", 0.5),
         out=getattr(args, "out", None),
         oracle_out=getattr(args, "oracle_out", None),
-        mc_size=getattr(args, "mc_size", 100_000),
-        mc_reps=getattr(args, "mc_reps", 100),
-        h=getattr(args, "h", 0.05),
-        perturbations=getattr(args, "perturbations", 3),
-        seed=args.seed,
-        output=args.output,
-        fmt=getattr(args, "fmt", "json"),
+        mc_size=getattr(args, "mc_size", None),
+        mc_reps=getattr(args, "mc_reps", None),
+        h=getattr(args, "h", None),
+        perturbations=getattr(args, "perturbations", None),
+        fmt=getattr(args, "fmt", None),
     )
 
 

@@ -1,21 +1,22 @@
-"""Efficient influence functions for the ATT and distributional targets.
+"""Links and the control correction of the orthogonal scores.
 
 Every target is a moment of a link function ``g(x, t)`` of the
 transported baseline outcome x = gamma(y0, l) among the treated. Its
 orthogonal score, built from the nuisance triple (gamma, nu, pi), is
+the link value for treated units and minus the control correction C
+for controls, over minus pi times the derivative of the moment in t.
+C integrates the treatment odds against the link's variation in x over
+the half-open interval (y1, gamma(y0, l)]: the odds-weighted
+x-derivative for smooth links, the odds-weighted jump sum for step
+links. The counterfactual mean, distribution and quantile are links;
+the ATT is the treated outcome minus the counterfactual-mean link and
+the QTT the treated quantile minus the counterfactual-quantile link.
 
-    psi = (a * g(gamma(y0, l), t) - (1 - a) * C) / denom,
-
-where ``denom`` is minus pi times the derivative of the moment in t and
-C, the control correction, integrates the treatment odds against the
-link's variation in x over the half-open interval (y1, gamma(y0, l)]:
-the odds-weighted x-derivative for smooth links, the odds-weighted jump
-sum for step links. The counterfactual mean, distribution and quantile
-are links; the ATT is the treated outcome minus the counterfactual-mean
-link and the QTT the treated quantile minus the counterfactual-quantile
-link. Odds integrals go through :func:`integrate_nu_many`: a closed form
-when the odds object has one, a grid antiderivative without covariates,
-fixed-node composite Simpson with them.
+This module holds the links and :func:`control_correction`; scores
+are formed only by ``estimator._CrossFit``. Odds integrals go through
+:func:`integrate_nu_many`: a closed form when the odds object has one,
+a grid antiderivative without covariates, fixed-node composite Simpson
+with them.
 """
 
 from __future__ import annotations
@@ -25,62 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingDensity, ZeroDenominator
-from .nuisance import NuisanceSet, integrate_nu_many
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single observed data point (y0, y1, a, l)."""
-
-    y0: float
-    y1: float
-    a: int
-    l: np.ndarray = None
-
-    def __post_init__(self):
-        l = np.empty(0) if self.l is None else np.asarray(self.l, dtype=float)
-        object.__setattr__(self, "l", l)
-
-    @classmethod
-    def from_dataset(cls, dataset, i: int) -> "Observation":
-        return cls(y0=float(dataset.y0[i]), y1=float(dataset.y1[i]),
-                   a=int(dataset.a[i]), l=dataset.l[i])
-
-    def as_arrays(self):
-        """(y0, y1, a, l) as one-row arrays; l is None without covariates."""
-        return (np.array([self.y0]), np.array([self.y1]), np.array([self.a]),
-                _l_rows(self.l))
-
-
-def _l_rows(l):
-    """Covariates as an (n, p) matrix, or None when there are none."""
-    if l is None or np.asarray(l).size == 0:
-        return None
-    l = np.asarray(l, dtype=float)
-    return l.reshape(1, -1) if l.ndim == 1 else l
-
-
-def integrate_nu(lo: float, hi: float, l, nu) -> float:
-    """Signed integral of the odds function over [lo, hi] at covariates l.
-
-    Orientation: swapping the limits flips the sign, so
-    ``integrate_nu(hi, lo, ...) == -integrate_nu(lo, hi, ...)``.
-    """
-    return float(integrate_nu_many([float(lo)], [float(hi)], _l_rows(l), nu)[0])
-
-
-def chi(x: float, w: Observation, gamma) -> int:
-    """Compound sign: sign(y1 - gamma(y0, l)) if x lies in the closed
-    interval between y1 and gamma(y0, l), else 0."""
-    g = float(gamma(w.y0, w.l))
-    if not min(w.y1, g) <= x <= max(w.y1, g):
-        return 0
-    if w.y1 > g:
-        return 1
-    if w.y1 < g:
-        return -1
-    return 0
+from .nuisance import integrate_nu_many
 
 
 # ---------------------------------------------------------------------------
@@ -173,90 +119,3 @@ def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
             odds = nu(pt, None) if l is None else nu(np.full(int(active.sum()), pt), l[active])
             out[active] += np.where(fwd[active], size, -size) * odds
     return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorized scores
-# ---------------------------------------------------------------------------
-
-
-def psi_general_many(y0, y1, a, l, spec: GTildeSpec, vartheta: float, eta: NuisanceSet,
-                     denom: float) -> np.ndarray:
-    """Score of a general moment-type target over arrays of observations.
-
-    ``denom`` is minus pi times the derivative of the conditional moment
-    in the target value (a known constant for mean- and CDF-type links;
-    a density for quantile-type links), supplied by the caller.
-    """
-    if denom == 0.0:
-        raise ZeroDenominator("moment-derivative denominator is zero")
-    y1 = np.asarray(y1, dtype=float)
-    a = np.asarray(a)
-    l = _l_rows(l)
-    g = np.asarray(eta.gamma(np.asarray(y0, dtype=float), l), dtype=float)
-    num = a * np.asarray(spec.value(g, vartheta), dtype=float)
-    ctrl = a == 0
-    if ctrl.any():
-        num[ctrl] -= control_correction(y1[ctrl], g[ctrl], None if l is None else l[ctrl],
-                                        eta.nu, spec, vartheta)
-    return num / denom
-
-
-def psi_att_many(y0, y1, a, l, theta: float, eta: NuisanceSet) -> np.ndarray:
-    """ATT score over arrays: the treated outcome's score minus the
-    counterfactual-mean link's score at zero."""
-    a = np.asarray(a)
-    treated = a * (np.asarray(y1, dtype=float) - theta) / eta.pi
-    return treated - psi_general_many(y0, y1, a, l, gtilde_counterfactual_mean(), 0.0, eta,
-                                      eta.pi)
-
-
-def psi_qtt_many(y0, y1, a, l, tau: float, vartheta1: float, vartheta2: float,
-                 eta: NuisanceSet) -> np.ndarray:
-    """QTT score over arrays: the treated quantile's score minus the
-    counterfactual-quantile link's; needs both fitted densities."""
-    if eta.dens_y1_treated is None or eta.dens_gamma_treated is None:
-        raise MissingDensity("QTT score needs dens_y1_treated and dens_gamma_treated")
-    f1 = float(eta.dens_y1_treated(vartheta1))
-    f2 = float(eta.dens_gamma_treated(vartheta2))
-    a = np.asarray(a)
-    first = a / eta.pi * ((np.asarray(y1) <= vartheta1) - tau) / (-f1)
-    return first - psi_general_many(y0, y1, a, l, gtilde_quantile(tau), vartheta2, eta,
-                                    -eta.pi * f2)
-
-
-# ---------------------------------------------------------------------------
-# One-observation scores
-# ---------------------------------------------------------------------------
-
-
-def psi_general(w: Observation, spec: GTildeSpec, vartheta: float, eta: NuisanceSet,
-                denom: float) -> float:
-    """Score for a general moment-type target at one observation."""
-    return float(psi_general_many(*w.as_arrays(), spec, vartheta, eta, denom)[0])
-
-
-def psi_att(w: Observation, theta: float, eta: NuisanceSet) -> float:
-    """ATT score at one observation.
-
-    Treated arm: ``(a / pi) * ((y1 - gamma(y0, l)) - theta)``.
-    Control arm: ``((1 - a) / pi)`` times the odds integral from y1 to
-    the transported baseline outcome.
-    """
-    return float(psi_att_many(*w.as_arrays(), theta, eta)[0])
-
-
-def psi_counterfactual_mean(w: Observation, vartheta: float, eta: NuisanceSet) -> float:
-    """Score of the counterfactual mean on the treated."""
-    return psi_general(w, gtilde_counterfactual_mean(), vartheta, eta, eta.pi)
-
-
-def psi_cdt(w: Observation, y: float, vartheta: float, eta: NuisanceSet) -> float:
-    """Counterfactual-distribution score at evaluation point y."""
-    return psi_general(w, gtilde_cdf_indicator(y), vartheta, eta, eta.pi)
-
-
-def psi_qtt(w: Observation, tau: float, vartheta1: float, vartheta2: float,
-            eta: NuisanceSet) -> float:
-    """Quantile-treatment-effect score; needs both fitted densities."""
-    return float(psi_qtt_many(*w.as_arrays(), tau, vartheta1, vartheta2, eta)[0])

@@ -29,14 +29,6 @@ class InsufficientData(CicError, ValueError):
     """Too few observations to fit the requested object."""
 
 
-class MissingDensity(CicError, ValueError):
-    """A quantile-type influence function needs densities that were not fitted."""
-
-
-class ZeroDenominator(CicError, ZeroDivisionError):
-    """The moment-derivative denominator of an influence function is zero."""
-
-
 class NoTreatedInEvaluation(CicError, ValueError):
     """The estimating equation has no treated units to identify the target."""
 

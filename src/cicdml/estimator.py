@@ -337,7 +337,9 @@ def solve_att_once(data: PanelDataset, folds: FoldAssignment,
 
 def att_psi_values(data: PanelDataset, folds: FoldAssignment, fitted: List[NuisanceSet],
                    theta: float) -> np.ndarray:
-    """Per-unit ATT scores at a given target value (for residual checks)."""
+    """Per-unit ATT scores at a given target value: the ATT score that
+    ``validation`` evaluates along its nuisance perturbations (one fold,
+    the same nuisances for every unit)."""
     cf = _CrossFit(data, folds, fitted)
     h, corr = cf.att_terms()
     return cf.scores(h - theta, corr, -1.0)

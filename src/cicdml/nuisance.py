@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DegenerateArm, InsufficientData
 
-GRID_POINTS = 512          # evaluation grid for monotone rearrangement
 ANTIDERIV_GRID = 2048      # grid for cached odds antiderivatives (p = 0)
 SIMPSON_NODES = 257        # fixed composite-Simpson nodes per odds integral (p > 0)
 # Max elements per kernel-weight chunk. A chunk of float64 temporaries of
@@ -131,11 +130,6 @@ def _nw_mean(query, train, resp, h, kernel, fallback):
         w = _product_weights(query[sl], train, h, kernel)
         out[sl] = _nw_ratio(w @ resp, w.sum(axis=1), fallback)
     return out
-
-
-def monotone_rearrange(values: np.ndarray) -> np.ndarray:
-    """Sort-based isotonization of grid evaluations of a CDF-like curve."""
-    return np.sort(np.asarray(values, dtype=float))
 
 
 class GridAntiderivative:
@@ -261,19 +255,6 @@ class CondCdf:
         l_arr = _coerce_l(l, y_arr.shape[0], self.p)
         res = self.evaluate_many(y_arr, l_arr)
         return float(res[0]) if np.isscalar(y) else res
-
-    def grid_representation(self, l=None, grid: Optional[np.ndarray] = None):
-        """(grid, rearranged values) over the sample range at a fixed l.
-
-        The sort-based rearrangement is a safeguard for kernel variants
-        that could locally violate monotonicity; for this estimator it
-        leaves the values unchanged.
-        """
-        if grid is None:
-            grid = np.linspace(self.y_sorted[0], self.y_sorted[-1], GRID_POINTS)
-        l_arr = _coerce_l(l, grid.shape[0], self.p)
-        vals = self.evaluate_many(grid, l_arr)
-        return grid, np.clip(monotone_rearrange(vals), 0.0, 1.0)
 
 
 def _coerce_l(l, n: int, p: int) -> np.ndarray:
@@ -498,9 +479,6 @@ class NuFn:
         return out
 
 
-ScalarPi = float
-
-
 def fit_nu(x, l, a, kernel: str = "gaussian", bandwidth=None,
            eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
     """Fit the treatment-odds function by regressing A on (x, l).
@@ -521,7 +499,7 @@ def fit_nu(x, l, a, kernel: str = "gaussian", bandwidth=None,
                 kernel=_check_kernel(kernel))
 
 
-def estimate_pi(a) -> ScalarPi:
+def estimate_pi(a) -> float:
     """Sample treatment frequency; raises DegenerateArm at 0 or 1."""
     a = np.asarray(a)
     pi = float(a.mean())
@@ -595,7 +573,7 @@ class NuisanceSet:
 
     gamma: object
     nu: object
-    pi: ScalarPi
+    pi: float
     dens_y1_treated: Optional[object] = None
     dens_gamma_treated: Optional[object] = None
 

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .data_model import EstimandSpec
+from .data_model import EstimandSpec, FoldAssignment
 from .dgp import (
     LinearNu,
     StmConfig,
@@ -33,8 +33,7 @@ from .dgp import (
     true_nuisances,
     true_pi,
 )
-from .eif import psi_att_many
-from .estimator import CrossFitConfig, estimate
+from .estimator import CrossFitConfig, att_psi_values, estimate
 from .nuisance import (
     GridAntiderivative,
     NuisanceSet,
@@ -113,7 +112,7 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
     cfg = replace(dgp, n=mc_size, seed=_derived_seed(seed, 11))
     data, truth = gen_stm(cfg)
     eta = base if base is not None else true_nuisances(dgp)
-    l = data.l if dgp.p else None
+    one_fold = FoldAssignment(fold_of=np.zeros(data.n, dtype=int), K=1)
     lam_arr = np.asarray(list(lambdas), dtype=float)
 
     grids = None
@@ -135,7 +134,7 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
               else _GridPerturbedNu(eta.nu, pert.d_nu, lam, grids))
         eta_lam = NuisanceSet(gamma=_Perturbed(eta.gamma, pert.d_gamma, lam), nu=nu,
                               pi=eta.pi + lam * pert.d_pi)
-        out[j] = psi_att_many(data.y0, data.y1, data.a, l, theta=truth.att_true, eta=eta_lam)
+        out[j] = att_psi_values(data, one_fold, [eta_lam], truth.att_true)
     return out
 
 
@@ -200,8 +199,11 @@ def orthogonality_check(dgp: StmConfig, pert: Perturbation, h: float = DEFAULT_F
     The derivative uses the one-sided three-point stencil on [0, 1)
     (never negative lambda), Richardson-refined at h/2 by default; the
     curvature is the central second difference at lambda = 0.5. A zero
-    perturbation returns exact zeros.
+    perturbation returns exact zeros. The step h must lie in (0, 0.5),
+    so that every stencil point 0.5 +/- h stays in [0, 1).
     """
+    if not 0.0 < h < 0.5:
+        raise ValueError("h must lie in (0, 0.5)")
     if pert.is_zero:
         return OrthogonalityResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, h, mc_size)
     lambdas = [0.0, 0.5 * h, h, 2.0 * h, 0.5 - h, 0.5, 0.5 + h]

@@ -55,6 +55,45 @@ class TestRoundTrip:
         assert first == second
 
 
+class TestTsv:
+    def test_estimate_floats_round_trip_at_17_digits(self, tmp_path, dataset):
+        args = ["--input", str(dataset), "--folds", "3"]
+        _, as_json = run_estimate(tmp_path, "a.json", *args)
+        _, as_tsv = run_estimate(tmp_path, "a.tsv", *args, "--format", "tsv")
+        want = json.loads(as_json)
+        rows = dict(line.split("\t") for line in as_tsv.decode().splitlines())
+        assert list(rows) == list(want)
+        for key in ("theta_hat", "sigma2_hat", "ci_lo", "ci_hi"):
+            assert float(rows[key]) == want[key]
+        assert json.loads(rows["per_rep"]) == want["per_rep"]
+
+
+class TestCoverage:
+    ARGS = ["coverage", "--dgp", "did", "--n", "200", "--mc-reps", "2", "--folds", "2"]
+
+    def run(self, tmp_path, name, *extra):
+        out = tmp_path / name
+        assert main(self.ARGS + ["--output", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    def test_end_to_end_json_tsv_and_reruns(self, tmp_path):
+        first = self.run(tmp_path, "first.json")
+        assert self.run(tmp_path, "second.json") == first
+        report = json.loads(first)
+        assert list(report) == ["schema_version", "command", "dgp", "n", "K", "S", "alpha",
+                                "seed", "n_reps", "cover_rate", "mean_ci_width", "rmse",
+                                "mean_bias"]
+        assert (report["command"], report["dgp"], report["n"], report["K"],
+                report["n_reps"]) == ("coverage", "did", 200, 2, 2)
+        assert report["mean_ci_width"] > 0.0
+        rows = [line.split("\t") for line in self.run(tmp_path, "c.tsv", "--format",
+                                                      "tsv").decode().splitlines()]
+        assert all(len(row) == 2 for row in rows)
+        assert {key: json.loads(value) for key, value in rows if key not in
+                ("command", "dgp")} == {k: v for k, v in report.items()
+                                         if k not in ("command", "dgp")}
+
+
 class TestConfigFile:
     def test_explicit_flag_beats_config(self, tmp_path, dataset):
         config = write_config(tmp_path, {"folds": 3})
@@ -108,6 +147,22 @@ class TestExitCodes:
         rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), "--config", config)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--dgp", "did", "--mc-reps", "1"],
+        ["simulate", "--dgp", "did", "--pi", "1.5"],
+        ["simulate", "--dgp", "did", "--pi", "0"],
+        ["validate", "--dgp", "did", "--h", "0"],
+        ["validate", "--dgp", "did", "--perturbations", "-1"],
+    ], ids=["mc-reps-1", "pi-1.5", "pi-0", "h-0", "perturbations-negative"])
+    def test_bad_run_values_exit_2_before_any_work(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert not out.exists()
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

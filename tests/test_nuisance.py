@@ -16,7 +16,6 @@ from cicdml.nuisance import (
     fit_density,
     fit_nu,
     integrate_nu_many,
-    monotone_rearrange,
 )
 
 
@@ -109,13 +108,6 @@ class TestCondCdf:
         vals = cdf.evaluate_many(grid, np.broadcast_to([0.2, -0.4], (64, 2)))
         assert np.all(np.diff(vals) >= 0)
         assert vals.min() >= 0.0 and vals.max() <= 1.0
-
-    def test_grid_representation_rearranged(self):
-        y = np.array([3.0, 1.0, 2.0, 5.0])
-        cdf = fit_cond_cdf(y)
-        grid, vals = cdf.grid_representation()
-        assert np.all(np.diff(vals) >= 0)
-        assert np.array_equal(vals, monotone_rearrange(vals))
 
 
 class TestCondQuantile:

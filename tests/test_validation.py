@@ -11,6 +11,7 @@ from cicdml.validation import (
     expected_second_order_bias,
     orthogonality_check,
     phi_at,
+    rate_probe,
 )
 
 
@@ -29,6 +30,15 @@ class TestZeroPerturbation:
         pert = Perturbation.zero()
         assert phi_at(0.0, cfg, pert, mc_size=2000, seed=3) == \
             phi_at(0.5, cfg, pert, mc_size=2000, seed=3)
+
+
+class TestStencilStep:
+    @pytest.mark.parametrize("h", [0.0, -0.05, 0.5, 0.7])
+    def test_step_outside_the_open_half_interval_is_rejected(self, h):
+        # The stencil 0.5 +/- h must stay in [0, 1), and h = 0 divides by zero.
+        pert = Perturbation(d_pi=0.01)
+        with pytest.raises(ValueError, match="h must lie in"):
+            orthogonality_check(named_config("did", n=100), pert, h=h, mc_size=500)
 
 
 class TestMeanZeroAtTruth:
@@ -92,3 +102,19 @@ class TestCoverageStudy:
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
             coverage_study(named_config("did", n=200), CrossFitConfig(K=2), 1)
+
+
+class TestRateProbe:
+    @pytest.mark.parametrize("name", ["did", "stm-cov"])
+    def test_one_row_per_size_and_scale(self, name):
+        rows = rate_probe(named_config(name), n_ladder=(200, 400),
+                          bandwidth_scales=(1.0, 2.0), eval_size=500)
+        assert [(r["n"], r["bandwidth_scale"]) for r in rows] == [
+            (200, 1.0), (200, 2.0), (400, 1.0), (400, 2.0)]
+        for r in rows:
+            assert np.isfinite(r["gamma_l2"]) and r["gamma_l2"] > 0.0
+            assert np.isfinite(r["nu_l2"]) and r["nu_l2"] > 0.0
+        # The transport map does not depend on the odds bandwidth scale.
+        assert rows[0]["gamma_l2"] == rows[1]["gamma_l2"]
+        assert rows[2]["gamma_l2"] == rows[3]["gamma_l2"]
+        assert rows[0]["nu_l2"] != rows[1]["nu_l2"]
