@@ -291,9 +291,11 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="write a simulated dataset and its oracle")
     sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
     sp.add_argument("--n", type=int, default=1000)
-    sp.add_argument("--trend", type=float, default=None)
+    sp.add_argument("--trend", type=float, default=None,
+                    help="time trend (did only; default 1.0)")
     sp.add_argument("--effect", type=float, default=None)
-    sp.add_argument("--pi", type=float, default=0.5)
+    sp.add_argument("--pi", type=float, default=None,
+                    help="treatment share (did only; default 0.5)")
     sp.add_argument("--out", help="dataset CSV path to write (required)")
     sp.add_argument("--oracle-out", help="oracle JSON path (default: <out>.oracle.json)")
     common(sp)

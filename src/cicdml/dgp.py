@@ -493,11 +493,19 @@ DGP_NAMES = ("did", "stm-exp", "stm-power", "stm-broken", "stm-cov")
 
 def named_config(name: str, n: int = 2000, seed: int = 0,
                  effect: Optional[float] = None, trend: Optional[float] = None,
-                 pi: float = 0.5) -> StmConfig:
-    """Shipped model configurations addressable by name from the CLI."""
+                 pi: Optional[float] = None) -> StmConfig:
+    """Shipped model configurations addressable by name from the CLI.
+
+    ``trend`` and ``pi`` set the time trend and treatment share of the
+    did model; every other model fixes its own, so passing them there is
+    an error.
+    """
     if name == "did":
         return did_config(n, trend=1.0 if trend is None else trend,
-                          effect=2.0 if effect is None else effect, pi=pi, seed=seed)
+                          effect=2.0 if effect is None else effect,
+                          pi=0.5 if pi is None else pi, seed=seed)
+    if name in DGP_NAMES and (trend is not None or pi is not None):
+        raise ValueError(f"trend and pi apply only to the did model, not {name!r}")
     if name == "stm-exp":
         return StmConfig(n=n, p=0, q=1, beta0=identity, beta1=TransformSpec("exp"),
                          k0_intercept=0.2, k1_intercept=0.7, m_coeffs=(1.0,),

@@ -13,7 +13,12 @@ Kernel weights are formed in row chunks of at most ``_CHUNK_BUDGET``
 elements, one coordinate at a time. Odds integrals with covariates use
 the product kernel's factorisation into an outcome part and a covariate
 part, so each unit's covariate weights are formed once per integral
-rather than once per quadrature node.
+rather than once per quadrature node. Without covariates, odds integrals
+come from a trapezoid antiderivative on ``ANTIDERIV_GRID`` equally
+spaced nodes; the regression's sums at those nodes come from training x
+linearly binned on a grid ``ANTIDERIV_REFINE`` times finer and one
+direct kernel convolution per sub-grid phase, unless the dense sums are
+cheaper.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import numpy as np
 
 from .errors import DegenerateArm, InsufficientData
 
-ANTIDERIV_GRID = 2048      # grid for cached odds antiderivatives (p = 0)
+ANTIDERIV_GRID = 2048      # nodes of the trapezoid odds antiderivative (p = 0)
+ANTIDERIV_REFINE = 4       # p = 0 training x is binned this many times finer than the nodes
 SIMPSON_NODES = 257        # fixed composite-Simpson nodes per odds integral (p > 0)
 # Max elements per kernel-weight chunk. A chunk of float64 temporaries of
 # this size is 8 MiB, below glibc's 32 MiB dynamic mmap ceiling, so the
@@ -36,6 +42,17 @@ DEFAULT_EPS_CLIP = 0.01
 DEFAULT_F_MIN = 1e-3
 
 KERNELS = ("gaussian", "epanechnikov")
+# Scaled distance |u| past which the float64 kernel weight is exactly 0.0:
+# exp(-u^2 / 2) underflows to zero from u = 38.604 on. Binned kernel sums
+# cut their taps there and nowhere nearer, so sparse tails keep every
+# weight the dense sums see.
+_KERNEL_REACH = {"gaussian": 38.61, "epanechnikov": 1.0}
+# Binned kernel sums are used while their taps per node number at most
+# this many per training point, about where both cost the same: a tap
+# costs two multiply-adds in np.convolve, a dense weight an exp and
+# several array passes. Smaller samples, and node ranges narrow against
+# the bandwidth, take the dense sums.
+_TAPS_PER_POINT = 16
 
 # Composite-Simpson nodes on [0, 1] and their 1-4-2-...-4-1 weights.
 _SIMPSON_T = np.linspace(0.0, 1.0, SIMPSON_NODES)
@@ -132,6 +149,46 @@ def _nw_mean(query, train, resp, h, kernel, fallback):
     return out
 
 
+def _binned_nw_sums(nodes, x, resp, h, kernel):
+    """One-dimensional Nadaraya-Watson numerator and denominator at
+    equally spaced nodes, from linearly binned training points (Wand 1994;
+    Fan & Marron 1994); None when the dense sums are cheaper.
+
+    The bin grid is ``ANTIDERIV_REFINE`` (R) times finer than the nodes,
+    with node k on bin R k, and spans every bin within the kernel's reach
+    of a node. A training point at bin coordinate t gives weight
+    1 - frac(t) to bin floor(t) and frac(t) to the next. Bins R q + r of
+    one phase r meet node k through the taps K((R (k - q) - r) delta / h),
+    so one direct convolution per phase and per sum gives the sums at the
+    nodes alone. No FFT: its rounding error, relative to the total
+    weight, would swamp the ratio where the weight is sparse.
+    """
+    R = ANTIDERIV_REFINE
+    n_nodes = nodes.shape[0]
+    delta = (nodes[-1] - nodes[0]) / (R * (n_nodes - 1))
+    reach = _KERNEL_REACH[kernel] * h / delta           # in bins; weight 0 beyond
+    if not 2.0 * reach <= _TAPS_PER_POINT * x.shape[0]:  # NaN too
+        return None
+    S = int(reach) // R + 2                             # taps per side and phase
+    s = np.arange(-S, S + 1)
+    offsets = (R * s[None, :] - np.arange(R)[:, None]) * delta
+    taps = _product_weights(offsets.reshape(-1, 1), np.zeros((1, 1)), np.array([h]),
+                            kernel).reshape(R, 2 * S + 1)
+    n_bins = R * (n_nodes + 2 * S)
+    t = np.clip((x - nodes[0]) / delta + R * S, -1.0, float(n_bins))
+    lower = np.floor(t)
+    frac = t - lower
+    idx = np.concatenate([lower, lower + 1.0]).astype(np.int64)
+    w = np.concatenate([1.0 - frac, frac])
+    keep = (idx >= 0) & (idx < n_bins)
+    idx, w = idx[keep], w[keep]
+    binned = np.stack([np.bincount(idx, weights=w * np.tile(resp, 2)[keep], minlength=n_bins),
+                       np.bincount(idx, weights=w, minlength=n_bins)]).reshape(2, -1, R)
+    num, denom = (sum(np.convolve(b[:, r], taps[r], mode="valid") for r in range(R))
+                  for b in binned)
+    return num, denom
+
+
 class GridAntiderivative:
     """Cached trapezoid antiderivative of a smooth one-dimensional map.
 
@@ -173,11 +230,12 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
     """Signed integrals of the odds over per-unit intervals [lo_i, hi_i].
 
     The one place where the rule is chosen: the odds object's own
-    ``integral_many`` when it has one (closed forms for analytic odds,
-    the factorised Simpson rule of fitted odds with covariates); with no
-    covariates (``l`` None or empty), a trapezoid antiderivative on a
-    dense grid; otherwise composite Simpson on ``SIMPSON_NODES`` fixed
-    nodes per interval. Swapping the limits flips the sign.
+    ``integral_many`` when it has one (closed forms for analytic odds;
+    for fitted odds the same two rules as below, computed from binned
+    or factorised kernel sums); with no covariates (``l`` None or
+    empty), a trapezoid antiderivative on a dense grid; otherwise
+    composite Simpson on ``SIMPSON_NODES`` fixed nodes per interval.
+    Swapping the limits flips the sign.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -440,23 +498,24 @@ class NuFn:
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
 
-        Without covariates, the grid antiderivative of
-        :func:`integrate_nu_many` (handed the bound call, which has no
-        ``integral_many`` of its own). With covariates, the same
-        composite Simpson rule on the same nodes, computed from the
-        factorised product kernel K(x) C(l): each unit's covariate
-        weights C are formed once and reused at all its nodes, and one
-        batched product with [C a, C] gives the regression's numerator
-        and denominator at every node.
+        Without covariates, the trapezoid antiderivative on
+        ``ANTIDERIV_GRID`` nodes that :func:`integrate_nu_many` builds
+        for any odds function, with the regression's sums at the nodes
+        taken from linearly binned training x (:func:`_binned_nw_sums`)
+        when that is cheaper than the dense sums. With covariates, the
+        same composite Simpson rule on the same nodes as the generic
+        path, computed from the factorised product kernel K(x) C(l):
+        each unit's covariate weights C are formed once and reused at all
+        its nodes, and one batched product with [C a, C] gives the
+        regression's numerator and denominator at every node.
         """
         if self.p == 0:
-            return integrate_nu_many(lo, hi, l, self.__call__)
+            return GridAntiderivative(self._node_odds).integrate(lo, hi)
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         l = np.asarray(l, dtype=float)
         n = lo.shape[0]
         m = self.z.shape[0]
-        fallback = float(self.a.mean())
         x_train = self.z[:, :1]
         # Whole intervals per chunk while their node weights fit the
         # budget; past that, one interval with its nodes in pieces.
@@ -473,10 +532,21 @@ class NuFn:
                 xs = x[:, s0:s0 + node_step]
                 kx = _product_weights(xs.reshape(-1, 1), x_train, self.h[:1], self.kernel)
                 nd[:, s0:s0 + node_step] = np.matmul(kx.reshape(xs.shape + (m,)), ca)
-            pr = np.clip(_nw_ratio(nd[..., 0], nd[..., 1], fallback),
-                         self.eps_clip, 1.0 - self.eps_clip)
-            out[sl] = _simpson_sum(pr / (1.0 - pr), lo[sl], hi[sl])
+            out[sl] = _simpson_sum(self._odds(nd[..., 0], nd[..., 1]), lo[sl], hi[sl])
         return out
+
+    def _odds(self, num, denom):
+        """Odds of the clipped regression num / denom."""
+        pr = np.clip(_nw_ratio(num, denom, float(self.a.mean())),
+                     self.eps_clip, 1.0 - self.eps_clip)
+        return pr / (1.0 - pr)
+
+    def _node_odds(self, nodes):
+        """Odds at equally spaced nodes, p = 0."""
+        sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0], self.kernel)
+        if sums is None:
+            return self.evaluate_many(nodes, np.empty((nodes.shape[0], 0)))
+        return self._odds(*sums)
 
 
 def fit_nu(x, l, a, kernel: str = "gaussian", bandwidth=None,

@@ -164,6 +164,33 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("dgp", ["stm-exp", "stm-power", "stm-broken", "stm-cov"])
+    @pytest.mark.parametrize("option", [("pi", "0.9"), ("trend", "7")])
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+    def test_did_only_options_rejected_for_other_models(self, tmp_path, capsys, dgp,
+                                                        option, as_config):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--dgp", dgp, "--n", "50", "--out", str(out)]
+        if as_config:
+            argv += ["--config", write_config(tmp_path, {option[0]: float(option[1])})]
+        else:
+            argv += [f"--{option[0]}", option[1]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert not out.exists()
+
+    def test_did_takes_pi_and_trend(self, tmp_path, capsys):
+        default = tmp_path / "default.csv"
+        explicit = tmp_path / "explicit.csv"
+        moved = tmp_path / "moved.csv"
+        base = ["simulate", "--dgp", "did", "--n", "50", "--output", str(tmp_path / "r.json")]
+        assert main(base + ["--out", str(default)]) == 0
+        assert main(base + ["--out", str(explicit), "--pi", "0.5", "--trend", "1"]) == 0
+        assert main(base + ["--out", str(moved), "--pi", "0.9", "--trend", "7"]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+        assert default.read_bytes() != moved.read_bytes()
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("y0,y1,a\n1.0,2.0,0\n1.5,oops,1\n")

@@ -66,6 +66,12 @@ class TestGammaTrue:
         cfg = named_config("stm-exp", n=100, effect=2.0)
         assert gen_stm(cfg)[1].att_true == 2.0
 
+    @pytest.mark.parametrize("option", [{"pi": 0.9}, {"trend": 7.0}])
+    def test_did_only_options_rejected_elsewhere(self, option):
+        assert named_config("did", n=50, **option).n == 50
+        with pytest.raises(ValueError, match="only to the did model"):
+            named_config("stm-exp", n=50, **option)
+
     def test_strictly_increasing(self):
         for name in ("did", "stm-exp", "stm-power"):
             gamma = gen_stm(named_config(name, n=50))[1].gamma_true

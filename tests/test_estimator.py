@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erfinv
 
+from cicdml import nuisance
 from cicdml.data_model import EstimandSpec, PanelDataset, partition_folds
 from cicdml.dgp import ConstantNu, gen_did, gen_stm, named_config
 from cicdml.errors import DegenerateArm, NoBracket
@@ -352,6 +353,38 @@ class TestParityPins:
             theta, sigma2 = self.PINNED[(name, kind)]
             assert report.theta_hat == pytest.approx(theta, rel=1e-12, abs=0), kind
             assert report.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0), kind
+
+    # At n=4000 the p = 0 odds antiderivative takes its node sums from
+    # binned training x; the dense sums gave (2.0117711005524312,
+    # 8.260273556922177) and (2.0587504423366556, 292.928390611057).
+    BINNED = {
+        "did": (2.0117710969829035, 8.260273460325386),
+        "stm-exp": (2.0587517497034367, 292.9280745584288),
+    }
+
+    @pytest.mark.parametrize("name", ["did", "stm-exp"])
+    def test_pinned_binned_odds_integral(self, monkeypatch, name):
+        data, _ = gen_stm(named_config(name, n=4000, seed=11))
+        config = CrossFitConfig(K=3, seed=11)
+        binned = []
+        sums = nuisance._binned_nw_sums
+
+        def recorded(*args):
+            binned.append(sums(*args))
+            return binned[-1]
+
+        monkeypatch.setattr(nuisance, "_binned_nw_sums", recorded)
+        report = estimate(data, EstimandSpec.att(), config)
+        assert len(binned) == 3 and all(b is not None for b in binned)
+        theta, sigma2 = self.BINNED[name]
+        assert report.theta_hat == pytest.approx(theta, rel=1e-12, abs=0)
+        assert report.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0)
+        # Within 1e-5 of the dense sums' estimate, and 1e-4 relative in
+        # the variance.
+        monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", 0)
+        dense = estimate(data, EstimandSpec.att(), config)
+        assert report.theta_hat == pytest.approx(dense.theta_hat, abs=1e-5, rel=0)
+        assert report.sigma2_hat == pytest.approx(dense.sigma2_hat, rel=1e-4, abs=0)
 
     EPANECHNIKOV = {
         "att": (-6.627608880600327, 5140.127738614854),

@@ -397,6 +397,143 @@ class TestFactorisedOddsIntegral:
         assert peak < 32 * 2 ** 20
 
 
+class TestBinnedOddsIntegral:
+    """p = 0 NuFn.integral_many, whose antiderivative nodes take the
+    regression's sums from linearly binned training x, against the dense
+    antiderivative integrate_nu_many(lo, hi, None, nu.__call__).
+
+    Binning moves each training point by less than a bin, a quarter of
+    the node spacing, so integrals agree to RTOL and propensities at the
+    nodes to PR_ATOL wherever the dense denominator is above DENOM_FLOOR
+    times its maximum. Below that floor the Epanechnikov kernel's support
+    edges decide which training points count at all, and the two can
+    differ by far more."""
+
+    RTOL = 1e-4          # measured <= 1e-5 on these inputs
+    PR_ATOL = 1e-4       # measured <= 3e-5 on these inputs
+    DENOM_FLOOR = 1e-3
+
+    @staticmethod
+    def fitted(m, dist, kernel, seed=7):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(m) if dist == "normal" else rng.lognormal(size=m)
+        score = x if dist == "normal" else np.log(x)
+        a = (rng.uniform(size=m) < 1.0 / (1.0 + np.exp(-score))).astype(int)
+        return fit_nu(x, None, a, kernel=kernel), rng
+
+    @staticmethod
+    def dense(nu, lo, hi):
+        return integrate_nu_many(lo, hi, None, nu.__call__)
+
+    @staticmethod
+    def inner_intervals(nu, rng, n=200):
+        # Training points lie beyond the queried range on both sides.
+        q05, q95 = np.quantile(nu.z[:, 0], [0.05, 0.95])
+        lo = rng.uniform(q05, q95, n)
+        hi = rng.uniform(q05, q95, n)
+        hi[:5] = lo[:5]
+        return lo, hi
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("dist", ["normal", "lognormal"])
+    @pytest.mark.parametrize("m", [400, 16000])
+    def test_matches_the_dense_antiderivative(self, m, dist, kernel):
+        # At m=400 the Gaussian takes the dense sums, which are cheaper there.
+        nu, rng = self.fitted(m, dist, kernel)
+        lo, hi = self.inner_intervals(nu, rng)
+        got = nu.integral_many(lo, hi, None)
+        assert_allclose(got, self.dense(nu, lo, hi), rtol=self.RTOL, atol=0)
+        assert_array_equal(got[:5], 0.0)
+        assert_array_equal(nu.integral_many(hi, lo, None), -got)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("dist", ["normal", "lognormal"])
+    @pytest.mark.parametrize("m", [400, 16000])
+    def test_node_sums_match_the_dense_sums(self, monkeypatch, m, dist, kernel):
+        # Binned even where the dense sums would be cheaper.
+        monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", np.inf)
+        nu, _ = self.fitted(m, dist, kernel)
+        x = nu.z[:, 0]
+        nodes = np.linspace(*np.quantile(x, [0.02, 0.98]), nuisance.ANTIDERIV_GRID)
+        num, denom = nuisance._binned_nw_sums(nodes, x, nu.a, nu.h[0], kernel)
+        w = _product_weights(nodes[:, None], nu.z, nu.h, kernel)
+        want_num, want_denom = w @ nu.a, w.sum(axis=1)
+        ok = want_denom > self.DENOM_FLOOR * want_denom.max()
+        assert ok.mean() > 0.9
+        assert_allclose((num / denom)[ok], (want_num / want_denom)[ok],
+                        atol=self.PR_ATOL, rtol=0)
+        assert_allclose(denom, want_denom, atol=self.RTOL * want_denom.max(), rtol=0)
+
+    def test_sparse_gaussian_tails_keep_their_ratio(self):
+        # Nodes up to 3 beyond the data (about 20 bandwidths), where the
+        # dense denominators fall to 1e-117: taps are cut only where the
+        # kernel weight is exactly zero, so the ratio survives there.
+        nu, _ = self.fitted(16000, "normal", "gaussian", seed=1)
+        x = nu.z[:, 0]
+        nodes = np.linspace(x.min() - 3.0, x.max() + 3.0, nuisance.ANTIDERIV_GRID)
+        num, denom = nuisance._binned_nw_sums(nodes, x, nu.a, nu.h[0], "gaussian")
+        w = _product_weights(nodes[:, None], nu.z, nu.h, "gaussian")
+        want_num, want_denom = w @ nu.a, w.sum(axis=1)
+        assert want_denom.min() < 1e-100
+        assert_allclose(num / denom, want_num / want_denom, atol=1e-5, rtol=0)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_taps_are_cut_only_where_the_weight_is_zero(self, kernel):
+        # The weight is zero at the reach and beyond, but not 0.01 short of it.
+        reach = nuisance._KERNEL_REACH[kernel]
+        u = np.array([[reach - 0.01], [reach]])
+        w = _product_weights(u, np.zeros((1, 1)), np.ones(1), kernel)[:, 0]
+        assert w[0] > 0.0 and w[1] == 0.0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_empty_input(self, kernel):
+        nu, _ = self.fitted(400, "normal", kernel)
+        assert nu.integral_many(np.zeros(0), np.zeros(0), None).shape == (0,)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rows_where_the_clip_binds(self, kernel):
+        # Arms split on x, so the propensity is 0 or 1 away from x = 0.
+        rng = np.random.default_rng(42)
+        x = rng.uniform(-3.0, 3.0, 16000)
+        nu = fit_nu(x, None, (x > 0.0).astype(int), kernel=kernel, bandwidth=0.3,
+                    eps_clip=0.05)
+        lo, hi = np.array([1.0, -1.0]), np.array([2.0, -2.0])
+        got = nu.integral_many(lo, hi, None)
+        assert_allclose(got, self.dense(nu, lo, hi), rtol=1e-12, atol=0)
+        assert_allclose(got, np.array([0.95 / 0.05, 0.05 / 0.95]) * (hi - lo),
+                        rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_narrow_ranges_use_the_dense_sums(self, kernel):
+        # A node range of 1e-6 would need about 1e11 taps per node; the
+        # dense sums are cheaper, and are what runs.
+        nu, _ = self.fitted(16000, "normal", kernel)
+        lo = np.array([0.3, 0.3, 0.3 + 1e-6])
+        hi = np.array([0.3 + 1e-6, 0.3, 0.3])
+        tracemalloc.start()
+        try:
+            got = nu.integral_many(lo, hi, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(got, self.dense(nu, lo, hi))
+        assert peak < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_peak_memory_stays_bounded(self, kernel):
+        # Peaks near 2 MiB. The dense sums, in 8 MiB chunks of kernel
+        # weights, peaked at 16 MiB.
+        nu, rng = self.fitted(16000, "normal", kernel)
+        lo, hi = self.inner_intervals(nu, rng, n=400)
+        tracemalloc.start()
+        try:
+            nu.integral_many(lo, hi, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
 class TestEstimatePi:
     def test_half(self):
         assert estimate_pi(np.array([1, 0, 1, 0])) == 0.5
