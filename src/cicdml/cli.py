@@ -32,20 +32,11 @@ SCHEMA_VERSION = 1
 ESTIMANDS = ("att", "cdt", "qtt")
 FORMATS = ("json", "tsv")
 
-_CONFIG_KEYS = {
-    "estimate": {"estimand", "y_point", "tau", "input", "folds", "reps", "cv_folds",
-                 "alpha", "seed", "stratify", "eps_clip", "f_min", "kernel",
-                 "bandwidth", "output", "format"},
-    "simulate": {"dgp", "n", "trend", "effect", "pi", "seed", "out", "oracle_out",
-                 "output", "format"},
-    "validate": {"dgp", "seed", "mc_size", "h", "perturbations", "output"},
-    "coverage": {"dgp", "n", "mc_reps", "folds", "reps", "alpha", "seed",
-                 "output", "format"},
-}
+# Config-file keys are the options' destinations, except these.
+_CONFIG_NAMES = {"fmt": "format", "no_stratify": "stratify"}
 # Checked after parsing, so that a --config file can supply them too.
 _REQUIRED = {"estimate": ("input",), "simulate": ("dgp", "out"), "validate": ("dgp",),
              "coverage": ("dgp",)}
-_CHOICES = {"estimand": ESTIMANDS, "kernel": KERNELS, "dgp": DGP_NAMES, "fmt": FORMATS}
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +268,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--input", help="dataset CSV path (required)")
     sp.add_argument("--folds", type=int, default=5, help="cross-fitting folds K")
     sp.add_argument("--reps", type=int, default=1, help="repetitions S")
-    sp.add_argument("--cv-folds", type=int, default=None,
-                    help="model-selection folds K' (default: rule of thumb)")
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--no-stratify", action="store_true",
                     help="plain random folds instead of arm-stratified")
@@ -322,7 +311,26 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
+def _config_value(key: str, action: argparse.Action, value):
+    """A config value as its flag would give it: a JSON bool for
+    ``stratify``; otherwise of the option's type (an integer for int, a
+    number for float, a string for the rest) and among its choices, or
+    null where the default is null."""
+    if key == "stratify":
+        if not isinstance(value, bool):
+            raise ParseError(f"config key stratify takes true or false, got {value!r}")
+        return not value
+    if value is None and action.default is None:
+        return None
+    kinds = {int: int, float: (int, float)}.get(action.type, str)
+    ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if not ok or action.choices is not None and value not in action.choices:
+        want = action.choices or (action.type or str).__name__
+        raise ParseError(f"config key {key} takes {want}, got {value!r}")
+    return value if action.type is None else action.type(value)
+
+
+def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
     """Argument defaults from the ``--config`` JSON file, by subcommand."""
     with open(args.config, encoding="utf-8") as fh:
         try:
@@ -331,17 +339,14 @@ def _config_defaults(args: argparse.Namespace) -> dict:
             raise ParseError(f"bad JSON config: {exc}") from None
     if not isinstance(overrides, dict):
         raise ParseError("config must be a JSON object")
-    allowed = _CONFIG_KEYS[args.subcommand]
-    unknown = set(overrides) - allowed
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {_CONFIG_NAMES.get(a.dest, a.dest): a
+               for a in sub.choices[args.subcommand]._actions if a.dest not in ("help", "config")}
+    unknown = set(overrides) - set(actions)
     if unknown:
         raise ParseError(f"unknown config keys for {args.subcommand}: {sorted(unknown)}")
-    values = {}
-    for key, value in overrides.items():
-        if key == "stratify":
-            values["no_stratify"] = not value
-        else:
-            values["fmt" if key == "format" else key] = value
-    return {args.subcommand: values}
+    return {args.subcommand: {actions[key].dest: _config_value(key, actions[key], value)
+                              for key, value in overrides.items()}}
 
 
 def _to_run_config(args: argparse.Namespace) -> RunConfig:
@@ -349,9 +354,6 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
     for dest in _REQUIRED[sub]:
         if getattr(args, dest) is None:
             raise ParseError(f"--{dest} is required")
-    for dest, choices in _CHOICES.items():
-        if getattr(args, dest, None) not in (None,) + choices:
-            raise ParseError(f"{dest} must be one of {choices}, got {getattr(args, dest)!r}")
     estimand = None
     crossfit = None
     if sub == "estimate":
@@ -366,7 +368,7 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
                 raise ParseError("--tau is required for the qtt estimand")
             estimand = EstimandSpec.qtt(args.tau)
         crossfit = CrossFitConfig(
-            K=args.folds, S=args.reps, K_prime=args.cv_folds, alpha=args.alpha,
+            K=args.folds, S=args.reps, alpha=args.alpha,
             seed=args.seed, kernel=args.kernel, bandwidth=args.bandwidth,
             eps_clip=args.eps_clip, f_min=args.f_min,
             stratify=not args.no_stratify)
@@ -407,10 +409,11 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:
-            args = build_parser(_config_defaults(args)).parse_args(argv)
+            args = build_parser(_config_defaults(parser, args)).parse_args(argv)
         cfg = _to_run_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

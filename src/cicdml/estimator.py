@@ -44,8 +44,6 @@ from .nuisance import (
     fit_density,
     fit_nu,
     integrate_nu_many,
-    select_bandwidth_scale,
-    _bandwidth_vector,
 )
 
 
@@ -53,15 +51,15 @@ from .nuisance import (
 class CrossFitConfig:
     """Settings for the cross-fitted estimator.
 
-    K folds, S repetitions, optional K' model-selection folds (None
-    keeps the rule-of-thumb bandwidths), confidence level alpha, master
-    seed, nuisance options (kernel, bandwidth, propensity clip, density
-    floor), and whether folds are stratified by treatment arm.
+    K folds, S repetitions, confidence level alpha, master seed,
+    nuisance options (kernel, bandwidth, propensity clip, density
+    floor), and whether folds are stratified by treatment arm. A
+    ``bandwidth`` is used for every kernel coordinate; None keeps each
+    nuisance fit's own rule (see :func:`cicdml.nuisance.fit_nu`).
     """
 
     K: int = 5
     S: int = 1
-    K_prime: Optional[int] = None
     alpha: float = 0.05
     seed: int = 0
     kernel: str = "gaussian"
@@ -77,8 +75,6 @@ class CrossFitConfig:
             raise ValueError("S must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.K_prime is not None and self.K_prime < 2:
-            raise ValueError("K_prime must be at least 2")
         if not 0.0 < self.eps_clip < 0.5:
             raise ValueError("eps_clip must lie in (0, 0.5)")
         if not self.f_min > 0.0:
@@ -147,8 +143,9 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
 
     The transport map is fitted on training controls only; the odds
     regression uses the whole training set with the fitted map applied
-    first. With ``cfg.K_prime`` set, a bandwidth scale is selected by
-    K'-fold cross-validation inside the complement.
+    first, and with covariates picks its bandwidth scale by held-out
+    Riesz loss within the complement (:func:`cicdml.nuisance.fit_nu`).
+    ``cfg.bandwidth``, when set, replaces every rule-of-thumb bandwidth.
     """
     y0 = data.y0[train_idx]
     y1 = data.y1[train_idx]
@@ -161,30 +158,14 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
     if n_control < 2:
         raise InsufficientData("need at least 2 control units to fit the transport map")
 
-    scale = 1.0
-    if cfg.K_prime is not None:
-        scale = select_bandwidth_scale(y0, y1, a, l, cfg.K_prime, seed=cfg.seed,
-                                       kernel=cfg.kernel)
-
     ctrl = a == 0
     l_ctrl = None if l is None else l[ctrl]
-
-    def scaled_bw(mat):
-        if cfg.bandwidth is not None:
-            return cfg.bandwidth
-        if scale == 1.0:
-            return None
-        return _bandwidth_vector(mat, None) * scale
-
-    cdf0 = fit_cond_cdf(y0[ctrl], l_ctrl, kernel=cfg.kernel,
-                        bandwidth=None if l is None else scaled_bw(l_ctrl))
-    quant1 = fit_cond_quantile(y1[ctrl], l_ctrl, kernel=cfg.kernel,
-                               bandwidth=None if l is None else scaled_bw(l_ctrl))
+    cdf0 = fit_cond_cdf(y0[ctrl], l_ctrl, kernel=cfg.kernel, bandwidth=cfg.bandwidth)
+    quant1 = fit_cond_quantile(y1[ctrl], l_ctrl, kernel=cfg.kernel, bandwidth=cfg.bandwidth)
     gamma = compose_gamma(cdf0, quant1)
 
     x_train = gamma(y0, l)
-    z = np.column_stack([x_train, l]) if l is not None else x_train.reshape(-1, 1)
-    nu = fit_nu(x_train, l, a, kernel=cfg.kernel, bandwidth=scaled_bw(z),
+    nu = fit_nu(x_train, l, a, kernel=cfg.kernel, bandwidth=cfg.bandwidth,
                 eps_clip=cfg.eps_clip)
     pi = estimate_pi(a)
 

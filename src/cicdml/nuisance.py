@@ -9,6 +9,12 @@ smoothing over covariates with Silverman-type per-coordinate bandwidths.
 With no covariates they reduce exactly to the empirical CDF, empirical
 quantile, and sample means.
 
+With covariates, the odds regression's Silverman bandwidths, whose
+one-dimensional rate m^(-1/5) undersmooths a regression on x and p
+covariates, are multiplied by the scale in ``ODDS_SCALES`` (1 to 4) with
+the least Riesz loss E[(1 - A) nu^2] - 2 E[A nu], fitted on the training
+units at even positions and scored on those at odd positions.
+
 Kernel weights are formed in row chunks of at most ``_CHUNK_BUDGET``
 elements, one coordinate at a time. Odds integrals with covariates use
 the product kernel's factorisation into an outcome part and a covariate
@@ -33,6 +39,7 @@ from .errors import DegenerateArm, InsufficientData
 ANTIDERIV_GRID = 2048      # nodes of the trapezoid odds antiderivative (p = 0)
 ANTIDERIV_REFINE = 4       # p = 0 training x is binned this many times finer than the nodes
 SIMPSON_NODES = 257        # fixed composite-Simpson nodes per odds integral (p > 0)
+ODDS_SCALES = (1.0, 2.0, 3.0, 4.0)  # odds bandwidth scales scored by held-out loss (p > 0)
 # Max elements per kernel-weight chunk. A chunk of float64 temporaries of
 # this size is 8 MiB, below glibc's 32 MiB dynamic mmap ceiling, so the
 # allocator reuses heap memory instead of mapping, faulting in and
@@ -549,24 +556,83 @@ class NuFn:
         return self._odds(*sums)
 
 
+def _scaled_odds(query, train, a, h, kernel, eps_clip) -> np.ndarray:
+    """Clipped Nadaraya-Watson odds of a on train at the query rows, at
+    the bandwidths s h for every s in ``ODDS_SCALES``, one row per s.
+
+    One pass over the query rows: each chunk's per-coordinate squared
+    scaled distances are formed once, and a scale only rescales them,
+    with one exp of their sum (Gaussian) or one product of the
+    per-coordinate factors (Epanechnikov). The chunk's distances fill at
+    most ``_CHUNK_BUDGET`` elements.
+    """
+    m, d = train.shape
+    fallback = float(a.mean())
+    out = np.empty((len(ODDS_SCALES), query.shape[0]))
+    step = _row_chunk(m * d)
+    for start in range(0, query.shape[0], step):
+        q = query[start:start + step]
+        u = np.empty((d, q.shape[0], m))
+        for j in range(d):
+            np.subtract(q[:, j, None], train[None, :, j], out=u[j])
+            u[j] /= h[j]
+            u[j] *= u[j]
+        if kernel == "gaussian":
+            u = u.sum(axis=0)
+        w = np.empty(u.shape[-2:])
+        tmp = np.empty_like(w)
+        for k, s in enumerate(ODDS_SCALES):
+            if kernel == "gaussian":
+                np.exp(np.multiply(u, -0.5 / (s * s), out=w), out=w)
+            else:
+                # Each factor max(0, 1 - u / s^2) as max(0, s^2 - u) / s^2.
+                np.maximum(np.subtract(s * s, u[0], out=w), 0.0, out=w)
+                for j in range(1, d):
+                    w *= np.maximum(np.subtract(s * s, u[j], out=tmp), 0.0, out=tmp)
+                w *= (0.75 / (s * s)) ** d
+            pr = np.clip(_nw_ratio(w @ a, w.sum(axis=1), fallback), eps_clip, 1.0 - eps_clip)
+            out[k, start:start + step] = pr / (1.0 - pr)
+    return out
+
+
+def _odds_scale(z, a, h, kernel, eps_clip) -> float:
+    """The odds bandwidth scale of :func:`fit_nu`."""
+    fit, held = slice(0, None, 2), slice(1, None, 2)
+    if not all(0.0 < a[half].sum() < a[half].shape[0] for half in (fit, held)):
+        return 1.0
+    nu = _scaled_odds(z[held], z[fit], a[fit], h, kernel, eps_clip)
+    a_held = a[held]
+    loss = ((1.0 - a_held) * nu * nu - 2.0 * a_held * nu).mean(axis=1)
+    return ODDS_SCALES[int(np.argmin(loss))]
+
+
 def fit_nu(x, l, a, kernel: str = "gaussian", bandwidth=None,
            eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
     """Fit the treatment-odds function by regressing A on (x, l).
 
     ``x`` is the transported baseline outcome evaluated on the training
     units; ``l`` their covariates (None for p = 0); ``a`` the indicator.
+    ``bandwidth`` None takes Silverman's rule per coordinate of (x, l),
+    with covariates times the scale in ``ODDS_SCALES`` whose odds, fitted
+    on the units at even positions (no seed; a sorted input still splits
+    evenly), have the least Riesz loss mean((1 - A) nu^2 - 2 A nu) on
+    those at odd positions, or 1 when a half lacks an arm. The true odds
+    minimise this loss (uLSIF, Kanamori, Hido & Sugiyama 2009; Riesz
+    regression, Chernozhukov, Newey & Singh 2022).
     """
     x = np.asarray(x, dtype=float)
-    a = np.asarray(a)
+    a = np.asarray(a).astype(float)
     l = _as_matrix(l, x.shape[0])
     if not 0.0 < eps_clip < 0.5:
         raise ValueError("eps_clip must lie in (0, 0.5)")
     if a.min() == a.max():
         raise DegenerateArm("odds regression needs both treatment arms")
+    kernel = _check_kernel(kernel)
     z = np.column_stack([x, l]) if l.shape[1] else x.reshape(-1, 1)
     h = _bandwidth_vector(z, bandwidth)
-    return NuFn(z=z, a=a.astype(float), h=h, eps_clip=eps_clip,
-                kernel=_check_kernel(kernel))
+    if bandwidth is None and l.shape[1]:
+        h = h * _odds_scale(z, a, h, kernel, eps_clip)
+    return NuFn(z=z, a=a, h=h, eps_clip=eps_clip, kernel=kernel)
 
 
 def estimate_pi(a) -> float:
@@ -595,16 +661,14 @@ class DensityFn:
     def evaluate_many(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape[0])
-        inv = 1.0 / (self.x.shape[0] * self.h)
+        # _product_weights leaves the Gaussian unnormalised.
+        norm = np.sqrt(2.0 * np.pi) if self.kernel == "gaussian" else 1.0
+        inv = 1.0 / (self.x.shape[0] * self.h * norm)
+        train, h = self.x[:, None], np.array([self.h])
         step = _row_chunk(self.x.shape[0])
         for start in range(0, t.shape[0], step):
             sl = slice(start, start + step)
-            u = (t[sl, None] - self.x[None, :]) / self.h
-            if self.kernel == "gaussian":
-                k = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-            else:
-                k = 0.75 * np.clip(1.0 - u * u, 0.0, None)
-            out[sl] = k.sum(axis=1) * inv
+            out[sl] = _product_weights(t[sl, None], train, h, self.kernel).sum(axis=1) * inv
         return np.maximum(out, self.f_min)
 
     def __call__(self, t):
@@ -646,63 +710,3 @@ class NuisanceSet:
     pi: float
     dens_y1_treated: Optional[object] = None
     dens_gamma_treated: Optional[object] = None
-
-
-# ---------------------------------------------------------------------------
-# Tuning-parameter selection (optional cross-validation)
-# ---------------------------------------------------------------------------
-
-ZETA_LADDER = (0.5, 0.75, 1.0, 1.5, 2.0)
-
-
-def select_bandwidth_scale(y0, y1, a, l, K_prime: int, seed: int = 0,
-                           kernel: str = "gaussian", ladder=ZETA_LADDER) -> float:
-    """Pick a bandwidth scale by K'-fold cross-validation.
-
-    Scores each candidate scale by the integrated squared error of the
-    conditional CDF of the period-0 control outcome (CRPS-style, on a
-    grid) plus the log-loss of the propensity regression behind the odds
-    function, both on held-out folds. Returns the best scale; the
-    rule-of-thumb (scale 1.0) is the no-CV default elsewhere.
-    """
-    from .data_model import partition_folds
-
-    y0 = np.asarray(y0, dtype=float)
-    a = np.asarray(a)
-    n = y0.shape[0]
-    l = _as_matrix(l, n)
-    folds = partition_folds(n, K_prime, stratify_on=None, seed=seed, min_stratum=0)
-    grid = np.linspace(y0.min(), y0.max(), 64)
-    scores = np.zeros(len(ladder))
-    for j, scale in enumerate(ladder):
-        total = 0.0
-        for k in range(K_prime):
-            tr = folds.train_indices(k)
-            ev = folds.eval_indices(k)
-            ctrl = tr[a[tr] == 0]
-            ev_ctrl = ev[a[ev] == 0]
-            if ctrl.size < 2 or ev_ctrl.size == 0 or a[tr].min() == a[tr].max():
-                continue
-            base_h = _bandwidth_vector(l[ctrl], None) if l.shape[1] else None
-            cdf = fit_cond_cdf(y0[ctrl], l[ctrl], kernel=kernel,
-                               bandwidth=None if base_h is None else base_h * scale)
-            # CRPS on the held-out control units.
-            F = np.stack([cdf.evaluate_many(np.full(ev_ctrl.size, g), l[ev_ctrl])
-                          for g in grid], axis=1)
-            ind = (y0[ev_ctrl, None] <= grid[None, :]).astype(float)
-            total += float(np.mean((F - ind) ** 2))
-            # Log-loss of the propensity regression at the same scale.
-            q1 = fit_cond_quantile(y1[ctrl], l[ctrl], kernel=kernel,
-                                   bandwidth=None if base_h is None else base_h * scale)
-            gam = compose_gamma(cdf, q1)
-            x_tr = gam.evaluate_many(y0[tr], l[tr])
-            z_h = _bandwidth_vector(
-                np.column_stack([x_tr, l[tr]]) if l.shape[1] else x_tr.reshape(-1, 1),
-                None)
-            nu = fit_nu(x_tr, l[tr] if l.shape[1] else None, a[tr], kernel=kernel,
-                        bandwidth=z_h * scale)
-            x_ev = gam.evaluate_many(y0[ev], l[ev])
-            pr = nu.propensity_many(x_ev, l[ev])
-            total += float(-np.mean(a[ev] * np.log(pr) + (1 - a[ev]) * np.log1p(-pr)))
-        scores[j] = total
-    return float(ladder[int(np.argmin(scores))])

@@ -127,7 +127,6 @@ class TestExitCodes:
         ["--eps-clip", "0.7"],
         ["--f-min", "0"],
         ["--bandwidth", "-1"],
-        ["--cv-folds", "1"],
     ])
     def test_bad_values_exit_2_with_an_error_line(self, tmp_path, dataset, capsys, extra):
         rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), *extra)
@@ -141,12 +140,34 @@ class TestExitCodes:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "absent.csv")]) == 2
 
-    @pytest.mark.parametrize("values", [{"no_such_key": 1}, {"kernel": "box"}])
+    @pytest.mark.parametrize("values", [
+        {"no_such_key": 1}, {"kernel": "box"}, {"folds": 2.5}, {"reps": None},
+        {"seed": 1.5}, {"seed": True}, {"stratify": "no"}, {"alpha": "0.1"},
+        {"cv_folds": 3}, {"n": 50.5},
+    ])
     def test_bad_config_exits_2(self, tmp_path, dataset, capsys, values):
+        # Run on both subcommands: a key that one of them lacks is unknown
+        # to it, and the error line names the key either way.
         config = write_config(tmp_path, values)
-        rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), "--config", config)
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        out = tmp_path / "x.csv"
+        for argv in (["estimate", "--input", str(dataset), "--output", str(tmp_path / "r")],
+                     ["simulate", "--dgp", "did", "--out", str(out)]):
+            assert main(argv + ["--config", config]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == ""
+            assert all(key in captured.err for key in values)
+        assert not out.exists() and not (tmp_path / "r").exists()
+
+    def test_config_takes_integers_for_float_options(self, tmp_path):
+        config = write_config(tmp_path, {"effect": 3, "trend": 2, "pi": None})
+        for name, extra in (("flag", ["--effect", "3", "--trend", "2"]),
+                            ("config", ["--config", config])):
+            assert main(["simulate", "--dgp", "did", "--n", "50", "--out",
+                         str(tmp_path / f"{name}.csv"), "--output",
+                         str(tmp_path / "r.json"), *extra]) == 0
+        oracle = [(tmp_path / f"{name}.csv.oracle.json").read_bytes()
+                  for name in ("flag", "config")]
+        assert oracle[0] == oracle[1]
 
     @pytest.mark.parametrize("argv", [
         ["coverage", "--dgp", "did", "--mc-reps", "1"],

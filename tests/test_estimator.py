@@ -115,6 +115,18 @@ class TestSolveQuantileRoot:
         with pytest.raises(NoBracket):
             solve_quantile_root(lambda t: -1.0, bracket=(0.0, 1.0))
 
+    def test_first_crossing_of_a_moment_that_is_not_monotone(self):
+        # Negative, positive on (0.5, 0.6), negative, positive past 3.
+        # Fitted QTT moments can cross zero more than once; the scan keeps
+        # the smallest crossing, where bisection over the scan grid would
+        # land on 3.
+        def moment(t):
+            return (t - 0.5) * (t - 0.6) * (t - 3.0)
+
+        got = solve_quantile_root(moment, bracket=(0.0, 4.0))
+        assert got == pytest.approx(0.5, abs=1e-8)
+        assert moment(got) >= 0.0
+
 
 class TestMedianAdjust:
     def test_single_repetition_identity(self):
@@ -221,12 +233,6 @@ class TestEstimate:
         mean_treated_y1 = float(np.mean(data.y1[data.a == 1]))
         assert report.theta_hat == pytest.approx(mean_treated_y1 - att.theta_hat,
                                                  abs=1e-8)
-
-    def test_cv_bandwidth_scale_path_runs(self):
-        data, truth = gen_did(900, seed=53)
-        report = estimate(data, EstimandSpec.att(),
-                          CrossFitConfig(K=3, K_prime=3, seed=53))
-        assert abs(report.theta_hat - truth.att_true) <= 0.3
 
 
 class TestPlugins:
@@ -338,9 +344,9 @@ class TestParityPins:
         ("stm-exp", "att"): (2.725148810008458, 159.82974839663893),
         ("stm-exp", "cdt"): (0.34610624216110186, 0.6814906332478567),
         ("stm-exp", "qtt"): (1.5715154170253296, 79.03628014163505),
-        ("stm-cov", "att"): (0.8158543927818697, 399.08392647744785),
-        ("stm-cov", "cdt"): (0.3819970068326227, 3.6376874567999113),
-        ("stm-cov", "qtt"): (1.9652511433895925, 53.90019037802562),
+        ("stm-cov", "att"): (1.9371820702266787, 8.361187680266523),
+        ("stm-cov", "cdt"): (0.44999982560885227, 1.0206760415541578),
+        ("stm-cov", "qtt"): (2.081468745568436, 15.631747900154947),
     }
 
     @pytest.mark.parametrize("name", ["did", "stm-exp", "stm-cov"])
@@ -387,16 +393,21 @@ class TestParityPins:
         assert report.sigma2_hat == pytest.approx(dense.sigma2_hat, rel=1e-4, abs=0)
 
     EPANECHNIKOV = {
-        "att": (-6.627608880600327, 5140.127738614854),
-        "qtt": (2.1738672249520583, 8805.438055775867),
+        "att": (3.121530993826624, 3973.445966380058),
+        "qtt": (2.3658537530856205, 22.359225275364853),
     }
 
     def test_pinned_epanechnikov_with_covariates(self):
         """The Epanechnikov kernel through the covariate odds integral,
         which splits the kernel's 0.75^d constant between the outcome and
-        covariate parts. The estimates are poor (ATT -6.63 against a
-        truth of 2.0) because the covariate odds fit is biased (open item
-        1 of ROADMAP.md); the pin guards the arithmetic, not accuracy."""
+        covariate parts. The pin guards the arithmetic, not accuracy: the
+        ATT here is 3.12 with a variance near 4000, against a truth of
+        2.0, and at n=2000 it reads -5.5 and -3.5 on seeds 1 and 2.
+        Choosing the odds bandwidth by held-out Riesz loss does not mend
+        this kernel as it does the Gaussian. A likely cause: the loss
+        scores the odds at data points, but the control correction
+        integrates them over (y1, gamma] at the unit's covariates, where
+        the compact kernel runs out of neighbours."""
         data, _ = gen_stm(named_config("stm-cov", n=400, seed=11))
         config = CrossFitConfig(K=3, seed=11, kernel="epanechnikov")
         for kind, spec in (("att", EstimandSpec.att()), ("qtt", EstimandSpec.qtt(0.5))):

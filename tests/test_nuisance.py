@@ -8,6 +8,9 @@ from cicdml import nuisance
 from cicdml.errors import DegenerateArm, InsufficientData
 from cicdml.nuisance import (
     KERNELS,
+    ODDS_SCALES,
+    _bandwidth_vector,
+    _nw_mean,
     _product_weights,
     compose_gamma,
     estimate_pi,
@@ -16,6 +19,7 @@ from cicdml.nuisance import (
     fit_density,
     fit_nu,
     integrate_nu_many,
+    silverman_bandwidth,
 )
 
 
@@ -297,6 +301,121 @@ class TestNuFn:
         for j in range(3):
             direct = quad(lambda t: nu(t), lo[j], hi[j], limit=200)[0]
             assert fast[j] == pytest.approx(direct, abs=5e-5)
+
+
+class TestOddsBandwidthRule:
+    """With covariates, fit_nu scales Silverman's bandwidths by the
+    ladder entry with the least held-out Riesz loss."""
+
+    @staticmethod
+    def draw(m=1200, p=2, seed=61):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(m)
+        l = rng.standard_normal((m, p))
+        odds = np.exp(0.8 * x + 0.5 * l.sum(axis=1) - 0.3)
+        a = (rng.uniform(size=m) < odds / (1.0 + odds)).astype(int)
+        return x, l, a, rng
+
+    @staticmethod
+    def odds(query, z, a, h, kernel, eps_clip=0.01):
+        """Clipped odds at bandwidth h through the Nadaraya-Watson mean."""
+        pr = np.clip(_nw_mean(query, z, a, h, kernel, fallback=float(a.mean())),
+                     eps_clip, 1.0 - eps_clip)
+        return pr / (1.0 - pr)
+
+    @staticmethod
+    def loss(nu, a):
+        return float(np.mean((1.0 - a) * nu * nu - 2.0 * a * nu))
+
+    @pytest.mark.parametrize("budget", [None, 3000])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_one_pass_matches_the_regression_at_each_scale(self, monkeypatch, kernel,
+                                                           budget):
+        # 3000 elements give chunks of one row.
+        x, l, a, _ = self.draw(m=500)
+        z = np.column_stack([x, l])
+        h = _bandwidth_vector(z, None)
+        a = a.astype(float)
+        if budget is not None:
+            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
+        got = nuisance._scaled_odds(z[1::2], z[::2], a[::2], h, kernel, 0.01)
+        assert got.shape == (len(ODDS_SCALES), 250)
+        for row, s in zip(got, ODDS_SCALES):
+            want = self.odds(z[1::2], z[::2], a[::2], s * h, kernel)
+            assert_allclose(row, want, rtol=1e-12, atol=0)
+            assert self.loss(row, a[1::2]) == pytest.approx(self.loss(want, a[1::2]),
+                                                          rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_chosen_scale_beats_silverman_on_known_odds(self, kernel):
+        x, l, a, rng = self.draw()
+        nu = fit_nu(x, l, a, kernel=kernel)
+        z = np.column_stack([x, l])
+        h = _bandwidth_vector(z, None)
+        scale = nu.h[0] / h[0]
+        assert scale in ODDS_SCALES and scale > 1.0
+        assert_allclose(nu.h, scale * h, rtol=1e-15, atol=0)
+        held = [self.loss(self.odds(z[1::2], z[::2], a[::2].astype(float), s * h, kernel),
+                          a[1::2]) for s in (scale, 1.0)]
+        assert held[0] <= held[1]
+        # Closer to the true odds on fresh covariate points, too.
+        q = rng.standard_normal((400, 3))
+        truth = np.exp(0.8 * q[:, 0] + 0.5 * q[:, 1:].sum(axis=1) - 0.3)
+        err = [np.mean((self.odds(q, z, a.astype(float), s * h, kernel) - truth) ** 2)
+               for s in (scale, 1.0)]
+        assert err[0] < err[1]
+
+    def test_explicit_bandwidth_skips_the_selection(self, monkeypatch):
+        x, l, a, _ = self.draw(m=300)
+
+        def fail(*args):
+            raise AssertionError("selection ran")
+
+        monkeypatch.setattr(nuisance, "_odds_scale", fail)
+        assert_array_equal(fit_nu(x, l, a, bandwidth=0.7).h, [0.7, 0.7, 0.7])
+        assert_array_equal(fit_nu(x, l, a, bandwidth=[0.5, 1.0, 2.0]).h, [0.5, 1.0, 2.0])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_no_covariates_keeps_silverman(self, monkeypatch, kernel):
+        x, _, a, _ = self.draw(m=300)
+        monkeypatch.setattr(nuisance, "_odds_scale", None)
+        assert_array_equal(fit_nu(x, None, a, kernel=kernel).h, [silverman_bandwidth(x)])
+
+    # A held-out half of controls alone would have its loss pick s = 4.
+    @pytest.mark.parametrize("half, arm", [(0, 1), (1, 0)])
+    def test_an_inner_half_with_one_arm_keeps_scale_one(self, half, arm):
+        x, l, a, _ = self.draw(m=300)
+        a[half::2] = arm
+        assert 0 < a.sum() < a.shape[0]
+        nu = fit_nu(x, l, a)
+        assert_array_equal(nu.h, _bandwidth_vector(np.column_stack([x, l]), None))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_reruns_are_identical(self, kernel):
+        x, l, a, rng = self.draw(m=400)
+        first, second = (fit_nu(x, l, a, kernel=kernel) for _ in range(2))
+        assert_array_equal(first.h, second.h)
+        q = rng.standard_normal((50, 3))
+        assert_array_equal(first.evaluate_many(q[:, 0], q[:, 1:]),
+                           second.evaluate_many(q[:, 0], q[:, 1:]))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_peak_memory_stays_bounded(self, kernel):
+        # A chunk's distances and their rescaled copy fill at most 8 MiB
+        # each. Peaks: 13 MiB (Gaussian, which sums the distances) and
+        # 27 MiB (Epanechnikov), while the next chunk's distances are
+        # formed before the last chunk's are freed.
+        x, l, a, _ = self.draw(m=6000)
+        z = np.column_stack([x, l])
+        h = _bandwidth_vector(z, None)
+        a = a.astype(float)
+        tracemalloc.start()
+        try:
+            nuisance._scaled_odds(z[1::2], z[::2], a[::2], h, kernel, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestFactorisedOddsIntegral:
