@@ -372,6 +372,10 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
             seed=args.seed, kernel=args.kernel, bandwidth=args.bandwidth,
             eps_clip=args.eps_clip, f_min=args.f_min,
             stratify=not args.no_stratify)
+    for dest in ("n", "mc_size"):
+        # Checked before any draw: numpy rejects negative sizes with a traceback.
+        if getattr(args, dest, 2) < 2:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least 2")
     model = None
     if sub == "simulate":
         model = named_config(args.dgp, n=args.n, seed=args.seed, effect=args.effect,

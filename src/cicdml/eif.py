@@ -15,8 +15,9 @@ the QTT the treated quantile minus the counterfactual-quantile link.
 This module holds the links and :func:`control_correction`; scores
 are formed only by ``estimator._CrossFit``. Odds integrals go through
 :func:`integrate_nu_many`: a closed form when the odds object has one,
-a grid antiderivative without covariates, fixed-node composite Simpson
-with them.
+a trapezoid antiderivative on shared grid nodes for fitted odds and for
+any odds without covariates, fixed-node composite Simpson for analytic
+odds with covariates.
 """
 
 from __future__ import annotations

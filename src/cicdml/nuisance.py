@@ -16,15 +16,15 @@ the least Riesz loss E[(1 - A) nu^2] - 2 E[A nu], fitted on the training
 units at even positions and scored on those at odd positions.
 
 Kernel weights are formed in row chunks of at most ``_CHUNK_BUDGET``
-elements, one coordinate at a time. Odds integrals with covariates use
-the product kernel's factorisation into an outcome part and a covariate
-part, so each unit's covariate weights are formed once per integral
-rather than once per quadrature node. Without covariates, odds integrals
-come from a trapezoid antiderivative on ``ANTIDERIV_GRID`` equally
-spaced nodes; the regression's sums at those nodes come from training x
-linearly binned on a grid ``ANTIDERIV_REFINE`` times finer and one
-direct kernel convolution per sub-grid phase, unless the dense sums are
-cheaper.
+elements, one coordinate at a time. Odds integrals come from a trapezoid
+antiderivative on ``ANTIDERIV_GRID`` equally spaced nodes spanning the
+call's interval endpoints. With covariates each unit has its own column
+of node odds: the product kernel factorises into an outcome part, formed
+once at the nodes, and a covariate part, formed once per unit, so one
+matrix product gives every unit's regression sums at every node. Without
+covariates the one column's sums come from training x linearly binned on
+a grid ``ANTIDERIV_REFINE`` times finer and one direct kernel
+convolution per sub-grid phase, unless the dense sums are cheaper.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import numpy as np
 
 from .errors import DegenerateArm, InsufficientData
 
-ANTIDERIV_GRID = 2048      # nodes of the trapezoid odds antiderivative (p = 0)
+ANTIDERIV_GRID = 2048      # nodes of the trapezoid odds antiderivative
 ANTIDERIV_REFINE = 4       # p = 0 training x is binned this many times finer than the nodes
-SIMPSON_NODES = 257        # fixed composite-Simpson nodes per odds integral (p > 0)
+SIMPSON_NODES = 257        # composite-Simpson nodes per integral of analytic odds (p > 0)
 ODDS_SCALES = (1.0, 2.0, 3.0, 4.0)  # odds bandwidth scales scored by held-out loss (p > 0)
 # Max elements per kernel-weight chunk. A chunk of float64 temporaries of
 # this size is 8 MiB, below glibc's 32 MiB dynamic mmap ceiling, so the
@@ -141,8 +141,8 @@ def _product_weights(query: np.ndarray, train: np.ndarray, h: np.ndarray, kernel
 def _nw_ratio(num, denom, fallback):
     """Nadaraya-Watson estimate num / denom, or fallback where no training
     row carries weight."""
-    ok = denom > 1e-300
-    return np.where(ok, num / np.where(ok, denom, 1.0), fallback)
+    return np.divide(num, denom, out=np.full(np.shape(num), float(fallback)),
+                     where=denom > 1e-300)
 
 
 def _nw_mean(query, train, resp, h, kernel, fallback):
@@ -196,33 +196,72 @@ def _binned_nw_sums(nodes, x, resp, h, kernel):
     return num, denom
 
 
+def _grid_nodes(lo: float, hi: float, n_grid: int) -> np.ndarray:
+    """Equally spaced antiderivative nodes over [lo, hi], padded on each
+    side by 5% of its width."""
+    pad = 1e-9 + 0.05 * max(hi - lo, 1e-12)
+    return np.linspace(lo - pad, hi + pad, n_grid)
+
+
+def _grid_integrals(gx: np.ndarray, gy: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """Signed integrals over [lo_i, hi_i] of the trapezoid antiderivative
+    of node values gy at the nodes gx, which span every endpoint.
+
+    gy of shape (G,) is one map shared by every interval; gy of shape
+    (G, k) gives interval i its own column i. Each integral is the
+    difference of two linear interpolations of the cumulative trapezoid
+    sums down the interval's column, in the arithmetic of ``np.interp``.
+    """
+    gy = gy.reshape(gx.shape[0], -1)
+    anti = np.empty_like(gy)
+    anti[0] = 0.0
+    steps = np.add(gy[1:], gy[:-1], out=anti[1:])
+    steps *= 0.5
+    steps *= np.diff(gx)[:, None]
+    np.cumsum(steps, axis=0, out=steps)
+    cols = 0 if gy.shape[1] == 1 else np.arange(lo.shape[0])
+
+    last = gx.shape[0] - 2
+    scale = (last + 1) / (gx[-1] - gx[0])
+
+    def at(x):
+        # The cell [gx[j], gx[j + 1]) holding x, as np.interp finds it: the
+        # equal spacing puts x within one cell of its scaled offset.
+        j = np.minimum((x - gx[0]) * scale, last).astype(np.intp)
+        j -= gx[j] > x
+        j += gx[j + 1] <= x
+        np.minimum(j, last, out=j)
+        left = anti[j, cols]
+        slope = (anti[j + 1, cols] - left) / (gx[j + 1] - gx[j])
+        return slope * (x - gx[j]) + left
+
+    return at(hi) - at(lo)
+
+
 class GridAntiderivative:
     """Cached trapezoid antiderivative of a smooth one-dimensional map.
 
     Built lazily over the requested endpoint range (with padding) and
     rebuilt on the union range if later requests exceed it; signed
-    integrals reduce to two interpolations.
+    integrals reduce to two interpolations (:func:`_grid_integrals`).
     """
 
     def __init__(self, fn, n_grid: int = ANTIDERIV_GRID):
         self.fn = fn
         self.n_grid = n_grid
         self._gx = None
-        self._anti = None
+        self._gy = None
 
     def cover(self, lo: float, hi: float):
         """Make the grid span [lo, hi], building or widening it as needed."""
-        pad = 1e-9 + 0.05 * max(hi - lo, 1e-12)
         if self._gx is not None:
-            if self._gx[0] <= lo - 0.5 * pad and self._gx[-1] >= hi + 0.5 * pad:
+            if self._gx[0] <= lo and hi <= self._gx[-1]:
                 return
             lo = min(lo, float(self._gx[0]))
             hi = max(hi, float(self._gx[-1]))
-        gx = np.linspace(lo - pad, hi + pad, self.n_grid)
-        gy = np.asarray(self.fn(gx))
-        self._gx = gx
-        self._anti = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (gy[1:] + gy[:-1]) * np.diff(gx))])
+        self._gx = _grid_nodes(lo, hi, self.n_grid)
+        self._gy = np.asarray(self.fn(self._gx))
 
     def integrate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         lo = np.asarray(lo, dtype=float)
@@ -230,7 +269,7 @@ class GridAntiderivative:
         if lo.size == 0:
             return np.zeros(0)
         self.cover(float(min(lo.min(), hi.min())), float(max(lo.max(), hi.max())))
-        return np.interp(hi, self._gx, self._anti) - np.interp(lo, self._gx, self._anti)
+        return _grid_integrals(self._gx, self._gy, lo, hi)
 
 
 def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
@@ -238,11 +277,12 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
 
     The one place where the rule is chosen: the odds object's own
     ``integral_many`` when it has one (closed forms for analytic odds;
-    for fitted odds the same two rules as below, computed from binned
-    or factorised kernel sums); with no covariates (``l`` None or
-    empty), a trapezoid antiderivative on a dense grid; otherwise
-    composite Simpson on ``SIMPSON_NODES`` fixed nodes per interval.
-    Swapping the limits flips the sign.
+    for fitted odds a trapezoid antiderivative on ``ANTIDERIV_GRID``
+    shared nodes, with one column of node odds per unit when there are
+    covariates); with no covariates (``l`` None or empty), a trapezoid
+    antiderivative on the same grid; otherwise, for analytic odds with
+    covariates, composite Simpson on ``SIMPSON_NODES`` fixed nodes per
+    interval. Swapping the limits flips the sign.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -257,11 +297,6 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
     x = lo[:, None] + (hi - lo)[:, None] * _SIMPSON_T[None, :]
     l_rep = np.repeat(np.asarray(l, dtype=float), SIMPSON_NODES, axis=0)
     vals = np.asarray(nu(x.ravel(), l_rep)).reshape(n, SIMPSON_NODES)
-    return _simpson_sum(vals, lo, hi)
-
-
-def _simpson_sum(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Composite Simpson from values at the ``SIMPSON_NODES`` nodes, (n, nodes)."""
     return (vals @ _SIMPSON_W) * (hi - lo) / (3.0 * (SIMPSON_NODES - 1))
 
 
@@ -505,48 +540,62 @@ class NuFn:
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
 
-        Without covariates, the trapezoid antiderivative on
-        ``ANTIDERIV_GRID`` nodes that :func:`integrate_nu_many` builds
-        for any odds function, with the regression's sums at the nodes
-        taken from linearly binned training x (:func:`_binned_nw_sums`)
-        when that is cheaper than the dense sums. With covariates, the
-        same composite Simpson rule on the same nodes as the generic
-        path, computed from the factorised product kernel K(x) C(l):
-        each unit's covariate weights C are formed once and reused at all
-        its nodes, and one batched product with [C a, C] gives the
-        regression's numerator and denominator at every node.
+        A trapezoid antiderivative on ``ANTIDERIV_GRID`` equally spaced
+        nodes spanning the call's endpoints, as :func:`integrate_nu_many`
+        builds for any odds function without covariates. Without
+        covariates the regression's sums at the nodes are taken from
+        linearly binned training x (:func:`_binned_nw_sums`) when that is
+        cheaper than the dense sums. With covariates each unit has its own
+        column of node odds, from the factorised product kernel K(x) C(l):
+        the x-weights at the nodes are formed once per chunk of k units
+        (once per call while the (G, 2k) sums and the (m, 2k) weights
+        [C a, C] fit ``_CHUNK_BUDGET``: 256 units for m <= G), each unit's
+        covariate weights C once, and one matrix product with [C a, C]
+        gives every unit's numerator and denominator at every node.
         """
-        if self.p == 0:
-            return GridAntiderivative(self._node_odds).integrate(lo, hi)
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        l = np.asarray(l, dtype=float)
+        if self.p == 0:
+            return GridAntiderivative(self._node_odds).integrate(lo, hi)
         n = lo.shape[0]
-        m = self.z.shape[0]
-        x_train = self.z[:, :1]
-        # Whole intervals per chunk while their node weights fit the
-        # budget; past that, one interval with its nodes in pieces.
-        node_step = min(SIMPSON_NODES, _row_chunk(m))
-        step = max(1, _row_chunk(m) // SIMPSON_NODES)
+        if n == 0:
+            return np.zeros(0)
+        l = np.asarray(l, dtype=float)
+        nodes = _grid_nodes(float(min(lo.min(), hi.min())), float(max(lo.max(), hi.max())),
+                            ANTIDERIV_GRID)
+        # Units per chunk: their (G, 2k) sums and (m, 2k) weights fit the
+        # budget.
+        step = _row_chunk(2 * max(nodes.shape[0], self.z.shape[0]))
         out = np.empty(n)
         for start in range(0, n, step):
             sl = slice(start, start + step)
-            c = _product_weights(l[sl], self.z[:, 1:], self.h[1:], self.kernel)
-            ca = np.stack([c * self.a, c], axis=2)
-            x = lo[sl, None] + (hi[sl] - lo[sl])[:, None] * _SIMPSON_T[None, :]
-            nd = np.empty(x.shape + (2,))
-            for s0 in range(0, SIMPSON_NODES, node_step):
-                xs = x[:, s0:s0 + node_step]
-                kx = _product_weights(xs.reshape(-1, 1), x_train, self.h[:1], self.kernel)
-                nd[:, s0:s0 + node_step] = np.matmul(kx.reshape(xs.shape + (m,)), ca)
-            out[sl] = _simpson_sum(self._odds(nd[..., 0], nd[..., 1]), lo[sl], hi[sl])
+            nd = self._node_sums(nodes, l[sl])
+            k = nd.shape[1] // 2
+            out[sl] = _grid_integrals(nodes, self._odds(nd[:, :k], nd[:, k:]), lo[sl], hi[sl])
         return out
+
+    def _node_sums(self, nodes, l):
+        """The regression's numerators (first k columns) and denominators
+        (last k) at every node for each of the k covariate rows of l.
+
+        The x-weights are formed in blocks of nodes that fill an eighth
+        of the budget, so a block and its temporaries stay well below it.
+        """
+        c = _product_weights(l, self.z[:, 1:], self.h[1:], self.kernel)
+        ca = np.concatenate([c * self.a, c]).T
+        rows = _row_chunk(8 * self.z.shape[0])
+        nd = np.empty((nodes.shape[0], ca.shape[1]))
+        for r in range(0, nodes.shape[0], rows):
+            kx = _product_weights(nodes[r:r + rows, None], self.z[:, :1], self.h[:1],
+                                  self.kernel)
+            np.matmul(kx, ca, out=nd[r:r + rows])
+        return nd
 
     def _odds(self, num, denom):
         """Odds of the clipped regression num / denom."""
-        pr = np.clip(_nw_ratio(num, denom, float(self.a.mean())),
-                     self.eps_clip, 1.0 - self.eps_clip)
-        return pr / (1.0 - pr)
+        pr = _nw_ratio(num, denom, float(self.a.mean()))
+        np.clip(pr, self.eps_clip, 1.0 - self.eps_clip, out=pr)
+        return np.divide(pr, 1.0 - pr, out=pr)
 
     def _node_odds(self, nodes):
         """Odds at equally spaced nodes, p = 0."""

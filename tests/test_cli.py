@@ -175,7 +175,11 @@ class TestExitCodes:
         ["simulate", "--dgp", "did", "--pi", "0"],
         ["validate", "--dgp", "did", "--h", "0"],
         ["validate", "--dgp", "did", "--perturbations", "-1"],
-    ], ids=["mc-reps-1", "pi-1.5", "pi-0", "h-0", "perturbations-negative"])
+        ["simulate", "--dgp", "did", "--n", "-5"],
+        ["coverage", "--dgp", "did", "--n", "-5"],
+        ["validate", "--dgp", "did", "--mc-size", "-5"],
+    ], ids=["mc-reps-1", "pi-1.5", "pi-0", "h-0", "perturbations-negative", "simulate-n-negative",
+            "coverage-n-negative", "mc-size-negative"])
     def test_bad_run_values_exit_2_before_any_work(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         if argv[0] == "simulate":

@@ -418,9 +418,35 @@ class TestOddsBandwidthRule:
         assert peak < 32 * 2 ** 20
 
 
+class TestGridIntegrals:
+    """The shared trapezoid antiderivative: its interpolation is np.interp's,
+    bit for bit, column by column."""
+
+    @staticmethod
+    def reference(gx, gy, lo, hi):
+        anti = np.concatenate([[0.0], np.cumsum(0.5 * (gy[1:] + gy[:-1]) * np.diff(gx))])
+        return np.interp(hi, gx, anti) - np.interp(lo, gx, anti)
+
+    def test_matches_np_interp_on_and_next_to_the_nodes(self):
+        # Scaled offsets of points on or one ulp off a node land in the cell
+        # below or above np.interp's on both sides for these bounds.
+        rng = np.random.default_rng(3)
+        gx = nuisance._grid_nodes(-1.7, 2.3, nuisance.ANTIDERIV_GRID)
+        on = gx[1:-1]
+        ends = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                               rng.uniform(-1.7, 2.3, 300)])
+        lo, hi = ends, rng.permutation(ends)
+        gy = np.exp(rng.standard_normal((gx.shape[0], 4)))
+        assert_array_equal(nuisance._grid_integrals(gx, gy[:, 0], lo, hi),
+                           self.reference(gx, gy[:, 0], lo, hi))
+        got = nuisance._grid_integrals(gx, gy, lo[:4], hi[:4])
+        for i in range(4):
+            assert got[i] == self.reference(gx, gy[:, i], lo[i:i + 1], hi[i:i + 1])[0]
+
+
 class TestFactorisedOddsIntegral:
-    """NuFn.integral_many with covariates against generic Simpson over
-    the odds evaluated at every node."""
+    """NuFn.integral_many with covariates: the trapezoid antiderivative on
+    ANTIDERIV_GRID shared nodes, one column of node odds per unit."""
 
     @staticmethod
     def fitted(p, kernel, eps_clip=0.01, m=300, seed=41):
@@ -432,37 +458,72 @@ class TestFactorisedOddsIntegral:
         return fit_nu(x, l, a, kernel=kernel, eps_clip=eps_clip), rng
 
     @staticmethod
-    def generic(nu, lo, hi, l):
-        return integrate_nu_many(lo, hi, l, nu.__call__)
+    def dense(nu, lo, hi, l, nodes=8 * nuisance.ANTIDERIV_GRID + 1):
+        """Composite Simpson on ``nodes`` nodes per interval, over the odds
+        regression evaluated directly at every node."""
+        w = np.ones(nodes)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        t = np.linspace(0.0, 1.0, nodes)
+        out = np.empty(lo.shape[0])
+        for i in range(lo.shape[0]):
+            vals = nu.evaluate_many(lo[i] + (hi[i] - lo[i]) * t,
+                                    np.broadcast_to(l[i], (nodes, l.shape[1])))
+            out[i] = (vals @ w) * (hi[i] - lo[i]) / (3.0 * (nodes - 1))
+        return out
+
+    # The Epanechnikov regression jumps wherever a training point enters
+    # or leaves the compact window, by up to 0.95 in the odds on these
+    # intervals, so every rule is off by about the jump times its node
+    # spacing there: measured 4.6e-4 for the grid and 2.8e-3 for per-unit
+    # Simpson on 257 nodes, against 131073 nodes. The Gaussian odds are
+    # smooth: measured at most 6.8e-7.
+    DENSE_ATOL = {"gaussian": 1e-5, "epanechnikov": 1e-3}
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("p", [1, 2])
-    def test_matches_generic_simpson(self, p, kernel):
+    def test_matches_a_dense_reference(self, p, kernel):
+        # One interval spans every endpoint; one of length 1e-3 lies inside
+        # a single grid cell, where the cell's trapezoid average stands in
+        # for the odds along it (measured at most 2.6e-4 relative).
         nu, rng = self.fitted(p, kernel)
+        lo = rng.uniform(-2.0, 1.0, 4)
+        hi = lo + rng.uniform(-1.5, 2.0, 4)
+        lo[0], hi[0] = min(lo.min(), hi.min()), max(lo.max(), hi.max())
+        lo[1], hi[1] = 0.3, 0.3 + 1e-3
+        l = rng.standard_normal((4, p))
+        got = nu.integral_many(lo, hi, l)
+        want = self.dense(nu, lo, hi, l)
+        assert_allclose(got, want, rtol=0, atol=self.DENSE_ATOL[kernel])
+        assert got[1] == pytest.approx(want[1], rel=2e-3, abs=0)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self, kernel):
+        nu, rng = self.fitted(2, kernel)
         lo = rng.uniform(-2.0, 1.0, 25)
         hi = lo + rng.uniform(-1.5, 2.0, 25)
         hi[:3] = lo[:3]
-        l = rng.standard_normal((25, p))
+        l = rng.standard_normal((25, 2))
         got = nu.integral_many(lo, hi, l)
-        assert_allclose(got, self.generic(nu, lo, hi, l), rtol=1e-12, atol=0)
         assert_array_equal(got[:3], 0.0)
         assert (got[hi < lo] < 0).all() and (got[hi > lo] > 0).all()
-        assert_allclose(nu.integral_many(hi, lo, l), -got, rtol=1e-12, atol=0)
-        assert_allclose(nu.integral_many(hi, lo, l), self.generic(nu, hi, lo, l),
-                        rtol=1e-12, atol=0)
+        assert_array_equal(nu.integral_many(hi, lo, l), -got)
 
-    @pytest.mark.parametrize("budget", [3000, 300_000])
+    # 3000 elements give one grid row per x-weight block and one unit per
+    # chunk; 20_000 blocks of 8 rows and chunks of 4 units; 300_000
+    # blocks of 125 rows and all 7 units in one chunk.
+    @pytest.mark.parametrize("budget", [3000, 20_000, 300_000])
     def test_chunking_does_not_change_the_result(self, monkeypatch, budget):
-        # 3000 elements split one interval's nodes into pieces of 10 rows;
-        # 300_000 fit three whole intervals per chunk.
-        nu, rng = self.fitted(2, "gaussian")
-        lo = rng.uniform(-2.0, 1.0, 7)
-        hi = lo + rng.uniform(-1.5, 2.0, 7)
-        l = rng.standard_normal((7, 2))
-        want = nu.integral_many(lo, hi, l)
-        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
-        # Products of other shapes may round differently in the last bit.
-        assert_allclose(nu.integral_many(lo, hi, l), want, rtol=1e-12, atol=0)
+        for kernel in KERNELS:
+            nu, rng = self.fitted(2, kernel)
+            lo = rng.uniform(-2.0, 1.0, 7)
+            hi = lo + rng.uniform(-1.5, 2.0, 7)
+            l = rng.standard_normal((7, 2))
+            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 1 << 30)
+            want = nu.integral_many(lo, hi, l)
+            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
+            # Products of other shapes may round differently in the last bit.
+            assert_allclose(nu.integral_many(lo, hi, l), want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_empty_input(self, kernel):
@@ -477,7 +538,6 @@ class TestFactorisedOddsIntegral:
         l = np.full((2, p), 1e3)
         pr = np.clip(nu.a.mean(), nu.eps_clip, 1.0 - nu.eps_clip)
         got = nu.integral_many(lo, hi, l)
-        assert_allclose(got, self.generic(nu, lo, hi, l), rtol=1e-12, atol=0)
         assert_allclose(got, pr / (1.0 - pr) * (hi - lo), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -494,19 +554,21 @@ class TestFactorisedOddsIntegral:
         lo, hi = np.array([1.0, -1.0]), np.array([2.0, -2.0])
         lq = np.zeros((2, p))
         got = nu.integral_many(lo, hi, lq)
-        assert_allclose(got, self.generic(nu, lo, hi, lq), rtol=1e-12, atol=0)
         assert_allclose(got, np.array([0.95 / 0.05, 0.05 / 0.95]) * (hi - lo),
                         rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_peak_memory_stays_bounded(self, kernel):
-        # Peaks near 16 MiB. A (Q, m, d) weight tensor peaked at 367 MiB
-        # (Gaussian) and 550 MiB (Epanechnikov), and 8M-element chunks of
-        # node weights at 63 MiB.
+        # 600 units make two chunks of 256 and one of 88, and the
+        # (ANTIDERIV_GRID, m) x-weights are split into blocks. Peaks near
+        # 23 MiB, while the next chunk's (G, 512) sums are formed before the
+        # last chunk's are freed. A (Q, m, d) weight tensor peaked at
+        # 367 MiB (Gaussian) and 550 MiB (Epanechnikov), and 8M-element
+        # chunks of per-unit Simpson node weights at 63 MiB.
         nu, rng = self.fitted(2, kernel, m=800)
-        lo = rng.uniform(-2.0, 1.0, 40)
-        hi = lo + rng.uniform(0.5, 2.0, 40)
-        l = rng.standard_normal((40, 2))
+        lo = rng.uniform(-2.0, 1.0, 600)
+        hi = lo + rng.uniform(0.5, 2.0, 600)
+        l = rng.standard_normal((600, 2))
         tracemalloc.start()
         try:
             nu.integral_many(lo, hi, l)
