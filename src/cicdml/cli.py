@@ -25,7 +25,6 @@ from .data_model import EstimandSpec, PanelDataset, validate
 from .dgp import DGP_NAMES, StmConfig, gen_stm, named_config, qq_invariance_diagnostic
 from .errors import CicError, NonBinaryTreatment, ParseError
 from .estimator import CrossFitConfig, estimate
-from .nuisance import KERNELS
 from .validation import Perturbation, coverage_study, orthogonality_check
 
 SCHEMA_VERSION = 1
@@ -125,17 +124,22 @@ class RunConfig:
     fmt: Optional[str] = None
 
 
+def _write(cfg: RunConfig, text: str) -> None:
+    """Write a report to ``--output``, or to stdout without one."""
+    if cfg.output:
+        with open(cfg.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(cfg: RunConfig, payload: dict) -> None:
     if cfg.fmt == "tsv":
         lines = [f"{k}\t{_tsv_value(v)}" for k, v in payload.items()]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, text)
 
 
 def _tsv_value(v) -> str:
@@ -202,12 +206,7 @@ def _run_validate(cfg: RunConfig) -> int:
             f"phi_prime_0={res.phi_prime_0:.3e}\tse={res.phi_prime_se:.3e}")
         failures += 0 if ok else 1
 
-    text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, "\n".join(lines) + "\n")
     return 0 if failures == 0 else 1
 
 
@@ -233,10 +232,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.subcommand == "coverage":
             return _run_coverage(cfg)
         raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CicError as exc:
+    except (CicError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -273,7 +269,6 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
                     help="plain random folds instead of arm-stratified")
     sp.add_argument("--eps-clip", type=float, default=0.01)
     sp.add_argument("--f-min", type=float, default=1e-3)
-    sp.add_argument("--kernel", choices=KERNELS, default="gaussian")
     sp.add_argument("--bandwidth", type=float, default=None)
     common(sp)
 
@@ -369,7 +364,7 @@ def _to_run_config(args: argparse.Namespace) -> RunConfig:
             estimand = EstimandSpec.qtt(args.tau)
         crossfit = CrossFitConfig(
             K=args.folds, S=args.reps, alpha=args.alpha,
-            seed=args.seed, kernel=args.kernel, bandwidth=args.bandwidth,
+            seed=args.seed, bandwidth=args.bandwidth,
             eps_clip=args.eps_clip, f_min=args.f_min,
             stratify=not args.no_stratify)
     for dest in ("n", "mc_size"):

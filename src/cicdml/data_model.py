@@ -22,8 +22,6 @@ from .errors import (
     NonFiniteValue,
 )
 
-CSV_BASE_COLUMNS = ("y0", "y1", "a")
-
 DEFAULT_MIN_STRATUM = 10
 
 
@@ -62,16 +60,6 @@ class PanelDataset:
             l = l.reshape(-1, 1)
         object.__setattr__(self, "l", _readonly(l))
 
-    @classmethod
-    def from_arrays(cls, y0, y1, a, l=None) -> "PanelDataset":
-        """Build and validate a dataset; ``l=None`` means no covariates."""
-        y0 = np.asarray(y0, dtype=float)
-        if l is None:
-            l = np.empty((len(y0), 0))
-        ds = cls(y0=y0, y1=np.asarray(y1, dtype=float), a=np.asarray(a), l=l)
-        validate(ds)
-        return ds
-
     @property
     def n(self) -> int:
         return self.y0.shape[0]
@@ -79,9 +67,6 @@ class PanelDataset:
     @property
     def p(self) -> int:
         return self.l.shape[1]
-
-    def treated_mask(self) -> np.ndarray:
-        return self.a == 1
 
     def transform_outcomes(self, fn) -> "PanelDataset":
         """Apply a strictly increasing map to all outcomes (both periods)."""
@@ -170,7 +155,6 @@ class FoldAssignment:
 
     fold_of: np.ndarray
     K: int
-    stratified: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "fold_of", _readonly(np.asarray(self.fold_of, dtype=int)))
@@ -221,7 +205,7 @@ def partition_folds(
     if stratify_on is None:
         order = rng.permutation(n)
         fold_of[order] = np.arange(n) % K
-        return FoldAssignment(fold_of=fold_of, K=K, stratified=False)
+        return FoldAssignment(fold_of=fold_of, K=K)
 
     strat = np.asarray(stratify_on)
     if strat.shape != (n,):
@@ -242,4 +226,4 @@ def partition_folds(
                 f"hold fewer than min_stratum={min_stratum}; lower K or "
                 "min_stratum, or disable stratification"
             )
-    return FoldAssignment(fold_of=fold_of, K=K, stratified=True)
+    return FoldAssignment(fold_of=fold_of, K=K)

@@ -292,8 +292,6 @@ class OracleTruth:
 
     gamma_true: AnalyticGamma
     att_true: float
-    nu_available: bool = True
-    mc_size: int = 1_000_000
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -345,7 +343,7 @@ def gen_stm(cfg: StmConfig) -> tuple[PanelDataset, OracleTruth]:
         _, _, a_mc, _, y1u_mc = _draw(cfg, cfg.mc_size, mc_rng)
         treated = a_mc == 1
         att = float(np.mean(_apply_effect(cfg, y1u_mc[treated]) - y1u_mc[treated]))
-    truth = OracleTruth(gamma_true=AnalyticGamma(cfg), att_true=att, mc_size=cfg.mc_size)
+    truth = OracleTruth(gamma_true=AnalyticGamma(cfg), att_true=att)
     return data, truth
 
 
@@ -405,8 +403,7 @@ class _McNu:
             query = np.column_stack([x_arr, l_arr])
         else:
             query = x_arr.reshape(-1, 1)
-        pr = _nw_mean(query, self._z, self._a, self._h, "gaussian",
-                      fallback=float(self._a.mean()))
+        pr = _nw_mean(query, self._z, self._a, self._h, fallback=float(self._a.mean()))
         pr = np.clip(pr, 1e-6, 1.0 - 1e-6)
         out = pr / (1.0 - pr)
         return float(out[0]) if np.isscalar(x) else out
@@ -423,8 +420,8 @@ def true_nuisances(cfg: StmConfig, method: str = "auto",
     (default ``cfg.mc_size``), kept as an independent cross-check of the
     analytic route.
     """
-    if method not in ("auto", "analytic", "mc"):
-        raise ValueError("method must be auto, analytic or mc")
+    if method not in ("auto", "mc"):
+        raise ValueError("method must be auto or mc")
     gamma = AnalyticGamma(cfg)
     pi = true_pi(cfg)
     if method == "mc":

@@ -52,17 +52,17 @@ class CrossFitConfig:
     """Settings for the cross-fitted estimator.
 
     K folds, S repetitions, confidence level alpha, master seed,
-    nuisance options (kernel, bandwidth, propensity clip, density
-    floor), and whether folds are stratified by treatment arm. A
-    ``bandwidth`` is used for every kernel coordinate; None keeps each
-    nuisance fit's own rule (see :func:`cicdml.nuisance.fit_nu`).
+    nuisance options (bandwidth, propensity clip, density floor), and
+    whether folds are stratified by treatment arm. Every nuisance uses
+    the Gaussian product kernel. A ``bandwidth`` is used for every
+    kernel coordinate; None keeps each nuisance fit's own rule (see
+    :func:`cicdml.nuisance.fit_nu`).
     """
 
     K: int = 5
     S: int = 1
     alpha: float = 0.05
     seed: int = 0
-    kernel: str = "gaussian"
     bandwidth: Optional[float] = None
     eps_clip: float = DEFAULT_EPS_CLIP
     f_min: float = DEFAULT_F_MIN
@@ -160,20 +160,19 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
 
     ctrl = a == 0
     l_ctrl = None if l is None else l[ctrl]
-    cdf0 = fit_cond_cdf(y0[ctrl], l_ctrl, kernel=cfg.kernel, bandwidth=cfg.bandwidth)
-    quant1 = fit_cond_quantile(y1[ctrl], l_ctrl, kernel=cfg.kernel, bandwidth=cfg.bandwidth)
+    cdf0 = fit_cond_cdf(y0[ctrl], l_ctrl, bandwidth=cfg.bandwidth)
+    quant1 = fit_cond_quantile(y1[ctrl], l_ctrl, bandwidth=cfg.bandwidth)
     gamma = compose_gamma(cdf0, quant1)
 
     x_train = gamma(y0, l)
-    nu = fit_nu(x_train, l, a, kernel=cfg.kernel, bandwidth=cfg.bandwidth,
-                eps_clip=cfg.eps_clip)
+    nu = fit_nu(x_train, l, a, bandwidth=cfg.bandwidth, eps_clip=cfg.eps_clip)
     pi = estimate_pi(a)
 
     dens_y1 = dens_gamma = None
     if need_densities:
         treated = a == 1
-        dens_y1 = fit_density(y1[treated], kernel=cfg.kernel, f_min=cfg.f_min)
-        dens_gamma = fit_density(x_train[treated], kernel=cfg.kernel, f_min=cfg.f_min)
+        dens_y1 = fit_density(y1[treated], f_min=cfg.f_min)
+        dens_gamma = fit_density(x_train[treated], f_min=cfg.f_min)
     return NuisanceSet(gamma=gamma, nu=nu, pi=pi,
                        dens_y1_treated=dens_y1, dens_gamma_treated=dens_gamma)
 
@@ -458,42 +457,37 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
 # ---------------------------------------------------------------------------
 
 
-def _fit_full_gamma(data: PanelDataset, kernel: str, bandwidth):
+def _fit_full_gamma(data: PanelDataset, bandwidth):
     a = data.a
     if (a == 1).sum() == 0 or (a == 0).sum() == 0:
         raise DegenerateArm("plug-in estimators need both treatment arms")
     ctrl = a == 0
     l_ctrl = _l_or_none(data)[ctrl] if data.p else None
-    cdf0 = fit_cond_cdf(data.y0[ctrl], l_ctrl, kernel=kernel, bandwidth=bandwidth)
-    quant1 = fit_cond_quantile(data.y1[ctrl], l_ctrl, kernel=kernel, bandwidth=bandwidth)
+    cdf0 = fit_cond_cdf(data.y0[ctrl], l_ctrl, bandwidth=bandwidth)
+    quant1 = fit_cond_quantile(data.y1[ctrl], l_ctrl, bandwidth=bandwidth)
     return compose_gamma(cdf0, quant1)
 
 
-def plugin_att(data: PanelDataset, kernel: str = "gaussian", bandwidth=None) -> float:
-    """Direct plug-in of the identification formula: fit the transport map
-    on all controls and average y1 minus the transported y0 over the
-    treated. No cross-fitting, no interval."""
-    gamma = _fit_full_gamma(data, kernel, bandwidth)
-    treated = data.a == 1
-    g = gamma(data.y0[treated], _l_or_none(data)[treated] if data.p else None)
-    return float(np.mean(data.y1[treated] - g))
-
-
-def imputed_counterfactuals(data: PanelDataset, kernel: str = "gaussian",
-                            bandwidth=None) -> np.ndarray:
+def imputed_counterfactuals(data: PanelDataset, bandwidth=None) -> np.ndarray:
     """Transported baseline outcomes of the treated units (their imputed
     untreated period-1 outcomes)."""
-    gamma = _fit_full_gamma(data, kernel, bandwidth)
+    gamma = _fit_full_gamma(data, bandwidth)
     treated = data.a == 1
     return np.asarray(gamma(data.y0[treated],
                             _l_or_none(data)[treated] if data.p else None))
 
 
-def plugin_cdt(data: PanelDataset, y: float, kernel: str = "gaussian",
-               bandwidth=None) -> float:
+def plugin_att(data: PanelDataset, bandwidth=None) -> float:
+    """Direct plug-in of the identification formula: fit the transport map
+    on all controls and average y1 minus the transported y0 over the
+    treated. No cross-fitting, no interval."""
+    return float(np.mean(data.y1[data.a == 1] - imputed_counterfactuals(data, bandwidth)))
+
+
+def plugin_cdt(data: PanelDataset, y: float, bandwidth=None) -> float:
     """Plug-in counterfactual distribution at y: the share of treated units
     whose transported baseline outcome falls strictly below y."""
-    g = imputed_counterfactuals(data, kernel=kernel, bandwidth=bandwidth)
+    g = imputed_counterfactuals(data, bandwidth=bandwidth)
     return float(np.mean(g < y))
 
 
@@ -503,13 +497,12 @@ def _empirical_quantile(samples: np.ndarray, tau: float) -> float:
     return float(s[min(max(idx, 0), s.shape[0] - 1)])
 
 
-def plugin_qtt(data: PanelDataset, tau: float, kernel: str = "gaussian",
-               bandwidth=None) -> float:
+def plugin_qtt(data: PanelDataset, tau: float, bandwidth=None) -> float:
     """Plug-in quantile treatment effect on the treated: the empirical
     tau-quantile of treated y1 minus the generalized inverse of the
     plug-in counterfactual distribution curve."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    g = imputed_counterfactuals(data, kernel=kernel, bandwidth=bandwidth)
+    g = imputed_counterfactuals(data, bandwidth=bandwidth)
     treated_q = _empirical_quantile(data.y1[data.a == 1], tau)
     return treated_q - _empirical_quantile(g, tau)

@@ -7,7 +7,9 @@ treatment probability ``pi`` — plus the outcome densities needed by
 quantile-type targets. Estimators are kernel-based: Nadaraya-Watson
 smoothing over covariates with Silverman-type per-coordinate bandwidths.
 With no covariates they reduce exactly to the empirical CDF, empirical
-quantile, and sample means.
+quantile, and sample means. Every kernel is the Gaussian product kernel
+exp(-D / 2), with D the summed squared scaled distances over the
+coordinates (:func:`_sq_distances`).
 
 With covariates, the odds regression's Silverman bandwidths, whose
 one-dimensional rate m^(-1/5) undersmooths a regression on x and p
@@ -48,12 +50,11 @@ _CHUNK_BUDGET = 1 << 20
 DEFAULT_EPS_CLIP = 0.01
 DEFAULT_F_MIN = 1e-3
 
-KERNELS = ("gaussian", "epanechnikov")
 # Scaled distance |u| past which the float64 kernel weight is exactly 0.0:
 # exp(-u^2 / 2) underflows to zero from u = 38.604 on. Binned kernel sums
 # cut their taps there and nowhere nearer, so sparse tails keep every
 # weight the dense sums see.
-_KERNEL_REACH = {"gaussian": 38.61, "epanechnikov": 1.0}
+_KERNEL_REACH = 38.61
 # Binned kernel sums are used while their taps per node number at most
 # this many per training point, about where both cost the same: a tap
 # costs two multiply-adds in np.convolve, a dense weight an exp and
@@ -87,12 +88,6 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     return h
 
 
-def _check_kernel(kernel: str) -> str:
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-    return kernel
-
-
 def _bandwidth_vector(x: np.ndarray, bandwidth) -> np.ndarray:
     """Per-coordinate bandwidths for the columns of x (m, d)."""
     d = x.shape[1]
@@ -108,34 +103,27 @@ def _bandwidth_vector(x: np.ndarray, bandwidth) -> np.ndarray:
     return h
 
 
-def _product_weights(query: np.ndarray, train: np.ndarray, h: np.ndarray, kernel: str) -> np.ndarray:
-    """Unnormalized product-kernel weights, shape (Q, m). d = 0 gives ones.
-
-    One (Q, m) buffer per coordinate: the Gaussian sums the squared
-    scaled distances before one exp, the Epanechnikov multiplies the
-    per-coordinate factors max(0, 1 - u^2) and scales by 0.75^d.
-    """
-    d = train.shape[1]
-    if d == 0:
-        return np.ones((query.shape[0], train.shape[0]))
-    acc = None
-    for j in range(d):
-        u = (query[:, j, None] - train[None, :, j]) / h[j]
+def _sq_distances(query: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Summed squared scaled distances sum_j ((q_j - t_j) / h_j)^2, shape
+    (Q, m), in at most two (Q, m) buffers. d = 0 gives zeros."""
+    acc = u = None
+    for j in range(train.shape[1]):
+        u = np.subtract(query[:, j, None], train[None, :, j], out=u)
+        u /= h[j]
         u *= u
-        if kernel != "gaussian":
-            np.subtract(1.0, u, out=u)
-            np.clip(u, 0.0, None, out=u)
         if acc is None:
-            acc = u
-        elif kernel == "gaussian":
-            acc += u
+            acc, u = u, None
         else:
-            acc *= u
-    if kernel == "gaussian":
-        acc *= -0.5
-        return np.exp(acc, out=acc)
-    acc *= 0.75 ** d
-    return acc
+            acc += u
+    return np.zeros((query.shape[0], train.shape[0])) if acc is None else acc
+
+
+def _product_weights(query: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Unnormalized Gaussian product-kernel weights exp(-D / 2), shape
+    (Q, m), with D from :func:`_sq_distances`. d = 0 gives ones."""
+    w = _sq_distances(query, train, h)
+    w *= -0.5
+    return np.exp(w, out=w)
 
 
 def _nw_ratio(num, denom, fallback):
@@ -145,18 +133,18 @@ def _nw_ratio(num, denom, fallback):
                      where=denom > 1e-300)
 
 
-def _nw_mean(query, train, resp, h, kernel, fallback):
+def _nw_mean(query, train, resp, h, fallback):
     """Chunked Nadaraya-Watson regression of resp on train, at query rows."""
     out = np.empty(query.shape[0])
     step = _row_chunk(train.shape[0])
     for start in range(0, query.shape[0], step):
         sl = slice(start, start + step)
-        w = _product_weights(query[sl], train, h, kernel)
+        w = _product_weights(query[sl], train, h)
         out[sl] = _nw_ratio(w @ resp, w.sum(axis=1), fallback)
     return out
 
 
-def _binned_nw_sums(nodes, x, resp, h, kernel):
+def _binned_nw_sums(nodes, x, resp, h):
     """One-dimensional Nadaraya-Watson numerator and denominator at
     equally spaced nodes, from linearly binned training points (Wand 1994;
     Fan & Marron 1994); None when the dense sums are cheaper.
@@ -173,14 +161,14 @@ def _binned_nw_sums(nodes, x, resp, h, kernel):
     R = ANTIDERIV_REFINE
     n_nodes = nodes.shape[0]
     delta = (nodes[-1] - nodes[0]) / (R * (n_nodes - 1))
-    reach = _KERNEL_REACH[kernel] * h / delta           # in bins; weight 0 beyond
+    reach = _KERNEL_REACH * h / delta                   # in bins; weight 0 beyond
     if not 2.0 * reach <= _TAPS_PER_POINT * x.shape[0]:  # NaN too
         return None
     S = int(reach) // R + 2                             # taps per side and phase
     s = np.arange(-S, S + 1)
     offsets = (R * s[None, :] - np.arange(R)[:, None]) * delta
-    taps = _product_weights(offsets.reshape(-1, 1), np.zeros((1, 1)), np.array([h]),
-                            kernel).reshape(R, 2 * S + 1)
+    taps = _product_weights(offsets.reshape(-1, 1), np.zeros((1, 1)),
+                            np.array([h])).reshape(R, 2 * S + 1)
     n_bins = R * (n_nodes + 2 * S)
     t = np.clip((x - nodes[0]) / delta + R * S, -1.0, float(n_bins))
     lower = np.floor(t)
@@ -196,11 +184,13 @@ def _binned_nw_sums(nodes, x, resp, h, kernel):
     return num, denom
 
 
-def _grid_nodes(lo: float, hi: float, n_grid: int) -> np.ndarray:
-    """Equally spaced antiderivative nodes over [lo, hi], padded on each
-    side by 5% of its width."""
-    pad = 1e-9 + 0.05 * max(hi - lo, 1e-12)
-    return np.linspace(lo - pad, hi + pad, n_grid)
+def _grid_nodes(lo, hi, n_grid: int) -> np.ndarray:
+    """Equally spaced antiderivative nodes spanning every endpoint in lo
+    and hi (scalars or arrays), padded on each side by 5% of the span."""
+    start = float(min(np.min(lo), np.min(hi)))
+    stop = float(max(np.max(lo), np.max(hi)))
+    pad = 1e-9 + 0.05 * max(stop - start, 1e-12)
+    return np.linspace(start - pad, stop + pad, n_grid)
 
 
 def _grid_integrals(gx: np.ndarray, gy: np.ndarray, lo: np.ndarray,
@@ -239,39 +229,6 @@ def _grid_integrals(gx: np.ndarray, gy: np.ndarray, lo: np.ndarray,
     return at(hi) - at(lo)
 
 
-class GridAntiderivative:
-    """Cached trapezoid antiderivative of a smooth one-dimensional map.
-
-    Built lazily over the requested endpoint range (with padding) and
-    rebuilt on the union range if later requests exceed it; signed
-    integrals reduce to two interpolations (:func:`_grid_integrals`).
-    """
-
-    def __init__(self, fn, n_grid: int = ANTIDERIV_GRID):
-        self.fn = fn
-        self.n_grid = n_grid
-        self._gx = None
-        self._gy = None
-
-    def cover(self, lo: float, hi: float):
-        """Make the grid span [lo, hi], building or widening it as needed."""
-        if self._gx is not None:
-            if self._gx[0] <= lo and hi <= self._gx[-1]:
-                return
-            lo = min(lo, float(self._gx[0]))
-            hi = max(hi, float(self._gx[-1]))
-        self._gx = _grid_nodes(lo, hi, self.n_grid)
-        self._gy = np.asarray(self.fn(self._gx))
-
-    def integrate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.size == 0:
-            return np.zeros(0)
-        self.cover(float(min(lo.min(), hi.min())), float(max(lo.max(), hi.max())))
-        return _grid_integrals(self._gx, self._gy, lo, hi)
-
-
 def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
     """Signed integrals of the odds over per-unit intervals [lo_i, hi_i].
 
@@ -293,7 +250,8 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
     if own is not None:
         return own(lo, hi, l)
     if l is None or np.asarray(l).size == 0:
-        return GridAntiderivative(lambda gx: nu(gx, None)).integrate(lo, hi)
+        nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
+        return _grid_integrals(nodes, np.asarray(nu(nodes, None)), lo, hi)
     x = lo[:, None] + (hi - lo)[:, None] * _SIMPSON_T[None, :]
     l_rep = np.repeat(np.asarray(l, dtype=float), SIMPSON_NODES, axis=0)
     vals = np.asarray(nu(x.ravel(), l_rep)).reshape(n, SIMPSON_NODES)
@@ -319,7 +277,6 @@ class CondCdf:
     y_sorted: np.ndarray
     l_by_y: np.ndarray
     h: np.ndarray
-    kernel: str = "gaussian"
 
     @property
     def m(self) -> int:
@@ -330,7 +287,7 @@ class CondCdf:
         return self.l_by_y.shape[1]
 
     def _weights(self, l_query: np.ndarray) -> np.ndarray:
-        return _product_weights(l_query, self.l_by_y, self.h, self.kernel)
+        return _product_weights(l_query, self.l_by_y, self.h)
 
     def evaluate_many(self, y: np.ndarray, l: np.ndarray) -> np.ndarray:
         """F-hat(y_i, l_i) for paired query arrays."""
@@ -463,7 +420,7 @@ class GammaMap:
         return float(res[0]) if np.isscalar(y) else res
 
 
-def fit_cond_cdf(y, l=None, kernel: str = "gaussian", bandwidth=None) -> CondCdf:
+def fit_cond_cdf(y, l=None, bandwidth=None) -> CondCdf:
     """Fit the conditional CDF of y given l on a sample of pairs.
 
     Parameters
@@ -480,12 +437,12 @@ def fit_cond_cdf(y, l=None, kernel: str = "gaussian", bandwidth=None) -> CondCdf
     l = _as_matrix(l, y.shape[0])
     order = np.argsort(y, kind="stable")
     h = _bandwidth_vector(l, bandwidth) if l.shape[1] else np.empty(0)
-    return CondCdf(y_sorted=y[order], l_by_y=l[order], h=h, kernel=_check_kernel(kernel))
+    return CondCdf(y_sorted=y[order], l_by_y=l[order], h=h)
 
 
-def fit_cond_quantile(y, l=None, kernel: str = "gaussian", bandwidth=None) -> CondQuantile:
+def fit_cond_quantile(y, l=None, bandwidth=None) -> CondQuantile:
     """Fit the conditional quantile of y given l (inverse of a fitted CDF)."""
-    return CondQuantile(cdf=fit_cond_cdf(y, l, kernel=kernel, bandwidth=bandwidth))
+    return CondQuantile(cdf=fit_cond_cdf(y, l, bandwidth=bandwidth))
 
 
 def compose_gamma(cdf: CondCdf, quant: CondQuantile) -> GammaMap:
@@ -514,7 +471,6 @@ class NuFn:
     a: np.ndarray
     h: np.ndarray
     eps_clip: float = DEFAULT_EPS_CLIP
-    kernel: str = "gaussian"
 
     @property
     def p(self) -> int:
@@ -523,7 +479,7 @@ class NuFn:
     def propensity_many(self, x: np.ndarray, l: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         query = np.column_stack([x, l]) if self.p else x.reshape(-1, 1)
-        raw = _nw_mean(query, self.z, self.a.astype(float), self.h, self.kernel,
+        raw = _nw_mean(query, self.z, self.a.astype(float), self.h,
                        fallback=float(self.a.mean()))
         return np.clip(raw, self.eps_clip, 1.0 - self.eps_clip)
 
@@ -546,7 +502,8 @@ class NuFn:
         covariates the regression's sums at the nodes are taken from
         linearly binned training x (:func:`_binned_nw_sums`) when that is
         cheaper than the dense sums. With covariates each unit has its own
-        column of node odds, from the factorised product kernel K(x) C(l):
+        column of node odds, from the Gaussian product kernel, which
+        factorises into an outcome part and a covariate part K(x) C(l):
         the x-weights at the nodes are formed once per chunk of k units
         (once per call while the (G, 2k) sums and the (m, 2k) weights
         [C a, C] fit ``_CHUNK_BUDGET``: 256 units for m <= G), each unit's
@@ -555,14 +512,16 @@ class NuFn:
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if self.p == 0:
-            return GridAntiderivative(self._node_odds).integrate(lo, hi)
         n = lo.shape[0]
         if n == 0:
             return np.zeros(0)
+        nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
+        if self.p == 0:
+            sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
+            odds = (self.evaluate_many(nodes, np.empty((nodes.shape[0], 0))) if sums is None
+                    else self._odds(*sums))
+            return _grid_integrals(nodes, odds, lo, hi)
         l = np.asarray(l, dtype=float)
-        nodes = _grid_nodes(float(min(lo.min(), hi.min())), float(max(lo.max(), hi.max())),
-                            ANTIDERIV_GRID)
         # Units per chunk: their (G, 2k) sums and (m, 2k) weights fit the
         # budget.
         step = _row_chunk(2 * max(nodes.shape[0], self.z.shape[0]))
@@ -581,13 +540,12 @@ class NuFn:
         The x-weights are formed in blocks of nodes that fill an eighth
         of the budget, so a block and its temporaries stay well below it.
         """
-        c = _product_weights(l, self.z[:, 1:], self.h[1:], self.kernel)
+        c = _product_weights(l, self.z[:, 1:], self.h[1:])
         ca = np.concatenate([c * self.a, c]).T
         rows = _row_chunk(8 * self.z.shape[0])
         nd = np.empty((nodes.shape[0], ca.shape[1]))
         for r in range(0, nodes.shape[0], rows):
-            kx = _product_weights(nodes[r:r + rows, None], self.z[:, :1], self.h[:1],
-                                  self.kernel)
+            kx = _product_weights(nodes[r:r + rows, None], self.z[:, :1], self.h[:1])
             np.matmul(kx, ca, out=nd[r:r + rows])
         return nd
 
@@ -597,66 +555,42 @@ class NuFn:
         np.clip(pr, self.eps_clip, 1.0 - self.eps_clip, out=pr)
         return np.divide(pr, 1.0 - pr, out=pr)
 
-    def _node_odds(self, nodes):
-        """Odds at equally spaced nodes, p = 0."""
-        sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0], self.kernel)
-        if sums is None:
-            return self.evaluate_many(nodes, np.empty((nodes.shape[0], 0)))
-        return self._odds(*sums)
 
-
-def _scaled_odds(query, train, a, h, kernel, eps_clip) -> np.ndarray:
+def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:
     """Clipped Nadaraya-Watson odds of a on train at the query rows, at
     the bandwidths s h for every s in ``ODDS_SCALES``, one row per s.
 
-    One pass over the query rows: each chunk's per-coordinate squared
-    scaled distances are formed once, and a scale only rescales them,
-    with one exp of their sum (Gaussian) or one product of the
-    per-coordinate factors (Epanechnikov). The chunk's distances fill at
-    most ``_CHUNK_BUDGET`` elements.
+    One pass over the query rows: each chunk's summed squared scaled
+    distances D (:func:`_sq_distances`) are formed once, and each scale
+    takes one exp(-D / (2 s^2)). A chunk's distances fill at most
+    ``_CHUNK_BUDGET`` / d elements.
     """
     m, d = train.shape
     fallback = float(a.mean())
     out = np.empty((len(ODDS_SCALES), query.shape[0]))
     step = _row_chunk(m * d)
     for start in range(0, query.shape[0], step):
-        q = query[start:start + step]
-        u = np.empty((d, q.shape[0], m))
-        for j in range(d):
-            np.subtract(q[:, j, None], train[None, :, j], out=u[j])
-            u[j] /= h[j]
-            u[j] *= u[j]
-        if kernel == "gaussian":
-            u = u.sum(axis=0)
-        w = np.empty(u.shape[-2:])
-        tmp = np.empty_like(w)
+        dist = _sq_distances(query[start:start + step], train, h)
+        w = np.empty_like(dist)
         for k, s in enumerate(ODDS_SCALES):
-            if kernel == "gaussian":
-                np.exp(np.multiply(u, -0.5 / (s * s), out=w), out=w)
-            else:
-                # Each factor max(0, 1 - u / s^2) as max(0, s^2 - u) / s^2.
-                np.maximum(np.subtract(s * s, u[0], out=w), 0.0, out=w)
-                for j in range(1, d):
-                    w *= np.maximum(np.subtract(s * s, u[j], out=tmp), 0.0, out=tmp)
-                w *= (0.75 / (s * s)) ** d
+            np.exp(np.multiply(dist, -0.5 / (s * s), out=w), out=w)
             pr = np.clip(_nw_ratio(w @ a, w.sum(axis=1), fallback), eps_clip, 1.0 - eps_clip)
             out[k, start:start + step] = pr / (1.0 - pr)
     return out
 
 
-def _odds_scale(z, a, h, kernel, eps_clip) -> float:
+def _odds_scale(z, a, h, eps_clip) -> float:
     """The odds bandwidth scale of :func:`fit_nu`."""
     fit, held = slice(0, None, 2), slice(1, None, 2)
     if not all(0.0 < a[half].sum() < a[half].shape[0] for half in (fit, held)):
         return 1.0
-    nu = _scaled_odds(z[held], z[fit], a[fit], h, kernel, eps_clip)
+    nu = _scaled_odds(z[held], z[fit], a[fit], h, eps_clip)
     a_held = a[held]
     loss = ((1.0 - a_held) * nu * nu - 2.0 * a_held * nu).mean(axis=1)
     return ODDS_SCALES[int(np.argmin(loss))]
 
 
-def fit_nu(x, l, a, kernel: str = "gaussian", bandwidth=None,
-           eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
+def fit_nu(x, l, a, bandwidth=None, eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
     """Fit the treatment-odds function by regressing A on (x, l).
 
     ``x`` is the transported baseline outcome evaluated on the training
@@ -676,12 +610,11 @@ def fit_nu(x, l, a, kernel: str = "gaussian", bandwidth=None,
         raise ValueError("eps_clip must lie in (0, 0.5)")
     if a.min() == a.max():
         raise DegenerateArm("odds regression needs both treatment arms")
-    kernel = _check_kernel(kernel)
     z = np.column_stack([x, l]) if l.shape[1] else x.reshape(-1, 1)
     h = _bandwidth_vector(z, bandwidth)
     if bandwidth is None and l.shape[1]:
-        h = h * _odds_scale(z, a, h, kernel, eps_clip)
-    return NuFn(z=z, a=a, h=h, eps_clip=eps_clip, kernel=kernel)
+        h = h * _odds_scale(z, a, h, eps_clip)
+    return NuFn(z=z, a=a, h=h, eps_clip=eps_clip)
 
 
 def estimate_pi(a) -> float:
@@ -705,19 +638,17 @@ class DensityFn:
     x: np.ndarray
     h: float
     f_min: float = DEFAULT_F_MIN
-    kernel: str = "gaussian"
 
     def evaluate_many(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape[0])
         # _product_weights leaves the Gaussian unnormalised.
-        norm = np.sqrt(2.0 * np.pi) if self.kernel == "gaussian" else 1.0
-        inv = 1.0 / (self.x.shape[0] * self.h * norm)
+        inv = 1.0 / (self.x.shape[0] * self.h * np.sqrt(2.0 * np.pi))
         train, h = self.x[:, None], np.array([self.h])
         step = _row_chunk(self.x.shape[0])
         for start in range(0, t.shape[0], step):
             sl = slice(start, start + step)
-            out[sl] = _product_weights(t[sl, None], train, h, self.kernel).sum(axis=1) * inv
+            out[sl] = _product_weights(t[sl, None], train, h).sum(axis=1) * inv
         return np.maximum(out, self.f_min)
 
     def __call__(self, t):
@@ -726,7 +657,7 @@ class DensityFn:
         return float(res[0]) if np.isscalar(t) else res
 
 
-def fit_density(x, kernel: str = "gaussian", bandwidth: Optional[float] = None,
+def fit_density(x, bandwidth: Optional[float] = None,
                 f_min: float = DEFAULT_F_MIN) -> DensityFn:
     """Kernel density estimate with Silverman bandwidth and a value floor."""
     x = np.asarray(x, dtype=float)
@@ -735,7 +666,7 @@ def fit_density(x, kernel: str = "gaussian", bandwidth: Optional[float] = None,
     h = silverman_bandwidth(x) if bandwidth is None else float(bandwidth)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    return DensityFn(x=x, h=h, f_min=f_min, kernel=_check_kernel(kernel))
+    return DensityFn(x=x, h=h, f_min=f_min)
 
 
 # ---------------------------------------------------------------------------

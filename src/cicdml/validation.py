@@ -9,7 +9,7 @@ that nuisance errors shrink with the sample size.
 The moment map is Phi(lambda) = E[psi(W; theta_true, eta_lambda)] along
 the segment eta_lambda = eta + lambda * (eta_tilde - eta), lambda in
 [0, 1). Derivatives at zero use one-sided second-order stencils (never
-negative lambda), optionally Richardson-refined at half step; all
+negative lambda), Richardson-refined at half step; all
 lambda values share one set of Monte Carlo draws, so stencil noise is
 estimated per draw.
 """
@@ -35,9 +35,10 @@ from .dgp import (
 )
 from .estimator import CrossFitConfig, att_psi_values, estimate
 from .nuisance import (
-    GridAntiderivative,
     NuisanceSet,
     _bandwidth_vector,
+    _grid_integrals,
+    _grid_nodes,
     compose_gamma,
     fit_cond_cdf,
     fit_cond_quantile,
@@ -72,9 +73,9 @@ class Perturbation:
 
     @classmethod
     def random_bounded(cls, seed: int, gamma_scale: float = 0.5,
-                       nu_scale: float = 0.3, pi_room: float = 0.0) -> "Perturbation":
+                       nu_scale: float = 0.3) -> "Perturbation":
         """Smooth random directions: affine-plus-tanh curves with sup norm
-        at most the given scales; ``pi_room`` bounds |d_pi|."""
+        at most the given scales; pi is not perturbed."""
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 0xBD1)))
         cg = rng.uniform(-1.0, 1.0, 2)
         cn = rng.uniform(-1.0, 1.0, 2)
@@ -89,9 +90,8 @@ class Perturbation:
             x = np.asarray(x, dtype=float)
             return _s * 0.5 * (_c[0] + _c[1] * np.tanh(x / _w))
 
-        d_pi = float(rng.uniform(-1.0, 1.0) * pi_room)
         return cls(d_gamma=d_gamma if gamma_scale > 0 else None,
-                   d_nu=d_nu if nu_scale > 0 else None, d_pi=d_pi)
+                   d_nu=d_nu if nu_scale > 0 else None)
 
 
 def _derived_seed(seed: int, tag: int) -> int:
@@ -115,23 +115,19 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
     one_fold = FoldAssignment(fold_of=np.zeros(data.n, dtype=int), K=1)
     lam_arr = np.asarray(list(lambdas), dtype=float)
 
-    grids = None
+    nodes = node_vals = None
     if dgp.p == 0:
         ctrl = data.a == 0
         g0 = np.asarray(eta.gamma(data.y0[ctrl], None))
         dg = np.zeros_like(g0) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0[ctrl]))
-        ends = np.concatenate([data.y1[ctrl], g0 + lam_arr.min(initial=0.0) * dg,
-                               g0 + lam_arr.max(initial=0.0) * dg])
-        grids = [GridAntiderivative(lambda x: eta.nu(x, None), n_grid=_PHI_GRID)]
-        if pert.d_nu is not None:
-            grids.append(GridAntiderivative(lambda x: pert.d_nu(x, None), n_grid=_PHI_GRID))
-        for grid in grids:
-            grid.cover(float(ends.min()), float(ends.max()))
+        g_ends = [g0 + lam * dg for lam in (lam_arr.min(initial=0.0), lam_arr.max(initial=0.0))]
+        nodes = _grid_nodes(data.y1[ctrl], np.concatenate(g_ends), _PHI_GRID)
+        node_vals = [np.asarray(f(nodes, None)) for f in (eta.nu, pert.d_nu) if f is not None]
 
     out = np.empty((lam_arr.shape[0], data.n))
     for j, lam in enumerate(lam_arr):
-        nu = (_Perturbed(eta.nu, pert.d_nu, lam) if grids is None
-              else _GridPerturbedNu(eta.nu, pert.d_nu, lam, grids))
+        nu = (_Perturbed(eta.nu, pert.d_nu, lam) if nodes is None
+              else _GridPerturbedNu(eta.nu, pert.d_nu, lam, nodes, node_vals))
         eta_lam = NuisanceSet(gamma=_Perturbed(eta.gamma, pert.d_gamma, lam), nu=nu,
                               pi=eta.pi + lam * pert.d_pi)
         out[j] = att_psi_values(data, one_fold, [eta_lam], truth.att_true)
@@ -153,16 +149,18 @@ class _Perturbed:
 
 class _GridPerturbedNu(_Perturbed):
     """Covariate-free perturbed odds, integrated through antiderivatives
-    of the base odds and of the odds direction shared by every lambda."""
+    of the base odds and of the odds direction, whose node values
+    ``node_vals`` on ``nodes`` every lambda shares."""
 
-    def __init__(self, f0, d, lam, grids):
+    def __init__(self, f0, d, lam, nodes, node_vals):
         super().__init__(f0, d, lam)
-        self.grids = grids
+        self.nodes = nodes
+        self.node_vals = node_vals
 
     def integral_many(self, lo, hi, l=None):
-        out = self.grids[0].integrate(lo, hi)
-        for grid in self.grids[1:]:
-            out = out + self.lam * grid.integrate(lo, hi)
+        out = _grid_integrals(self.nodes, self.node_vals[0], lo, hi)
+        for vals in self.node_vals[1:]:
+            out = out + self.lam * _grid_integrals(self.nodes, vals, lo, hi)
         return out
 
 
@@ -192,12 +190,11 @@ class OrthogonalityResult:
 
 def orthogonality_check(dgp: StmConfig, pert: Perturbation, h: float = DEFAULT_FD_STEP,
                         mc_size: int = DEFAULT_MC_SIZE, seed: int = 0,
-                        base: Optional[NuisanceSet] = None,
-                        richardson: bool = True) -> OrthogonalityResult:
+                        base: Optional[NuisanceSet] = None) -> OrthogonalityResult:
     """First derivative at zero and curvature at the segment midpoint.
 
     The derivative uses the one-sided three-point stencil on [0, 1)
-    (never negative lambda), Richardson-refined at h/2 by default; the
+    (never negative lambda), Richardson-refined at h/2; the
     curvature is the central second difference at lambda = 0.5. A zero
     perturbation returns exact zeros. The step h must lie in (0, 0.5),
     so that every stencil point 0.5 +/- h stays in [0, 1).
@@ -211,11 +208,8 @@ def orthogonality_check(dgp: StmConfig, pert: Perturbation, h: float = DEFAULT_F
     p0, ph2, ph, p2h, pml, pm, pmr = psi
 
     d_h = (-3.0 * p0 + 4.0 * ph - p2h) / (2.0 * h)
-    if richardson:
-        d_h2 = (-3.0 * p0 + 4.0 * ph2 - ph) / h
-        d = (4.0 * d_h2 - d_h) / 3.0
-    else:
-        d = d_h
+    d_h2 = (-3.0 * p0 + 4.0 * ph2 - ph) / h
+    d = (4.0 * d_h2 - d_h) / 3.0
     second = (pml - 2.0 * pm + pmr) / (h * h)
 
     root_n = math.sqrt(mc_size)
@@ -332,7 +326,7 @@ def coverage_study(dgp: StmConfig, cfg: CrossFitConfig, n_reps: int,
 
 def rate_probe(dgp: StmConfig, n_ladder: Sequence[int] = (500, 2000, 8000),
                bandwidth_scales: Sequence[float] = (1.0,), eval_size: int = 4000,
-               seed: int = 0, kernel: str = "gaussian") -> List[dict]:
+               seed: int = 0) -> List[dict]:
     """Empirical L2 errors of the fitted transport map and odds against
     their oracles, across sample sizes and bandwidth scales.
 
@@ -349,8 +343,8 @@ def rate_probe(dgp: StmConfig, n_ladder: Sequence[int] = (500, 2000, 8000),
         data, _ = gen_stm(replace(dgp, n=int(n), seed=_derived_seed(seed, int(n))))
         ctrl = data.a == 0
         l_ctrl = data.l[ctrl] if dgp.p else None
-        cdf0 = fit_cond_cdf(data.y0[ctrl], l_ctrl, kernel=kernel)
-        quant1 = fit_cond_quantile(data.y1[ctrl], l_ctrl, kernel=kernel)
+        cdf0 = fit_cond_cdf(data.y0[ctrl], l_ctrl)
+        quant1 = fit_cond_quantile(data.y1[ctrl], l_ctrl)
         gamma_hat = compose_gamma(cdf0, quant1)
         x_train = gamma_hat(data.y0, data.l if dgp.p else None)
         z = np.column_stack([x_train, data.l]) if dgp.p else x_train.reshape(-1, 1)
@@ -359,7 +353,7 @@ def rate_probe(dgp: StmConfig, n_ladder: Sequence[int] = (500, 2000, 8000),
         gamma_l2 = float(np.sqrt(np.mean((g_hat - g_true) ** 2)))
         for scale in bandwidth_scales:
             nu_hat = fit_nu(x_train, data.l if dgp.p else None, data.a,
-                            kernel=kernel, bandwidth=base_h * scale)
+                            bandwidth=base_h * scale)
             nu_vals = np.asarray(nu_hat(g_true, l_eval))
             nu_l2 = float(np.sqrt(np.mean((nu_vals - nu_true) ** 2)))
             rows.append({"n": int(n), "bandwidth_scale": float(scale),

@@ -158,6 +158,17 @@ class TestExitCodes:
             assert all(key in captured.err for key in values)
         assert not out.exists() and not (tmp_path / "r").exists()
 
+    def test_kernel_is_no_option(self, tmp_path, dataset, capsys):
+        # The Gaussian is the only kernel: argparse rejects the flag, and
+        # a kernel config key is unknown.
+        argv = ["estimate", "--input", str(dataset), "--output", str(tmp_path / "r")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--kernel", "epanechnikov"])
+        assert exc.value.code == 2
+        assert main(argv + ["--config", write_config(tmp_path, {"kernel": "gaussian"})]) == 2
+        assert "unknown config keys for estimate: ['kernel']" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_config_takes_integers_for_float_options(self, tmp_path):
         config = write_config(tmp_path, {"effect": 3, "trend": 2, "pi": None})
         for name, extra in (("flag", ["--effect", "3", "--trend", "2"]),

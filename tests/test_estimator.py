@@ -408,29 +408,3 @@ class TestParityPins:
         assert grid.theta_hat == pytest.approx(simpson.theta_hat, abs=1e-5, rel=0)
         assert grid.sigma2_hat == pytest.approx(simpson.sigma2_hat, rel=1e-4, abs=0)
         assert simpson.theta_hat == pytest.approx(1.9371820702266787, rel=1e-12, abs=0)
-
-    # The ATT as in PINNED; per-unit composite Simpson on 257 nodes gave
-    # (3.121530993826624, 3973.445966380058).
-    EPANECHNIKOV = {
-        "att": (3.118192690210842, 3969.5079684507814),
-        "qtt": (2.3658537530856205, 22.359225275364853),
-    }
-
-    def test_pinned_epanechnikov_with_covariates(self):
-        """The Epanechnikov kernel through the covariate odds integral,
-        which splits the kernel's 0.75^d constant between the outcome and
-        covariate parts. The pin guards the arithmetic, not accuracy: the
-        ATT here is 3.12 with a variance near 4000, against a truth of
-        2.0, and at n=2000 it reads -5.5 and -3.5 on seeds 1 and 2.
-        Choosing the odds bandwidth by held-out Riesz loss does not mend
-        this kernel as it does the Gaussian. A likely cause: the loss
-        scores the odds at data points, but the control correction
-        integrates them over (y1, gamma] at the unit's covariates, where
-        the compact kernel runs out of neighbours."""
-        data, _ = gen_stm(named_config("stm-cov", n=400, seed=11))
-        config = CrossFitConfig(K=3, seed=11, kernel="epanechnikov")
-        for kind, spec in (("att", EstimandSpec.att()), ("qtt", EstimandSpec.qtt(0.5))):
-            report = estimate(data, spec, config)
-            theta, sigma2 = self.EPANECHNIKOV[kind]
-            assert report.theta_hat == pytest.approx(theta, rel=1e-12, abs=0), kind
-            assert report.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0), kind

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from cicdml import nuisance
 from cicdml.errors import DegenerateArm, InsufficientData
 from cicdml.nuisance import (
-    KERNELS,
     ODDS_SCALES,
     _bandwidth_vector,
     _nw_mean,
@@ -23,25 +22,16 @@ from cicdml.nuisance import (
 )
 
 
-def _einsum_weights(query, train, h, kernel):
-    """The product-kernel formulas the per-coordinate loop replaced: one
+def _einsum_weights(query, train, h):
+    """The product-kernel formula the per-coordinate loop replaced: one
     coordinate directly, several through a (Q, m, d) tensor."""
-    d = train.shape[1]
-    if d == 1:
+    if train.shape[1] == 1:
         u = (query[:, 0, None] - train[None, :, 0]) / h[0]
-        if kernel == "gaussian":
-            u *= u
-            u *= -0.5
-            return np.exp(u, out=u)
-        w = 1.0 - u * u
-        np.clip(w, 0.0, None, out=w)
-        return 0.75 * w
+        u *= u
+        u *= -0.5
+        return np.exp(u, out=u)
     u = (query[:, None, :] - train[None, :, :]) / h
-    if kernel == "gaussian":
-        return np.exp(-0.5 * np.einsum("qmd,qmd->qm", u, u))
-    w = 1.0 - u * u
-    np.clip(w, 0.0, None, out=w)
-    return 0.75 ** d * w.prod(axis=2)
+    return np.exp(-0.5 * np.einsum("qmd,qmd->qm", u, u))
 
 
 class TestProductWeights:
@@ -51,31 +41,25 @@ class TestProductWeights:
         return (rng.standard_normal((37, d)), rng.standard_normal((53, d)),
                 rng.uniform(1.0, 2.5, d))
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_one_coordinate_is_bit_identical(self, kernel):
+    def test_one_coordinate_is_bit_identical(self):
         query, train, h = self.draw(1)
-        assert_array_equal(_product_weights(query, train, h, kernel),
-                           _einsum_weights(query, train, h, kernel))
+        assert_array_equal(_product_weights(query, train, h), _einsum_weights(query, train, h))
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("d", [2, 3])
-    def test_several_coordinates_match_the_tensor_formula(self, kernel, d):
+    def test_several_coordinates_match_the_tensor_formula(self, d):
         query, train, h = self.draw(d)
-        got = _product_weights(query, train, h, kernel)
-        want = _einsum_weights(query, train, h, kernel)
+        got = _product_weights(query, train, h)
+        want = _einsum_weights(query, train, h)
         assert (want > 0).mean() > 0.2
         assert_array_equal(got == 0, want == 0)
         pos = want > 0
-        rtol = np.full(pos.sum(), 1e-15)
-        if kernel == "gaussian":
-            # The squared distances may be summed in another order, and
-            # exp scales their rounding by the exponent -log(w).
-            rtol *= 1.0 - np.log(want[pos])
+        # The squared distances may be summed in another order, and exp
+        # scales their rounding by the exponent -log(w).
+        rtol = 1e-15 * (1.0 - np.log(want[pos]))
         assert (np.abs(got[pos] / want[pos] - 1.0) <= rtol).all()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_no_coordinates_gives_ones(self, kernel):
-        w = _product_weights(np.empty((4, 0)), np.empty((6, 0)), np.empty(0), kernel)
+    def test_no_coordinates_gives_ones(self):
+        w = _product_weights(np.empty((4, 0)), np.empty((6, 0)), np.empty(0))
         assert_array_equal(w, np.ones((4, 6)))
 
 
@@ -317,9 +301,9 @@ class TestOddsBandwidthRule:
         return x, l, a, rng
 
     @staticmethod
-    def odds(query, z, a, h, kernel, eps_clip=0.01):
+    def odds(query, z, a, h, eps_clip=0.01):
         """Clipped odds at bandwidth h through the Nadaraya-Watson mean."""
-        pr = np.clip(_nw_mean(query, z, a, h, kernel, fallback=float(a.mean())),
+        pr = np.clip(_nw_mean(query, z, a, h, fallback=float(a.mean())),
                      eps_clip, 1.0 - eps_clip)
         return pr / (1.0 - pr)
 
@@ -328,9 +312,7 @@ class TestOddsBandwidthRule:
         return float(np.mean((1.0 - a) * nu * nu - 2.0 * a * nu))
 
     @pytest.mark.parametrize("budget", [None, 3000])
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_one_pass_matches_the_regression_at_each_scale(self, monkeypatch, kernel,
-                                                           budget):
+    def test_one_pass_matches_the_regression_at_each_scale(self, monkeypatch, budget):
         # 3000 elements give chunks of one row.
         x, l, a, _ = self.draw(m=500)
         z = np.column_stack([x, l])
@@ -338,30 +320,29 @@ class TestOddsBandwidthRule:
         a = a.astype(float)
         if budget is not None:
             monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
-        got = nuisance._scaled_odds(z[1::2], z[::2], a[::2], h, kernel, 0.01)
+        got = nuisance._scaled_odds(z[1::2], z[::2], a[::2], h, 0.01)
         assert got.shape == (len(ODDS_SCALES), 250)
         for row, s in zip(got, ODDS_SCALES):
-            want = self.odds(z[1::2], z[::2], a[::2], s * h, kernel)
+            want = self.odds(z[1::2], z[::2], a[::2], s * h)
             assert_allclose(row, want, rtol=1e-12, atol=0)
             assert self.loss(row, a[1::2]) == pytest.approx(self.loss(want, a[1::2]),
                                                           rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_chosen_scale_beats_silverman_on_known_odds(self, kernel):
+    def test_chosen_scale_beats_silverman_on_known_odds(self):
         x, l, a, rng = self.draw()
-        nu = fit_nu(x, l, a, kernel=kernel)
+        nu = fit_nu(x, l, a)
         z = np.column_stack([x, l])
         h = _bandwidth_vector(z, None)
         scale = nu.h[0] / h[0]
         assert scale in ODDS_SCALES and scale > 1.0
         assert_allclose(nu.h, scale * h, rtol=1e-15, atol=0)
-        held = [self.loss(self.odds(z[1::2], z[::2], a[::2].astype(float), s * h, kernel),
+        held = [self.loss(self.odds(z[1::2], z[::2], a[::2].astype(float), s * h),
                           a[1::2]) for s in (scale, 1.0)]
         assert held[0] <= held[1]
         # Closer to the true odds on fresh covariate points, too.
         q = rng.standard_normal((400, 3))
         truth = np.exp(0.8 * q[:, 0] + 0.5 * q[:, 1:].sum(axis=1) - 0.3)
-        err = [np.mean((self.odds(q, z, a.astype(float), s * h, kernel) - truth) ** 2)
+        err = [np.mean((self.odds(q, z, a.astype(float), s * h) - truth) ** 2)
                for s in (scale, 1.0)]
         assert err[0] < err[1]
 
@@ -375,11 +356,10 @@ class TestOddsBandwidthRule:
         assert_array_equal(fit_nu(x, l, a, bandwidth=0.7).h, [0.7, 0.7, 0.7])
         assert_array_equal(fit_nu(x, l, a, bandwidth=[0.5, 1.0, 2.0]).h, [0.5, 1.0, 2.0])
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_no_covariates_keeps_silverman(self, monkeypatch, kernel):
+    def test_no_covariates_keeps_silverman(self, monkeypatch):
         x, _, a, _ = self.draw(m=300)
         monkeypatch.setattr(nuisance, "_odds_scale", None)
-        assert_array_equal(fit_nu(x, None, a, kernel=kernel).h, [silverman_bandwidth(x)])
+        assert_array_equal(fit_nu(x, None, a).h, [silverman_bandwidth(x)])
 
     # A held-out half of controls alone would have its loss pick s = 4.
     @pytest.mark.parametrize("half, arm", [(0, 1), (1, 0)])
@@ -390,28 +370,25 @@ class TestOddsBandwidthRule:
         nu = fit_nu(x, l, a)
         assert_array_equal(nu.h, _bandwidth_vector(np.column_stack([x, l]), None))
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_reruns_are_identical(self, kernel):
+    def test_reruns_are_identical(self):
         x, l, a, rng = self.draw(m=400)
-        first, second = (fit_nu(x, l, a, kernel=kernel) for _ in range(2))
+        first, second = (fit_nu(x, l, a) for _ in range(2))
         assert_array_equal(first.h, second.h)
         q = rng.standard_normal((50, 3))
         assert_array_equal(first.evaluate_many(q[:, 0], q[:, 1:]),
                            second.evaluate_many(q[:, 0], q[:, 1:]))
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_peak_memory_stays_bounded(self, kernel):
-        # A chunk's distances and their rescaled copy fill at most 8 MiB
-        # each. Peaks: 13 MiB (Gaussian, which sums the distances) and
-        # 27 MiB (Epanechnikov), while the next chunk's distances are
-        # formed before the last chunk's are freed.
+    def test_peak_memory_stays_bounded(self):
+        # A chunk's summed distances and their rescaled copy fill at most
+        # 8 MiB / d each. Peaks near 11 MiB, while the next chunk's
+        # distances are formed before the last chunk's are freed.
         x, l, a, _ = self.draw(m=6000)
         z = np.column_stack([x, l])
         h = _bandwidth_vector(z, None)
         a = a.astype(float)
         tracemalloc.start()
         try:
-            nuisance._scaled_odds(z[1::2], z[::2], a[::2], h, kernel, 0.01)
+            nuisance._scaled_odds(z[1::2], z[::2], a[::2], h, 0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -449,13 +426,13 @@ class TestFactorisedOddsIntegral:
     ANTIDERIV_GRID shared nodes, one column of node odds per unit."""
 
     @staticmethod
-    def fitted(p, kernel, eps_clip=0.01, m=300, seed=41):
+    def fitted(p, eps_clip=0.01, m=300, seed=41):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(m)
         l = rng.standard_normal((m, p))
         score = 1.5 * x + l.sum(axis=1)
         a = (rng.uniform(size=m) < 1.0 / (1.0 + np.exp(-score))).astype(int)
-        return fit_nu(x, l, a, kernel=kernel, eps_clip=eps_clip), rng
+        return fit_nu(x, l, a, eps_clip=eps_clip), rng
 
     @staticmethod
     def dense(nu, lo, hi, l, nodes=8 * nuisance.ANTIDERIV_GRID + 1):
@@ -472,21 +449,12 @@ class TestFactorisedOddsIntegral:
             out[i] = (vals @ w) * (hi[i] - lo[i]) / (3.0 * (nodes - 1))
         return out
 
-    # The Epanechnikov regression jumps wherever a training point enters
-    # or leaves the compact window, by up to 0.95 in the odds on these
-    # intervals, so every rule is off by about the jump times its node
-    # spacing there: measured 4.6e-4 for the grid and 2.8e-3 for per-unit
-    # Simpson on 257 nodes, against 131073 nodes. The Gaussian odds are
-    # smooth: measured at most 6.8e-7.
-    DENSE_ATOL = {"gaussian": 1e-5, "epanechnikov": 1e-3}
-
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("p", [1, 2])
-    def test_matches_a_dense_reference(self, p, kernel):
+    def test_matches_a_dense_reference(self, p):
         # One interval spans every endpoint; one of length 1e-3 lies inside
         # a single grid cell, where the cell's trapezoid average stands in
         # for the odds along it (measured at most 2.6e-4 relative).
-        nu, rng = self.fitted(p, kernel)
+        nu, rng = self.fitted(p)
         lo = rng.uniform(-2.0, 1.0, 4)
         hi = lo + rng.uniform(-1.5, 2.0, 4)
         lo[0], hi[0] = min(lo.min(), hi.min()), max(lo.max(), hi.max())
@@ -494,12 +462,12 @@ class TestFactorisedOddsIntegral:
         l = rng.standard_normal((4, p))
         got = nu.integral_many(lo, hi, l)
         want = self.dense(nu, lo, hi, l)
-        assert_allclose(got, want, rtol=0, atol=self.DENSE_ATOL[kernel])
+        # The odds are smooth: measured at most 6.8e-7.
+        assert_allclose(got, want, rtol=0, atol=1e-5)
         assert got[1] == pytest.approx(want[1], rel=2e-3, abs=0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self, kernel):
-        nu, rng = self.fitted(2, kernel)
+    def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self):
+        nu, rng = self.fitted(2)
         lo = rng.uniform(-2.0, 1.0, 25)
         hi = lo + rng.uniform(-1.5, 2.0, 25)
         hi[:3] = lo[:3]
@@ -514,35 +482,31 @@ class TestFactorisedOddsIntegral:
     # blocks of 125 rows and all 7 units in one chunk.
     @pytest.mark.parametrize("budget", [3000, 20_000, 300_000])
     def test_chunking_does_not_change_the_result(self, monkeypatch, budget):
-        for kernel in KERNELS:
-            nu, rng = self.fitted(2, kernel)
-            lo = rng.uniform(-2.0, 1.0, 7)
-            hi = lo + rng.uniform(-1.5, 2.0, 7)
-            l = rng.standard_normal((7, 2))
-            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 1 << 30)
-            want = nu.integral_many(lo, hi, l)
-            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
-            # Products of other shapes may round differently in the last bit.
-            assert_allclose(nu.integral_many(lo, hi, l), want, rtol=1e-12, atol=0)
+        nu, rng = self.fitted(2)
+        lo = rng.uniform(-2.0, 1.0, 7)
+        hi = lo + rng.uniform(-1.5, 2.0, 7)
+        l = rng.standard_normal((7, 2))
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 1 << 30)
+        want = nu.integral_many(lo, hi, l)
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
+        # Products of other shapes may round differently in the last bit.
+        assert_allclose(nu.integral_many(lo, hi, l), want, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_empty_input(self, kernel):
-        nu, _ = self.fitted(2, kernel)
+    def test_empty_input(self):
+        nu, _ = self.fitted(2)
         assert nu.integral_many(np.zeros(0), np.zeros(0), np.zeros((0, 2))).shape == (0,)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("p", [1, 2])
-    def test_rows_far_from_the_data_use_the_mean(self, p, kernel):
-        nu, _ = self.fitted(p, kernel)
+    def test_rows_far_from_the_data_use_the_mean(self, p):
+        nu, _ = self.fitted(p)
         lo, hi = np.array([-1.0, 0.5]), np.array([1.0, -0.25])
         l = np.full((2, p), 1e3)
         pr = np.clip(nu.a.mean(), nu.eps_clip, 1.0 - nu.eps_clip)
         got = nu.integral_many(lo, hi, l)
         assert_allclose(got, pr / (1.0 - pr) * (hi - lo), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("p", [1, 2])
-    def test_rows_where_the_clip_binds(self, p, kernel):
+    def test_rows_where_the_clip_binds(self, p):
         # Arms split on x alone, with covariate windows wide enough that
         # every node has neighbours, so the propensity is 0 or 1 away
         # from x = 0 and the clip binds.
@@ -550,22 +514,21 @@ class TestFactorisedOddsIntegral:
         x = rng.uniform(-3.0, 3.0, 400)
         l = rng.uniform(-1.0, 1.0, (400, p))
         a = (x > 0.0).astype(int)
-        nu = fit_nu(x, l, a, kernel=kernel, bandwidth=[0.3] + [1.0] * p, eps_clip=0.05)
+        nu = fit_nu(x, l, a, bandwidth=[0.3] + [1.0] * p, eps_clip=0.05)
         lo, hi = np.array([1.0, -1.0]), np.array([2.0, -2.0])
         lq = np.zeros((2, p))
         got = nu.integral_many(lo, hi, lq)
         assert_allclose(got, np.array([0.95 / 0.05, 0.05 / 0.95]) * (hi - lo),
                         rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_peak_memory_stays_bounded(self, kernel):
+    def test_peak_memory_stays_bounded(self):
         # 600 units make two chunks of 256 and one of 88, and the
         # (ANTIDERIV_GRID, m) x-weights are split into blocks. Peaks near
         # 23 MiB, while the next chunk's (G, 512) sums are formed before the
         # last chunk's are freed. A (Q, m, d) weight tensor peaked at
-        # 367 MiB (Gaussian) and 550 MiB (Epanechnikov), and 8M-element
-        # chunks of per-unit Simpson node weights at 63 MiB.
-        nu, rng = self.fitted(2, kernel, m=800)
+        # 367 MiB, and 8M-element chunks of per-unit Simpson node weights
+        # at 63 MiB.
+        nu, rng = self.fitted(2, m=800)
         lo = rng.uniform(-2.0, 1.0, 600)
         hi = lo + rng.uniform(0.5, 2.0, 600)
         l = rng.standard_normal((600, 2))
@@ -586,21 +549,19 @@ class TestBinnedOddsIntegral:
     Binning moves each training point by less than a bin, a quarter of
     the node spacing, so integrals agree to RTOL and propensities at the
     nodes to PR_ATOL wherever the dense denominator is above DENOM_FLOOR
-    times its maximum. Below that floor the Epanechnikov kernel's support
-    edges decide which training points count at all, and the two can
-    differ by far more."""
+    times its maximum."""
 
     RTOL = 1e-4          # measured <= 1e-5 on these inputs
     PR_ATOL = 1e-4       # measured <= 3e-5 on these inputs
     DENOM_FLOOR = 1e-3
 
     @staticmethod
-    def fitted(m, dist, kernel, seed=7):
+    def fitted(m, dist, seed=7):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(m) if dist == "normal" else rng.lognormal(size=m)
         score = x if dist == "normal" else np.log(x)
         a = (rng.uniform(size=m) < 1.0 / (1.0 + np.exp(-score))).astype(int)
-        return fit_nu(x, None, a, kernel=kernel), rng
+        return fit_nu(x, None, a), rng
 
     @staticmethod
     def dense(nu, lo, hi):
@@ -615,29 +576,27 @@ class TestBinnedOddsIntegral:
         hi[:5] = lo[:5]
         return lo, hi
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("dist", ["normal", "lognormal"])
     @pytest.mark.parametrize("m", [400, 16000])
-    def test_matches_the_dense_antiderivative(self, m, dist, kernel):
-        # At m=400 the Gaussian takes the dense sums, which are cheaper there.
-        nu, rng = self.fitted(m, dist, kernel)
+    def test_matches_the_dense_antiderivative(self, m, dist):
+        # At m=400 the integral takes the dense sums, which are cheaper there.
+        nu, rng = self.fitted(m, dist)
         lo, hi = self.inner_intervals(nu, rng)
         got = nu.integral_many(lo, hi, None)
         assert_allclose(got, self.dense(nu, lo, hi), rtol=self.RTOL, atol=0)
         assert_array_equal(got[:5], 0.0)
         assert_array_equal(nu.integral_many(hi, lo, None), -got)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("dist", ["normal", "lognormal"])
     @pytest.mark.parametrize("m", [400, 16000])
-    def test_node_sums_match_the_dense_sums(self, monkeypatch, m, dist, kernel):
+    def test_node_sums_match_the_dense_sums(self, monkeypatch, m, dist):
         # Binned even where the dense sums would be cheaper.
         monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", np.inf)
-        nu, _ = self.fitted(m, dist, kernel)
+        nu, _ = self.fitted(m, dist)
         x = nu.z[:, 0]
         nodes = np.linspace(*np.quantile(x, [0.02, 0.98]), nuisance.ANTIDERIV_GRID)
-        num, denom = nuisance._binned_nw_sums(nodes, x, nu.a, nu.h[0], kernel)
-        w = _product_weights(nodes[:, None], nu.z, nu.h, kernel)
+        num, denom = nuisance._binned_nw_sums(nodes, x, nu.a, nu.h[0])
+        w = _product_weights(nodes[:, None], nu.z, nu.h)
         want_num, want_denom = w @ nu.a, w.sum(axis=1)
         ok = want_denom > self.DENOM_FLOOR * want_denom.max()
         assert ok.mean() > 0.9
@@ -649,46 +608,41 @@ class TestBinnedOddsIntegral:
         # Nodes up to 3 beyond the data (about 20 bandwidths), where the
         # dense denominators fall to 1e-117: taps are cut only where the
         # kernel weight is exactly zero, so the ratio survives there.
-        nu, _ = self.fitted(16000, "normal", "gaussian", seed=1)
+        nu, _ = self.fitted(16000, "normal", seed=1)
         x = nu.z[:, 0]
         nodes = np.linspace(x.min() - 3.0, x.max() + 3.0, nuisance.ANTIDERIV_GRID)
-        num, denom = nuisance._binned_nw_sums(nodes, x, nu.a, nu.h[0], "gaussian")
-        w = _product_weights(nodes[:, None], nu.z, nu.h, "gaussian")
+        num, denom = nuisance._binned_nw_sums(nodes, x, nu.a, nu.h[0])
+        w = _product_weights(nodes[:, None], nu.z, nu.h)
         want_num, want_denom = w @ nu.a, w.sum(axis=1)
         assert want_denom.min() < 1e-100
         assert_allclose(num / denom, want_num / want_denom, atol=1e-5, rtol=0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_taps_are_cut_only_where_the_weight_is_zero(self, kernel):
+    def test_taps_are_cut_only_where_the_weight_is_zero(self):
         # The weight is zero at the reach and beyond, but not 0.01 short of it.
-        reach = nuisance._KERNEL_REACH[kernel]
+        reach = nuisance._KERNEL_REACH
         u = np.array([[reach - 0.01], [reach]])
-        w = _product_weights(u, np.zeros((1, 1)), np.ones(1), kernel)[:, 0]
+        w = _product_weights(u, np.zeros((1, 1)), np.ones(1))[:, 0]
         assert w[0] > 0.0 and w[1] == 0.0
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_empty_input(self, kernel):
-        nu, _ = self.fitted(400, "normal", kernel)
+    def test_empty_input(self):
+        nu, _ = self.fitted(400, "normal")
         assert nu.integral_many(np.zeros(0), np.zeros(0), None).shape == (0,)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_rows_where_the_clip_binds(self, kernel):
+    def test_rows_where_the_clip_binds(self):
         # Arms split on x, so the propensity is 0 or 1 away from x = 0.
         rng = np.random.default_rng(42)
         x = rng.uniform(-3.0, 3.0, 16000)
-        nu = fit_nu(x, None, (x > 0.0).astype(int), kernel=kernel, bandwidth=0.3,
-                    eps_clip=0.05)
+        nu = fit_nu(x, None, (x > 0.0).astype(int), bandwidth=0.3, eps_clip=0.05)
         lo, hi = np.array([1.0, -1.0]), np.array([2.0, -2.0])
         got = nu.integral_many(lo, hi, None)
         assert_allclose(got, self.dense(nu, lo, hi), rtol=1e-12, atol=0)
         assert_allclose(got, np.array([0.95 / 0.05, 0.05 / 0.95]) * (hi - lo),
                         rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_narrow_ranges_use_the_dense_sums(self, kernel):
+    def test_narrow_ranges_use_the_dense_sums(self):
         # A node range of 1e-6 would need about 1e11 taps per node; the
         # dense sums are cheaper, and are what runs.
-        nu, _ = self.fitted(16000, "normal", kernel)
+        nu, _ = self.fitted(16000, "normal")
         lo = np.array([0.3, 0.3, 0.3 + 1e-6])
         hi = np.array([0.3 + 1e-6, 0.3, 0.3])
         tracemalloc.start()
@@ -700,11 +654,10 @@ class TestBinnedOddsIntegral:
         assert_array_equal(got, self.dense(nu, lo, hi))
         assert peak < 32 * 2 ** 20
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_peak_memory_stays_bounded(self, kernel):
+    def test_peak_memory_stays_bounded(self):
         # Peaks near 2 MiB. The dense sums, in 8 MiB chunks of kernel
         # weights, peaked at 16 MiB.
-        nu, rng = self.fitted(16000, "normal", kernel)
+        nu, rng = self.fitted(16000, "normal")
         lo, hi = self.inner_intervals(nu, rng, n=400)
         tracemalloc.start()
         try:
