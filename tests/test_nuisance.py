@@ -34,6 +34,13 @@ def _einsum_weights(query, train, h):
     return np.exp(-0.5 * np.einsum("qmd,qmd->qm", u, u))
 
 
+# Ids of the tests that check the product kernel name it: every kernel
+# weight in the package is the Gaussian one.
+GAUSSIAN_KERNEL = pytest.mark.parametrize("kernel", ["gaussian"])
+# Laws of the training x, named by their densities.
+X_LAWS = pytest.mark.parametrize("law", ["gaussian", "epanechnikov"])
+
+
 class TestProductWeights:
     @staticmethod
     def draw(d, seed=21):
@@ -41,12 +48,14 @@ class TestProductWeights:
         return (rng.standard_normal((37, d)), rng.standard_normal((53, d)),
                 rng.uniform(1.0, 2.5, d))
 
-    def test_one_coordinate_is_bit_identical(self):
+    @GAUSSIAN_KERNEL
+    def test_one_coordinate_is_bit_identical(self, kernel):
         query, train, h = self.draw(1)
         assert_array_equal(_product_weights(query, train, h), _einsum_weights(query, train, h))
 
+    @GAUSSIAN_KERNEL
     @pytest.mark.parametrize("d", [2, 3])
-    def test_several_coordinates_match_the_tensor_formula(self, d):
+    def test_several_coordinates_match_the_tensor_formula(self, kernel, d):
         query, train, h = self.draw(d)
         got = _product_weights(query, train, h)
         want = _einsum_weights(query, train, h)
@@ -58,7 +67,8 @@ class TestProductWeights:
         rtol = 1e-15 * (1.0 - np.log(want[pos]))
         assert (np.abs(got[pos] / want[pos] - 1.0) <= rtol).all()
 
-    def test_no_coordinates_gives_ones(self):
+    @GAUSSIAN_KERNEL
+    def test_no_coordinates_gives_ones(self, kernel):
         w = _product_weights(np.empty((4, 0)), np.empty((6, 0)), np.empty(0))
         assert_array_equal(w, np.ones((4, 6)))
 
@@ -312,7 +322,9 @@ class TestOddsBandwidthRule:
         return float(np.mean((1.0 - a) * nu * nu - 2.0 * a * nu))
 
     @pytest.mark.parametrize("budget", [None, 3000])
-    def test_one_pass_matches_the_regression_at_each_scale(self, monkeypatch, budget):
+    @GAUSSIAN_KERNEL
+    def test_one_pass_matches_the_regression_at_each_scale(self, monkeypatch, kernel,
+                                                           budget):
         # 3000 elements give chunks of one row.
         x, l, a, _ = self.draw(m=500)
         z = np.column_stack([x, l])
@@ -328,7 +340,8 @@ class TestOddsBandwidthRule:
             assert self.loss(row, a[1::2]) == pytest.approx(self.loss(want, a[1::2]),
                                                           rel=1e-12, abs=0)
 
-    def test_chosen_scale_beats_silverman_on_known_odds(self):
+    @GAUSSIAN_KERNEL
+    def test_chosen_scale_beats_silverman_on_known_odds(self, kernel):
         x, l, a, rng = self.draw()
         nu = fit_nu(x, l, a)
         z = np.column_stack([x, l])
@@ -356,7 +369,8 @@ class TestOddsBandwidthRule:
         assert_array_equal(fit_nu(x, l, a, bandwidth=0.7).h, [0.7, 0.7, 0.7])
         assert_array_equal(fit_nu(x, l, a, bandwidth=[0.5, 1.0, 2.0]).h, [0.5, 1.0, 2.0])
 
-    def test_no_covariates_keeps_silverman(self, monkeypatch):
+    @GAUSSIAN_KERNEL
+    def test_no_covariates_keeps_silverman(self, monkeypatch, kernel):
         x, _, a, _ = self.draw(m=300)
         monkeypatch.setattr(nuisance, "_odds_scale", None)
         assert_array_equal(fit_nu(x, None, a).h, [silverman_bandwidth(x)])
@@ -370,7 +384,8 @@ class TestOddsBandwidthRule:
         nu = fit_nu(x, l, a)
         assert_array_equal(nu.h, _bandwidth_vector(np.column_stack([x, l]), None))
 
-    def test_reruns_are_identical(self):
+    @GAUSSIAN_KERNEL
+    def test_reruns_are_identical(self, kernel):
         x, l, a, rng = self.draw(m=400)
         first, second = (fit_nu(x, l, a) for _ in range(2))
         assert_array_equal(first.h, second.h)
@@ -378,7 +393,8 @@ class TestOddsBandwidthRule:
         assert_array_equal(first.evaluate_many(q[:, 0], q[:, 1:]),
                            second.evaluate_many(q[:, 0], q[:, 1:]))
 
-    def test_peak_memory_stays_bounded(self):
+    @GAUSSIAN_KERNEL
+    def test_peak_memory_stays_bounded(self, kernel):
         # A chunk's summed distances and their rescaled copy fill at most
         # 8 MiB / d each. Peaks near 11 MiB, while the next chunk's
         # distances are formed before the last chunk's are freed.
@@ -423,12 +439,22 @@ class TestGridIntegrals:
 
 class TestFactorisedOddsIntegral:
     """NuFn.integral_many with covariates: the trapezoid antiderivative on
-    ANTIDERIV_GRID shared nodes, one column of node odds per unit."""
+    ANTIDERIV_GRID shared nodes, one column of node odds per unit.
+
+    ``law`` is the law of the training x: the standard normal, or the
+    Epanechnikov law scaled to unit variance, whose support [-sqrt(5),
+    sqrt(5)] ends inside the queried range."""
 
     @staticmethod
-    def fitted(p, eps_clip=0.01, m=300, seed=41):
+    def fitted(p, law="gaussian", eps_clip=0.01, m=300, seed=41):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(m)
+        if law == "gaussian":
+            x = rng.standard_normal(m)
+        else:
+            # Devroye's draw from three uniforms on [-1, 1].
+            u = rng.uniform(-1.0, 1.0, (3, m))
+            a = np.abs(u)
+            x = np.sqrt(5.0) * np.where((a[2] >= a[1]) & (a[2] >= a[0]), u[1], u[2])
         l = rng.standard_normal((m, p))
         score = 1.5 * x + l.sum(axis=1)
         a = (rng.uniform(size=m) < 1.0 / (1.0 + np.exp(-score))).astype(int)
@@ -449,12 +475,13 @@ class TestFactorisedOddsIntegral:
             out[i] = (vals @ w) * (hi[i] - lo[i]) / (3.0 * (nodes - 1))
         return out
 
+    @X_LAWS
     @pytest.mark.parametrize("p", [1, 2])
-    def test_matches_a_dense_reference(self, p):
+    def test_matches_a_dense_reference(self, p, law):
         # One interval spans every endpoint; one of length 1e-3 lies inside
         # a single grid cell, where the cell's trapezoid average stands in
         # for the odds along it (measured at most 2.6e-4 relative).
-        nu, rng = self.fitted(p)
+        nu, rng = self.fitted(p, law)
         lo = rng.uniform(-2.0, 1.0, 4)
         hi = lo + rng.uniform(-1.5, 2.0, 4)
         lo[0], hi[0] = min(lo.min(), hi.min()), max(lo.max(), hi.max())
@@ -466,7 +493,8 @@ class TestFactorisedOddsIntegral:
         assert_allclose(got, want, rtol=0, atol=1e-5)
         assert got[1] == pytest.approx(want[1], rel=2e-3, abs=0)
 
-    def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self):
+    @GAUSSIAN_KERNEL
+    def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self, kernel):
         nu, rng = self.fitted(2)
         lo = rng.uniform(-2.0, 1.0, 25)
         hi = lo + rng.uniform(-1.5, 2.0, 25)
@@ -492,21 +520,24 @@ class TestFactorisedOddsIntegral:
         # Products of other shapes may round differently in the last bit.
         assert_allclose(nu.integral_many(lo, hi, l), want, rtol=1e-12, atol=0)
 
-    def test_empty_input(self):
-        nu, _ = self.fitted(2)
+    @X_LAWS
+    def test_empty_input(self, law):
+        nu, _ = self.fitted(2, law)
         assert nu.integral_many(np.zeros(0), np.zeros(0), np.zeros((0, 2))).shape == (0,)
 
+    @X_LAWS
     @pytest.mark.parametrize("p", [1, 2])
-    def test_rows_far_from_the_data_use_the_mean(self, p):
-        nu, _ = self.fitted(p)
+    def test_rows_far_from_the_data_use_the_mean(self, p, law):
+        nu, _ = self.fitted(p, law)
         lo, hi = np.array([-1.0, 0.5]), np.array([1.0, -0.25])
         l = np.full((2, p), 1e3)
         pr = np.clip(nu.a.mean(), nu.eps_clip, 1.0 - nu.eps_clip)
         got = nu.integral_many(lo, hi, l)
         assert_allclose(got, pr / (1.0 - pr) * (hi - lo), rtol=1e-12, atol=0)
 
+    @GAUSSIAN_KERNEL
     @pytest.mark.parametrize("p", [1, 2])
-    def test_rows_where_the_clip_binds(self, p):
+    def test_rows_where_the_clip_binds(self, p, kernel):
         # Arms split on x alone, with covariate windows wide enough that
         # every node has neighbours, so the propensity is 0 or 1 away
         # from x = 0 and the clip binds.
@@ -521,14 +552,15 @@ class TestFactorisedOddsIntegral:
         assert_allclose(got, np.array([0.95 / 0.05, 0.05 / 0.95]) * (hi - lo),
                         rtol=1e-12, atol=0)
 
-    def test_peak_memory_stays_bounded(self):
+    @X_LAWS
+    def test_peak_memory_stays_bounded(self, law):
         # 600 units make two chunks of 256 and one of 88, and the
         # (ANTIDERIV_GRID, m) x-weights are split into blocks. Peaks near
         # 23 MiB, while the next chunk's (G, 512) sums are formed before the
         # last chunk's are freed. A (Q, m, d) weight tensor peaked at
         # 367 MiB, and 8M-element chunks of per-unit Simpson node weights
         # at 63 MiB.
-        nu, rng = self.fitted(2, m=800)
+        nu, rng = self.fitted(2, law, m=800)
         lo = rng.uniform(-2.0, 1.0, 600)
         hi = lo + rng.uniform(0.5, 2.0, 600)
         l = rng.standard_normal((600, 2))
@@ -576,9 +608,10 @@ class TestBinnedOddsIntegral:
         hi[:5] = lo[:5]
         return lo, hi
 
+    @GAUSSIAN_KERNEL
     @pytest.mark.parametrize("dist", ["normal", "lognormal"])
     @pytest.mark.parametrize("m", [400, 16000])
-    def test_matches_the_dense_antiderivative(self, m, dist):
+    def test_matches_the_dense_antiderivative(self, m, dist, kernel):
         # At m=400 the integral takes the dense sums, which are cheaper there.
         nu, rng = self.fitted(m, dist)
         lo, hi = self.inner_intervals(nu, rng)
@@ -587,9 +620,10 @@ class TestBinnedOddsIntegral:
         assert_array_equal(got[:5], 0.0)
         assert_array_equal(nu.integral_many(hi, lo, None), -got)
 
+    @GAUSSIAN_KERNEL
     @pytest.mark.parametrize("dist", ["normal", "lognormal"])
     @pytest.mark.parametrize("m", [400, 16000])
-    def test_node_sums_match_the_dense_sums(self, monkeypatch, m, dist):
+    def test_node_sums_match_the_dense_sums(self, monkeypatch, m, dist, kernel):
         # Binned even where the dense sums would be cheaper.
         monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", np.inf)
         nu, _ = self.fitted(m, dist)
@@ -617,18 +651,21 @@ class TestBinnedOddsIntegral:
         assert want_denom.min() < 1e-100
         assert_allclose(num / denom, want_num / want_denom, atol=1e-5, rtol=0)
 
-    def test_taps_are_cut_only_where_the_weight_is_zero(self):
+    @GAUSSIAN_KERNEL
+    def test_taps_are_cut_only_where_the_weight_is_zero(self, kernel):
         # The weight is zero at the reach and beyond, but not 0.01 short of it.
         reach = nuisance._KERNEL_REACH
         u = np.array([[reach - 0.01], [reach]])
         w = _product_weights(u, np.zeros((1, 1)), np.ones(1))[:, 0]
         assert w[0] > 0.0 and w[1] == 0.0
 
-    def test_empty_input(self):
+    @GAUSSIAN_KERNEL
+    def test_empty_input(self, kernel):
         nu, _ = self.fitted(400, "normal")
         assert nu.integral_many(np.zeros(0), np.zeros(0), None).shape == (0,)
 
-    def test_rows_where_the_clip_binds(self):
+    @GAUSSIAN_KERNEL
+    def test_rows_where_the_clip_binds(self, kernel):
         # Arms split on x, so the propensity is 0 or 1 away from x = 0.
         rng = np.random.default_rng(42)
         x = rng.uniform(-3.0, 3.0, 16000)
@@ -639,7 +676,8 @@ class TestBinnedOddsIntegral:
         assert_allclose(got, np.array([0.95 / 0.05, 0.05 / 0.95]) * (hi - lo),
                         rtol=1e-12, atol=0)
 
-    def test_narrow_ranges_use_the_dense_sums(self):
+    @GAUSSIAN_KERNEL
+    def test_narrow_ranges_use_the_dense_sums(self, kernel):
         # A node range of 1e-6 would need about 1e11 taps per node; the
         # dense sums are cheaper, and are what runs.
         nu, _ = self.fitted(16000, "normal")
@@ -654,7 +692,8 @@ class TestBinnedOddsIntegral:
         assert_array_equal(got, self.dense(nu, lo, hi))
         assert peak < 32 * 2 ** 20
 
-    def test_peak_memory_stays_bounded(self):
+    @GAUSSIAN_KERNEL
+    def test_peak_memory_stays_bounded(self, kernel):
         # Peaks near 2 MiB. The dense sums, in 8 MiB chunks of kernel
         # weights, peaked at 16 MiB.
         nu, rng = self.fitted(16000, "normal")
