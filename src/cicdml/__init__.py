@@ -50,11 +50,11 @@ from .nuisance import (
     GammaMap,
     NuFn,
     NuisanceSet,
-    compose_gamma,
     estimate_pi,
     fit_cond_cdf,
     fit_cond_quantile,
     fit_density,
+    fit_gamma,
     fit_nu,
 )
 from .validation import (
@@ -89,7 +89,6 @@ __all__ = [
     "Perturbation",
     "StmConfig",
     "TransformSpec",
-    "compose_gamma",
     "confidence_interval",
     "coverage_study",
     "estimate",
@@ -97,6 +96,7 @@ __all__ = [
     "fit_cond_cdf",
     "fit_cond_quantile",
     "fit_density",
+    "fit_gamma",
     "fit_nu",
     "gen_did",
     "gen_stm",

@@ -17,7 +17,11 @@ are formed only by ``estimator._CrossFit``. Odds integrals go through
 :func:`integrate_nu_many`: a closed form when the odds object has one,
 a trapezoid antiderivative on shared grid nodes for fitted odds and for
 any odds without covariates, fixed-node composite Simpson for analytic
-odds with covariates.
+odds with covariates. Fitted odds at many nodes come from one primitive,
+``NuFn.node_odds``: the odds integral's antiderivative nodes, and the
+scan nodes at which ``estimator._CrossFit`` evaluates a quantile link's
+moment in one call (``nuisance.signed_odds_sums``, the correction of
+the link's step at every node at once).
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ class GTildeSpec:
 
     ``dtheta`` is d/dt of the conditional moment among the treated: a
     nonzero constant for links affine in t (mean- and CDF-type), solved
-    in closed form, or ``"gamma-density"`` for quantile-type links, whose
-    moment is nondecreasing in t; they are root-solved and the derivative
-    is a kernel density of the transported outcome.
+    in closed form, or ``"gamma-density"`` for quantile-type links
+    1{x < t} - c, whose one jump, of size -1, sits at t. They are
+    root-solved at the first crossing of zero of their moment (a fitted
+    moment need not be monotone), with the value taken on an array of t,
+    and the derivative is a kernel density of the transported outcome.
     """
 
     value: Callable[[float, float], float]

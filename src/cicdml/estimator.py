@@ -37,13 +37,13 @@ from .nuisance import (
     DEFAULT_EPS_CLIP,
     DEFAULT_F_MIN,
     NuisanceSet,
-    compose_gamma,
+    _row_chunk,
     estimate_pi,
-    fit_cond_cdf,
-    fit_cond_quantile,
     fit_density,
+    fit_gamma,
     fit_nu,
     integrate_nu_many,
+    signed_odds_sums,
 )
 
 
@@ -159,10 +159,8 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
         raise InsufficientData("need at least 2 control units to fit the transport map")
 
     ctrl = a == 0
-    l_ctrl = None if l is None else l[ctrl]
-    cdf0 = fit_cond_cdf(y0[ctrl], l_ctrl, bandwidth=cfg.bandwidth)
-    quant1 = fit_cond_quantile(y1[ctrl], l_ctrl, bandwidth=cfg.bandwidth)
-    gamma = compose_gamma(cdf0, quant1)
+    gamma = fit_gamma(y0[ctrl], y1[ctrl], None if l is None else l[ctrl],
+                      bandwidth=cfg.bandwidth)
 
     x_train = gamma(y0, l)
     nu = fit_nu(x_train, l, a, bandwidth=cfg.bandwidth, eps_clip=cfg.eps_clip)
@@ -243,20 +241,36 @@ class _CrossFit:
         return t, self.scores(h + dtheta * t, corr, dtheta)
 
     def quantile_root(self, link: GTildeSpec) -> float:
-        """Root of a quantile-type link's pi-weighted moment, nondecreasing
-        in t: a 256-point scan of the outcome range padded by 5% on each
-        side, then bisection."""
-        treated = self.data.a == 1
-        w_treat = 1.0 / self.pi_of[treated]
-        w_ctrl = 1.0 / self.pi_of[self.ctrl]
-        g_treat = self.gamma_of[treated]
+        """First crossing of zero of a quantile-type link's pi-weighted
+        moment: a 256-point scan of the outcome range padded by 5% on each
+        side, then bisection. A fitted moment need not be monotone; the
+        smallest crossing is kept.
 
-        def moment(t: float) -> float:
-            val = float(np.sum(w_treat * np.asarray(link.value(g_treat, t), dtype=float)))
-            corr = self.correction(link, t)
-            # A sparse sum: only controls whose interval holds a jump count.
-            active = corr != 0.0
-            return val - float(np.sum(w_ctrl[active] * corr[active]))
+        The moment is evaluated on an array of t: the link's value summed
+        over the treated at each t (row by row, as at a single t), plus
+        each fold's odds-weighted signed count of its controls whose
+        interval (y1, gamma] or (gamma, y1] holds t
+        (:func:`cicdml.nuisance.signed_odds_sums`), which is minus the
+        control correction of the link's unit step down at t.
+        """
+        data = self.data
+        treated = data.a == 1
+        w_treat = 1.0 / self.pi_of[treated]
+        g_treat = self.gamma_of[treated]
+        fold_c = self.folds.fold_of[self.ctrl]
+        folds = [(eta.nu, self.ctrl[fold_c == k]) for k, eta in enumerate(self.fitted)]
+
+        def moment(t: np.ndarray) -> np.ndarray:
+            val = np.empty(t.shape[0])
+            step = _row_chunk(g_treat.shape[0])
+            for start in range(0, t.shape[0], step):
+                tc = t[start:start + step, None]
+                val[start:start + step] = np.sum(
+                    w_treat * np.asarray(link.value(g_treat, tc), dtype=float), axis=1)
+            for nu, idx in folds:
+                val += signed_odds_sums(t, data.y1[idx], self.gamma_of[idx],
+                                        _l_or_none(data, idx), 1.0 / self.pi_of[idx], nu)
+            return val
 
         span = np.concatenate([self.data.y1, self.gamma_of])
         pad = 0.05 * (span.max() - span.min()) + 1e-9
@@ -330,17 +344,22 @@ def att_psi_values(data: PanelDataset, folds: FoldAssignment, fitted: List[Nuisa
 # ---------------------------------------------------------------------------
 
 
-def solve_quantile_root(estimating_fn: Callable[[float], float],
+def solve_quantile_root(estimating_fn: Callable,
                         bracket: Tuple[float, float],
                         candidates: Optional[np.ndarray] = None,
                         tol: float = 1e-8,
                         scan_points: int = 256) -> float:
-    """Smallest point where a nondecreasing empirical moment crosses zero.
+    """Smallest point where an empirical moment crosses zero.
 
-    With ``candidates`` (sorted jump locations of a step function) the
-    crossing is located exactly by index bisection, matching the
-    generalized-inverse convention. Otherwise a coarse scan finds the
-    first sign change and bisection refines it to ``tol``.
+    With ``candidates`` (sorted jump locations of a nondecreasing step
+    function) ``estimating_fn`` takes a float, and the crossing is
+    located exactly by index bisection, matching the generalized-inverse
+    convention. Otherwise ``estimating_fn`` takes an array of points and
+    returns the moment at each: one call on ``scan_points`` equally
+    spaced points of the bracket finds the first point where the moment
+    is nonnegative, and bisection of the cell before it, one point per
+    call, refines the crossing to ``tol``. A moment that crosses zero
+    more than once keeps its first crossing.
     """
     if candidates is not None:
         cand = np.asarray(candidates, dtype=float)
@@ -355,25 +374,20 @@ def solve_quantile_root(estimating_fn: Callable[[float], float],
                 lo = mid
         return float(cand[hi])
 
+    def nonnegative(t: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(estimating_fn(t), dtype=float), t.shape) >= 0.0
+
     lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo = estimating_fn(lo)
-    if f_lo >= 0.0:
-        return lo
     grid = np.linspace(lo, hi, max(2, scan_points))
-    upper = None
-    prev = lo
-    for x in grid[1:]:
-        if estimating_fn(float(x)) >= 0.0:
-            upper = float(x)
-            break
-        prev = float(x)
-    if upper is None:
+    hits = np.flatnonzero(nonnegative(grid))
+    if hits.size == 0:
         raise NoBracket(f"no sign change on [{lo:g}, {hi:g}]")
-    lo = prev
-    hi = upper
+    if hits[0] == 0:
+        return lo
+    lo, hi = float(grid[hits[0] - 1]), float(grid[hits[0]])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if estimating_fn(mid) >= 0.0:
+        if nonnegative(np.array([mid]))[0]:
             hi = mid
         else:
             lo = mid
@@ -462,10 +476,8 @@ def _fit_full_gamma(data: PanelDataset, bandwidth):
     if (a == 1).sum() == 0 or (a == 0).sum() == 0:
         raise DegenerateArm("plug-in estimators need both treatment arms")
     ctrl = a == 0
-    l_ctrl = _l_or_none(data)[ctrl] if data.p else None
-    cdf0 = fit_cond_cdf(data.y0[ctrl], l_ctrl, bandwidth=bandwidth)
-    quant1 = fit_cond_quantile(data.y1[ctrl], l_ctrl, bandwidth=bandwidth)
-    return compose_gamma(cdf0, quant1)
+    return fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl] if data.p else None,
+                     bandwidth=bandwidth)
 
 
 def imputed_counterfactuals(data: PanelDataset, bandwidth=None) -> np.ndarray:

@@ -18,15 +18,22 @@ the least Riesz loss E[(1 - A) nu^2] - 2 E[A nu], fitted on the training
 units at even positions and scored on those at odd positions.
 
 Kernel weights are formed in row chunks of at most ``_CHUNK_BUDGET``
-elements, one coordinate at a time. Odds integrals come from a trapezoid
-antiderivative on ``ANTIDERIV_GRID`` equally spaced nodes spanning the
-call's interval endpoints. With covariates each unit has its own column
-of node odds: the product kernel factorises into an outcome part, formed
+elements, one coordinate at a time. The transport map forms each
+chunk's covariate weights once for its CDF and its quantile, which are
+fitted on the same control units.
+
+``NuFn.node_odds`` is the one primitive for fitted odds at many outcome
+nodes: the odds at every node for each unit's covariates. With
+covariates the product kernel factorises into an outcome part, formed
 once at the nodes, and a covariate part, formed once per unit, so one
-matrix product gives every unit's regression sums at every node. Without
-covariates the one column's sums come from training x linearly binned on
-a grid ``ANTIDERIV_REFINE`` times finer and one direct kernel
-convolution per sub-grid phase, unless the dense sums are cheaper.
+matrix product gives every unit's regression sums at every node. Odds
+integrals are trapezoid antiderivatives of the node odds on
+``ANTIDERIV_GRID`` equally spaced nodes spanning the call's interval
+endpoints; without covariates the one column's sums come from training x
+linearly binned on a grid ``ANTIDERIV_REFINE`` times finer and one
+direct kernel convolution per sub-grid phase, unless the dense sums are
+cheaper. The QTT moment's control part at every scan node
+(:func:`signed_odds_sums`) takes the node odds at the scan nodes.
 """
 
 from __future__ import annotations
@@ -299,13 +306,17 @@ class CondCdf:
         for start in range(0, y.shape[0], step):
             sl = slice(start, start + step)
             w = self._weights(l[sl])
-            cum = np.cumsum(w, axis=1)
-            total = cum[:, -1]
-            k = np.searchsorted(self.y_sorted, y[sl], side="right")
-            num = np.where(k > 0, cum[np.arange(w.shape[0]), np.maximum(k - 1, 0)], 0.0)
-            ok = total > 1e-300
-            out[sl] = np.where(ok, num / np.where(ok, total, 1.0), k / self.m)
+            out[sl] = self._from_cumulative(np.cumsum(w, axis=1, out=w), y[sl])
         return out
+
+    def _from_cumulative(self, cum: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """F-hat at y_i from row i of the cumulative kernel weights, in
+        ``y_sorted`` order."""
+        total = cum[:, -1]
+        k = np.searchsorted(self.y_sorted, y, side="right")
+        num = np.where(k > 0, cum[np.arange(cum.shape[0]), np.maximum(k - 1, 0)], 0.0)
+        ok = total > 1e-300
+        return np.where(ok, num / np.where(ok, total, 1.0), k / self.m)
 
     def __call__(self, y, l=None):
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -357,26 +368,29 @@ class CondQuantile:
 
     def evaluate_many(self, u: np.ndarray, l: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        ys = self.cdf.y_sorted
         m = self.cdf.m
         if self.p == 0:
             idx = np.ceil(u * m - 1e-9).astype(int) - 1
-            return ys[np.clip(idx, 0, m - 1)]
+            return self.cdf.y_sorted[np.clip(idx, 0, m - 1)]
         out = np.empty(u.shape[0])
         step = _row_chunk(m)
         for start in range(0, u.shape[0], step):
             sl = slice(start, start + step)
             w = self.cdf._weights(l[sl])
-            cum = np.cumsum(w, axis=1)
-            total = cum[:, -1]
-            ok = total > 1e-300
-            cum /= np.where(ok, total, 1.0)[:, None]
-            target = u[sl] * (1.0 - 1e-12)
-            # Each row of cum is nondecreasing, so counting the entries
-            # below the target is a left-sided searchsorted per row.
-            rows = (cum < target[:, None]).sum(axis=1)
-            out[sl] = ys[np.clip(rows, 0, m - 1)]
+            out[sl] = self._from_cumulative(np.cumsum(w, axis=1, out=w), u[sl])
         return out
+
+    def _from_cumulative(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The quantile at u_i from row i of the cumulative kernel weights,
+        in the fitted CDF's ``y_sorted`` order; cum is normalised in place."""
+        total = cum[:, -1]
+        ok = total > 1e-300
+        cum /= np.where(ok, total, 1.0)[:, None]
+        target = u * (1.0 - 1e-12)
+        # Each row of cum is nondecreasing, so counting the entries below
+        # the target is a left-sided searchsorted per row.
+        rows = (cum < target[:, None]).sum(axis=1)
+        return self.cdf.y_sorted[np.clip(rows, 0, self.cdf.m - 1)]
 
     def __call__(self, u, l=None):
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
@@ -388,14 +402,21 @@ class CondQuantile:
 @dataclass
 class GammaMap:
     """Outcome transport map: conditional quantile of period-1 controls
-    composed with the conditional CDF of period-0 controls.
+    composed with the conditional CDF of period-0 controls, both fitted
+    on the same control units (:func:`fit_gamma`).
 
     Nondecreasing in y for every fixed covariate value because both
     members are; outputs lie in the observed period-1 control range.
+    With covariates both members weight the same units with the same
+    bandwidths, in another order: ``perm`` lists the quantile's units as
+    positions in the CDF's order (None for p = 0, where ranks compose),
+    so each chunk's kernel weights are formed once and permuted for the
+    quantile.
     """
 
     cdf0: CondCdf
     quantile1: CondQuantile
+    perm: Optional[np.ndarray]
 
     @property
     def p(self) -> int:
@@ -410,8 +431,18 @@ class GammaMap:
             k = np.searchsorted(self.cdf0.y_sorted, y, side="right")
             j = (k * m1 + m0 - 1) // m0
             return self.quantile1.cdf.y_sorted[np.clip(j - 1, 0, m1 - 1)]
-        u = self.cdf0.evaluate_many(y, l)
-        return self.quantile1.evaluate_many(u, l)
+        out = np.empty(y.shape[0])
+        step = _row_chunk(self.cdf0.m)
+        for start in range(0, y.shape[0], step):
+            sl = slice(start, start + step)
+            w = self.cdf0._weights(l[sl])
+            w1 = w[:, self.perm]
+            u = self.cdf0._from_cumulative(np.cumsum(w, axis=1, out=w), y[sl])
+            out[sl] = self.quantile1._from_cumulative(np.cumsum(w1, axis=1, out=w1), u)
+            # Freed before the next chunk's weights are formed, so that at
+            # most two chunk buffers are alive at once.
+            del w, w1
+        return out
 
     def __call__(self, y, l=None):
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -445,11 +476,19 @@ def fit_cond_quantile(y, l=None, bandwidth=None) -> CondQuantile:
     return CondQuantile(cdf=fit_cond_cdf(y, l, bandwidth=bandwidth))
 
 
-def compose_gamma(cdf: CondCdf, quant: CondQuantile) -> GammaMap:
-    """Compose a period-0 CDF with a period-1 quantile into the transport map."""
-    if cdf.p != quant.p:
-        raise ValueError(f"covariate dimensions differ: {cdf.p} vs {quant.p}")
-    return GammaMap(cdf0=cdf, quantile1=quant)
+def fit_gamma(y0, y1, l=None, bandwidth=None) -> GammaMap:
+    """Fit the transport map on control units' paired outcomes: the
+    conditional CDF of y0 and the conditional quantile of y1, both given
+    the units' covariates l (None for p = 0) with the same bandwidths."""
+    y0 = np.asarray(y0, dtype=float)
+    y1 = np.asarray(y1, dtype=float)
+    if y0.shape != y1.shape:
+        raise ValueError("y0 and y1 must pair the same units")
+    cdf0 = fit_cond_cdf(y0, l, bandwidth=bandwidth)
+    quant1 = fit_cond_quantile(y1, l, bandwidth=bandwidth)
+    perm = (np.argsort(np.argsort(y0, kind="stable"))[np.argsort(y1, kind="stable")]
+            if cdf0.p else None)
+    return GammaMap(cdf0=cdf0, quantile1=quant1, perm=perm)
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +535,15 @@ class NuFn:
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
 
-        A trapezoid antiderivative on ``ANTIDERIV_GRID`` equally spaced
-        nodes spanning the call's endpoints, as :func:`integrate_nu_many`
-        builds for any odds function without covariates. Without
-        covariates the regression's sums at the nodes are taken from
-        linearly binned training x (:func:`_binned_nw_sums`) when that is
-        cheaper than the dense sums. With covariates each unit has its own
-        column of node odds, from the Gaussian product kernel, which
-        factorises into an outcome part and a covariate part K(x) C(l):
-        the x-weights at the nodes are formed once per chunk of k units
-        (once per call while the (G, 2k) sums and the (m, 2k) weights
-        [C a, C] fit ``_CHUNK_BUDGET``: 256 units for m <= G), each unit's
-        covariate weights C once, and one matrix product with [C a, C]
-        gives every unit's numerator and denominator at every node.
+        A trapezoid antiderivative of the odds on ``ANTIDERIV_GRID``
+        equally spaced nodes spanning the call's endpoints, as
+        :func:`integrate_nu_many` builds for any odds function without
+        covariates. Without covariates one column of node odds serves
+        every unit; its regression sums are taken from linearly binned
+        training x (:func:`_binned_nw_sums`) when that is cheaper than
+        :meth:`node_odds`' dense sums. With covariates each unit has its
+        own column from :meth:`node_odds`, for chunks of units
+        (:func:`_units_per_chunk`).
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -518,20 +553,37 @@ class NuFn:
         nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
         if self.p == 0:
             sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
-            odds = (self.evaluate_many(nodes, np.empty((nodes.shape[0], 0))) if sums is None
-                    else self._odds(*sums))
+            odds = self.node_odds(nodes, None) if sums is None else self._odds(*sums)
             return _grid_integrals(nodes, odds, lo, hi)
         l = np.asarray(l, dtype=float)
-        # Units per chunk: their (G, 2k) sums and (m, 2k) weights fit the
-        # budget.
-        step = _row_chunk(2 * max(nodes.shape[0], self.z.shape[0]))
+        step = _units_per_chunk(self, nodes.shape[0])
         out = np.empty(n)
         for start in range(0, n, step):
             sl = slice(start, start + step)
-            nd = self._node_sums(nodes, l[sl])
-            k = nd.shape[1] // 2
-            out[sl] = _grid_integrals(nodes, self._odds(nd[:, :k], nd[:, k:]), lo[sl], hi[sl])
+            out[sl] = _grid_integrals(nodes, self.node_odds(nodes, l[sl]), lo[sl], hi[sl])
         return out
+
+    def node_odds(self, nodes: np.ndarray, l) -> np.ndarray:
+        """Clipped odds at every node for each covariate row of l, shape
+        (G, k): the one odds primitive behind the odds integral
+        (:meth:`integral_many`) and the QTT moment
+        (:func:`signed_odds_sums`).
+
+        Without covariates (l None) it is one column (G, 1) shared by
+        every unit, from the dense regression sums. With covariates the
+        Gaussian product kernel factorises into an outcome part and a
+        covariate part K(x) C(l): the x-weights at the nodes are formed
+        once, each row's covariate weights C once, and one matrix product
+        with [C a, C] gives every row's numerator and denominator at every
+        node. Callers pass at most :func:`_units_per_chunk` rows, so that
+        the (G, 2k) sums and the (m, 2k) weights fit ``_CHUNK_BUDGET``.
+        """
+        nodes = np.asarray(nodes, dtype=float)
+        if self.p == 0:
+            return self.evaluate_many(nodes, np.empty((nodes.shape[0], 0)))[:, None]
+        nd = self._node_sums(nodes, np.asarray(l, dtype=float))
+        k = nd.shape[1] // 2
+        return self._odds(nd[:, :k], nd[:, k:])
 
     def _node_sums(self, nodes, l):
         """The regression's numerators (first k columns) and denominators
@@ -554,6 +606,56 @@ class NuFn:
         pr = _nw_ratio(num, denom, float(self.a.mean()))
         np.clip(pr, self.eps_clip, 1.0 - self.eps_clip, out=pr)
         return np.divide(pr, 1.0 - pr, out=pr)
+
+
+def _units_per_chunk(nu: NuFn, n_nodes: int) -> int:
+    """Covariate rows per :meth:`NuFn.node_odds` call at n_nodes nodes:
+    their (G, 2k) sums and (m, 2k) weights fit the budget (256 rows for
+    m <= G = ``ANTIDERIV_GRID``)."""
+    return _row_chunk(2 * max(n_nodes, nu.z.shape[0]))
+
+
+def signed_odds_sums(nodes, lo, hi, l, w, nu) -> np.ndarray:
+    """sum_i w_i s_i(t) nu(t, l_i) at every node t, with s_i(t) = 1 for t
+    in (lo_i, hi_i], -1 for t in (hi_i, lo_i] and 0 elsewhere.
+
+    Minus the w-weighted control correction of a unit step down at t
+    (the quantile link), at every node at once. Only units whose interval
+    meets [min(nodes), max(nodes)] enter. Fitted odds give their node odds
+    by :meth:`NuFn.node_odds`, for chunks of units as in
+    :meth:`NuFn.integral_many` (the shared column without covariates);
+    odds without a ``node_odds`` of their own are evaluated by
+    ``nu(x, l)`` at the (t, l_i) pairs where s_i(t) is not 0.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    out = np.zeros(nodes.shape[0])
+    keep = (np.minimum(lo, hi) < nodes.max()) & (np.maximum(lo, hi) >= nodes.min())
+    if not keep.any():
+        return out
+    lo, hi, w = lo[keep], hi[keep], np.asarray(w, dtype=float)[keep]
+    l = None if l is None or np.asarray(l).size == 0 else np.asarray(l, dtype=float)[keep]
+    own = getattr(nu, "node_odds", None)
+    shared = own(nodes, None) if own is not None and l is None else None
+    step = (_units_per_chunk(nu, nodes.shape[0]) if own is not None and l is not None
+            else _row_chunk(nodes.shape[0]))
+    t = nodes[:, None]
+    for start in range(0, lo.shape[0], step):
+        sl = slice(start, start + step)
+        s = (((lo[sl] < t) & (t <= hi[sl])).astype(float)
+             - ((hi[sl] < t) & (t <= lo[sl])))
+        if shared is not None:
+            odds = shared
+        elif own is not None:
+            odds = own(nodes, l[sl])
+        else:
+            odds = np.zeros_like(s)
+            g, i = np.nonzero(s)
+            if g.size:
+                odds[g, i] = nu(nodes[g], None if l is None else l[sl][i])
+        out += np.multiply(s, odds, out=s) @ w[sl]
+    return out
 
 
 def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:

@@ -39,9 +39,7 @@ from .nuisance import (
     _bandwidth_vector,
     _grid_integrals,
     _grid_nodes,
-    compose_gamma,
-    fit_cond_cdf,
-    fit_cond_quantile,
+    fit_gamma,
     fit_nu,
 )
 
@@ -342,10 +340,7 @@ def rate_probe(dgp: StmConfig, n_ladder: Sequence[int] = (500, 2000, 8000),
     for n in n_ladder:
         data, _ = gen_stm(replace(dgp, n=int(n), seed=_derived_seed(seed, int(n))))
         ctrl = data.a == 0
-        l_ctrl = data.l[ctrl] if dgp.p else None
-        cdf0 = fit_cond_cdf(data.y0[ctrl], l_ctrl)
-        quant1 = fit_cond_quantile(data.y1[ctrl], l_ctrl)
-        gamma_hat = compose_gamma(cdf0, quant1)
+        gamma_hat = fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl] if dgp.p else None)
         x_train = gamma_hat(data.y0, data.l if dgp.p else None)
         z = np.column_stack([x_train, data.l]) if dgp.p else x_train.reshape(-1, 1)
         base_h = _bandwidth_vector(z, None)

@@ -1,14 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import erfinv
 
-from cicdml import nuisance
-from cicdml.data_model import EstimandSpec, PanelDataset, partition_folds
-from cicdml.dgp import ConstantNu, gen_did, gen_stm, named_config
+from cicdml import estimator, nuisance
+from cicdml.data_model import EstimandSpec, FoldAssignment, PanelDataset, partition_folds
+from cicdml.dgp import ConstantNu, gen_did, gen_stm, named_config, true_nuisances
+from cicdml.eif import gtilde_quantile
 from cicdml.errors import DegenerateArm, NoBracket
 from cicdml.estimator import (
     CrossFitConfig,
+    _CrossFit,
     att_psi_values,
     confidence_interval,
     estimate,
@@ -38,7 +43,6 @@ class LookupGamma:
 
 def two_fold_assignment(n):
     # Alternating folds keep the construction independent of RNG details.
-    from cicdml.data_model import FoldAssignment
     return FoldAssignment(fold_of=np.arange(n) % 2, K=2)
 
 
@@ -126,6 +130,129 @@ class TestSolveQuantileRoot:
         got = solve_quantile_root(moment, bracket=(0.0, 4.0))
         assert got == pytest.approx(0.5, abs=1e-8)
         assert moment(got) >= 0.0
+
+
+def fitted_engine(name, n, K=3, seed=11):
+    """The score engine over K cross-fitted folds of a named model's data."""
+    data, _ = gen_stm(named_config(name, n=n, seed=seed))
+    folds = partition_folds(data.n, K, stratify_on=data.a, seed=seed)
+    cfg = CrossFitConfig(K=K)
+    return _CrossFit(data, folds, [fit_fold_nuisances(data, folds.train_indices(k), cfg)
+                                   for k in range(K)])
+
+
+def oracle_engine(name, n, seed=11):
+    """The score engine over one fold with the model's true nuisances."""
+    config = named_config(name, n=n, seed=seed)
+    data, _ = gen_stm(config)
+    return _CrossFit(data, FoldAssignment(fold_of=np.zeros(data.n, dtype=int), K=1),
+                     [true_nuisances(config)])
+
+
+def constant_odds_engine():
+    """TestPsiQtt's two treated units at y1 = 1 and 5, with two controls
+    at y1 = 0.5 and -1, the transported outcome 0 and unit odds."""
+    y1 = np.array([1.0, 5.0, 0.5, -1.0])
+    data = PanelDataset(y0=np.zeros(4), y1=y1, a=np.array([1, 1, 0, 0]), l=np.empty((4, 0)))
+    eta = NuisanceSet(gamma=lambda y, l=None: np.zeros(np.shape(y)), nu=ConstantNu(1.0),
+                      pi=0.5)
+    return _CrossFit(data, FoldAssignment(fold_of=np.zeros(4, dtype=int), K=1), [eta])
+
+
+def captured_moment(monkeypatch, cf, link):
+    """The estimating function and scan nodes of ``cf.quantile_root(link)``,
+    and the number of calls the root solve made of it."""
+    seen = {"calls": 0}
+    solve = estimator.solve_quantile_root
+
+    def record(fn, bracket, **kwargs):
+        def counted(t):
+            seen["calls"] += 1
+            return fn(t)
+        seen.update(fn=fn, bracket=bracket, nodes=np.linspace(*bracket, 256))
+        return solve(counted, bracket, **kwargs)
+
+    monkeypatch.setattr(estimator, "solve_quantile_root", record)
+    cf.quantile_root(link)
+    monkeypatch.setattr(estimator, "solve_quantile_root", solve)
+    return seen
+
+
+class TestQuantileMoment:
+    """The QTT moment on every scan node in one call, against the
+    per-point formula it replaced: the link summed over the treated minus
+    the pi-weighted control corrections at each t."""
+
+    @staticmethod
+    def per_point(cf, link, t):
+        """The moment at t, its control part, and the sum of the absolute
+        values of its terms."""
+        treated = cf.data.a == 1
+        v = np.asarray(link.value(cf.gamma_of[treated], t)) / cf.pi_of[treated]
+        c = cf.correction(link, t) / cf.pi_of[cf.ctrl]
+        return np.sum(v) - np.sum(c), -np.sum(c), np.abs(v).sum() + np.abs(c).sum()
+
+    def check(self, monkeypatch, cf, budget=None):
+        link = gtilde_quantile(0.5)
+        moment = captured_moment(monkeypatch, cf, link)
+        if budget is not None:
+            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
+        nodes = moment["nodes"]
+        got = moment["fn"](nodes)
+        want, ctrl, scale = np.array([self.per_point(cf, link, t) for t in nodes]).T
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        # The control part is not vacuous.
+        assert np.count_nonzero(ctrl) >= 20
+        return cf
+
+    def test_fitted_odds_without_covariates(self, monkeypatch):
+        self.check(monkeypatch, fitted_engine("did", 400))
+
+    def test_fitted_odds_with_covariates_across_unit_chunks(self, monkeypatch):
+        # 4000 elements make chunks of 7 control units (m is about 267).
+        cf = self.check(monkeypatch, fitted_engine("stm-cov", 400), budget=4000)
+        assert nuisance._units_per_chunk(cf.fitted[0].nu, 256) == 7
+
+    def test_analytic_odds_with_covariates(self, monkeypatch):
+        # GaussHermiteNu has no node_odds: its odds are evaluated at the
+        # (t, l) pairs.
+        cf = self.check(monkeypatch, oracle_engine("stm-cov", 400))
+        assert not hasattr(cf.fitted[0].nu, "node_odds")
+
+    def test_constant_odds(self, monkeypatch):
+        link = gtilde_quantile(0.5)
+        cf = constant_odds_engine()
+        moment = captured_moment(monkeypatch, cf, link)
+        got = moment["fn"](moment["nodes"])
+        want = np.array([self.per_point(cf, link, t)[0] for t in moment["nodes"]])
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+        # -2 up to -1, 0 on (-1, 0.5] where the controls cancel the
+        # treated, 2 from 0.5 on.
+        assert set(got) == {-2.0, 0.0, 2.0}
+
+    def test_link_solve_bisects_one_scan_cell(self, monkeypatch):
+        # One call on the scan grid, then one per halving of a grid cell.
+        cf = fitted_engine("stm-cov", 400)
+        moment = captured_moment(monkeypatch, cf, gtilde_quantile(0.5))
+        lo, hi = moment["bracket"]
+        cell = (hi - lo) / 255
+        assert moment["calls"] <= 1 + math.ceil(math.log2(cell / 1e-8)) + 1
+
+    def test_peak_memory_stays_bounded(self, monkeypatch):
+        # One fold over all 2000 units: about 1000 control units meet the
+        # scan range, in chunks of 250 against m = 2000 training rows.
+        # Peaks near 17 MiB; all units in one chunk peaked at 63 MiB.
+        data, _ = gen_stm(named_config("stm-cov", n=2000, seed=1))
+        eta = fit_fold_nuisances(data, np.arange(data.n), CrossFitConfig(K=5))
+        cf = _CrossFit(data, FoldAssignment(fold_of=np.zeros(data.n, dtype=int), K=1), [eta])
+        moment = captured_moment(monkeypatch, cf, gtilde_quantile(0.5))
+        tracemalloc.start()
+        try:
+            moment["fn"](moment["nodes"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 34 * 2 ** 20
 
 
 class TestMedianAdjust:

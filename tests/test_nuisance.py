@@ -11,11 +11,11 @@ from cicdml.nuisance import (
     _bandwidth_vector,
     _nw_mean,
     _product_weights,
-    compose_gamma,
     estimate_pi,
     fit_cond_cdf,
     fit_cond_quantile,
     fit_density,
+    fit_gamma,
     fit_nu,
     integrate_nu_many,
     silverman_bandwidth,
@@ -197,20 +197,18 @@ class TestCondQuantileCount:
 
 class TestGammaMap:
     def test_hand_composed_transport(self):
-        cdf = fit_cond_cdf(np.array([1.0, 2.0, 3.0]))
-        quant = fit_cond_quantile(np.array([10.0, 20.0, 30.0]))
-        gamma = compose_gamma(cdf, quant)
+        gamma = fit_gamma(np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0]))
         assert gamma(2.0) == 20.0
 
     def test_identity_transport(self):
         y = np.array([0.4, 1.3, 2.2, 5.0])
-        gamma = compose_gamma(fit_cond_cdf(y), fit_cond_quantile(y))
+        gamma = fit_gamma(y, y)
         assert_allclose(gamma(y), y)
 
     def test_shift_transport(self):
         rng = np.random.default_rng(11)
         y0 = rng.standard_normal(500)
-        gamma = compose_gamma(fit_cond_cdf(y0), fit_cond_quantile(y0 + 5.0))
+        gamma = fit_gamma(y0, y0 + 5.0)
         inner = np.sort(y0)[25:-25]
         assert_allclose(gamma(inner), inner + 5.0, atol=1e-12)
 
@@ -218,9 +216,9 @@ class TestGammaMap:
         rng = np.random.default_rng(12)
         y0 = rng.standard_normal(200)
         y1 = rng.standard_normal(200) + 1.0
-        gamma = compose_gamma(fit_cond_cdf(y0), fit_cond_quantile(y1))
+        gamma = fit_gamma(y0, y1)
         for T in (np.exp, lambda x: x ** 3 + x, lambda x: 2.5 * x - 1.0):
-            gamma_t = compose_gamma(fit_cond_cdf(T(y0)), fit_cond_quantile(T(y1)))
+            gamma_t = fit_gamma(T(y0), T(y1))
             assert_allclose(gamma_t(T(y0)), T(gamma(y0)), rtol=0, atol=0)
 
     def test_monotone_in_y(self):
@@ -228,16 +226,34 @@ class TestGammaMap:
         y0 = rng.standard_normal(150)
         y1 = np.exp(rng.standard_normal(150))
         l = rng.standard_normal((150, 1))
-        gamma = compose_gamma(fit_cond_cdf(y0, l), fit_cond_quantile(y1, l))
+        gamma = fit_gamma(y0, y1, l)
         grid = np.linspace(-2.5, 2.5, 80)
         vals = gamma.evaluate_many(grid, np.broadcast_to([0.3], (80, 1)))
         assert np.all(np.diff(vals) >= 0)
 
     def test_dimension_mismatch_rejected(self):
-        cdf = fit_cond_cdf(np.array([1.0, 2.0]), np.array([[0.0], [1.0]]))
-        quant = fit_cond_quantile(np.array([1.0, 2.0]))
+        # Both halves are fitted on the same control units.
         with pytest.raises(ValueError):
-            compose_gamma(cdf, quant)
+            fit_gamma(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError):
+            fit_gamma(np.array([1.0, 2.0]), np.array([2.0, 1.0]), np.array([[0.0], [1.0], [2.0]]))
+
+    # 1000 elements make chunks of 3 query rows over 300 controls.
+    @pytest.mark.parametrize("budget", [1000, 1 << 20])
+    def test_shared_weights_equal_the_composed_halves(self, monkeypatch, budget):
+        # The quantile's kernel weights are the CDF's, permuted: bit for
+        # bit the composition of the separately evaluated halves, with
+        # tied outcomes in both periods.
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
+        rng = np.random.default_rng(14)
+        y0 = np.round(rng.standard_normal(300), 1)
+        y1 = np.round(y0 + rng.standard_normal(300), 1)
+        l = rng.standard_normal((300, 2))
+        gamma = fit_gamma(y0, y1, l)
+        yq, lq = rng.standard_normal(50), rng.standard_normal((50, 2))
+        want = gamma.quantile1.evaluate_many(gamma.cdf0.evaluate_many(yq, lq), lq)
+        assert_array_equal(gamma.evaluate_many(yq, lq), want)
+        assert_array_equal(gamma.quantile1.cdf.l_by_y, gamma.cdf0.l_by_y[gamma.perm])
 
 
 class TestNuFn:
