@@ -27,8 +27,9 @@ from .data_model import PanelDataset, validate
 from .errors import InvalidTransform
 from .nuisance import (
     NuisanceSet,
-    _as_matrix,
+    _PointwiseFn,
     _bandwidth_vector,
+    _covariate_matrix,
     _nw_mean,
 )
 
@@ -167,10 +168,10 @@ class StmConfig:
         return all(c == 0.0 for c in self.treat_l) and all(c == 0.0 for c in self.treat_u)
 
     def k0(self, l):
-        return self.k0_intercept + (l @ np.asarray(self.k0_coef) if self.p else 0.0)
+        return self.k0_intercept + l @ np.asarray(self.k0_coef)
 
     def k1(self, l):
-        return self.k1_intercept + (l @ np.asarray(self.k1_coef) if self.p else 0.0)
+        return self.k1_intercept + l @ np.asarray(self.k1_coef)
 
     def to_dict(self) -> dict:
         d = {f: getattr(self, f) for f in self.__dataclass_fields__}
@@ -190,25 +191,17 @@ class StmConfig:
         return cls(**d)
 
 
-class AnalyticGamma:
+class AnalyticGamma(_PointwiseFn):
     """Closed-form transport map of the transformation model:
     ``beta1(beta0^{-1}(y) + k1(l) - k0(l))``, strictly increasing in y."""
 
     def __init__(self, cfg: StmConfig):
         self.cfg = cfg
+        self.p = cfg.p
 
-    def __call__(self, y, l=None):
+    def evaluate_many(self, y, l):
         cfg = self.cfg
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if cfg.p:
-            l_arr = np.asarray(l, dtype=float)
-            if l_arr.ndim == 1:
-                l_arr = np.broadcast_to(l_arr, (y_arr.shape[0], cfg.p))
-            shift = cfg.k1(l_arr) - cfg.k0(l_arr)
-        else:
-            shift = cfg.k1_intercept - cfg.k0_intercept
-        out = cfg.beta1.apply(cfg.beta0.invert(y_arr) + shift)
-        return float(out[0]) if np.isscalar(y) else out
+        return cfg.beta1.apply(cfg.beta0.invert(y) + (cfg.k1(l) - cfg.k0(l)))
 
 
 class ConstantNu:
@@ -243,7 +236,7 @@ class LinearNu:
         return 0.5 * self.slope * (hi * hi - lo * lo) + self.intercept * (hi - lo)
 
 
-class GaussHermiteNu:
+class GaussHermiteNu(_PointwiseFn):
     """Exact treatment odds for the linear-Gaussian logistic family.
 
     Conditioning on the transported outcome pins down the latent index
@@ -254,6 +247,7 @@ class GaussHermiteNu:
 
     def __init__(self, cfg: StmConfig):
         self.cfg = cfg
+        self.p = cfg.p
         m = np.asarray(cfg.m_coeffs, dtype=float)
         bu = np.asarray(cfg.treat_u, dtype=float)
         var_z = float(m @ m) + cfg.eps_sigma ** 2
@@ -263,27 +257,16 @@ class GaussHermiteNu:
 
     def propensity_many(self, x, l):
         cfg = self.cfg
-        x = np.asarray(x, dtype=float)
-        z = cfg.beta1.invert_extended(x) - cfg.k1(np.asarray(l, dtype=float) if cfg.p else None)
-        mu = cfg.treat_intercept + self._kappa * z
-        if cfg.p:
-            mu = mu + np.asarray(l, dtype=float) @ np.asarray(cfg.treat_l)
+        z = cfg.beta1.invert_extended(x) - cfg.k1(l)
+        mu = cfg.treat_intercept + self._kappa * z + l @ np.asarray(cfg.treat_l)
         spread = math.sqrt(2.0 * self._post_var)
         vals = expit(mu[:, None] + spread * _GH_X[None, :])
         p = vals @ _GH_W / _SQRT_PI
         return np.clip(p, 1e-12, 1.0 - 1e-12)
 
-    def __call__(self, x, l=None):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.cfg.p:
-            l_arr = np.asarray(l, dtype=float)
-            if l_arr.ndim == 1:
-                l_arr = np.broadcast_to(l_arr, (x_arr.shape[0], self.cfg.p))
-        else:
-            l_arr = None
-        pr = self.propensity_many(x_arr, l_arr)
-        out = pr / (1.0 - pr)
-        return float(out[0]) if np.isscalar(x) else out
+    def evaluate_many(self, x, l):
+        pr = self.propensity_many(x, l)
+        return pr / (1.0 - pr)
 
 
 @dataclass(frozen=True)
@@ -303,10 +286,8 @@ def _draw(cfg: StmConfig, n: int, rng: np.random.Generator):
     l = rng.standard_normal((n, cfg.p))
     u = rng.standard_normal((n, cfg.q))
     noise = rng.logistic(0.0, 1.0, n)
-    logit_index = cfg.treat_intercept + noise
-    if cfg.p:
-        logit_index = logit_index + l @ np.asarray(cfg.treat_l)
-    logit_index = logit_index + u @ np.asarray(cfg.treat_u)
+    logit_index = (cfg.treat_intercept + noise + l @ np.asarray(cfg.treat_l)
+                   + u @ np.asarray(cfg.treat_u))
     a = (logit_index > 0.0).astype(int)
     m_u = u @ np.asarray(cfg.m_coeffs)
     eps0 = rng.normal(0.0, cfg.eps_sigma, n)
@@ -375,7 +356,7 @@ def true_pi(cfg: StmConfig) -> float:
     return float(vals @ _GH_W / _SQRT_PI)
 
 
-class _McNu:
+class _McNu(_PointwiseFn):
     """Monte Carlo regression oracle for the treatment odds.
 
     Oversmooths the rule-of-thumb bandwidth by 1.5x: the oracle trades
@@ -387,26 +368,17 @@ class _McNu:
         rng = _rng(seed, 3)
         l, _, a, y0, _ = _draw(cfg, mc_size, rng)
         gamma = AnalyticGamma(cfg)
-        x = gamma(y0, l if cfg.p else None)
-        z = np.column_stack([x, l]) if cfg.p else x.reshape(-1, 1)
+        z = np.column_stack([gamma(y0, l), l])
         self._z = z
         self._a = a.astype(float)
         self._h = 1.5 * _bandwidth_vector(z, None)
         self.p = cfg.p
 
-    def __call__(self, x, l=None):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.p:
-            l_arr = np.asarray(l, dtype=float)
-            if l_arr.ndim == 1:
-                l_arr = np.broadcast_to(l_arr, (x_arr.shape[0], self.p))
-            query = np.column_stack([x_arr, l_arr])
-        else:
-            query = x_arr.reshape(-1, 1)
-        pr = _nw_mean(query, self._z, self._a, self._h, fallback=float(self._a.mean()))
+    def evaluate_many(self, x, l):
+        pr = _nw_mean(np.column_stack([x, l]), self._z, self._a, self._h,
+                      fallback=float(self._a.mean()))
         pr = np.clip(pr, 1e-6, 1.0 - 1e-6)
-        out = pr / (1.0 - pr)
-        return float(out[0]) if np.isscalar(x) else out
+        return pr / (1.0 - pr)
 
 
 def true_nuisances(cfg: StmConfig, method: str = "auto",
@@ -448,35 +420,30 @@ def qq_transform(cfg: StmConfig, u: float, y, l=None) -> np.ndarray:
     u-dependent stretch.
     """
     y = np.asarray(y, dtype=float)
-    l_mat = _as_matrix(l, y.shape[0]) if cfg.p else None
+    l = _covariate_matrix(l, y.shape[0], cfg.p)
     m_u = float(cfg.m_coeffs[0]) * u
     ratio = 1.0 + cfg.eps_u_scale * abs(u)
-    k0 = cfg.k0(l_mat) if cfg.p else cfg.k0_intercept
-    k1 = cfg.k1(l_mat) if cfg.p else cfg.k1_intercept
-    inner = k1 + m_u + ratio * (cfg.beta0.invert(y) - m_u - k0)
+    inner = cfg.k1(l) + m_u + ratio * (cfg.beta0.invert(y) - m_u - cfg.k0(l))
     return cfg.beta1.apply(inner)
 
 
-def qq_invariance_diagnostic(cfg: StmConfig, u_grid=None, y_grid=None, l_grid=None) -> float:
+def qq_invariance_diagnostic(cfg: StmConfig) -> float:
     """Max deviation of the latent-conditional transform across confounder
     values: zero (to rounding) when the transport assumption holds,
-    strictly positive under the period-asymmetric noise violation."""
-    if u_grid is None:
-        u_grid = np.linspace(-2.0, 2.0, 7)
-    if y_grid is None:
-        width = math.sqrt(sum(c * c for c in cfg.k0_coef)
-                          + sum(c * c for c in cfg.m_coeffs) + cfg.eps_sigma ** 2)
-        z = np.linspace(cfg.k0_intercept - 2.5 * width, cfg.k0_intercept + 2.5 * width, 41)
-        y_grid = cfg.beta0.apply(z)
-    if cfg.p:
-        if l_grid is None:
-            l_grid = np.vstack([np.zeros(cfg.p), 0.7 * np.ones(cfg.p), -0.7 * np.ones(cfg.p)])
-        rows = [np.broadcast_to(row, (len(y_grid), cfg.p)) for row in np.atleast_2d(l_grid)]
-    else:
-        rows = [None]
+    strictly positive under the period-asymmetric noise violation.
+
+    Taken over 7 confounder values in [-2, 2], 41 period-0 outcomes whose
+    period-0 index spans 2.5 of its standard deviations around k0's
+    intercept, and the covariate rows with every coordinate 0, 0.7 or -0.7.
+    """
+    width = math.sqrt(sum(c * c for c in cfg.k0_coef)
+                      + sum(c * c for c in cfg.m_coeffs) + cfg.eps_sigma ** 2)
+    z = np.linspace(cfg.k0_intercept - 2.5 * width, cfg.k0_intercept + 2.5 * width, 41)
+    y_grid = cfg.beta0.apply(z)
     worst = 0.0
-    for l_row in rows:
-        vals = np.stack([qq_transform(cfg, float(u), y_grid, l_row) for u in u_grid])
+    for c in (0.0, 0.7, -0.7):
+        vals = np.stack([qq_transform(cfg, float(u), y_grid, np.full(cfg.p, c))
+                         for u in np.linspace(-2.0, 2.0, 7)])
         worst = max(worst, float(np.max(vals.max(axis=0) - vals.min(axis=0))))
     return worst
 

@@ -13,15 +13,8 @@ the ATT is the treated outcome minus the counterfactual-mean link and
 the QTT the treated quantile minus the counterfactual-quantile link.
 
 This module holds the links and :func:`control_correction`; scores
-are formed only by ``estimator._CrossFit``. Odds integrals go through
-:func:`integrate_nu_many`: a closed form when the odds object has one,
-a trapezoid antiderivative on shared grid nodes for fitted odds and for
-any odds without covariates, fixed-node composite Simpson for analytic
-odds with covariates. Fitted odds at many nodes come from one primitive,
-``NuFn.node_odds``: the odds integral's antiderivative nodes, and the
-scan nodes at which ``estimator._CrossFit`` evaluates a quantile link's
-moment in one call (``nuisance.signed_odds_sums``, the correction of
-the link's step at every node at once).
+are formed only by ``estimator._CrossFit``, and odds integrals by
+:func:`cicdml.nuisance.integrate_nu_many`.
 """
 
 from __future__ import annotations
@@ -107,22 +100,24 @@ def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
     g_i < y1_i the interval is (g_i, y1_i] and the sign flips. Smooth
     links integrate nu times ``dx`` with ``integrate`` (a constant ``dx``
     scales the plain odds integral); step links sum the odds times the
-    jump size over the jumps inside the interval. Without covariates
-    (``l`` None) the odds at a jump are one number, evaluated once.
+    jump size over the jumps inside the interval. ``l`` holds the units'
+    covariates as an (n, p) matrix; without covariates (p = 0) the odds at
+    a jump are one number, evaluated once.
     """
     y1 = np.asarray(y1, dtype=float)
     g = np.asarray(g, dtype=float)
     if link.kind == "smooth":
         if not callable(link.dx):
             return link.dx * integrate(y1, g, l, nu)
-        return integrate(y1, g, l, lambda x, lx=None: (np.asarray(nu(x, lx))
-                                                       * np.asarray(link.dx(x, t))))
+        return integrate(y1, g, l, lambda x, lx: (np.asarray(nu(x, lx))
+                                                  * np.asarray(link.dx(x, t))))
     out = np.zeros(y1.shape[0])
     pts, sizes = link.jumps(t)
     for pt, size in zip(np.asarray(pts, dtype=float), np.asarray(sizes, dtype=float)):
         fwd = (pt > y1) & (pt <= g)
         active = fwd | ((pt > g) & (pt <= y1))
         if active.any():
-            odds = nu(pt, None) if l is None else nu(np.full(int(active.sum()), pt), l[active])
+            odds = (nu(pt, l[0]) if l.shape[1] == 0
+                    else nu(np.full(int(active.sum()), pt), l[active]))
             out[active] += np.where(fwd[active], size, -size) * odds
     return out

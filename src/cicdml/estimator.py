@@ -39,12 +39,16 @@ from .nuisance import (
     NuisanceSet,
     _row_chunk,
     estimate_pi,
+    fit_cond_quantile,
     fit_density,
     fit_gamma,
     fit_nu,
     integrate_nu_many,
     signed_odds_sums,
 )
+
+ROOT_SCAN_POINTS = 256  # equally spaced points of the root solver's one scan
+ROOT_TOL = 1e-8         # width to which bisection refines the first crossing
 
 
 @dataclass(frozen=True)
@@ -125,12 +129,6 @@ def _rep_seed(seed: int, s: int) -> int:
     return int(np.random.SeedSequence(entropy=(int(seed), int(s), 0xCF17)).generate_state(1)[0])
 
 
-def _l_or_none(data: PanelDataset, idx=None):
-    if data.p == 0:
-        return None
-    return data.l if idx is None else data.l[idx]
-
-
 # ---------------------------------------------------------------------------
 # Per-fold nuisance fitting
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
     y0 = data.y0[train_idx]
     y1 = data.y1[train_idx]
     a = data.a[train_idx]
-    l = _l_or_none(data, train_idx)
+    l = data.l[train_idx]
     n_treated = int((a == 1).sum())
     n_control = int((a == 0).sum())
     if n_treated == 0 or n_control == 0:
@@ -159,8 +157,7 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
         raise InsufficientData("need at least 2 control units to fit the transport map")
 
     ctrl = a == 0
-    gamma = fit_gamma(y0[ctrl], y1[ctrl], None if l is None else l[ctrl],
-                      bandwidth=cfg.bandwidth)
+    gamma = fit_gamma(y0[ctrl], y1[ctrl], l[ctrl], bandwidth=cfg.bandwidth)
 
     x_train = gamma(y0, l)
     nu = fit_nu(x_train, l, a, bandwidth=cfg.bandwidth, eps_clip=cfg.eps_clip)
@@ -188,7 +185,7 @@ class _CrossFit:
         self.gamma_of = np.empty(data.n)
         for k, eta in enumerate(fitted):
             ev = folds.eval_indices(k)
-            self.gamma_of[ev] = eta.gamma(data.y0[ev], _l_or_none(data, ev))
+            self.gamma_of[ev] = eta.gamma(data.y0[ev], data.l[ev])
         self.pi_of = self.fold_values(lambda eta: eta.pi)
         self.ctrl = np.nonzero(data.a == 0)[0]
 
@@ -212,7 +209,7 @@ class _CrossFit:
                 # Passed by this module's name, so a wrapper installed on
                 # estimator.integrate_nu_many sees every odds integral.
                 out[sel] = control_correction(data.y1[idx], self.gamma_of[idx],
-                                              _l_or_none(data, idx), eta.nu, link, t,
+                                              data.l[idx], eta.nu, link, t,
                                               integrate=integrate_nu_many)
         return out
 
@@ -242,9 +239,9 @@ class _CrossFit:
 
     def quantile_root(self, link: GTildeSpec) -> float:
         """First crossing of zero of a quantile-type link's pi-weighted
-        moment: a 256-point scan of the outcome range padded by 5% on each
-        side, then bisection. A fitted moment need not be monotone; the
-        smallest crossing is kept.
+        moment: a ``ROOT_SCAN_POINTS``-point scan of the outcome range
+        padded by 5% on each side, then bisection. A fitted moment need not
+        be monotone; the smallest crossing is kept.
 
         The moment is evaluated on an array of t: the link's value summed
         over the treated at each t (row by row, as at a single t), plus
@@ -269,7 +266,7 @@ class _CrossFit:
                     w_treat * np.asarray(link.value(g_treat, tc), dtype=float), axis=1)
             for nu, idx in folds:
                 val += signed_odds_sums(t, data.y1[idx], self.gamma_of[idx],
-                                        _l_or_none(data, idx), 1.0 / self.pi_of[idx], nu)
+                                        data.l[idx], 1.0 / self.pi_of[idx], nu)
             return val
 
         span = np.concatenate([self.data.y1, self.gamma_of])
@@ -346,19 +343,17 @@ def att_psi_values(data: PanelDataset, folds: FoldAssignment, fitted: List[Nuisa
 
 def solve_quantile_root(estimating_fn: Callable,
                         bracket: Tuple[float, float],
-                        candidates: Optional[np.ndarray] = None,
-                        tol: float = 1e-8,
-                        scan_points: int = 256) -> float:
+                        candidates: Optional[np.ndarray] = None) -> float:
     """Smallest point where an empirical moment crosses zero.
 
     With ``candidates`` (sorted jump locations of a nondecreasing step
     function) ``estimating_fn`` takes a float, and the crossing is
     located exactly by index bisection, matching the generalized-inverse
     convention. Otherwise ``estimating_fn`` takes an array of points and
-    returns the moment at each: one call on ``scan_points`` equally
+    returns the moment at each: one call on ``ROOT_SCAN_POINTS`` equally
     spaced points of the bracket finds the first point where the moment
     is nonnegative, and bisection of the cell before it, one point per
-    call, refines the crossing to ``tol``. A moment that crosses zero
+    call, refines the crossing to ``ROOT_TOL``. A moment that crosses zero
     more than once keeps its first crossing.
     """
     if candidates is not None:
@@ -378,14 +373,14 @@ def solve_quantile_root(estimating_fn: Callable,
         return np.broadcast_to(np.asarray(estimating_fn(t), dtype=float), t.shape) >= 0.0
 
     lo, hi = float(bracket[0]), float(bracket[1])
-    grid = np.linspace(lo, hi, max(2, scan_points))
+    grid = np.linspace(lo, hi, ROOT_SCAN_POINTS)
     hits = np.flatnonzero(nonnegative(grid))
     if hits.size == 0:
         raise NoBracket(f"no sign change on [{lo:g}, {hi:g}]")
     if hits[0] == 0:
         return lo
     lo, hi = float(grid[hits[0] - 1]), float(grid[hits[0]])
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if nonnegative(np.array([mid]))[0]:
             hi = mid
@@ -476,8 +471,7 @@ def _fit_full_gamma(data: PanelDataset, bandwidth):
     if (a == 1).sum() == 0 or (a == 0).sum() == 0:
         raise DegenerateArm("plug-in estimators need both treatment arms")
     ctrl = a == 0
-    return fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl] if data.p else None,
-                     bandwidth=bandwidth)
+    return fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl], bandwidth=bandwidth)
 
 
 def imputed_counterfactuals(data: PanelDataset, bandwidth=None) -> np.ndarray:
@@ -485,8 +479,7 @@ def imputed_counterfactuals(data: PanelDataset, bandwidth=None) -> np.ndarray:
     untreated period-1 outcomes)."""
     gamma = _fit_full_gamma(data, bandwidth)
     treated = data.a == 1
-    return np.asarray(gamma(data.y0[treated],
-                            _l_or_none(data)[treated] if data.p else None))
+    return np.asarray(gamma(data.y0[treated], data.l[treated]))
 
 
 def plugin_att(data: PanelDataset, bandwidth=None) -> float:
@@ -503,18 +496,12 @@ def plugin_cdt(data: PanelDataset, y: float, bandwidth=None) -> float:
     return float(np.mean(g < y))
 
 
-def _empirical_quantile(samples: np.ndarray, tau: float) -> float:
-    s = np.sort(np.asarray(samples, dtype=float))
-    idx = int(np.ceil(tau * s.shape[0] - 1e-9)) - 1
-    return float(s[min(max(idx, 0), s.shape[0] - 1)])
-
-
 def plugin_qtt(data: PanelDataset, tau: float, bandwidth=None) -> float:
     """Plug-in quantile treatment effect on the treated: the empirical
-    tau-quantile of treated y1 minus the generalized inverse of the
-    plug-in counterfactual distribution curve."""
+    tau-quantile of treated y1 minus that of the treated units' transported
+    baseline outcomes, each the generalized inverse of an empirical CDF
+    (a covariate-free :class:`cicdml.nuisance.CondQuantile`)."""
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     g = imputed_counterfactuals(data, bandwidth=bandwidth)
-    treated_q = _empirical_quantile(data.y1[data.a == 1], tau)
-    return treated_q - _empirical_quantile(g, tau)
+    return fit_cond_quantile(data.y1[data.a == 1])(tau) - fit_cond_quantile(g)(tau)

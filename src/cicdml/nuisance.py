@@ -11,6 +11,12 @@ quantile, and sample means. Every kernel is the Gaussian product kernel
 exp(-D / 2), with D the summed squared scaled distances over the
 coordinates (:func:`_sq_distances`).
 
+Covariates are an (n, p) float matrix everywhere inside the package, and
+p = 0 is an (n, 0) matrix. :func:`_covariate_matrix` is the one place
+where the public forms (None for p = 0, a single covariate row) become
+that matrix: at every fit and every call ``f(x, l)``
+(:class:`_PointwiseFn`).
+
 With covariates, the odds regression's Silverman bandwidths, whose
 one-dimensional rate m^(-1/5) undersmooths a regression on x and p
 covariates, are multiplied by the scale in ``ODDS_SCALES`` (1 to 4) with
@@ -243,7 +249,7 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
     ``integral_many`` when it has one (closed forms for analytic odds;
     for fitted odds a trapezoid antiderivative on ``ANTIDERIV_GRID``
     shared nodes, with one column of node odds per unit when there are
-    covariates); with no covariates (``l`` None or empty), a trapezoid
+    covariates); with no covariates (``l`` of shape (n, 0)), a trapezoid
     antiderivative on the same grid; otherwise, for analytic odds with
     covariates, composite Simpson on ``SIMPSON_NODES`` fixed nodes per
     interval. Swapping the limits flips the sign.
@@ -256,13 +262,50 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
     own = getattr(nu, "integral_many", None)
     if own is not None:
         return own(lo, hi, l)
-    if l is None or np.asarray(l).size == 0:
+    if l.shape[1] == 0:
         nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
-        return _grid_integrals(nodes, np.asarray(nu(nodes, None)), lo, hi)
+        return _grid_integrals(nodes, np.asarray(nu(nodes, np.empty((nodes.shape[0], 0)))),
+                               lo, hi)
     x = lo[:, None] + (hi - lo)[:, None] * _SIMPSON_T[None, :]
-    l_rep = np.repeat(np.asarray(l, dtype=float), SIMPSON_NODES, axis=0)
+    l_rep = np.repeat(l, SIMPSON_NODES, axis=0)
     vals = np.asarray(nu(x.ravel(), l_rep)).reshape(n, SIMPSON_NODES)
     return (vals @ _SIMPSON_W) * (hi - lo) / (3.0 * (SIMPSON_NODES - 1))
+
+
+# ---------------------------------------------------------------------------
+# Covariates and the call of a fitted function
+# ---------------------------------------------------------------------------
+
+
+def _covariate_matrix(l, n: int, p: Optional[int]) -> np.ndarray:
+    """Covariates as an (n, p) float matrix, the one form that every
+    internal function takes; p = 0 is an (n, 0) matrix.
+
+    The boundary of every fit and every call of a fitted function: None
+    means p = 0. At a call (p the function's covariate count), a 1-D l is
+    one covariate row shared by all n queries; at a fit (p None), a 1-D l
+    is one covariate column.
+    """
+    l = np.empty((n, 0)) if l is None else np.asarray(l, dtype=float)
+    if l.ndim == 1:
+        l = l.reshape(-1, 1) if p is None else np.broadcast_to(l, (n, l.shape[0]))
+    if l.shape[0] != n or p is not None and l.shape[1] != p:
+        raise ValueError(f"covariates must form an ({n}, {'p' if p is None else p}) "
+                         f"matrix, got shape {l.shape}")
+    return l
+
+
+class _PointwiseFn:
+    """The call ``f(x, l)`` that every fitted or analytic function of an
+    outcome and covariates shares: x a scalar or n points, l as
+    :func:`_covariate_matrix` takes it at the function's ``p``. The
+    values come from the class's ``evaluate_many`` on the (n, p) matrix;
+    a scalar x gives a float."""
+
+    def __call__(self, x, l=None):
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        res = self.evaluate_many(x_arr, _covariate_matrix(l, x_arr.shape[0], self.p))
+        return float(res[0]) if np.isscalar(x) else res
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +314,7 @@ def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
 
 
 @dataclass
-class CondCdf:
+class CondCdf(_PointwiseFn):
     """Kernel-regression conditional CDF of an outcome given covariates.
 
     Nadaraya-Watson regression of the indicator 1{Y <= y} on the
@@ -318,39 +361,9 @@ class CondCdf:
         ok = total > 1e-300
         return np.where(ok, num / np.where(ok, total, 1.0), k / self.m)
 
-    def __call__(self, y, l=None):
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        l_arr = _coerce_l(l, y_arr.shape[0], self.p)
-        res = self.evaluate_many(y_arr, l_arr)
-        return float(res[0]) if np.isscalar(y) else res
-
-
-def _coerce_l(l, n: int, p: int) -> np.ndarray:
-    if p == 0:
-        return np.empty((n, 0))
-    l = np.asarray(l, dtype=float)
-    if l.ndim == 1:
-        # A single covariate row broadcast to every query.
-        if l.shape[0] != p:
-            raise ValueError(f"covariate row must have length {p}")
-        return np.broadcast_to(l, (n, p))
-    return l
-
-
-def _as_matrix(l, m: int) -> np.ndarray:
-    """Fit-sample covariates as an (m, p) matrix; None means p = 0."""
-    if l is None:
-        return np.empty((m, 0))
-    l = np.asarray(l, dtype=float)
-    if l.ndim == 1:
-        l = l.reshape(-1, 1)
-    if l.shape[0] != m:
-        raise ValueError(f"covariate matrix must have {m} rows, got {l.shape[0]}")
-    return l
-
 
 @dataclass
-class CondQuantile:
+class CondQuantile(_PointwiseFn):
     """Generalized inverse of a fitted :class:`CondCdf`.
 
     Evaluates inf{y : F-hat(y, l) >= u} exactly: the fitted CDF is a
@@ -392,15 +405,9 @@ class CondQuantile:
         rows = (cum < target[:, None]).sum(axis=1)
         return self.cdf.y_sorted[np.clip(rows, 0, self.cdf.m - 1)]
 
-    def __call__(self, u, l=None):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        l_arr = _coerce_l(l, u_arr.shape[0], self.p)
-        res = self.evaluate_many(u_arr, l_arr)
-        return float(res[0]) if np.isscalar(u) else res
-
 
 @dataclass
-class GammaMap:
+class GammaMap(_PointwiseFn):
     """Outcome transport map: conditional quantile of period-1 controls
     composed with the conditional CDF of period-0 controls, both fitted
     on the same control units (:func:`fit_gamma`).
@@ -444,12 +451,6 @@ class GammaMap:
             del w, w1
         return out
 
-    def __call__(self, y, l=None):
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        l_arr = _coerce_l(l, y_arr.shape[0], self.p)
-        res = self.evaluate_many(y_arr, l_arr)
-        return float(res[0]) if np.isscalar(y) else res
-
 
 def fit_cond_cdf(y, l=None, bandwidth=None) -> CondCdf:
     """Fit the conditional CDF of y given l on a sample of pairs.
@@ -457,15 +458,15 @@ def fit_cond_cdf(y, l=None, bandwidth=None) -> CondCdf:
     Parameters
     ----------
     y : array, shape (m,)
-    l : array, shape (m, p) or None
-        None or an (m, 0) matrix means no covariates.
+    l : array, shape (m, p), or None
+        None or an (m, 0) matrix means no covariates (p = 0).
     bandwidth : None, scalar or length-p vector
         None selects Silverman's rule per coordinate.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 2:
         raise InsufficientData("need at least 2 samples to fit a conditional CDF")
-    l = _as_matrix(l, y.shape[0])
+    l = _covariate_matrix(l, y.shape[0], None)
     order = np.argsort(y, kind="stable")
     h = _bandwidth_vector(l, bandwidth) if l.shape[1] else np.empty(0)
     return CondCdf(y_sorted=y[order], l_by_y=l[order], h=h)
@@ -479,7 +480,7 @@ def fit_cond_quantile(y, l=None, bandwidth=None) -> CondQuantile:
 def fit_gamma(y0, y1, l=None, bandwidth=None) -> GammaMap:
     """Fit the transport map on control units' paired outcomes: the
     conditional CDF of y0 and the conditional quantile of y1, both given
-    the units' covariates l (None for p = 0) with the same bandwidths."""
+    the units' covariates l with the same bandwidths."""
     y0 = np.asarray(y0, dtype=float)
     y1 = np.asarray(y1, dtype=float)
     if y0.shape != y1.shape:
@@ -497,7 +498,7 @@ def fit_gamma(y0, y1, l=None, bandwidth=None) -> GammaMap:
 
 
 @dataclass
-class NuFn:
+class NuFn(_PointwiseFn):
     """Treatment-odds regression: odds of A = 1 given (x, l).
 
     Nadaraya-Watson regression of A on the transported baseline outcome
@@ -517,20 +518,13 @@ class NuFn:
 
     def propensity_many(self, x: np.ndarray, l: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        query = np.column_stack([x, l]) if self.p else x.reshape(-1, 1)
-        raw = _nw_mean(query, self.z, self.a.astype(float), self.h,
+        raw = _nw_mean(np.column_stack([x, l]), self.z, self.a.astype(float), self.h,
                        fallback=float(self.a.mean()))
         return np.clip(raw, self.eps_clip, 1.0 - self.eps_clip)
 
     def evaluate_many(self, x: np.ndarray, l: np.ndarray) -> np.ndarray:
         pr = self.propensity_many(x, l)
         return pr / (1.0 - pr)
-
-    def __call__(self, x, l=None):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        l_arr = _coerce_l(l, x_arr.shape[0], self.p)
-        res = self.evaluate_many(x_arr, l_arr)
-        return float(res[0]) if np.isscalar(x) else res
 
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
@@ -553,9 +547,8 @@ class NuFn:
         nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
         if self.p == 0:
             sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
-            odds = self.node_odds(nodes, None) if sums is None else self._odds(*sums)
+            odds = self.node_odds(nodes, l) if sums is None else self._odds(*sums)
             return _grid_integrals(nodes, odds, lo, hi)
-        l = np.asarray(l, dtype=float)
         step = _units_per_chunk(self, nodes.shape[0])
         out = np.empty(n)
         for start in range(0, n, step):
@@ -569,19 +562,19 @@ class NuFn:
         (:meth:`integral_many`) and the QTT moment
         (:func:`signed_odds_sums`).
 
-        Without covariates (l None) it is one column (G, 1) shared by
-        every unit, from the dense regression sums. With covariates the
-        Gaussian product kernel factorises into an outcome part and a
-        covariate part K(x) C(l): the x-weights at the nodes are formed
-        once, each row's covariate weights C once, and one matrix product
-        with [C a, C] gives every row's numerator and denominator at every
-        node. Callers pass at most :func:`_units_per_chunk` rows, so that
+        Without covariates (l of shape (k, 0)) it is one column (G, 1)
+        shared by every unit, from the dense regression sums. With
+        covariates the Gaussian product kernel factorises into an outcome
+        part and a covariate part K(x) C(l): the x-weights at the nodes are
+        formed once, each row's covariate weights C once, and one matrix
+        product with [C a, C] gives every row's numerator and denominator
+        at every node. Callers pass at most :func:`_units_per_chunk` rows, so that
         the (G, 2k) sums and the (m, 2k) weights fit ``_CHUNK_BUDGET``.
         """
         nodes = np.asarray(nodes, dtype=float)
         if self.p == 0:
             return self.evaluate_many(nodes, np.empty((nodes.shape[0], 0)))[:, None]
-        nd = self._node_sums(nodes, np.asarray(l, dtype=float))
+        nd = self._node_sums(nodes, l)
         k = nd.shape[1] // 2
         return self._odds(nd[:, :k], nd[:, k:])
 
@@ -634,11 +627,10 @@ def signed_odds_sums(nodes, lo, hi, l, w, nu) -> np.ndarray:
     keep = (np.minimum(lo, hi) < nodes.max()) & (np.maximum(lo, hi) >= nodes.min())
     if not keep.any():
         return out
-    lo, hi, w = lo[keep], hi[keep], np.asarray(w, dtype=float)[keep]
-    l = None if l is None or np.asarray(l).size == 0 else np.asarray(l, dtype=float)[keep]
+    lo, hi, w, l = lo[keep], hi[keep], np.asarray(w, dtype=float)[keep], l[keep]
     own = getattr(nu, "node_odds", None)
-    shared = own(nodes, None) if own is not None and l is None else None
-    step = (_units_per_chunk(nu, nodes.shape[0]) if own is not None and l is not None
+    shared = own(nodes, l) if own is not None and l.shape[1] == 0 else None
+    step = (_units_per_chunk(nu, nodes.shape[0]) if own is not None and shared is None
             else _row_chunk(nodes.shape[0]))
     t = nodes[:, None]
     for start in range(0, lo.shape[0], step):
@@ -653,7 +645,7 @@ def signed_odds_sums(nodes, lo, hi, l, w, nu) -> np.ndarray:
             odds = np.zeros_like(s)
             g, i = np.nonzero(s)
             if g.size:
-                odds[g, i] = nu(nodes[g], None if l is None else l[sl][i])
+                odds[g, i] = nu(nodes[g], l[sl][i])
         out += np.multiply(s, odds, out=s) @ w[sl]
     return out
 
@@ -696,7 +688,8 @@ def fit_nu(x, l, a, bandwidth=None, eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
     """Fit the treatment-odds function by regressing A on (x, l).
 
     ``x`` is the transported baseline outcome evaluated on the training
-    units; ``l`` their covariates (None for p = 0); ``a`` the indicator.
+    units; ``l`` their covariates (None or an (m, 0) matrix for p = 0);
+    ``a`` the indicator.
     ``bandwidth`` None takes Silverman's rule per coordinate of (x, l),
     with covariates times the scale in ``ODDS_SCALES`` whose odds, fitted
     on the units at even positions (no seed; a sorted input still splits
@@ -707,12 +700,12 @@ def fit_nu(x, l, a, bandwidth=None, eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
     """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a).astype(float)
-    l = _as_matrix(l, x.shape[0])
+    l = _covariate_matrix(l, x.shape[0], None)
     if not 0.0 < eps_clip < 0.5:
         raise ValueError("eps_clip must lie in (0, 0.5)")
     if a.min() == a.max():
         raise DegenerateArm("odds regression needs both treatment arms")
-    z = np.column_stack([x, l]) if l.shape[1] else x.reshape(-1, 1)
+    z = np.column_stack([x, l])
     h = _bandwidth_vector(z, bandwidth)
     if bandwidth is None and l.shape[1]:
         h = h * _odds_scale(z, a, h, eps_clip)

@@ -116,11 +116,12 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
     nodes = node_vals = None
     if dgp.p == 0:
         ctrl = data.a == 0
-        g0 = np.asarray(eta.gamma(data.y0[ctrl], None))
+        g0 = np.asarray(eta.gamma(data.y0[ctrl], data.l[ctrl]))
         dg = np.zeros_like(g0) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0[ctrl]))
         g_ends = [g0 + lam * dg for lam in (lam_arr.min(initial=0.0), lam_arr.max(initial=0.0))]
         nodes = _grid_nodes(data.y1[ctrl], np.concatenate(g_ends), _PHI_GRID)
-        node_vals = [np.asarray(f(nodes, None)) for f in (eta.nu, pert.d_nu) if f is not None]
+        l_nodes = np.empty((nodes.shape[0], 0))
+        node_vals = [np.asarray(f(nodes, l_nodes)) for f in (eta.nu, pert.d_nu) if f is not None]
 
     out = np.empty((lam_arr.shape[0], data.n))
     for j, lam in enumerate(lam_arr):
@@ -333,23 +334,20 @@ def rate_probe(dgp: StmConfig, n_ladder: Sequence[int] = (500, 2000, 8000),
     """
     truth_eta = true_nuisances(dgp)
     eval_data, _ = gen_stm(replace(dgp, n=eval_size, seed=_derived_seed(seed, 77)))
-    l_eval = eval_data.l if dgp.p else None
-    g_true = np.asarray(truth_eta.gamma(eval_data.y0, l_eval))
-    nu_true = np.asarray(truth_eta.nu(g_true, l_eval))
+    g_true = np.asarray(truth_eta.gamma(eval_data.y0, eval_data.l))
+    nu_true = np.asarray(truth_eta.nu(g_true, eval_data.l))
     rows = []
     for n in n_ladder:
         data, _ = gen_stm(replace(dgp, n=int(n), seed=_derived_seed(seed, int(n))))
         ctrl = data.a == 0
-        gamma_hat = fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl] if dgp.p else None)
-        x_train = gamma_hat(data.y0, data.l if dgp.p else None)
-        z = np.column_stack([x_train, data.l]) if dgp.p else x_train.reshape(-1, 1)
-        base_h = _bandwidth_vector(z, None)
-        g_hat = np.asarray(gamma_hat(eval_data.y0, l_eval))
+        gamma_hat = fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl])
+        x_train = gamma_hat(data.y0, data.l)
+        base_h = _bandwidth_vector(np.column_stack([x_train, data.l]), None)
+        g_hat = np.asarray(gamma_hat(eval_data.y0, eval_data.l))
         gamma_l2 = float(np.sqrt(np.mean((g_hat - g_true) ** 2)))
         for scale in bandwidth_scales:
-            nu_hat = fit_nu(x_train, data.l if dgp.p else None, data.a,
-                            bandwidth=base_h * scale)
-            nu_vals = np.asarray(nu_hat(g_true, l_eval))
+            nu_hat = fit_nu(x_train, data.l, data.a, bandwidth=base_h * scale)
+            nu_vals = np.asarray(nu_hat(g_true, eval_data.l))
             nu_l2 = float(np.sqrt(np.mean((nu_vals - nu_true) ** 2)))
             rows.append({"n": int(n), "bandwidth_scale": float(scale),
                          "gamma_l2": gamma_l2, "nu_l2": nu_l2})

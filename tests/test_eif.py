@@ -51,7 +51,7 @@ def att_scores(eta, y1, a, theta):
 
 
 def integral(lo, hi, nu):
-    return float(integrate_nu_many(np.array([lo]), np.array([hi]), None, nu)[0])
+    return float(integrate_nu_many(np.array([lo]), np.array([hi]), np.empty((1, 0)), nu)[0])
 
 
 class TestIntegrateNu:
@@ -77,7 +77,7 @@ class TestIntegrateNu:
         nu = true_nuisances(named_config("did", n=100)).nu
         lo = np.array([0.0, 1.0, -2.0])
         hi = np.array([1.5, -1.0, -2.0])
-        got = integrate_nu_many(lo, hi, None, nu)
+        got = integrate_nu_many(lo, hi, np.empty((lo.shape[0], 0)), nu)
         want = [integral(a, b, nu) for a, b in zip(lo, hi)]
         assert_allclose(got, want, atol=1e-10)
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cicdml import nuisance
+from cicdml.dgp import AnalyticGamma, GaussHermiteNu, _McNu, named_config
 from cicdml.errors import DegenerateArm, InsufficientData
 from cicdml.nuisance import (
     ODDS_SCALES,
@@ -306,7 +307,7 @@ class TestNuFn:
         nu = fit_nu(x, None, a)
         lo = np.array([-1.0, 0.5, 1.2])
         hi = np.array([0.7, 0.5, -0.8])
-        fast = nu.integral_many(lo, hi, None)
+        fast = nu.integral_many(lo, hi, np.empty((lo.shape[0], 0)))
         from scipy.integrate import quad
         for j in range(3):
             direct = quad(lambda t: nu(t), lo[j], hi[j], limit=200)[0]
@@ -592,7 +593,7 @@ class TestFactorisedOddsIntegral:
 class TestBinnedOddsIntegral:
     """p = 0 NuFn.integral_many, whose antiderivative nodes take the
     regression's sums from linearly binned training x, against the dense
-    antiderivative integrate_nu_many(lo, hi, None, nu.__call__).
+    antiderivative integrate_nu_many(lo, hi, np.empty((lo.shape[0], 0)), nu.__call__).
 
     Binning moves each training point by less than a bin, a quarter of
     the node spacing, so integrals agree to RTOL and propensities at the
@@ -613,7 +614,7 @@ class TestBinnedOddsIntegral:
 
     @staticmethod
     def dense(nu, lo, hi):
-        return integrate_nu_many(lo, hi, None, nu.__call__)
+        return integrate_nu_many(lo, hi, np.empty((lo.shape[0], 0)), nu.__call__)
 
     @staticmethod
     def inner_intervals(nu, rng, n=200):
@@ -631,10 +632,10 @@ class TestBinnedOddsIntegral:
         # At m=400 the integral takes the dense sums, which are cheaper there.
         nu, rng = self.fitted(m, dist)
         lo, hi = self.inner_intervals(nu, rng)
-        got = nu.integral_many(lo, hi, None)
+        got = nu.integral_many(lo, hi, np.empty((lo.shape[0], 0)))
         assert_allclose(got, self.dense(nu, lo, hi), rtol=self.RTOL, atol=0)
         assert_array_equal(got[:5], 0.0)
-        assert_array_equal(nu.integral_many(hi, lo, None), -got)
+        assert_array_equal(nu.integral_many(hi, lo, np.empty((lo.shape[0], 0))), -got)
 
     @GAUSSIAN_KERNEL
     @pytest.mark.parametrize("dist", ["normal", "lognormal"])
@@ -678,7 +679,7 @@ class TestBinnedOddsIntegral:
     @GAUSSIAN_KERNEL
     def test_empty_input(self, kernel):
         nu, _ = self.fitted(400, "normal")
-        assert nu.integral_many(np.zeros(0), np.zeros(0), None).shape == (0,)
+        assert nu.integral_many(np.zeros(0), np.zeros(0), np.empty((0, 0))).shape == (0,)
 
     @GAUSSIAN_KERNEL
     def test_rows_where_the_clip_binds(self, kernel):
@@ -687,7 +688,7 @@ class TestBinnedOddsIntegral:
         x = rng.uniform(-3.0, 3.0, 16000)
         nu = fit_nu(x, None, (x > 0.0).astype(int), bandwidth=0.3, eps_clip=0.05)
         lo, hi = np.array([1.0, -1.0]), np.array([2.0, -2.0])
-        got = nu.integral_many(lo, hi, None)
+        got = nu.integral_many(lo, hi, np.empty((lo.shape[0], 0)))
         assert_allclose(got, self.dense(nu, lo, hi), rtol=1e-12, atol=0)
         assert_allclose(got, np.array([0.95 / 0.05, 0.05 / 0.95]) * (hi - lo),
                         rtol=1e-12, atol=0)
@@ -701,7 +702,7 @@ class TestBinnedOddsIntegral:
         hi = np.array([0.3 + 1e-6, 0.3, 0.3])
         tracemalloc.start()
         try:
-            got = nu.integral_many(lo, hi, None)
+            got = nu.integral_many(lo, hi, np.empty((lo.shape[0], 0)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -716,7 +717,7 @@ class TestBinnedOddsIntegral:
         lo, hi = self.inner_intervals(nu, rng, n=400)
         tracemalloc.start()
         try:
-            nu.integral_many(lo, hi, None)
+            nu.integral_many(lo, hi, np.empty((lo.shape[0], 0)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -753,3 +754,69 @@ class TestDensityFn:
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
             fit_density(np.array([1.0]))
+
+
+def _fitted(kind, p):
+    """A function of (x, l) with p covariates, fitted or analytic, of the
+    class named by kind."""
+    rng = np.random.default_rng(41)
+    m = 200
+    y0 = rng.standard_normal(m)
+    l = rng.standard_normal((m, p))
+    y1 = y0 + 0.5 + l.sum(axis=1) + 0.3 * rng.standard_normal(m)
+    a = (rng.uniform(size=m) < 0.5).astype(int)
+    cfg = named_config("stm-cov" if p else "stm-exp")
+    return {
+        "CondCdf": lambda: fit_cond_cdf(y0, l),
+        "CondQuantile": lambda: fit_cond_quantile(y0, l),
+        "GammaMap": lambda: fit_gamma(y0, y1, l),
+        "NuFn": lambda: fit_nu(y0, l, a),
+        "AnalyticGamma": lambda: AnalyticGamma(cfg),
+        "GaussHermiteNu": lambda: GaussHermiteNu(cfg),
+        "_McNu": lambda: _McNu(cfg, mc_size=500, seed=3),
+    }[kind]()
+
+
+POINTWISE_FNS = pytest.mark.parametrize("kind", [
+    "CondCdf", "CondQuantile", "GammaMap", "NuFn", "AnalyticGamma", "GaussHermiteNu", "_McNu"])
+
+
+class TestCovariateBoundary:
+    """The call f(x, l) of every function of an outcome and covariates:
+    the public covariate forms become the (n, p) matrix in one place."""
+
+    X = np.linspace(0.05, 0.95, 7)      # levels for CondQuantile, outcomes for the rest
+
+    @POINTWISE_FNS
+    def test_none_and_an_empty_matrix_agree_at_p0(self, kind):
+        f = _fitted(kind, 0)
+        want = f(self.X)
+        assert want.shape == self.X.shape
+        assert_array_equal(f(self.X, None), want)
+        assert_array_equal(f(self.X, np.empty((self.X.shape[0], 0))), want)
+
+    @POINTWISE_FNS
+    def test_one_covariate_row_is_shared_by_every_point(self, kind):
+        f = _fitted(kind, 2)
+        row = np.array([0.4, -0.7])
+        # Equal to rounding: a matrix product over the broadcast row may
+        # sum in another order than over a stored matrix.
+        assert_allclose(f(self.X, row), f(self.X, np.tile(row, (self.X.shape[0], 1))),
+                        rtol=1e-14, atol=0)
+
+    @POINTWISE_FNS
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_scalar_x_gives_a_float(self, kind, p):
+        f = _fitted(kind, p)
+        row = np.array([0.4, -0.7])[:p]
+        got = f(0.3, row)
+        assert type(got) is float
+        assert got == f(np.array([0.3]), row[None, :])[0]
+
+    @POINTWISE_FNS
+    def test_covariates_of_another_shape_are_rejected(self, kind):
+        f = _fitted(kind, 2)
+        with pytest.raises(ValueError):
+            f(self.X, np.zeros(3))
+        with pytest.raises(ValueError):
+            f(self.X, np.zeros((self.X.shape[0] + 1, 2)))
