@@ -26,11 +26,16 @@ from scipy.special import expit, logit
 from .data_model import PanelDataset, validate
 from .errors import InvalidTransform
 from .nuisance import (
+    ANTIDERIV_GRID,
     NuisanceSet,
     _PointwiseFn,
     _bandwidth_vector,
     _covariate_matrix,
-    _nw_mean,
+    _grid_integrals,
+    _grid_nodes,
+    _node_odds_integrals,
+    _row_chunk,
+    fit_nu,
 )
 
 GH_NODES = 64
@@ -204,21 +209,6 @@ class AnalyticGamma(_PointwiseFn):
         return cfg.beta1.apply(cfg.beta0.invert(y) + (cfg.k1(l) - cfg.k0(l)))
 
 
-class ConstantNu:
-    """Constant treatment odds (independent assignment)."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, x, l=None):
-        if np.isscalar(x):
-            return self.value
-        return np.full(np.asarray(x).shape, self.value)
-
-    def integral_many(self, lo, hi, l=None):
-        return self.value * (np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float))
-
-
 class LinearNu:
     """Odds linear in the transported outcome: slope * x + intercept."""
 
@@ -230,10 +220,16 @@ class LinearNu:
         out = self.slope * np.asarray(x, dtype=float) + self.intercept
         return float(out) if np.isscalar(x) else out
 
-    def integral_many(self, lo, hi, l=None):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        return 0.5 * self.slope * (hi * hi - lo * lo) + self.intercept * (hi - lo)
+    def node_odds(self, nodes, l=None):
+        return self(np.asarray(nodes, dtype=float))[:, None]
+
+
+class ConstantNu(LinearNu):
+    """Constant treatment odds (independent assignment): linear odds of
+    slope 0."""
+
+    def __init__(self, value: float):
+        super().__init__(0.0, value)
 
 
 class GaussHermiteNu(_PointwiseFn):
@@ -241,8 +237,8 @@ class GaussHermiteNu(_PointwiseFn):
 
     Conditioning on the transported outcome pins down the latent index
     up to a Gaussian posterior, so the propensity is a one-dimensional
-    Gaussian integral of the logistic link, evaluated by Gauss-Hermite
-    quadrature.
+    Gaussian integral of the logistic link around the logit mean
+    mu = b0 + kappa (beta1^{-1}(x) - k1(l)) + l bL, by Gauss-Hermite.
     """
 
     def __init__(self, cfg: StmConfig):
@@ -255,18 +251,46 @@ class GaussHermiteNu(_PointwiseFn):
         self._kappa = cov_mb / var_z
         self._post_var = max(float(bu @ bu) - cov_mb ** 2 / var_z, 0.0)
 
-    def propensity_many(self, x, l):
-        cfg = self.cfg
-        z = cfg.beta1.invert_extended(x) - cfg.k1(l)
-        mu = cfg.treat_intercept + self._kappa * z + l @ np.asarray(cfg.treat_l)
+    def _mu(self, z, l):
+        """Posterior logit mean at outcome index z and covariates l."""
+        return self.cfg.treat_intercept + self._kappa * z + l @ np.asarray(self.cfg.treat_l)
+
+    def _odds(self, mu):
+        """Odds at posterior logit means mu, in row chunks of the kernel
+        budget (``GH_NODES`` logistic values per mean)."""
         spread = math.sqrt(2.0 * self._post_var)
-        vals = expit(mu[:, None] + spread * _GH_X[None, :])
-        p = vals @ _GH_W / _SQRT_PI
-        return np.clip(p, 1e-12, 1.0 - 1e-12)
+        p = np.empty(mu.shape[0])
+        step = _row_chunk(GH_NODES)
+        for start in range(0, mu.shape[0], step):
+            vals = expit(mu[start:start + step, None] + spread * _GH_X[None, :])
+            p[start:start + step] = vals @ _GH_W / _SQRT_PI
+        np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
+        return p / (1.0 - p)
 
     def evaluate_many(self, x, l):
-        pr = self.propensity_many(x, l)
-        return pr / (1.0 - pr)
+        cfg = self.cfg
+        return self._odds(self._mu(cfg.beta1.invert_extended(x) - cfg.k1(l), l))
+
+    def integral_many(self, lo, hi, l):
+        """Signed odds integrals over [lo_i, hi_i] at covariates l_i.
+
+        With an identity beta1, mu = kappa x + c(l), so each integral is
+        that of the odds in mu between kappa lo_i + c(l_i) and
+        kappa hi_i + c(l_i), over kappa: a trapezoid antiderivative on
+        ``ANTIDERIV_GRID`` mu-nodes shared by every unit. At kappa = 0 the
+        odds are constant in x. Otherwise the node odds' antiderivative."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if lo.shape[0] == 0:
+            return np.zeros(0)
+        if self.cfg.beta1.kind != "identity":
+            return _node_odds_integrals(lo, hi, l, self)
+        c = self._mu(-self.cfg.k1(l), l)
+        if self._kappa == 0.0:
+            return self._odds(c) * (hi - lo)
+        mu_lo, mu_hi = self._kappa * lo + c, self._kappa * hi + c
+        nodes = _grid_nodes(mu_lo, mu_hi, ANTIDERIV_GRID)
+        return _grid_integrals(nodes, self._odds(nodes), mu_lo, mu_hi) / self._kappa
 
 
 @dataclass(frozen=True)
@@ -356,31 +380,6 @@ def true_pi(cfg: StmConfig) -> float:
     return float(vals @ _GH_W / _SQRT_PI)
 
 
-class _McNu(_PointwiseFn):
-    """Monte Carlo regression oracle for the treatment odds.
-
-    Oversmooths the rule-of-thumb bandwidth by 1.5x: the oracle trades
-    a little bias for low variance, and its bias is bounded by the
-    analytic cross-check.
-    """
-
-    def __init__(self, cfg: StmConfig, mc_size: int, seed: int):
-        rng = _rng(seed, 3)
-        l, _, a, y0, _ = _draw(cfg, mc_size, rng)
-        gamma = AnalyticGamma(cfg)
-        z = np.column_stack([gamma(y0, l), l])
-        self._z = z
-        self._a = a.astype(float)
-        self._h = 1.5 * _bandwidth_vector(z, None)
-        self.p = cfg.p
-
-    def evaluate_many(self, x, l):
-        pr = _nw_mean(np.column_stack([x, l]), self._z, self._a, self._h,
-                      fallback=float(self._a.mean()))
-        pr = np.clip(pr, 1e-6, 1.0 - 1e-6)
-        return pr / (1.0 - pr)
-
-
 def true_nuisances(cfg: StmConfig, method: str = "auto",
                    mc_size: Optional[int] = None, seed: int = 0) -> NuisanceSet:
     """Oracle nuisance set for a model configuration.
@@ -388,16 +387,21 @@ def true_nuisances(cfg: StmConfig, method: str = "auto",
     ``method="auto"`` uses the closed-form transport map, the exact
     constant odds under independent treatment, and the Gauss-Hermite
     posterior odds otherwise. ``method="mc"`` replaces the odds with a
-    Monte Carlo kernel-regression oracle on ``mc_size`` fresh draws
-    (default ``cfg.mc_size``), kept as an independent cross-check of the
-    analytic route.
+    Monte Carlo oracle, kept as an independent cross-check of the
+    analytic route: the odds of A fitted on the true transported outcome
+    and covariates of ``mc_size`` fresh draws (default ``cfg.mc_size``)
+    at 1.5 times Silverman's bandwidths, trading a little bias for low
+    variance, and clipped at 1e-6.
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be auto or mc")
     gamma = AnalyticGamma(cfg)
     pi = true_pi(cfg)
     if method == "mc":
-        nu = _McNu(cfg, mc_size or cfg.mc_size, seed)
+        l, _, a, y0, _ = _draw(cfg, mc_size or cfg.mc_size, _rng(seed, 3))
+        x = gamma(y0, l)
+        h = 1.5 * _bandwidth_vector(np.column_stack([x, l]), None)
+        nu = fit_nu(x, l, a, bandwidth=h, eps_clip=1e-6)
     elif cfg.treatment_independent:
         nu = ConstantNu(pi / (1.0 - pi))
     else:

@@ -98,8 +98,9 @@ def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
     The oriented Lebesgue-Stieltjes integral of the odds against the
     link's variation in x over the half-open interval (y1_i, g_i]; when
     g_i < y1_i the interval is (g_i, y1_i] and the sign flips. Smooth
-    links integrate nu times ``dx`` with ``integrate`` (a constant ``dx``
-    scales the plain odds integral); step links sum the odds times the
+    links integrate nu times ``dx`` with ``integrate``: a constant ``dx``
+    scales the plain odds integral, a callable one multiplies the node
+    odds at the nodes (its ``weight``); step links sum the odds times the
     jump size over the jumps inside the interval. ``l`` holds the units'
     covariates as an (n, p) matrix; without covariates (p = 0) the odds at
     a jump are one number, evaluated once.
@@ -109,8 +110,7 @@ def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
     if link.kind == "smooth":
         if not callable(link.dx):
             return link.dx * integrate(y1, g, l, nu)
-        return integrate(y1, g, l, lambda x, lx: (np.asarray(nu(x, lx))
-                                                  * np.asarray(link.dx(x, t))))
+        return integrate(y1, g, l, nu, lambda x: link.dx(x, t))
     out = np.zeros(y1.shape[0])
     pts, sizes = link.jumps(t)
     for pt, size in zip(np.asarray(pts, dtype=float), np.asarray(sizes, dtype=float)):

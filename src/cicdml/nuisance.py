@@ -28,18 +28,19 @@ elements, one coordinate at a time. The transport map forms each
 chunk's covariate weights once for its CDF and its quantile, which are
 fitted on the same control units.
 
-``NuFn.node_odds`` is the one primitive for fitted odds at many outcome
-nodes: the odds at every node for each unit's covariates. With
-covariates the product kernel factorises into an outcome part, formed
-once at the nodes, and a covariate part, formed once per unit, so one
-matrix product gives every unit's regression sums at every node. Odds
-integrals are trapezoid antiderivatives of the node odds on
-``ANTIDERIV_GRID`` equally spaced nodes spanning the call's interval
-endpoints; without covariates the one column's sums come from training x
-linearly binned on a grid ``ANTIDERIV_REFINE`` times finer and one
-direct kernel convolution per sub-grid phase, unless the dense sums are
-cheaper. The QTT moment's control part at every scan node
-(:func:`signed_odds_sums`) takes the node odds at the scan nodes.
+``node_odds(nodes, l)`` is the one primitive for odds at many outcome
+nodes: the odds at every node for each unit's covariates, one shared
+column without covariates. Fitted odds factorise the product kernel into
+an outcome part, formed once at the nodes, and a covariate part, formed
+once per unit, so one matrix product gives every unit's regression sums
+at every node. Every odds integral is a trapezoid antiderivative on
+``ANTIDERIV_GRID`` equally spaced shared nodes (:func:`_grid_integrals`),
+of the node odds unless the odds tabulate a closed form; without
+covariates the fitted odds' one column takes its sums from training x
+binned on a grid ``ANTIDERIV_REFINE`` times finer and one direct kernel
+convolution per sub-grid phase, unless the dense sums are cheaper. The
+QTT moment's control part (:func:`signed_odds_sums`) takes the node odds
+at the scan nodes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .errors import DegenerateArm, InsufficientData
 
 ANTIDERIV_GRID = 2048      # nodes of the trapezoid odds antiderivative
 ANTIDERIV_REFINE = 4       # p = 0 training x is binned this many times finer than the nodes
-SIMPSON_NODES = 257        # composite-Simpson nodes per integral of analytic odds (p > 0)
 ODDS_SCALES = (1.0, 2.0, 3.0, 4.0)  # odds bandwidth scales scored by held-out loss (p > 0)
 # Max elements per kernel-weight chunk. A chunk of float64 temporaries of
 # this size is 8 MiB, below glibc's 32 MiB dynamic mmap ceiling, so the
@@ -74,13 +74,6 @@ _KERNEL_REACH = 38.61
 # several array passes. Smaller samples, and node ranges narrow against
 # the bandwidth, take the dense sums.
 _TAPS_PER_POINT = 16
-
-# Composite-Simpson nodes on [0, 1] and their 1-4-2-...-4-1 weights.
-_SIMPSON_T = np.linspace(0.0, 1.0, SIMPSON_NODES)
-_SIMPSON_W = np.ones(SIMPSON_NODES)
-_SIMPSON_W[1:-1:2] = 4.0
-_SIMPSON_W[2:-1:2] = 2.0
-
 
 def _row_chunk(m: int) -> int:
     """Query rows per chunk when each row has m kernel weights."""
@@ -242,34 +235,38 @@ def _grid_integrals(gx: np.ndarray, gy: np.ndarray, lo: np.ndarray,
     return at(hi) - at(lo)
 
 
-def integrate_nu_many(lo, hi, l, nu) -> np.ndarray:
+def integrate_nu_many(lo, hi, l, nu, weight=None) -> np.ndarray:
     """Signed integrals of the odds over per-unit intervals [lo_i, hi_i].
 
-    The one place where the rule is chosen: the odds object's own
-    ``integral_many`` when it has one (closed forms for analytic odds;
-    for fitted odds a trapezoid antiderivative on ``ANTIDERIV_GRID``
-    shared nodes, with one column of node odds per unit when there are
-    covariates); with no covariates (``l`` of shape (n, 0)), a trapezoid
-    antiderivative on the same grid; otherwise, for analytic odds with
-    covariates, composite Simpson on ``SIMPSON_NODES`` fixed nodes per
-    interval. Swapping the limits flips the sign.
+    The odds object's own ``integral_many`` when it has one; otherwise,
+    and whenever ``weight`` (a function of x) multiplies the odds, the
+    node odds' antiderivative (:func:`_node_odds_integrals`). Swapping
+    the limits flips the sign.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    n = lo.shape[0]
-    if n == 0:
+    if lo.shape[0] == 0:
         return np.zeros(0)
     own = getattr(nu, "integral_many", None)
-    if own is not None:
+    if own is not None and weight is None:
         return own(lo, hi, l)
-    if l.shape[1] == 0:
-        nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
-        return _grid_integrals(nodes, np.asarray(nu(nodes, np.empty((nodes.shape[0], 0)))),
-                               lo, hi)
-    x = lo[:, None] + (hi - lo)[:, None] * _SIMPSON_T[None, :]
-    l_rep = np.repeat(l, SIMPSON_NODES, axis=0)
-    vals = np.asarray(nu(x.ravel(), l_rep)).reshape(n, SIMPSON_NODES)
-    return (vals @ _SIMPSON_W) * (hi - lo) / (3.0 * (SIMPSON_NODES - 1))
+    return _node_odds_integrals(lo, hi, l, nu, weight)
+
+
+def _node_odds_integrals(lo, hi, l, nu, weight=None) -> np.ndarray:
+    """Signed integrals over [lo_i, hi_i] of the trapezoid antiderivative
+    of ``nu.node_odds`` (times ``weight``) on ``ANTIDERIV_GRID`` nodes
+    spanning every endpoint: one column shared by every unit without
+    covariates, so one chunk; one per unit with them, in chunks."""
+    nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
+    wx = None if weight is None else np.asarray(weight(nodes), dtype=float)[:, None]
+    step = lo.shape[0] if l.shape[1] == 0 else _units_per_chunk(nu, nodes.shape[0])
+    out = np.empty(lo.shape[0])
+    for start in range(0, lo.shape[0], step):
+        sl = slice(start, start + step)
+        odds = nu.node_odds(nodes, l[sl])
+        out[sl] = _grid_integrals(nodes, odds if wx is None else odds * wx, lo[sl], hi[sl])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +303,16 @@ class _PointwiseFn:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         res = self.evaluate_many(x_arr, _covariate_matrix(l, x_arr.shape[0], self.p))
         return float(res[0]) if np.isscalar(x) else res
+
+    def node_odds(self, nodes, l) -> np.ndarray:
+        """Values at every node for each covariate row of l, shape (G, k),
+        from ``evaluate_many`` on the node-by-row grid; one column (G, 1)
+        shared by every row without covariates."""
+        nodes = np.asarray(nodes, dtype=float)
+        rows = l if l.shape[1] else np.empty((1, 0))
+        k = rows.shape[0]
+        vals = self.evaluate_many(np.repeat(nodes, k), np.tile(rows, (nodes.shape[0], 1)))
+        return vals.reshape(nodes.shape[0], k)
 
 
 # ---------------------------------------------------------------------------
@@ -529,32 +536,22 @@ class NuFn(_PointwiseFn):
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
 
-        A trapezoid antiderivative of the odds on ``ANTIDERIV_GRID``
-        equally spaced nodes spanning the call's endpoints, as
-        :func:`integrate_nu_many` builds for any odds function without
-        covariates. Without covariates one column of node odds serves
-        every unit; its regression sums are taken from linearly binned
+        The node odds' antiderivative of every odds function
+        (:func:`_node_odds_integrals`), except that without covariates the
+        one column's regression sums are taken from linearly binned
         training x (:func:`_binned_nw_sums`) when that is cheaper than
-        :meth:`node_odds`' dense sums. With covariates each unit has its
-        own column from :meth:`node_odds`, for chunks of units
-        (:func:`_units_per_chunk`).
+        :meth:`node_odds`' dense sums.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        n = lo.shape[0]
-        if n == 0:
+        if lo.shape[0] == 0:
             return np.zeros(0)
+        if self.p:
+            return _node_odds_integrals(lo, hi, l, self)
         nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
-        if self.p == 0:
-            sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
-            odds = self.node_odds(nodes, l) if sums is None else self._odds(*sums)
-            return _grid_integrals(nodes, odds, lo, hi)
-        step = _units_per_chunk(self, nodes.shape[0])
-        out = np.empty(n)
-        for start in range(0, n, step):
-            sl = slice(start, start + step)
-            out[sl] = _grid_integrals(nodes, self.node_odds(nodes, l[sl]), lo[sl], hi[sl])
-        return out
+        sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
+        odds = self.node_odds(nodes, l) if sums is None else self._odds(*sums)
+        return _grid_integrals(nodes, odds, lo, hi)
 
     def node_odds(self, nodes: np.ndarray, l) -> np.ndarray:
         """Clipped odds at every node for each covariate row of l, shape
@@ -601,10 +598,12 @@ class NuFn(_PointwiseFn):
         return np.divide(pr, 1.0 - pr, out=pr)
 
 
-def _units_per_chunk(nu: NuFn, n_nodes: int) -> int:
-    """Covariate rows per :meth:`NuFn.node_odds` call at n_nodes nodes:
-    their (G, 2k) sums and (m, 2k) weights fit the budget (256 rows for
-    m <= G = ``ANTIDERIV_GRID``)."""
+def _units_per_chunk(nu, n_nodes: int) -> int:
+    """Covariate rows per ``node_odds`` call at n_nodes nodes: for fitted
+    odds their (G, 2k) sums and (m, 2k) weights fit the budget (256 rows
+    for m <= G = ``ANTIDERIV_GRID``), for other odds their (G, k) values."""
+    if not isinstance(nu, NuFn):
+        return _row_chunk(n_nodes)
     return _row_chunk(2 * max(n_nodes, nu.z.shape[0]))
 
 
@@ -614,11 +613,9 @@ def signed_odds_sums(nodes, lo, hi, l, w, nu) -> np.ndarray:
 
     Minus the w-weighted control correction of a unit step down at t
     (the quantile link), at every node at once. Only units whose interval
-    meets [min(nodes), max(nodes)] enter. Fitted odds give their node odds
-    by :meth:`NuFn.node_odds`, for chunks of units as in
-    :meth:`NuFn.integral_many` (the shared column without covariates);
-    odds without a ``node_odds`` of their own are evaluated by
-    ``nu(x, l)`` at the (t, l_i) pairs where s_i(t) is not 0.
+    meets [min(nodes), max(nodes)] enter. The odds at the nodes are the
+    odds object's ``node_odds``: one shared column without covariates, for
+    chunks of units (:func:`_units_per_chunk`) with covariates.
     """
     nodes = np.asarray(nodes, dtype=float)
     lo = np.asarray(lo, dtype=float)
@@ -628,24 +625,15 @@ def signed_odds_sums(nodes, lo, hi, l, w, nu) -> np.ndarray:
     if not keep.any():
         return out
     lo, hi, w, l = lo[keep], hi[keep], np.asarray(w, dtype=float)[keep], l[keep]
-    own = getattr(nu, "node_odds", None)
-    shared = own(nodes, l) if own is not None and l.shape[1] == 0 else None
-    step = (_units_per_chunk(nu, nodes.shape[0]) if own is not None and shared is None
-            else _row_chunk(nodes.shape[0]))
+    shared = nu.node_odds(nodes, l) if l.shape[1] == 0 else None
+    step = (_row_chunk(nodes.shape[0]) if shared is not None
+            else _units_per_chunk(nu, nodes.shape[0]))
     t = nodes[:, None]
     for start in range(0, lo.shape[0], step):
         sl = slice(start, start + step)
         s = (((lo[sl] < t) & (t <= hi[sl])).astype(float)
              - ((hi[sl] < t) & (t <= lo[sl])))
-        if shared is not None:
-            odds = shared
-        elif own is not None:
-            odds = own(nodes, l[sl])
-        else:
-            odds = np.zeros_like(s)
-            g, i = np.nonzero(s)
-            if g.size:
-                odds[g, i] = nu(nodes[g], l[sl][i])
+        odds = shared if shared is not None else nu.node_odds(nodes, l[sl])
         out += np.multiply(s, odds, out=s) @ w[sl]
     return out
 
@@ -777,7 +765,8 @@ class NuisanceSet:
     gives treatment odds at (x, l), ``pi`` the marginal treatment
     probability. The two densities are only required for quantile-type
     targets and may be None otherwise. Analytic stand-ins with the same
-    call signatures are accepted everywhere fitted objects are.
+    call signatures, odds with a ``node_odds``, are accepted everywhere
+    fitted objects are.
     """
 
     gamma: object

@@ -41,6 +41,7 @@ from .nuisance import (
     _grid_nodes,
     fit_gamma,
     fit_nu,
+    integrate_nu_many,
 )
 
 DEFAULT_MC_SIZE = 200_000
@@ -52,9 +53,10 @@ _PHI_GRID = 8192
 class Perturbation:
     """A bounded direction in nuisance space.
 
-    ``d_gamma(y, l)`` and ``d_nu(x, l)`` are vectorized callables (None
-    means zero); ``d_pi`` is a scalar. Callers keep the perturbed pi
-    inside (0, 1) and the perturbed odds positive over the data range.
+    ``d_gamma(y, l)`` and ``d_nu(x)``, a function of x only, are
+    vectorized callables (None means zero); ``d_pi`` is a scalar. Callers
+    keep the perturbed pi inside (0, 1) and the perturbed odds positive
+    over the data range.
     """
 
     d_gamma: Optional[Callable] = None
@@ -84,7 +86,7 @@ class Perturbation:
             y = np.asarray(y, dtype=float)
             return _s * 0.5 * (_c[0] + _c[1] * np.tanh(y / _w))
 
-        def d_nu(x, l=None, _c=cn, _w=wn, _s=nu_scale):
+        def d_nu(x, _c=cn, _w=wn, _s=nu_scale):
             x = np.asarray(x, dtype=float)
             return _s * 0.5 * (_c[0] + _c[1] * np.tanh(x / _w))
 
@@ -102,10 +104,10 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
     """Per-draw ATT scores at each lambda, sharing one Monte Carlo sample.
 
     Returns an array of shape (len(lambdas), mc_size); row j is the
-    vectorised ATT score under the nuisances perturbed by lambda_j. With
-    no covariates the odds integrals interpolate two antiderivatives, of
-    the base odds and of the odds direction, built once on a grid that
-    covers every lambda's endpoints.
+    vectorised ATT score under the nuisances perturbed by lambda_j. The
+    antiderivative of the odds direction, and without covariates that of
+    the base odds, are built once on nodes covering every lambda's
+    endpoints.
     """
     cfg = replace(dgp, n=mc_size, seed=_derived_seed(seed, 11))
     data, truth = gen_stm(cfg)
@@ -113,28 +115,26 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
     one_fold = FoldAssignment(fold_of=np.zeros(data.n, dtype=int), K=1)
     lam_arr = np.asarray(list(lambdas), dtype=float)
 
-    nodes = node_vals = None
-    if dgp.p == 0:
-        ctrl = data.a == 0
-        g0 = np.asarray(eta.gamma(data.y0[ctrl], data.l[ctrl]))
-        dg = np.zeros_like(g0) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0[ctrl]))
-        g_ends = [g0 + lam * dg for lam in (lam_arr.min(initial=0.0), lam_arr.max(initial=0.0))]
-        nodes = _grid_nodes(data.y1[ctrl], np.concatenate(g_ends), _PHI_GRID)
-        l_nodes = np.empty((nodes.shape[0], 0))
-        node_vals = [np.asarray(f(nodes, l_nodes)) for f in (eta.nu, pert.d_nu) if f is not None]
+    ctrl = data.a == 0
+    g0 = np.asarray(eta.gamma(data.y0[ctrl], data.l[ctrl]))
+    dg = np.zeros_like(g0) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0[ctrl]))
+    g_ends = [g0 + lam * dg for lam in (lam_arr.min(initial=0.0), lam_arr.max(initial=0.0))]
+    nodes = _grid_nodes(data.y1[ctrl], np.concatenate(g_ends), _PHI_GRID)
+    base_vals = (np.asarray(eta.nu(nodes, np.empty((nodes.shape[0], 0))))
+                 if dgp.p == 0 else None)
+    d_vals = None if pert.d_nu is None else np.asarray(pert.d_nu(nodes))
 
     out = np.empty((lam_arr.shape[0], data.n))
     for j, lam in enumerate(lam_arr):
-        nu = (_Perturbed(eta.nu, pert.d_nu, lam) if nodes is None
-              else _GridPerturbedNu(eta.nu, pert.d_nu, lam, nodes, node_vals))
-        eta_lam = NuisanceSet(gamma=_Perturbed(eta.gamma, pert.d_gamma, lam), nu=nu,
+        eta_lam = NuisanceSet(gamma=_Perturbed(eta.gamma, pert.d_gamma, lam),
+                              nu=_PerturbedNu(eta.nu, lam, nodes, d_vals, base_vals),
                               pi=eta.pi + lam * pert.d_pi)
         out[j] = att_psi_values(data, one_fold, [eta_lam], truth.att_true)
     return out
 
 
 class _Perturbed:
-    """The map f0 + lam * d of (x, l); d None means zero."""
+    """The transport map f0 + lam * d of (y, l); d None means zero."""
 
     def __init__(self, f0, d, lam):
         self.f0 = f0
@@ -146,20 +146,24 @@ class _Perturbed:
         return base if self.d is None else base + self.lam * np.asarray(self.d(x, l))
 
 
-class _GridPerturbedNu(_Perturbed):
-    """Covariate-free perturbed odds, integrated through antiderivatives
-    of the base odds and of the odds direction, whose node values
-    ``node_vals`` on ``nodes`` every lambda shares."""
+@dataclass(frozen=True)
+class _PerturbedNu:
+    """The integrals of the odds nu0 + lam * d, with d a function of x
+    only: the base odds' integral, from their node values ``base_vals``
+    on ``nodes`` when given and otherwise their own, plus lam times the
+    antiderivative of d's node values ``d_vals`` (None when d is zero)."""
 
-    def __init__(self, f0, d, lam, nodes, node_vals):
-        super().__init__(f0, d, lam)
-        self.nodes = nodes
-        self.node_vals = node_vals
+    nu0: object
+    lam: float
+    nodes: np.ndarray
+    d_vals: Optional[np.ndarray]
+    base_vals: Optional[np.ndarray]
 
-    def integral_many(self, lo, hi, l=None):
-        out = _grid_integrals(self.nodes, self.node_vals[0], lo, hi)
-        for vals in self.node_vals[1:]:
-            out = out + self.lam * _grid_integrals(self.nodes, vals, lo, hi)
+    def integral_many(self, lo, hi, l):
+        out = (integrate_nu_many(lo, hi, l, self.nu0) if self.base_vals is None
+               else _grid_integrals(self.nodes, self.base_vals, lo, hi))
+        if self.d_vals is not None:
+            out = out + self.lam * _grid_integrals(self.nodes, self.d_vals, lo, hi)
         return out
 
 

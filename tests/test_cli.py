@@ -243,6 +243,13 @@ class TestValidate:
         assert [line.split("\t")[:2] for line in lines] == [
             ["qq-invariance", "PASS"], ["orthogonality[0]", "PASS"]]
 
+    def test_covariate_model_at_the_default_size(self, capsys):
+        # 100 000 draws and 3 perturbations: about 0.4 s on one thread.
+        assert main(["validate", "--dgp", "stm-cov"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:2] for line in lines] == [
+            ["qq-invariance", "PASS"]] + [[f"orthogonality[{j}]", "PASS"] for j in range(3)]
+
     @pytest.mark.parametrize("flag", [["--format", "json"], ["--n", "500"]])
     def test_options_with_no_effect_are_rejected(self, flag):
         with pytest.raises(SystemExit) as exc:

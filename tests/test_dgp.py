@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import ks_2samp
 
 from cicdml.dgp import (
@@ -17,6 +17,7 @@ from cicdml.dgp import (
     true_pi,
 )
 from cicdml.errors import InvalidTransform
+from cicdml.nuisance import NuFn, _bandwidth_vector, _nw_mean
 
 
 class TestTransformSpec:
@@ -170,6 +171,20 @@ class TestTrueNuisances:
         v1 = nu1(grid)
         v2 = nu2(grid)
         assert np.all(np.abs(v1 / v2 - 1.0) < 0.02)
+
+    @pytest.mark.parametrize("name", ["stm-exp", "stm-cov"])
+    def test_mc_oracle_is_the_odds_fitted_at_wider_bandwidths(self, name):
+        cfg = named_config(name, n=100)
+        nu = true_nuisances(cfg, method="mc", mc_size=3000, seed=3).nu
+        assert isinstance(nu, NuFn) and nu.eps_clip == 1e-6 and nu.p == cfg.p
+        assert_array_equal(nu.h, 1.5 * _bandwidth_vector(nu.z, None))
+        # The clipped Nadaraya-Watson odds, bit for bit.
+        rng = np.random.default_rng(4)
+        x = np.exp(rng.normal(0.3, 0.5, 50)) if name == "stm-exp" else rng.normal(1.0, 1.5, 50)
+        l = rng.standard_normal((50, cfg.p))
+        pr = np.clip(_nw_mean(np.column_stack([x, l]), nu.z, nu.a, nu.h, float(nu.a.mean())),
+                     1e-6, 1.0 - 1e-6)
+        assert_array_equal(nu(x, l), pr / (1.0 - pr))
 
     def test_mc_oracle_matches_analytic(self):
         cfg = named_config("stm-exp", n=100)

@@ -6,6 +6,7 @@ from cicdml.data_model import FoldAssignment, PanelDataset
 from cicdml.dgp import ConstantNu, LinearNu, gen_stm, named_config, true_nuisances
 from cicdml.eif import (
     GTildeSpec,
+    control_correction,
     gtilde_cdf_indicator,
     gtilde_counterfactual_mean,
     gtilde_quantile,
@@ -174,6 +175,25 @@ class TestPsiGeneral:
         psi = link_scores(eta, [1.0, 7.0], [0, 1], link, 4.0)
         assert psi[0] == pytest.approx(-16.0, rel=1e-5)
         assert psi[1] == pytest.approx(10.0)
+
+    def test_smooth_link_with_covariates_weights_the_node_odds(self):
+        # g(x, t) = x^2 - t with the stm-cov odds: C integrates nu(x, l) 2x,
+        # here against composite Simpson on 4097 nodes per interval
+        # (measured at most 1.1e-6).
+        nu = true_nuisances(named_config("stm-cov")).nu
+        link = GTildeSpec(value=lambda x, t: np.asarray(x) ** 2 - t, kind="smooth",
+                          dx=lambda x, t: 2.0 * np.asarray(x))
+        rng = np.random.default_rng(8)
+        y1 = rng.normal(1.0, 1.5, 6)
+        g = y1 + rng.normal(0.0, 1.0, 6)
+        l = rng.standard_normal((6, 2))
+        s = np.linspace(0.0, 1.0, 4097)
+        w = np.ones(4097)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        want = [(nu(a + (b - a) * s, row) * 2.0 * (a + (b - a) * s)) @ w * (b - a) / (3.0 * 4096)
+                for a, b, row in zip(y1, g, l)]
+        assert_allclose(control_correction(y1, g, l, nu, link, 0.0), want, rtol=0, atol=1e-5)
 
     def test_quantile_spec_marks_density_denominator(self):
         assert gtilde_quantile(0.5).dtheta == "gamma-density"

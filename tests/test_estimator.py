@@ -214,10 +214,8 @@ class TestQuantileMoment:
         assert nuisance._units_per_chunk(cf.fitted[0].nu, 256) == 7
 
     def test_analytic_odds_with_covariates(self, monkeypatch):
-        # GaussHermiteNu has no node_odds: its odds are evaluated at the
-        # (t, l) pairs.
-        cf = self.check(monkeypatch, oracle_engine("stm-cov", 400))
-        assert not hasattr(cf.fitted[0].nu, "node_odds")
+        # GaussHermiteNu's node odds are its values on the node-by-unit grid.
+        self.check(monkeypatch, oracle_engine("stm-cov", 400))
 
     def test_constant_odds(self, monkeypatch):
         link = gtilde_quantile(0.5)
@@ -524,13 +522,23 @@ class TestParityPins:
 
     def test_grid_odds_integral_matches_per_unit_simpson(self, monkeypatch):
         """The p = 2 ATT from the shared-grid odds antiderivative against
-        per-unit composite Simpson, which integrate_nu_many applies to odds
-        without an integral_many of their own. Measured: 2.0e-8 in the
-        estimate and 6.3e-8 relative in the variance."""
+        per-unit composite Simpson on 257 nodes per interval, the rule
+        integrate_nu_many once applied to odds without an integral_many of
+        their own. Measured: 2.0e-8 in the estimate and 6.3e-8 relative in
+        the variance."""
+        def simpson_integrals(lo, hi, l, nu):
+            t = np.linspace(0.0, 1.0, 257)
+            w = np.ones(257)
+            w[1:-1:2] = 4.0
+            w[2:-1:2] = 2.0
+            x = lo[:, None] + (hi - lo)[:, None] * t[None, :]
+            vals = np.asarray(nu(x.ravel(), np.repeat(l, 257, axis=0))).reshape(-1, 257)
+            return (vals @ w) * (hi - lo) / (3.0 * 256)
+
         data, _ = gen_stm(named_config("stm-cov", n=400, seed=11))
         config = CrossFitConfig(K=3, seed=11)
         grid = estimate(data, EstimandSpec.att(), config)
-        monkeypatch.delattr(nuisance.NuFn, "integral_many")
+        monkeypatch.setattr(estimator, "integrate_nu_many", simpson_integrals)
         simpson = estimate(data, EstimandSpec.att(), config)
         assert grid.theta_hat == pytest.approx(simpson.theta_hat, abs=1e-5, rel=0)
         assert grid.sigma2_hat == pytest.approx(simpson.sigma2_hat, rel=1e-4, abs=0)

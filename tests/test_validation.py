@@ -53,14 +53,23 @@ class TestMeanZeroAtTruth:
 
 
 class TestOrthogonality:
-    @pytest.mark.parametrize("name", ["did", "stm-exp"])
-    def test_first_derivative_vanishes_at_p0(self, name):
+    @staticmethod
+    def check(name):
         cfg = named_config(name, n=100)
         pert = Perturbation.random_bounded(seed=2, gamma_scale=0.4, nu_scale=0.1)
         res = orthogonality_check(cfg, pert, mc_size=40_000, seed=2)
         assert abs(res.phi_prime_0) <= 4.0 * res.phi_prime_se + 1e-6
         # The direction is not degenerate: the curvature is clearly nonzero.
         assert abs(res.phi_second_mid) > 4.0 * res.phi_second_se
+
+    @pytest.mark.parametrize("name", ["did", "stm-exp"])
+    def test_first_derivative_vanishes_at_p0(self, name):
+        self.check(name)
+
+    def test_first_derivative_vanishes_with_covariates(self):
+        # Measured phi'(0) = -1.96e-3 (se 1.85e-3) and curvature 1.43e-2
+        # (se 1.3e-4).
+        self.check("stm-cov")
 
 
 class TestClosedFormCurvature:
