@@ -7,14 +7,17 @@ the link value for treated units and minus the control correction C
 for controls, over minus pi times the derivative of the moment in t.
 C integrates the treatment odds against the link's variation in x over
 the half-open interval (y1, gamma(y0, l)]: the odds-weighted
-x-derivative for smooth links, the odds-weighted jump sum for step
-links. The counterfactual mean, distribution and quantile are links;
-the ATT is the treated outcome minus the counterfactual-mean link and
-the QTT the treated quantile minus the counterfactual-quantile link.
+x-derivative for smooth links, the jump sizes times the odds at each
+jump inside the interval for step links. The counterfactual mean,
+distribution and quantile are links; the ATT is the treated outcome
+minus the counterfactual-mean link and the QTT the treated quantile
+minus the counterfactual-quantile link.
 
 This module holds the links and :func:`control_correction`; scores
-are formed only by ``estimator._CrossFit``, and odds integrals by
-:func:`cicdml.nuisance.integrate_nu_many`.
+are formed only by ``estimator._CrossFit``, odds integrals by
+:func:`cicdml.nuisance.integrate_nu_many`, and the odds at step links'
+jumps by :func:`cicdml.nuisance.signed_odds`, which the QTT moment
+shares.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .nuisance import integrate_nu_many
+from .nuisance import integrate_nu_many, signed_odds
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +49,10 @@ class GTildeSpec:
     in closed form, or ``"gamma-density"`` for quantile-type links
     1{x < t} - c, whose one jump, of size -1, sits at t. They are
     root-solved at the first crossing of zero of their moment (a fitted
-    moment need not be monotone), with the value taken on an array of t,
-    and the derivative is a kernel density of the transported outcome.
+    moment need not be monotone) by repeated scans, with the value taken
+    on an array of t and the controls' part from the signed odds at every
+    scan node; the derivative is a kernel density of the transported
+    outcome.
     """
 
     value: Callable[[float, float], float]
@@ -100,10 +105,10 @@ def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
     g_i < y1_i the interval is (g_i, y1_i] and the sign flips. Smooth
     links integrate nu times ``dx`` with ``integrate``: a constant ``dx``
     scales the plain odds integral, a callable one multiplies the node
-    odds at the nodes (its ``weight``); step links sum the odds times the
-    jump size over the jumps inside the interval. ``l`` holds the units'
-    covariates as an (n, p) matrix; without covariates (p = 0) the odds at
-    a jump are one number, evaluated once.
+    odds at the nodes (its ``weight``). Step links sum the jump sizes
+    against the signed odds at the jumps (:func:`signed_odds`), for the
+    units whose interval holds a jump. ``l`` holds the units' covariates
+    as an (n, p) matrix.
     """
     y1 = np.asarray(y1, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -113,11 +118,6 @@ def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
         return integrate(y1, g, l, nu, lambda x: link.dx(x, t))
     out = np.zeros(y1.shape[0])
     pts, sizes = link.jumps(t)
-    for pt, size in zip(np.asarray(pts, dtype=float), np.asarray(sizes, dtype=float)):
-        fwd = (pt > y1) & (pt <= g)
-        active = fwd | ((pt > g) & (pt <= y1))
-        if active.any():
-            odds = (nu(pt, l[0]) if l.shape[1] == 0
-                    else nu(np.full(int(active.sum()), pt), l[active]))
-            out[active] += np.where(fwd[active], size, -size) * odds
+    for idx, signed in signed_odds(pts, y1, g, l, nu):
+        out[idx] = np.asarray(sizes, dtype=float) @ signed
     return out

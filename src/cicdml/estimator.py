@@ -44,11 +44,11 @@ from .nuisance import (
     fit_gamma,
     fit_nu,
     integrate_nu_many,
-    signed_odds_sums,
+    signed_odds,
 )
 
-ROOT_SCAN_POINTS = 256  # equally spaced points of the root solver's one scan
-ROOT_TOL = 1e-8         # width to which bisection refines the first crossing
+ROOT_SCAN_POINTS = 256  # equally spaced points of each root-solver scan
+ROOT_TOL = 1e-8         # width of the scan cell that ends the root solve
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
     dens_y1 = dens_gamma = None
     if need_densities:
         treated = a == 1
-        dens_y1 = fit_density(y1[treated], f_min=cfg.f_min)
-        dens_gamma = fit_density(x_train[treated], f_min=cfg.f_min)
+        dens_y1 = fit_density(y1[treated], bandwidth=cfg.bandwidth, f_min=cfg.f_min)
+        dens_gamma = fit_density(x_train[treated], bandwidth=cfg.bandwidth, f_min=cfg.f_min)
     return NuisanceSet(gamma=gamma, nu=nu, pi=pi,
                        dens_y1_treated=dens_y1, dens_gamma_treated=dens_gamma)
 
@@ -239,16 +239,17 @@ class _CrossFit:
 
     def quantile_root(self, link: GTildeSpec) -> float:
         """First crossing of zero of a quantile-type link's pi-weighted
-        moment: a ``ROOT_SCAN_POINTS``-point scan of the outcome range
-        padded by 5% on each side, then bisection. A fitted moment need not
-        be monotone; the smallest crossing is kept.
+        moment (:func:`solve_quantile_root`): scans of the outcome range
+        padded by 5% on each side, then of the cell that holds the
+        crossing. A fitted moment need not be monotone; the smallest
+        crossing is kept.
 
         The moment is evaluated on an array of t: the link's value summed
         over the treated at each t (row by row, as at a single t), plus
-        each fold's odds-weighted signed count of its controls whose
-        interval (y1, gamma] or (gamma, y1] holds t
-        (:func:`cicdml.nuisance.signed_odds_sums`), which is minus the
-        control correction of the link's unit step down at t.
+        the 1/pi-weighted sum of the signed odds of each fold's controls
+        whose interval (y1, gamma] or (gamma, y1] holds t
+        (:func:`cicdml.nuisance.signed_odds`), which is minus the control
+        correction of the link's unit step down at t.
         """
         data = self.data
         treated = data.a == 1
@@ -265,8 +266,9 @@ class _CrossFit:
                 val[start:start + step] = np.sum(
                     w_treat * np.asarray(link.value(g_treat, tc), dtype=float), axis=1)
             for nu, idx in folds:
-                val += signed_odds_sums(t, data.y1[idx], self.gamma_of[idx],
-                                        data.l[idx], 1.0 / self.pi_of[idx], nu)
+                for j, signed in signed_odds(t, data.y1[idx], self.gamma_of[idx],
+                                             data.l[idx], nu):
+                    val += signed @ (1.0 / self.pi_of[idx[j]])
             return val
 
         span = np.concatenate([self.data.y1, self.gamma_of])
@@ -292,17 +294,13 @@ class _CrossFit:
         return self.data.y1 - h, -corr
 
     def solve_qtt(self, tau: float) -> Tuple[float, np.ndarray]:
-        """QTT as the treated quantile minus the counterfactual-quantile link."""
+        """QTT as the treated quantile minus the counterfactual-quantile
+        link. The treated quantile is the 1/pi-weighted tau-quantile of
+        the treated y1 (:func:`weighted_quantile`), the first root of its
+        moment sum(a / pi (1{y1 <= t} - tau))."""
         data = self.data
         treated = data.a == 1
-        w_treat = 1.0 / self.pi_of[treated]
-        y1_treated = data.y1[treated]
-
-        def moment(t: float) -> float:
-            return float(np.sum(w_treat * ((y1_treated <= t) - tau)))
-
-        vartheta1 = solve_quantile_root(moment, bracket=None,
-                                        candidates=np.sort(y1_treated))
+        vartheta1 = weighted_quantile(data.y1[treated], 1.0 / self.pi_of[treated], tau)
         vartheta2, psi2 = self.solve_link(gtilde_quantile(tau))
         f1 = self.fold_values(lambda eta: float(eta.dens_y1_treated(vartheta1)))
         first = data.a / self.pi_of * ((data.y1 <= vartheta1) - tau) / (-f1)
@@ -341,34 +339,18 @@ def att_psi_values(data: PanelDataset, folds: FoldAssignment, fitted: List[Nuisa
 # ---------------------------------------------------------------------------
 
 
-def solve_quantile_root(estimating_fn: Callable,
-                        bracket: Tuple[float, float],
-                        candidates: Optional[np.ndarray] = None) -> float:
+def solve_quantile_root(estimating_fn: Callable, bracket: Tuple[float, float]) -> float:
     """Smallest point where an empirical moment crosses zero.
 
-    With ``candidates`` (sorted jump locations of a nondecreasing step
-    function) ``estimating_fn`` takes a float, and the crossing is
-    located exactly by index bisection, matching the generalized-inverse
-    convention. Otherwise ``estimating_fn`` takes an array of points and
-    returns the moment at each: one call on ``ROOT_SCAN_POINTS`` equally
-    spaced points of the bracket finds the first point where the moment
-    is nonnegative, and bisection of the cell before it, one point per
-    call, refines the crossing to ``ROOT_TOL``. A moment that crosses zero
-    more than once keeps its first crossing.
+    ``estimating_fn`` takes an array of points and returns the moment at
+    each. One call on ``ROOT_SCAN_POINTS`` equally spaced points of the
+    bracket finds the first point where the moment is nonnegative. The
+    cell before it is scanned in the same way, at its inner points, and so
+    on until the cell is at most ``ROOT_TOL`` wide or holds no float
+    inside: at most 1 + ceil(log(cell / ROOT_TOL) / log(ROOT_SCAN_POINTS
+    - 1)) calls. The right end of the last cell is returned. A moment that
+    crosses zero more than once keeps its first crossing.
     """
-    if candidates is not None:
-        cand = np.asarray(candidates, dtype=float)
-        lo, hi = -1, cand.shape[0] - 1
-        if cand.shape[0] == 0 or estimating_fn(float(cand[-1])) < 0.0:
-            raise NoBracket("no candidate reaches a nonnegative moment")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if estimating_fn(float(cand[mid])) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return float(cand[hi])
-
     def nonnegative(t: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(estimating_fn(t), dtype=float), t.shape) >= 0.0
 
@@ -377,16 +359,27 @@ def solve_quantile_root(estimating_fn: Callable,
     hits = np.flatnonzero(nonnegative(grid))
     if hits.size == 0:
         raise NoBracket(f"no sign change on [{lo:g}, {hi:g}]")
-    if hits[0] == 0:
+    j = int(hits[0])
+    if j == 0:
         return lo
-    lo, hi = float(grid[hits[0] - 1]), float(grid[hits[0]])
-    while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if nonnegative(np.array([mid]))[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # A cell with no float inside, at large outcomes, cannot shrink.
+    while grid[j] - grid[j - 1] > ROOT_TOL and np.nextafter(grid[j - 1], grid[j]) < grid[j]:
+        grid = np.linspace(grid[j - 1], grid[j], ROOT_SCAN_POINTS)
+        # The moment is negative at the cell's left end and nonnegative
+        # at its right end.
+        j = 1 + int(np.argmax(np.append(nonnegative(grid[1:-1]), True)))
+    return float(grid[j])
+
+
+def weighted_quantile(y: np.ndarray, w: np.ndarray, tau: float) -> float:
+    """The w-weighted tau-quantile of y: the generalized inverse
+    inf{t : sum(w 1{y <= t}) >= tau sum(w)}, read from the cumulative
+    weights of y in sorted order."""
+    if y.shape[0] == 0:
+        raise NoTreatedInEvaluation("no treated units for the treated quantile")
+    order = np.argsort(y, kind="stable")
+    cum = np.cumsum(w[order])
+    return float(y[order[np.searchsorted(cum, tau * cum[-1])]])
 
 
 # ---------------------------------------------------------------------------

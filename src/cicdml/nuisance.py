@@ -38,9 +38,11 @@ at every node. Every odds integral is a trapezoid antiderivative on
 of the node odds unless the odds tabulate a closed form; without
 covariates the fitted odds' one column takes its sums from training x
 binned on a grid ``ANTIDERIV_REFINE`` times finer and one direct kernel
-convolution per sub-grid phase, unless the dense sums are cheaper. The
-QTT moment's control part (:func:`signed_odds_sums`) takes the node odds
-at the scan nodes.
+convolution per sub-grid phase, unless the dense sums are cheaper.
+
+Step links take the odds at points, not integrals: the node odds at a
+link's jumps, or at the QTT moment's scan nodes, signed by whether each
+unit's interval holds the node (:func:`signed_odds`).
 """
 
 from __future__ import annotations
@@ -137,6 +139,13 @@ def _nw_ratio(num, denom, fallback):
     row carries weight."""
     return np.divide(num, denom, out=np.full(np.shape(num), float(fallback)),
                      where=denom > 1e-300)
+
+
+def _clipped_odds(pr: np.ndarray, eps_clip: float) -> np.ndarray:
+    """Odds pr / (1 - pr) of propensities clipped to [eps_clip,
+    1 - eps_clip], in place of pr."""
+    np.clip(pr, eps_clip, 1.0 - eps_clip, out=pr)
+    return np.divide(pr, 1.0 - pr, out=pr)
 
 
 def _nw_mean(query, train, resp, h, fallback):
@@ -523,15 +532,10 @@ class NuFn(_PointwiseFn):
     def p(self) -> int:
         return self.z.shape[1] - 1
 
-    def propensity_many(self, x: np.ndarray, l: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        raw = _nw_mean(np.column_stack([x, l]), self.z, self.a.astype(float), self.h,
-                       fallback=float(self.a.mean()))
-        return np.clip(raw, self.eps_clip, 1.0 - self.eps_clip)
-
     def evaluate_many(self, x: np.ndarray, l: np.ndarray) -> np.ndarray:
-        pr = self.propensity_many(x, l)
-        return pr / (1.0 - pr)
+        x = np.asarray(x, dtype=float)
+        return _clipped_odds(_nw_mean(np.column_stack([x, l]), self.z, self.a.astype(float),
+                                      self.h, fallback=float(self.a.mean())), self.eps_clip)
 
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
@@ -556,8 +560,8 @@ class NuFn(_PointwiseFn):
     def node_odds(self, nodes: np.ndarray, l) -> np.ndarray:
         """Clipped odds at every node for each covariate row of l, shape
         (G, k): the one odds primitive behind the odds integral
-        (:meth:`integral_many`) and the QTT moment
-        (:func:`signed_odds_sums`).
+        (:meth:`integral_many`) and the step links' signed odds
+        (:func:`signed_odds`).
 
         Without covariates (l of shape (k, 0)) it is one column (G, 1)
         shared by every unit, from the dense regression sums. With
@@ -593,9 +597,7 @@ class NuFn(_PointwiseFn):
 
     def _odds(self, num, denom):
         """Odds of the clipped regression num / denom."""
-        pr = _nw_ratio(num, denom, float(self.a.mean()))
-        np.clip(pr, self.eps_clip, 1.0 - self.eps_clip, out=pr)
-        return np.divide(pr, 1.0 - pr, out=pr)
+        return _clipped_odds(_nw_ratio(num, denom, float(self.a.mean())), self.eps_clip)
 
 
 def _units_per_chunk(nu, n_nodes: int) -> int:
@@ -607,35 +609,34 @@ def _units_per_chunk(nu, n_nodes: int) -> int:
     return _row_chunk(2 * max(n_nodes, nu.z.shape[0]))
 
 
-def signed_odds_sums(nodes, lo, hi, l, w, nu) -> np.ndarray:
-    """sum_i w_i s_i(t) nu(t, l_i) at every node t, with s_i(t) = 1 for t
-    in (lo_i, hi_i], -1 for t in (hi_i, lo_i] and 0 elsewhere.
+def signed_odds(nodes, lo, hi, l, nu):
+    """Chunks (idx, S) of the units i whose interval meets [min(nodes),
+    max(nodes)], S[g, j] = s_i(t_g) nu(t_g, l_i) for i = idx[j], with
+    s_i(t) = 1 for t in (lo_i, hi_i], -1 for t in (hi_i, lo_i] and 0
+    elsewhere.
 
-    Minus the w-weighted control correction of a unit step down at t
-    (the quantile link), at every node at once. Only units whose interval
-    meets [min(nodes), max(nodes)] enter. The odds at the nodes are the
-    odds object's ``node_odds``: one shared column without covariates, for
-    chunks of units (:func:`_units_per_chunk`) with covariates.
+    The signed odds of every step-link correction: the control correction
+    of a step link sums the jump sizes against S at its jumps, and the
+    QTT moment weights S at its scan nodes. The odds are the odds
+    object's ``node_odds``: one column shared by every unit without
+    covariates, per chunk of :func:`_units_per_chunk` units with them.
     """
     nodes = np.asarray(nodes, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    out = np.zeros(nodes.shape[0])
-    keep = (np.minimum(lo, hi) < nodes.max()) & (np.maximum(lo, hi) >= nodes.min())
-    if not keep.any():
-        return out
-    lo, hi, w, l = lo[keep], hi[keep], np.asarray(w, dtype=float)[keep], l[keep]
-    shared = nu.node_odds(nodes, l) if l.shape[1] == 0 else None
+    units = np.flatnonzero((np.minimum(lo, hi) < nodes.max(initial=-np.inf))
+                           & (np.maximum(lo, hi) >= nodes.min(initial=np.inf)))
+    if units.size == 0:
+        return
+    shared = nu.node_odds(nodes, l[units]) if l.shape[1] == 0 else None
     step = (_row_chunk(nodes.shape[0]) if shared is not None
             else _units_per_chunk(nu, nodes.shape[0]))
     t = nodes[:, None]
-    for start in range(0, lo.shape[0], step):
-        sl = slice(start, start + step)
-        s = (((lo[sl] < t) & (t <= hi[sl])).astype(float)
-             - ((hi[sl] < t) & (t <= lo[sl])))
-        odds = shared if shared is not None else nu.node_odds(nodes, l[sl])
-        out += np.multiply(s, odds, out=s) @ w[sl]
-    return out
+    for start in range(0, units.size, step):
+        idx = units[start:start + step]
+        s = ((lo[idx] < t) & (t <= hi[idx])).astype(float) - ((hi[idx] < t) & (t <= lo[idx]))
+        odds = shared if shared is not None else nu.node_odds(nodes, l[idx])
+        yield idx, np.multiply(s, odds, out=s)
 
 
 def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:
@@ -656,8 +657,8 @@ def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:
         w = np.empty_like(dist)
         for k, s in enumerate(ODDS_SCALES):
             np.exp(np.multiply(dist, -0.5 / (s * s), out=w), out=w)
-            pr = np.clip(_nw_ratio(w @ a, w.sum(axis=1), fallback), eps_clip, 1.0 - eps_clip)
-            out[k, start:start + step] = pr / (1.0 - pr)
+            out[k, start:start + step] = _clipped_odds(_nw_ratio(w @ a, w.sum(axis=1), fallback),
+                                                       eps_clip)
     return out
 
 

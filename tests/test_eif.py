@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cicdml import nuisance
 from cicdml.data_model import FoldAssignment, PanelDataset
 from cicdml.dgp import ConstantNu, LinearNu, gen_stm, named_config, true_nuisances
 from cicdml.eif import (
@@ -14,7 +15,7 @@ from cicdml.eif import (
 )
 from cicdml.errors import NoTreatedInEvaluation
 from cicdml.estimator import _CrossFit, att_psi_values
-from cicdml.nuisance import NuisanceSet
+from cicdml.nuisance import NuisanceSet, fit_nu
 
 
 def const_gamma(value):
@@ -201,6 +202,65 @@ class TestPsiGeneral:
     def test_smooth_needs_dx(self):
         with pytest.raises(ValueError):
             GTildeSpec(value=lambda x, t: x, kind="smooth")
+
+
+def per_jump_correction(y1, g, l, nu, link, t):
+    """The step-link correction as a loop over the jumps, with the odds at
+    each jump evaluated pointwise for the units whose interval holds it."""
+    out = np.zeros(y1.shape[0])
+    pts, sizes = link.jumps(t)
+    for pt, size in zip(pts, sizes):
+        fwd = (pt > y1) & (pt <= g)
+        active = fwd | ((pt > g) & (pt <= y1))
+        if active.any():
+            odds = nu(np.full(int(active.sum()), pt), l[active])
+            out[active] += np.where(fwd[active], size, -size) * odds
+    return out
+
+
+class TestStepLinkCorrection:
+    """Step-link corrections from the signed node odds at the jumps,
+    against the per-jump loop with pointwise odds."""
+
+    # g(x, t) = 0.5 1{x < 0.3} + 2 1{x < 1.1} - t.
+    LINK = GTildeSpec(
+        value=lambda x, t: 0.5 * (np.asarray(x) < 0.3) + 2.0 * (np.asarray(x) < 1.1) - t,
+        kind="step",
+        jumps=lambda t: (np.array([0.3, 1.1]), np.array([-0.5, -2.0])),
+    )
+
+    @staticmethod
+    def fitted_odds(name):
+        data, _ = gen_stm(named_config(name, n=300, seed=4))
+        return fit_nu(data.y0, data.l, data.a)
+
+    def check(self, nu, p):
+        rng = np.random.default_rng(12)
+        n = 120
+        y1 = rng.normal(0.7, 1.0, n)
+        g = rng.normal(0.7, 1.0, n)
+        l = rng.standard_normal((n, p))
+        got = control_correction(y1, g, l, nu, self.LINK, 0.0)
+        want = per_jump_correction(y1, g, l, nu, self.LINK, 0.0)
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+        # Both jumps, both orientations, and units with neither.
+        assert np.count_nonzero(want > 0) >= 10 and np.count_nonzero(want < 0) >= 10
+        assert np.count_nonzero(want == 0) >= 10
+
+    def test_fitted_odds_without_covariates(self):
+        self.check(self.fitted_odds("did"), 0)
+
+    def test_fitted_odds_with_covariates_across_unit_chunks(self, monkeypatch):
+        nu = self.fitted_odds("stm-cov")
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 4000)
+        assert nuisance._units_per_chunk(nu, 2) <= 10
+        self.check(nu, 2)
+
+    def test_analytic_odds_with_covariates(self):
+        self.check(true_nuisances(named_config("stm-cov")).nu, 2)
+
+    def test_constant_odds(self):
+        self.check(ConstantNu(1.7), 0)
 
 
 class TestDidReduction:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from cicdml import estimator, nuisance
 from cicdml.data_model import EstimandSpec, FoldAssignment, PanelDataset, partition_folds
 from cicdml.dgp import ConstantNu, gen_did, gen_stm, named_config, true_nuisances
 from cicdml.eif import gtilde_quantile
-from cicdml.errors import DegenerateArm, NoBracket
+from cicdml.errors import CicError, DegenerateArm, NoBracket
 from cicdml.estimator import (
     CrossFitConfig,
     _CrossFit,
@@ -25,6 +26,7 @@ from cicdml.estimator import (
     plugin_qtt,
     solve_att_once,
     solve_quantile_root,
+    weighted_quantile,
 )
 from cicdml.nuisance import NuisanceSet
 
@@ -93,23 +95,63 @@ class TestSolveAttOnce:
         assert abs(psi.sum()) <= 1e-8 * data.n
 
 
+class TestFitFoldNuisances:
+    def test_a_set_bandwidth_reaches_every_fit(self):
+        data, _ = gen_stm(named_config("stm-cov", n=200, seed=3))
+        eta = fit_fold_nuisances(data, np.arange(data.n), CrossFitConfig(bandwidth=0.3),
+                                 need_densities=True)
+        assert np.all(eta.nu.h == 0.3)
+        assert np.all(eta.gamma.cdf0.h == 0.3)
+        assert eta.dens_y1_treated.h == 0.3
+        assert eta.dens_gamma_treated.h == 0.3
+
+
 class TestSolveQuantileRoot:
+    """The two quantile rules: the treated quantile read from weighted
+    cumulative sums, and the first crossing of a moment by scans."""
+
     def test_empirical_cdf_median(self):
         samples = np.array([1.0, 2.0, 3.0, 4.0])
-
-        def moment(t, tau=0.5):
-            return np.mean(samples <= t) - tau
-
-        got = solve_quantile_root(moment, bracket=None, candidates=samples)
-        assert got == 2.0
+        assert weighted_quantile(samples, np.ones(4), 0.5) == 2.0
 
     def test_empirical_cdf_three_quarters(self):
         samples = np.array([1.0, 2.0, 3.0, 4.0])
+        assert weighted_quantile(samples, np.ones(4), 0.75) == 3.0
 
-        def moment(t):
-            return np.mean(samples <= t) - 0.75
+    @staticmethod
+    def brute_force_quantile(y, w, tau):
+        """The smallest y_i at which the weighted CDF reaches tau, in
+        exact rational arithmetic with tau as written."""
+        total = sum(Fraction(int(v)) for v in w)
+        for t in np.sort(y):
+            if sum(Fraction(int(v)) for v in w[y <= t]) >= Fraction(str(tau)) * total:
+                return float(t)
 
-        assert solve_quantile_root(moment, bracket=None, candidates=samples) == 3.0
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_quantile_with_ties_and_integer_weights(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        y = rng.integers(0, 6, n).astype(float)  # many ties
+        w = rng.integers(1, 5, n).astype(float)
+        for tau in (0.1, 0.25, 0.3, 0.5, 0.75, 0.9):
+            assert weighted_quantile(y, w, tau) == self.brute_force_quantile(y, w, tau), tau
+
+    def test_weighted_quantile_where_the_cdf_meets_tau(self):
+        # Sorted, y = 1, 1, 2, 3, 3 with weights 2, 1, 3, 1, 1: the CDF
+        # is 3/8 at 1 and 6/8 at 2, so tau = 3/8 and 6/8 stop there.
+        y = np.array([3.0, 1.0, 3.0, 2.0, 1.0])
+        w = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
+        for tau, want in ((0.3, 1.0), (0.375, 1.0), (0.4, 2.0), (0.75, 2.0), (0.76, 3.0)):
+            assert weighted_quantile(y, w, tau) == want == self.brute_force_quantile(y, w, tau)
+
+    def test_treated_quantile_needs_treated_units(self):
+        cf = _CrossFit(PanelDataset(y0=np.zeros(2), y1=np.array([1.0, 2.0]),
+                                    a=np.zeros(2, dtype=int), l=np.empty((2, 0))),
+                       FoldAssignment(fold_of=np.zeros(2, dtype=int), K=1),
+                       [NuisanceSet(gamma=lambda y, l=None: np.zeros(np.shape(y)),
+                                    nu=ConstantNu(1.0), pi=0.5)])
+        with pytest.raises(CicError):
+            cf.solve_qtt(0.5)
 
     def test_bisection_on_continuous_function(self):
         got = solve_quantile_root(lambda t: t - 1.5, bracket=(0.0, 4.0))
@@ -130,6 +172,28 @@ class TestSolveQuantileRoot:
         got = solve_quantile_root(moment, bracket=(0.0, 4.0))
         assert got == pytest.approx(0.5, abs=1e-8)
         assert moment(got) >= 0.0
+
+    def test_first_crossing_inside_the_first_scan_cell(self):
+        # Three crossings, all inside the first scan's cell [0, 1]; the
+        # rescans of that cell keep the first, at 0.2.
+        calls = []
+
+        def moment(t):
+            calls.append(t.shape[0])
+            return (t - 0.2) * (t - 0.4) * (t - 0.9)
+
+        got = solve_quantile_root(moment, bracket=(0.0, 255.0))
+        # 5 calls: the scan, then one per 255-fold narrowing of [0, 1].
+        assert len(calls) == 1 + math.ceil(math.log(1.0 / estimator.ROOT_TOL) / math.log(255))
+        assert got == pytest.approx(0.2, abs=1e-8)
+        assert moment(np.array([got]))[0] >= 0.0
+
+    def test_root_at_float_resolution_ends(self):
+        # Near 1e9 adjacent floats lie 1.2e-7 apart, wider than ROOT_TOL:
+        # the scans stop at the cell of two adjacent floats, whose right
+        # end is the first float where t - root >= 0.
+        root = 1e9 + 0.3
+        assert solve_quantile_root(lambda t: t - root, bracket=(1e9, 1e9 + 1.0)) == root
 
 
 def fitted_engine(name, n, K=3, seed=11):
@@ -165,12 +229,12 @@ def captured_moment(monkeypatch, cf, link):
     seen = {"calls": 0}
     solve = estimator.solve_quantile_root
 
-    def record(fn, bracket, **kwargs):
+    def record(fn, bracket):
         def counted(t):
             seen["calls"] += 1
             return fn(t)
         seen.update(fn=fn, bracket=bracket, nodes=np.linspace(*bracket, 256))
-        return solve(counted, bracket, **kwargs)
+        return solve(counted, bracket)
 
     monkeypatch.setattr(estimator, "solve_quantile_root", record)
     cf.quantile_root(link)
@@ -228,13 +292,15 @@ class TestQuantileMoment:
         # treated, 2 from 0.5 on.
         assert set(got) == {-2.0, 0.0, 2.0}
 
-    def test_link_solve_bisects_one_scan_cell(self, monkeypatch):
-        # One call on the scan grid, then one per halving of a grid cell.
+    def test_link_solve_rescans_the_crossing_cell(self, monkeypatch):
+        # One call on the scan grid, then one per 255-fold narrowing of
+        # the grid cell that holds the crossing.
         cf = fitted_engine("stm-cov", 400)
         moment = captured_moment(monkeypatch, cf, gtilde_quantile(0.5))
         lo, hi = moment["bracket"]
         cell = (hi - lo) / 255
-        assert moment["calls"] <= 1 + math.ceil(math.log2(cell / 1e-8)) + 1
+        assert moment["calls"] <= 1 + math.ceil(math.log(cell / estimator.ROOT_TOL)
+                                                / math.log(255))
 
     def test_peak_memory_stays_bounded(self, monkeypatch):
         # One fold over all 2000 units: about 1000 control units meet the
@@ -465,16 +531,21 @@ class TestParityPins:
     PINNED = {
         ("did", "att"): (2.120972061067494, 8.541735598504788),
         ("did", "cdt"): (0.5181396781912045, 1.1009073116074013),
-        ("did", "qtt"): (2.2471379202469537, 18.955723752492773),
+        # The QTT pins move within ROOT_TOL when the link root's scan cell
+        # is rescanned rather than bisected; bisection gave
+        # (2.2471379202469537, 18.955723752492773),
+        # (1.5715154170253296, 79.03628014163505) and
+        # (2.081468745568436, 15.631747900154947).
+        ("did", "qtt"): (2.2471379222512953, 18.95572373610454),
         ("stm-exp", "att"): (2.725148810008458, 159.82974839663893),
         ("stm-exp", "cdt"): (0.34610624216110186, 0.6814906332478567),
-        ("stm-exp", "qtt"): (1.5715154170253296, 79.03628014163505),
+        ("stm-exp", "qtt"): (1.5715154203807988, 79.03627997026646),
         # The p = 2 ATT integrates the fitted odds on the shared-grid
         # antiderivative; per-unit composite Simpson on 257 nodes gave
         # (1.9371820702266787, 8.361187680266523).
         ("stm-cov", "att"): (1.9371820497320544, 8.361188205036278),
         ("stm-cov", "cdt"): (0.44999982560885227, 1.0206760415541578),
-        ("stm-cov", "qtt"): (2.081468745568436, 15.631747900154947),
+        ("stm-cov", "qtt"): (2.0814687480930867, 15.63174790321695),
     }
 
     @pytest.mark.parametrize("name", ["did", "stm-exp", "stm-cov"])

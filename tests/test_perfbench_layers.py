@@ -29,13 +29,19 @@ def test_a_traced_estimate_records_its_layers(monkeypatch, tmp_path):
 
     from cicdml.cli import main
 
-    csv = tmp_path / "data.csv"
-    assert main(["simulate", "--dgp", "stm-cov", "--n", "200", "--seed", "1",
-                 "--out", str(csv), "--output", str(tmp_path / "simulate.json")]) == 0
+    csv = {}
+    for dgp in ("stm-cov", "did"):
+        csv[dgp] = tmp_path / f"{dgp}.csv"
+        assert main(["simulate", "--dgp", dgp, "--n", "200", "--seed", "1",
+                     "--out", str(csv[dgp]), "--output", str(tmp_path / "simulate.json")]) == 0
     tracer = Tracer()
+    # Pointwise fitted odds (NuFn.evaluate_many) are reached by the p = 0
+    # node odds, here of the did QTT moment.
+    runs = [("stm-cov", ["att"]), ("stm-cov", ["qtt", "--tau", "0.5"]),
+            ("did", ["qtt", "--tau", "0.5"])]
     with installed(tracer, cicdml_layers()):
-        for estimand in (["att"], ["qtt", "--tau", "0.5"]):
-            assert main(["estimate", "--input", str(csv), "--folds", "2",
+        for dgp, estimand in runs:
+            assert main(["estimate", "--input", str(csv[dgp]), "--folds", "2",
                          "--output", str(tmp_path / "estimate.json"), "--estimand"]
                         + estimand) == 0
     names = {span.name for span in tracer.spans}
