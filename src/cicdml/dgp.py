@@ -276,8 +276,8 @@ class GaussHermiteNu(_PointwiseFn):
 
         With an identity beta1, mu = kappa x + c(l), so each integral is
         that of the odds in mu between kappa lo_i + c(l_i) and
-        kappa hi_i + c(l_i), over kappa: a trapezoid antiderivative on
-        ``ANTIDERIV_GRID`` mu-nodes shared by every unit. At kappa = 0 the
+        kappa hi_i + c(l_i), over kappa: the fourth-order antiderivative
+        on ``ANTIDERIV_GRID`` mu-nodes shared by every unit. At kappa = 0 the
         odds are constant in x. Otherwise the node odds' antiderivative."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)

@@ -58,9 +58,9 @@ class CrossFitConfig:
     K folds, S repetitions, confidence level alpha, master seed,
     nuisance options (bandwidth, propensity clip, density floor), and
     whether folds are stratified by treatment arm. Every nuisance uses
-    the Gaussian product kernel. A ``bandwidth`` is used for every
-    kernel coordinate; None keeps each nuisance fit's own rule (see
-    :func:`cicdml.nuisance.fit_nu`).
+    the Gaussian product kernel. A ``bandwidth``, one finite positive
+    number, is used for every kernel coordinate; None keeps each
+    nuisance fit's own rule (see :func:`cicdml.nuisance.fit_nu`).
     """
 
     K: int = 5
@@ -83,8 +83,9 @@ class CrossFitConfig:
             raise ValueError("eps_clip must lie in (0, 0.5)")
         if not self.f_min > 0.0:
             raise ValueError("f_min must be positive")
-        if self.bandwidth is not None and not np.all(np.asarray(self.bandwidth) > 0.0):
-            raise ValueError("bandwidth must be positive")
+        bw = self.bandwidth
+        if bw is not None and not (np.ndim(bw) == 0 and 0.0 < float(bw) < np.inf):
+            raise ValueError("bandwidth must be one finite positive number")
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,11 @@ nodes: the odds at every node for each unit's covariates, one shared
 column without covariates. Fitted odds factorise the product kernel into
 an outcome part, formed once at the nodes, and a covariate part, formed
 once per unit, so one matrix product gives every unit's regression sums
-at every node. Every odds integral is a trapezoid antiderivative on
-``ANTIDERIV_GRID`` equally spaced shared nodes (:func:`_grid_integrals`),
-of the node odds unless the odds tabulate a closed form; without
+at every node. Every odds integral is one fourth-order antiderivative on
+equally spaced shared nodes (:func:`_grid_integrals`), of the node odds
+unless the odds tabulate a closed form. Fitted odds with covariates take
+``GRID_PER_BANDWIDTH`` nodes per x-bandwidth, at least ``GRID_MIN`` and
+at most ``ANTIDERIV_GRID``; other odds take ``ANTIDERIV_GRID``. Without
 covariates the fitted odds' one column takes its sums from training x
 binned on a grid ``ANTIDERIV_REFINE`` times finer and one direct kernel
 convolution per sub-grid phase, unless the dense sums are cheaper.
@@ -54,7 +56,9 @@ import numpy as np
 
 from .errors import DegenerateArm, InsufficientData
 
-ANTIDERIV_GRID = 2048      # nodes of the trapezoid odds antiderivative
+ANTIDERIV_GRID = 2048      # odds antiderivative nodes (at most, for fitted odds with covariates)
+GRID_PER_BANDWIDTH = 16    # antiderivative nodes per x-bandwidth of fitted odds with covariates
+GRID_MIN = 64              # the fewest antiderivative nodes of fitted odds with covariates
 ANTIDERIV_REFINE = 4       # p = 0 training x is binned this many times finer than the nodes
 ODDS_SCALES = (1.0, 2.0, 3.0, 4.0)  # odds bandwidth scales scored by held-out loss (p > 0)
 # Max elements per kernel-weight chunk. A chunk of float64 temporaries of
@@ -210,36 +214,49 @@ def _grid_nodes(lo, hi, n_grid: int) -> np.ndarray:
 
 def _grid_integrals(gx: np.ndarray, gy: np.ndarray, lo: np.ndarray,
                     hi: np.ndarray) -> np.ndarray:
-    """Signed integrals over [lo_i, hi_i] of the trapezoid antiderivative
-    of node values gy at the nodes gx, which span every endpoint.
+    """Signed integrals over [lo_i, hi_i] of the fourth-order
+    antiderivative of node values gy at the G >= 4 equally spaced nodes
+    gx, which span every endpoint.
 
     gy of shape (G,) is one map shared by every interval; gy of shape
-    (G, k) gives interval i its own column i. Each integral is the
-    difference of two linear interpolations of the cumulative trapezoid
-    sums down the interval's column, in the arithmetic of ``np.interp``.
+    (G, k) gives interval i its own column i. At the nodes the
+    antiderivative F sums cell integrals of the cubic through four
+    neighbouring node values, delta/24 (-y[j-1] + 13 y[j] + 13 y[j+1] -
+    y[j+2]), and in the two end cells of the cubic through the four end
+    values, delta/24 (9 y[0] + 19 y[1] - 5 y[2] + y[3]) and its mirror.
+    Inside a cell F is the cubic Hermite interpolant of F and F' = gy at
+    the cell's two nodes, so an interval inside one cell follows the
+    odds along it. Both steps are exact when the node values lie on a
+    quadratic; the error falls as delta^4 on smooth node values.
     """
     gy = gy.reshape(gx.shape[0], -1)
+    last = gx.shape[0] - 2
+    delta = (gx[-1] - gx[0]) / (last + 1)
+    cell = np.empty((last + 1, gy.shape[1]))
+    inner = np.add(gy[1:-2], gy[2:-1], out=cell[1:-1])
+    inner *= 13.0
+    inner -= gy[:-3]
+    inner -= gy[3:]
+    cell[0] = 9.0 * gy[0] + 19.0 * gy[1] - 5.0 * gy[2] + gy[3]
+    cell[-1] = 9.0 * gy[-1] + 19.0 * gy[-2] - 5.0 * gy[-3] + gy[-4]
+    cell *= delta / 24.0
     anti = np.empty_like(gy)
     anti[0] = 0.0
-    steps = np.add(gy[1:], gy[:-1], out=anti[1:])
-    steps *= 0.5
-    steps *= np.diff(gx)[:, None]
-    np.cumsum(steps, axis=0, out=steps)
+    np.cumsum(cell, axis=0, out=anti[1:])
     cols = 0 if gy.shape[1] == 1 else np.arange(lo.shape[0])
-
-    last = gx.shape[0] - 2
-    scale = (last + 1) / (gx[-1] - gx[0])
 
     def at(x):
         # The cell [gx[j], gx[j + 1]) holding x, as np.interp finds it: the
         # equal spacing puts x within one cell of its scaled offset.
-        j = np.minimum((x - gx[0]) * scale, last).astype(np.intp)
+        j = np.minimum((x - gx[0]) / delta, last).astype(np.intp)
         j -= gx[j] > x
         j += gx[j + 1] <= x
         np.minimum(j, last, out=j)
-        left = anti[j, cols]
-        slope = (anti[j + 1, cols] - left) / (gx[j + 1] - gx[j])
-        return slope * (x - gx[j]) + left
+        t = (x - gx[j]) / delta
+        u = 1.0 - t
+        # F[j] + h01(t) (F[j + 1] - F[j]) + delta (h10(t) y[j] + h11(t) y[j + 1]).
+        return (anti[j, cols] + t * t * (3.0 - 2.0 * t) * cell[j, cols]
+                + delta * t * u * (u * gy[j, cols] - t * gy[j + 1, cols]))
 
     return at(hi) - at(lo)
 
@@ -263,11 +280,23 @@ def integrate_nu_many(lo, hi, l, nu, weight=None) -> np.ndarray:
 
 
 def _node_odds_integrals(lo, hi, l, nu, weight=None) -> np.ndarray:
-    """Signed integrals over [lo_i, hi_i] of the trapezoid antiderivative
-    of ``nu.node_odds`` (times ``weight``) on ``ANTIDERIV_GRID`` nodes
-    spanning every endpoint: one column shared by every unit without
-    covariates, so one chunk; one per unit with them, in chunks."""
-    nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
+    """Signed integrals over [lo_i, hi_i] of the fourth-order
+    antiderivative (:func:`_grid_integrals`) of ``nu.node_odds`` (times
+    ``weight``) on nodes spanning every endpoint: one column shared by
+    every unit without covariates, so one chunk; one per unit with them,
+    in chunks.
+
+    Fitted odds with covariates are smooth on the scale of their
+    x-bandwidth h_x = ``nu.h[0]`` (odds scale included), so they take
+    ceil(``GRID_PER_BANDWIDTH`` span / h_x) nodes, span being the range
+    of the endpoints, clamped to [``GRID_MIN``, ``ANTIDERIV_GRID``].
+    Other odds take ``ANTIDERIV_GRID`` nodes."""
+    n_grid = ANTIDERIV_GRID
+    if isinstance(nu, NuFn) and nu.p:
+        span = max(np.max(lo), np.max(hi)) - min(np.min(lo), np.min(hi))
+        n_grid = int(np.clip(np.ceil(GRID_PER_BANDWIDTH * span / nu.h[0]),
+                             GRID_MIN, ANTIDERIV_GRID))
+    nodes = _grid_nodes(lo, hi, n_grid)
     wx = None if weight is None else np.asarray(weight(nodes), dtype=float)[:, None]
     step = lo.shape[0] if l.shape[1] == 0 else _units_per_chunk(nu, nodes.shape[0])
     out = np.empty(lo.shape[0])
@@ -540,11 +569,12 @@ class NuFn(_PointwiseFn):
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
         """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
 
-        The node odds' antiderivative of every odds function
-        (:func:`_node_odds_integrals`), except that without covariates the
-        one column's regression sums are taken from linearly binned
-        training x (:func:`_binned_nw_sums`) when that is cheaper than
-        :meth:`node_odds`' dense sums.
+        The node odds' fourth-order antiderivative of every odds function
+        (:func:`_node_odds_integrals`), with covariates on a grid sized by
+        the x-bandwidth. Without covariates it takes ``ANTIDERIV_GRID``
+        nodes, and the one column's regression sums are taken from
+        linearly binned training x (:func:`_binned_nw_sums`) when that is
+        cheaper than :meth:`node_odds`' dense sums.
         """
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -602,8 +632,10 @@ class NuFn(_PointwiseFn):
 
 def _units_per_chunk(nu, n_nodes: int) -> int:
     """Covariate rows per ``node_odds`` call at n_nodes nodes: for fitted
-    odds their (G, 2k) sums and (m, 2k) weights fit the budget (256 rows
-    for m <= G = ``ANTIDERIV_GRID``), for other odds their (G, k) values."""
+    odds their (G, 2k) sums and (m, 2k) weights fit the budget, so the
+    larger of G and the m training units sets the rows (256 at G = m =
+    ``ANTIDERIV_GRID``; a bandwidth-sized grid is usually below m), for
+    other odds their (G, k) values."""
     if not isinstance(nu, NuFn):
         return _row_chunk(n_nodes)
     return _row_chunk(2 * max(n_nodes, nu.z.shape[0]))

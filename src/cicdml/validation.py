@@ -35,6 +35,7 @@ from .dgp import (
 )
 from .estimator import CrossFitConfig, att_psi_values, estimate
 from .nuisance import (
+    ANTIDERIV_GRID,
     NuisanceSet,
     _bandwidth_vector,
     _grid_integrals,
@@ -46,7 +47,6 @@ from .nuisance import (
 
 DEFAULT_MC_SIZE = 200_000
 DEFAULT_FD_STEP = 0.05
-_PHI_GRID = 8192
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
     g0 = np.asarray(eta.gamma(data.y0[ctrl], data.l[ctrl]))
     dg = np.zeros_like(g0) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0[ctrl]))
     g_ends = [g0 + lam * dg for lam in (lam_arr.min(initial=0.0), lam_arr.max(initial=0.0))]
-    nodes = _grid_nodes(data.y1[ctrl], np.concatenate(g_ends), _PHI_GRID)
+    nodes = _grid_nodes(data.y1[ctrl], np.concatenate(g_ends), ANTIDERIV_GRID)
     base_vals = (np.asarray(eta.nu(nodes, np.empty((nodes.shape[0], 0))))
                  if dgp.p == 0 else None)
     d_vals = None if pert.d_nu is None else np.asarray(pert.d_nu(nodes))

@@ -127,6 +127,7 @@ class TestExitCodes:
         ["--eps-clip", "0.7"],
         ["--f-min", "0"],
         ["--bandwidth", "-1"],
+        ["--bandwidth", "inf"],
     ])
     def test_bad_values_exit_2_with_an_error_line(self, tmp_path, dataset, capsys, extra):
         rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), *extra)

@@ -105,6 +105,15 @@ class TestFitFoldNuisances:
         assert eta.dens_y1_treated.h == 0.3
         assert eta.dens_gamma_treated.h == 0.3
 
+    # No vector can serve every fit: the transport map takes p
+    # bandwidths, the odds regression 1 + p and the densities one.
+    @pytest.mark.parametrize("bandwidth", [[0.3, 0.3], [0.3, 0.3, 0.3], np.array([0.3]),
+                                           np.inf, np.nan, 0.0, -0.3])
+    def test_the_bandwidth_is_one_finite_positive_number(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            CrossFitConfig(bandwidth=bandwidth)
+        assert CrossFitConfig(bandwidth=np.float64(0.3)).bandwidth == 0.3
+
 
 class TestSolveQuantileRoot:
     """The two quantile rules: the treated quantile read from weighted
@@ -528,8 +537,14 @@ class TestParityPins:
     """End-to-end estimates pinned at rtol 1e-12, with and without covariates."""
 
     Y_POINT = {"did": 1.0, "stm-exp": 2.0, "stm-cov": 1.0}
+    # The ATT pins moved when the odds antiderivative became fourth order
+    # and p = 2 fitted odds took a grid sized by their x-bandwidth. The
+    # 2048-node trapezoid antiderivative gave
+    # (2.120972061067494, 8.541735598504788),
+    # (2.725148810008458, 159.82974839663893) and
+    # (1.9371820497320544, 8.361188205036278).
     PINNED = {
-        ("did", "att"): (2.120972061067494, 8.541735598504788),
+        ("did", "att"): (2.1209720379747634, 8.541736664529404),
         ("did", "cdt"): (0.5181396781912045, 1.1009073116074013),
         # The QTT pins move within ROOT_TOL when the link root's scan cell
         # is rescanned rather than bisected; bisection gave
@@ -537,13 +552,12 @@ class TestParityPins:
         # (1.5715154170253296, 79.03628014163505) and
         # (2.081468745568436, 15.631747900154947).
         ("did", "qtt"): (2.2471379222512953, 18.95572373610454),
-        ("stm-exp", "att"): (2.725148810008458, 159.82974839663893),
+        ("stm-exp", "att"): (2.7251490140582817, 159.82982184602517),
         ("stm-exp", "cdt"): (0.34610624216110186, 0.6814906332478567),
         ("stm-exp", "qtt"): (1.5715154203807988, 79.03627997026646),
-        # The p = 2 ATT integrates the fitted odds on the shared-grid
-        # antiderivative; per-unit composite Simpson on 257 nodes gave
+        # Per-unit composite Simpson on 257 nodes gave
         # (1.9371820702266787, 8.361187680266523).
-        ("stm-cov", "att"): (1.9371820497320544, 8.361188205036278),
+        ("stm-cov", "att"): (1.9371820711912053, 8.36118768842064),
         ("stm-cov", "cdt"): (0.44999982560885227, 1.0206760415541578),
         ("stm-cov", "qtt"): (2.0814687480930867, 15.63174790321695),
     }
@@ -560,11 +574,14 @@ class TestParityPins:
             assert report.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0), kind
 
     # At n=4000 the p = 0 odds antiderivative takes its node sums from
-    # binned training x; the dense sums gave (2.0117711005524312,
-    # 8.260273556922177) and (2.0587504423366556, 292.928390611057).
+    # binned training x. The trapezoid antiderivative gave
+    # (2.0117710969829035, 8.260273460325386) and
+    # (2.0587517497034367, 292.9280745584288) from binned sums, and
+    # (2.0117711005524312, 8.260273556922177) and
+    # (2.0587504423366556, 292.928390611057) from dense sums.
     BINNED = {
-        "did": (2.0117710969829035, 8.260273460325386),
-        "stm-exp": (2.0587517497034367, 292.9280745584288),
+        "did": (2.011771053048796, 8.260272359748535),
+        "stm-exp": (2.05874853670364, 292.9278393519126),
     }
 
     @pytest.mark.parametrize("name", ["did", "stm-exp"])
@@ -595,7 +612,7 @@ class TestParityPins:
         """The p = 2 ATT from the shared-grid odds antiderivative against
         per-unit composite Simpson on 257 nodes per interval, the rule
         integrate_nu_many once applied to odds without an integral_many of
-        their own. Measured: 2.0e-8 in the estimate and 6.3e-8 relative in
+        their own. Measured: 9.6e-10 in the estimate and 9.8e-10 relative in
         the variance."""
         def simpson_integrals(lo, hi, l, nu):
             t = np.linspace(0.0, 1.0, 257)

@@ -436,34 +436,70 @@ class TestOddsBandwidthRule:
 
 
 class TestGridIntegrals:
-    """The shared trapezoid antiderivative: its interpolation is np.interp's,
-    bit for bit, column by column."""
+    """The shared fourth-order antiderivative, one map or one column per
+    interval: exact on quadratic node values, its error falling as the
+    fourth power of the node spacing, and odd in its limits."""
 
     @staticmethod
-    def reference(gx, gy, lo, hi):
-        anti = np.concatenate([[0.0], np.cumsum(0.5 * (gy[1:] + gy[:-1]) * np.diff(gx))])
-        return np.interp(hi, gx, anti) - np.interp(lo, gx, anti)
-
-    def test_matches_np_interp_on_and_next_to_the_nodes(self):
-        # Scaled offsets of points on or one ulp off a node land in the cell
-        # below or above np.interp's on both sides for these bounds.
-        rng = np.random.default_rng(3)
-        gx = nuisance._grid_nodes(-1.7, 2.3, nuisance.ANTIDERIV_GRID)
+    def ends(gx, rng):
+        # Every inner node, one ulp either side of each, and uniform draws;
+        # scaled offsets next to a node land a cell off before correction.
         on = gx[1:-1]
-        ends = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
-                               rng.uniform(-1.7, 2.3, 300)])
-        lo, hi = ends, rng.permutation(ends)
-        gy = np.exp(rng.standard_normal((gx.shape[0], 4)))
-        assert_array_equal(nuisance._grid_integrals(gx, gy[:, 0], lo, hi),
-                           self.reference(gx, gy[:, 0], lo, hi))
-        got = nuisance._grid_integrals(gx, gy, lo[:4], hi[:4])
-        for i in range(4):
-            assert got[i] == self.reference(gx, gy[:, i], lo[i:i + 1], hi[i:i + 1])[0]
+        return np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                               rng.uniform(gx[0], gx[-1], 300)])
+
+    def test_exact_on_quadratic_node_values(self):
+        rng = np.random.default_rng(3)
+        gx = nuisance._grid_nodes(-1.7, 2.3, 257)
+        lo = self.ends(gx, rng)
+        hi = rng.permutation(lo)
+        c = rng.standard_normal((3, lo.shape[0]))
+        gy = c[0] + c[1] * gx[:, None] + c[2] * gx[:, None] ** 2
+
+        def anti(x, c):
+            return c[0] * x + c[1] * x ** 2 / 2.0 + c[2] * x ** 3 / 3.0
+
+        # Rounding only: measured at most 1.3e-14.
+        assert_allclose(nuisance._grid_integrals(gx, gy[:, 0], lo, hi),
+                        anti(hi, c[:, 0]) - anti(lo, c[:, 0]), rtol=0, atol=1e-13)
+        assert_allclose(nuisance._grid_integrals(gx, gy, lo, hi),
+                        anti(hi, c) - anti(lo, c), rtol=0, atol=1e-13)
+
+    def test_error_falls_as_the_fourth_power_of_the_spacing(self):
+        # Smooth node values with a closed-form antiderivative; each
+        # doubling of the nodes cuts the largest error by 16.0-16.7x.
+        rng = np.random.default_rng(4)
+        lo = rng.uniform(-1.7, 2.3, 300)
+        hi = rng.uniform(-1.7, 2.3, 300)
+
+        def anti(x):
+            return np.sin(3.0 * x) / 3.0 + 2.0 * np.exp(0.5 * x)
+
+        errors = []
+        for n_grid in (64, 128, 256, 512):
+            gx = nuisance._grid_nodes(-1.7, 2.3, n_grid)
+            gy = np.cos(3.0 * gx) + np.exp(0.5 * gx)
+            got = nuisance._grid_integrals(gx, gy, lo, hi)
+            errors.append(np.abs(got - (anti(hi) - anti(lo))).max())
+        assert all(a >= 12.0 * b for a, b in zip(errors, errors[1:]))
+
+    def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self):
+        rng = np.random.default_rng(5)
+        gx = nuisance._grid_nodes(-1.7, 2.3, nuisance.GRID_MIN)
+        lo = self.ends(gx, rng)
+        hi = rng.permutation(lo)
+        hi[::7] = lo[::7]
+        gy = np.exp(rng.standard_normal((gx.shape[0], lo.shape[0])))
+        for values in (gy[:, 0], gy):
+            got = nuisance._grid_integrals(gx, values, lo, hi)
+            assert_array_equal(got[::7], 0.0)
+            assert_array_equal(nuisance._grid_integrals(gx, values, hi, lo), -got)
 
 
 class TestFactorisedOddsIntegral:
-    """NuFn.integral_many with covariates: the trapezoid antiderivative on
-    ANTIDERIV_GRID shared nodes, one column of node odds per unit.
+    """NuFn.integral_many with covariates: the fourth-order antiderivative
+    on shared nodes, GRID_PER_BANDWIDTH per x-bandwidth, one column of
+    node odds per unit.
 
     ``law`` is the law of the training x: the standard normal, or the
     Epanechnikov law scaled to unit variance, whose support [-sqrt(5),
@@ -503,8 +539,9 @@ class TestFactorisedOddsIntegral:
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_a_dense_reference(self, p, law):
         # One interval spans every endpoint; one of length 1e-3 lies inside
-        # a single grid cell, where the cell's trapezoid average stands in
-        # for the odds along it (measured at most 2.6e-4 relative).
+        # a single grid cell, where the cubic Hermite antiderivative follows
+        # the odds along it (measured at most 7.4e-7 relative; the 2048-node
+        # trapezoid, which took the cell's average odds, 2.6e-4).
         nu, rng = self.fitted(p, law)
         lo = rng.uniform(-2.0, 1.0, 4)
         hi = lo + rng.uniform(-1.5, 2.0, 4)
@@ -513,9 +550,10 @@ class TestFactorisedOddsIntegral:
         l = rng.standard_normal((4, p))
         got = nu.integral_many(lo, hi, l)
         want = self.dense(nu, lo, hi, l)
-        # The odds are smooth: measured at most 6.8e-7.
-        assert_allclose(got, want, rtol=0, atol=1e-5)
-        assert got[1] == pytest.approx(want[1], rel=2e-3, abs=0)
+        # The odds are smooth: measured at most 2.2e-7 on 64-114 nodes
+        # (the 2048-node trapezoid: 6.8e-7).
+        assert_allclose(got, want, rtol=0, atol=1e-6)
+        assert got[1] == pytest.approx(want[1], rel=5e-6, abs=0)
 
     @GAUSSIAN_KERNEL
     def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self, kernel):
@@ -529,10 +567,42 @@ class TestFactorisedOddsIntegral:
         assert (got[hi < lo] < 0).all() and (got[hi > lo] > 0).all()
         assert_array_equal(nu.integral_many(hi, lo, l), -got)
 
-    # 3000 elements give one grid row per x-weight block and one unit per
-    # chunk; 20_000 blocks of 8 rows and chunks of 4 units; 300_000
-    # blocks of 125 rows and all 7 units in one chunk.
-    @pytest.mark.parametrize("budget", [3000, 20_000, 300_000])
+    def test_the_grid_is_sized_by_the_x_bandwidth(self, monkeypatch):
+        # ceil(GRID_PER_BANDWIDTH span / h_x) nodes for fitted odds with
+        # covariates, with or without a weight; ANTIDERIV_GRID for fitted
+        # odds without covariates and for analytic odds.
+        sizes = []
+        grid_nodes = nuisance._grid_nodes
+
+        def recorded(lo, hi, n_grid):
+            sizes.append(n_grid)
+            return grid_nodes(lo, hi, n_grid)
+
+        monkeypatch.setattr(nuisance, "_grid_nodes", recorded)
+        nu, rng = self.fitted(2, m=800)
+        lo = rng.uniform(-2.0, 1.0, 9)
+        hi = lo + rng.uniform(-1.5, 2.0, 9)
+        l = rng.standard_normal((9, 2))
+        span = max(lo.max(), hi.max()) - min(lo.min(), hi.min())
+        want = int(np.ceil(nuisance.GRID_PER_BANDWIDTH * span / nu.h[0]))
+        assert nuisance.GRID_MIN < want < nuisance.ANTIDERIV_GRID
+        nu.integral_many(lo, hi, l)
+        nuisance.integrate_nu_many(lo, hi, l, nu, weight=np.cos)
+        assert sizes == [want, want]
+
+        sizes.clear()
+        flat, _ = self.fitted(0, m=800)
+        flat.integral_many(lo, hi, np.empty((9, 0)))
+        nuisance.integrate_nu_many(lo, hi, np.empty((9, 0)), flat, weight=np.cos)
+        analytic = GaussHermiteNu(named_config("stm-cov"))
+        nuisance.integrate_nu_many(lo, hi, l, analytic, weight=np.cos)
+        assert sizes == [nuisance.ANTIDERIV_GRID] * 3
+
+    # With m = 300 above the node count, m sets the unit chunks. 1000
+    # elements give one grid row per x-weight block and one unit per
+    # chunk; 3000 one row and chunks of 5 units; 20_000 blocks of 8 rows
+    # and 300_000 blocks of 125 rows, with all 7 units in one chunk.
+    @pytest.mark.parametrize("budget", [1000, 3000, 20_000, 300_000])
     def test_chunking_does_not_change_the_result(self, monkeypatch, budget):
         nu, rng = self.fitted(2)
         lo = rng.uniform(-2.0, 1.0, 7)
@@ -578,16 +648,16 @@ class TestFactorisedOddsIntegral:
 
     @X_LAWS
     def test_peak_memory_stays_bounded(self, law):
-        # 600 units make two chunks of 256 and one of 88, and the
-        # (ANTIDERIV_GRID, m) x-weights are split into blocks. Peaks near
-        # 23 MiB, while the next chunk's (G, 512) sums are formed before the
-        # last chunk's are freed. A (Q, m, d) weight tensor peaked at
-        # 367 MiB, and 8M-element chunks of per-unit Simpson node weights
-        # at 63 MiB.
+        # About 166 nodes, fewer than the m = 800 training units, so the
+        # (m, 2k) covariate weights set the chunks: 1500 units make two
+        # chunks of 655 and one of 190. Peaks near 17 MiB; 600 units on
+        # 2048 nodes in chunks of 256 peaked near 20 MiB. A (Q, m, d)
+        # weight tensor peaked at 367 MiB, and 8M-element chunks of
+        # per-unit Simpson node weights at 63 MiB.
         nu, rng = self.fitted(2, law, m=800)
-        lo = rng.uniform(-2.0, 1.0, 600)
-        hi = lo + rng.uniform(0.5, 2.0, 600)
-        l = rng.standard_normal((600, 2))
+        lo = rng.uniform(-2.0, 1.0, 1500)
+        hi = lo + rng.uniform(0.5, 2.0, 1500)
+        l = rng.standard_normal((1500, 2))
         tracemalloc.start()
         try:
             nu.integral_many(lo, hi, l)
@@ -601,8 +671,8 @@ class TestAnalyticOddsIntegral:
     """GaussHermiteNu.integral_many against composite Simpson over its
     odds at 16385 nodes per interval (TestFactorisedOddsIntegral.dense).
 
-    With an identity beta1 the integral is a trapezoid antiderivative of
-    the odds in the logit mean mu = kappa x + c(l), one column shared by
+    With an identity beta1 the integral is the fourth-order antiderivative
+    of the odds in the logit mean mu = kappa x + c(l), one column shared by
     every unit; at kappa = 0 the odds are constant in x; a non-identity
     beta1 with covariates takes one column of node odds per unit."""
 
@@ -633,10 +703,10 @@ class TestAnalyticOddsIntegral:
         lo, hi, l = self.intervals(name, nu.p)
         got = nu.integral_many(lo, hi, l)
         want = TestFactorisedOddsIntegral.dense(nu, lo, hi, l)
-        # Measured at most 1.3e-7 absolute, and 1.3e-4 relative on the
+        # Measured at most 3.2e-10 absolute, and 9.2e-13 relative on the
         # interval of length 1e-3, which lies inside one grid cell.
-        assert_allclose(got, want, rtol=0, atol=1e-6)
-        assert got[1] == pytest.approx(want[1], rel=1e-3, abs=0)
+        assert_allclose(got, want, rtol=0, atol=1e-8)
+        assert got[1] == pytest.approx(want[1], rel=1e-10, abs=0)
         if name == "kappa-zero":
             # The constant odds times the length: measured 1.1e-14.
             assert_allclose(got, want, rtol=1e-12, atol=0)
