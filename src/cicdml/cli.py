@@ -7,7 +7,9 @@ trip reproduces the data bit-exactly. JSON output carries a fixed
 schema-version field and deterministic key order, so identical commands
 with identical seeds produce byte-identical bytes.
 
-Exit codes: 0 success, 1 validation failure, 2 input error.
+Exit codes: 0 success; 1 only when a ``validate`` check FAILs; 2 for
+every rejected input: a bad flag or config value, an unreadable or
+malformed file, or a value that a library call rejects.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .data_model import EstimandSpec, PanelDataset, validate
-from .dgp import DGP_NAMES, StmConfig, gen_stm, named_config, qq_invariance_diagnostic
-from .errors import CicError, NonBinaryTreatment, ParseError
+from .dgp import DGP_NAMES, gen_stm, named_config, qq_invariance_diagnostic
+from .errors import NonBinaryTreatment, ParseError
 from .estimator import CrossFitConfig, estimate
 from .validation import Perturbation, coverage_study, orthogonality_check
 
@@ -33,9 +34,6 @@ FORMATS = ("json", "tsv")
 
 # Config-file keys are the options' destinations, except these.
 _CONFIG_NAMES = {"fmt": "format", "no_stratify": "stratify"}
-# Checked after parsing, so that a --config file can supply them too.
-_REQUIRED = {"estimate": ("input",), "simulate": ("dgp", "out"), "validate": ("dgp",),
-             "coverage": ("dgp",)}
 
 
 # ---------------------------------------------------------------------------
@@ -98,33 +96,11 @@ def write_dataset_csv(path: str, data: PanelDataset) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Run configuration
+# Reports
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed CLI invocation; fields its subcommand does not define
-    are None (the parser holds every default)."""
-
-    subcommand: str
-    seed: int
-    output: Optional[str]
-    estimand: Optional[EstimandSpec] = None
-    input: Optional[str] = None
-    dgp: Optional[str] = None
-    model: Optional[StmConfig] = None
-    crossfit: Optional[CrossFitConfig] = None
-    out: Optional[str] = None
-    oracle_out: Optional[str] = None
-    mc_size: Optional[int] = None
-    mc_reps: Optional[int] = None
-    h: Optional[float] = None
-    perturbations: Optional[int] = None
-    fmt: Optional[str] = None
-
-
-def _write(cfg: RunConfig, text: str) -> None:
+def _write(cfg: argparse.Namespace, text: str) -> None:
     """Write a report to ``--output``, or to stdout without one."""
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8") as fh:
@@ -133,7 +109,10 @@ def _write(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
+def _emit(cfg: argparse.Namespace, payload: dict) -> None:
+    """Write a report in ``--format``, after its schema-version and
+    command header."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": cfg.subcommand, **payload}
     if cfg.fmt == "tsv":
         lines = [f"{k}\t{_tsv_value(v)}" for k, v in payload.items()]
         text = "\n".join(lines) + "\n"
@@ -151,20 +130,17 @@ def _tsv_value(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each takes the namespace that _to_run_config checked.
 # ---------------------------------------------------------------------------
 
 
-def _run_estimate(cfg: RunConfig) -> int:
+def _run_estimate(cfg: argparse.Namespace) -> int:
     data = ingest_csv(cfg.input)
-    report = estimate(data, cfg.estimand, cfg.crossfit)
-    payload = {"schema_version": SCHEMA_VERSION, "command": "estimate"}
-    payload.update(report.to_dict())
-    _emit(cfg, payload)
+    _emit(cfg, estimate(data, cfg.estimand, cfg.crossfit).to_dict())
     return 0
 
 
-def _run_simulate(cfg: RunConfig) -> int:
+def _run_simulate(cfg: argparse.Namespace) -> int:
     data, truth = gen_stm(cfg.model)
     write_dataset_csv(cfg.out, data)
     oracle_path = cfg.oracle_out or (cfg.out + ".oracle.json")
@@ -180,12 +156,11 @@ def _run_simulate(cfg: RunConfig) -> int:
     }
     with open(oracle_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(oracle, indent=2) + "\n")
-    _emit(cfg, {"schema_version": SCHEMA_VERSION, "command": "simulate",
-                "dataset": cfg.out, "oracle": oracle_path, "att_true": truth.att_true})
+    _emit(cfg, {"dataset": cfg.out, "oracle": oracle_path, "att_true": truth.att_true})
     return 0
 
 
-def _run_validate(cfg: RunConfig) -> int:
+def _run_validate(cfg: argparse.Namespace) -> int:
     failures = 0
     lines = []
 
@@ -210,31 +185,21 @@ def _run_validate(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-def _run_coverage(cfg: RunConfig) -> int:
+def _run_coverage(cfg: argparse.Namespace) -> int:
     report = coverage_study(cfg.model, cfg.crossfit, cfg.mc_reps, master_seed=cfg.seed)
-    payload = {"schema_version": SCHEMA_VERSION, "command": "coverage",
-               "dgp": cfg.dgp, "n": cfg.model.n, "K": cfg.crossfit.K, "S": cfg.crossfit.S,
-               "alpha": cfg.crossfit.alpha, "seed": cfg.seed}
-    payload.update(report.to_dict())
-    _emit(cfg, payload)
+    _emit(cfg, {"dgp": cfg.dgp, "n": cfg.model.n, "K": cfg.crossfit.K, "S": cfg.crossfit.S,
+                "alpha": cfg.crossfit.alpha, "seed": cfg.seed, **report.to_dict()})
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a parsed invocation; map errors to exit codes."""
-    try:
-        if cfg.subcommand == "estimate":
-            return _run_estimate(cfg)
-        if cfg.subcommand == "simulate":
-            return _run_simulate(cfg)
-        if cfg.subcommand == "validate":
-            return _run_validate(cfg)
-        if cfg.subcommand == "coverage":
-            return _run_coverage(cfg)
-        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
-    except (CicError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+# Each subcommand's body and the options it requires. The options are
+# checked after parsing, so that a --config file can supply them too.
+_SUBCOMMANDS = {
+    "estimate": (_run_estimate, ("input",)),
+    "simulate": (_run_simulate, ("dgp", "out")),
+    "validate": (_run_validate, ("dgp",)),
+    "coverage": (_run_coverage, ("dgp",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +216,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, formats=True):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0, help="nonnegative random seed")
         sp.add_argument("--output", help="write the report here instead of stdout")
         if formats:
             sp.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
@@ -344,80 +309,69 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                               for key, value in overrides.items()}}
 
 
-def _to_run_config(args: argparse.Namespace) -> RunConfig:
+def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Check a parsed invocation before any work and set its run objects
+    on it: ``estimand`` and ``crossfit`` for estimate, ``model`` for
+    simulate and validate, ``model`` and ``crossfit`` for coverage."""
     sub = args.subcommand
-    for dest in _REQUIRED[sub]:
+    for dest in _SUBCOMMANDS[sub][1]:
         if getattr(args, dest) is None:
             raise ParseError(f"--{dest} is required")
-    estimand = None
-    crossfit = None
+    # Seed and sizes are checked before any draw, so that the error line
+    # names the flag rather than numpy's argument.
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
+    for dest in ("n", "mc_size"):
+        if getattr(args, dest, 2) < 2:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least 2")
     if sub == "estimate":
         if args.estimand == "att":
-            estimand = EstimandSpec.att()
+            args.estimand = EstimandSpec.att()
         elif args.estimand == "cdt":
             if args.y_point is None:
                 raise ParseError("--y-point is required for the cdt estimand")
-            estimand = EstimandSpec.cdt(args.y_point)
+            args.estimand = EstimandSpec.cdt(args.y_point)
         else:
             if args.tau is None:
                 raise ParseError("--tau is required for the qtt estimand")
-            estimand = EstimandSpec.qtt(args.tau)
-        crossfit = CrossFitConfig(
+            args.estimand = EstimandSpec.qtt(args.tau)
+        args.crossfit = CrossFitConfig(
             K=args.folds, S=args.reps, alpha=args.alpha,
             seed=args.seed, bandwidth=args.bandwidth,
             eps_clip=args.eps_clip, f_min=args.f_min,
             stratify=not args.no_stratify)
-    for dest in ("n", "mc_size"):
-        # Checked before any draw: numpy rejects negative sizes with a traceback.
-        if getattr(args, dest, 2) < 2:
-            raise ValueError(f"--{dest.replace('_', '-')} must be at least 2")
-    model = None
     if sub == "simulate":
-        model = named_config(args.dgp, n=args.n, seed=args.seed, effect=args.effect,
-                             trend=args.trend, pi=args.pi)
+        args.model = named_config(args.dgp, n=args.n, seed=args.seed, effect=args.effect,
+                                  trend=args.trend, pi=args.pi)
     if sub == "validate":
         # The checks draw their own mc_size samples; the model's n is unused.
-        model = named_config(args.dgp, seed=args.seed)
+        args.model = named_config(args.dgp, seed=args.seed)
         if not 0.0 < args.h < 0.5:
             raise ValueError("--h must lie in (0, 0.5)")
         if args.perturbations < 0:
             raise ValueError("--perturbations must be nonnegative")
     if sub == "coverage":
-        model = named_config(args.dgp, n=args.n, seed=args.seed)
+        args.model = named_config(args.dgp, n=args.n, seed=args.seed)
         if args.mc_reps < 2:
             raise ValueError("--mc-reps must be at least 2")
-        crossfit = CrossFitConfig(K=args.folds, S=args.reps, alpha=args.alpha,
-                                  seed=args.seed)
-    return RunConfig(
-        subcommand=sub,
-        seed=args.seed,
-        output=args.output,
-        estimand=estimand,
-        input=getattr(args, "input", None),
-        dgp=getattr(args, "dgp", None),
-        model=model,
-        crossfit=crossfit,
-        out=getattr(args, "out", None),
-        oracle_out=getattr(args, "oracle_out", None),
-        mc_size=getattr(args, "mc_size", None),
-        mc_reps=getattr(args, "mc_reps", None),
-        h=getattr(args, "h", None),
-        perturbations=getattr(args, "perturbations", None),
-        fmt=getattr(args, "fmt", None),
-    )
+        args.crossfit = CrossFitConfig(K=args.folds, S=args.reps, alpha=args.alpha,
+                                       seed=args.seed)
+    return args
 
 
 def main(argv=None) -> int:
+    """Run one invocation and return its exit code. A rejected input,
+    from the config file, the checks or a library call, prints an
+    ``error:`` line and exits 2; argparse itself exits 2 on a bad flag."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
             args = build_parser(_config_defaults(parser, args)).parse_args(argv)
-        cfg = _to_run_config(args)
+        return _SUBCOMMANDS[args.subcommand][0](_to_run_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

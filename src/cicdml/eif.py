@@ -39,10 +39,11 @@ from .nuisance import integrate_nu_many, signed_odds
 class GTildeSpec:
     """Link function of the transported outcome defining a moment target.
 
-    Either smooth, with ``dx`` its partial derivative in x (a callable of
-    (x, t), or a number when it is constant), or a step function whose
-    jump locations and sizes ``jumps(t)`` may depend on the target value.
-    Bounded variation on the outcome range is assumed.
+    A link is smooth when it has ``dx``, its partial derivative in x (a
+    callable of (x, t), or a number when it is constant), and a step
+    function when it has ``jumps``, whose jump locations and sizes
+    ``jumps(t)`` may depend on the target value; it has exactly one of
+    the two. Bounded variation on the outcome range is assumed.
 
     ``dtheta`` is d/dt of the conditional moment among the treated: a
     nonzero constant for links affine in t (mean- and CDF-type), solved
@@ -56,32 +57,27 @@ class GTildeSpec:
     """
 
     value: Callable[[float, float], float]
-    kind: str
     dx: object = None
     jumps: Optional[Callable[[float], tuple]] = None
     dtheta: object = -1.0
 
     def __post_init__(self):
-        if self.kind not in ("smooth", "step"):
-            raise ValueError("kind must be 'smooth' or 'step'")
-        if self.kind == "smooth" and self.dx is None:
-            raise ValueError("smooth link needs its x-derivative")
-        if self.kind == "step" and self.jumps is None:
-            raise ValueError("step link needs jump locations and sizes")
+        if (self.dx is None) == (self.jumps is None):
+            raise ValueError("a link needs exactly one of its x-derivative dx (smooth) "
+                             "and its jumps (step)")
         if self.dtheta != "gamma-density" and float(self.dtheta) == 0.0:
             raise ValueError("dtheta must be a nonzero constant or 'gamma-density'")
 
 
 def gtilde_counterfactual_mean() -> GTildeSpec:
     """g(x, t) = x - t: the counterfactual mean on the treated."""
-    return GTildeSpec(value=lambda x, t: np.asarray(x, dtype=float) - t, kind="smooth", dx=1.0)
+    return GTildeSpec(value=lambda x, t: np.asarray(x, dtype=float) - t, dx=1.0)
 
 
 def gtilde_cdf_indicator(y: float) -> GTildeSpec:
     """g(x, t) = 1{x < y} - t: the counterfactual distribution at y."""
     return GTildeSpec(
         value=lambda x, t: (np.asarray(x) < y).astype(float) - t,
-        kind="step",
         jumps=lambda t: (np.array([y]), np.array([-1.0])),
     )
 
@@ -90,7 +86,6 @@ def gtilde_quantile(tau: float) -> GTildeSpec:
     """g(x, t) = 1{x < t} - tau: the counterfactual quantile at level tau."""
     return GTildeSpec(
         value=lambda x, t: (np.asarray(x) < t).astype(float) - tau,
-        kind="step",
         jumps=lambda t: (np.array([t]), np.array([-1.0])),
         dtheta="gamma-density",
     )
@@ -112,7 +107,7 @@ def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
     """
     y1 = np.asarray(y1, dtype=float)
     g = np.asarray(g, dtype=float)
-    if link.kind == "smooth":
+    if link.dx is not None:
         if not callable(link.dx):
             return link.dx * integrate(y1, g, l, nu)
         return integrate(y1, g, l, nu, lambda x: link.dx(x, t))

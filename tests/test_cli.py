@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cicdml import cli
 from cicdml.cli import ingest_csv, main
 from cicdml.dgp import gen_stm, named_config
 
@@ -53,6 +54,23 @@ class TestRoundTrip:
         rc2, second = run_estimate(tmp_path, "second.json", *args)
         assert rc1 == rc2 == 0
         assert first == second
+
+
+class TestSimulateReport:
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_keys_and_their_order(self, tmp_path, capsys, fmt):
+        out = tmp_path / "did.csv"
+        assert main(["simulate", "--dgp", "did", "--n", "50", "--out", str(out),
+                     "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        report = (json.loads(text) if fmt == "json"
+                  else dict(line.split("\t") for line in text.splitlines()))
+        assert list(report) == ["schema_version", "command", "dataset", "oracle", "att_true"]
+        oracle = json.loads((tmp_path / "did.csv.oracle.json").read_text())
+        assert int(report["schema_version"]) == 1
+        assert (report["command"], report["dataset"], report["oracle"]) == (
+            "simulate", str(out), str(out) + ".oracle.json")
+        assert float(report["att_true"]) == oracle["att_true"]
 
 
 class TestTsv:
@@ -144,7 +162,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("values", [
         {"no_such_key": 1}, {"kernel": "box"}, {"folds": 2.5}, {"reps": None},
         {"seed": 1.5}, {"seed": True}, {"stratify": "no"}, {"alpha": "0.1"},
-        {"cv_folds": 3}, {"n": 50.5},
+        {"cv_folds": 3}, {"n": 50.5}, {"seed": -1},
     ])
     def test_bad_config_exits_2(self, tmp_path, dataset, capsys, values):
         # Run on both subcommands: a key that one of them lacks is unknown
@@ -190,12 +208,19 @@ class TestExitCodes:
         ["simulate", "--dgp", "did", "--n", "-5"],
         ["coverage", "--dgp", "did", "--n", "-5"],
         ["validate", "--dgp", "did", "--mc-size", "-5"],
+        ["estimate", "--seed", "-1"],
+        ["simulate", "--dgp", "did", "--seed", "-1"],
+        ["validate", "--dgp", "did", "--seed", "-1"],
+        ["coverage", "--dgp", "did", "--seed", "-1"],
     ], ids=["mc-reps-1", "pi-1.5", "pi-0", "h-0", "perturbations-negative", "simulate-n-negative",
-            "coverage-n-negative", "mc-size-negative"])
-    def test_bad_run_values_exit_2_before_any_work(self, tmp_path, capsys, argv):
+            "coverage-n-negative", "mc-size-negative", "estimate-seed-negative",
+            "simulate-seed-negative", "validate-seed-negative", "coverage-seed-negative"])
+    def test_bad_run_values_exit_2_before_any_work(self, tmp_path, dataset, capsys, argv):
         out = tmp_path / "x.csv"
         if argv[0] == "simulate":
             argv = argv + ["--out", str(out)]
+        if argv[0] == "estimate":
+            argv = argv + ["--input", str(dataset), "--output", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
@@ -227,6 +252,26 @@ class TestExitCodes:
         assert main(base + ["--out", str(moved), "--pi", "0.9", "--trend", "7"]) == 0
         assert default.read_bytes() == explicit.read_bytes()
         assert default.read_bytes() != moved.read_bytes()
+
+    @pytest.mark.parametrize("call, argv", [
+        ("estimate", ["estimate", "--folds", "3"]),
+        ("gen_stm", ["simulate", "--dgp", "did"]),
+        ("orthogonality_check", ["validate", "--dgp", "did", "--mc-size", "2000"]),
+        ("coverage_study", ["coverage", "--dgp", "did", "--mc-reps", "2"]),
+    ], ids=["estimate", "simulate", "validate", "coverage"])
+    def test_a_value_error_from_the_library_exits_2(self, tmp_path, dataset, capsys,
+                                                    monkeypatch, call, argv):
+        # Every subcommand shares one error boundary: a plain ValueError
+        # from its library call is an error line and exit 2, not a traceback.
+        def reject(*args, **kwargs):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(cli, call, reject)
+        extra = {"estimate": ["--input", str(dataset)],
+                 "simulate": ["--out", str(tmp_path / "x.csv")]}.get(argv[0], [])
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

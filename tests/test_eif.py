@@ -170,7 +170,7 @@ class TestPsiGeneral:
 
     def test_smooth_link_integrates_odds_times_dx(self):
         # g(x, t) = x^2 - t: C is the integral of 2x from y1 = 1 to 3.
-        link = GTildeSpec(value=lambda x, t: np.asarray(x) ** 2 - t, kind="smooth",
+        link = GTildeSpec(value=lambda x, t: np.asarray(x) ** 2 - t,
                           dx=lambda x, t: 2.0 * np.asarray(x))
         eta = NuisanceSet(gamma=const_gamma(3.0), nu=ConstantNu(1.0), pi=0.5)
         psi = link_scores(eta, [1.0, 7.0], [0, 1], link, 4.0)
@@ -182,7 +182,7 @@ class TestPsiGeneral:
         # here against composite Simpson on 4097 nodes per interval
         # (measured at most 1.1e-6).
         nu = true_nuisances(named_config("stm-cov")).nu
-        link = GTildeSpec(value=lambda x, t: np.asarray(x) ** 2 - t, kind="smooth",
+        link = GTildeSpec(value=lambda x, t: np.asarray(x) ** 2 - t,
                           dx=lambda x, t: 2.0 * np.asarray(x))
         rng = np.random.default_rng(8)
         y1 = rng.normal(1.0, 1.5, 6)
@@ -200,8 +200,13 @@ class TestPsiGeneral:
         assert gtilde_quantile(0.5).dtheta == "gamma-density"
 
     def test_smooth_needs_dx(self):
+        # A link is smooth by its dx and a step link by its jumps: it
+        # needs exactly one of the two.
         with pytest.raises(ValueError):
-            GTildeSpec(value=lambda x, t: x, kind="smooth")
+            GTildeSpec(value=lambda x, t: x)
+        with pytest.raises(ValueError):
+            GTildeSpec(value=lambda x, t: x, dx=1.0,
+                       jumps=lambda t: (np.array([t]), np.array([-1.0])))
 
 
 def per_jump_correction(y1, g, l, nu, link, t):
@@ -225,7 +230,6 @@ class TestStepLinkCorrection:
     # g(x, t) = 0.5 1{x < 0.3} + 2 1{x < 1.1} - t.
     LINK = GTildeSpec(
         value=lambda x, t: 0.5 * (np.asarray(x) < 0.3) + 2.0 * (np.asarray(x) < 1.1) - t,
-        kind="step",
         jumps=lambda t: (np.array([0.3, 1.1]), np.array([-0.5, -2.0])),
     )
 
