@@ -15,8 +15,10 @@ malformed file, or a value that a library call rejects.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from typing import Optional
 
@@ -44,55 +46,81 @@ _CONFIG_NAMES = {"fmt": "format", "no_stratify": "stratify"}
 def ingest_csv(path: str) -> PanelDataset:
     """Parse a dataset CSV and validate it.
 
-    Header must be ``y0,y1,a`` followed by ``l1..lp`` in order; every row
-    error carries its 1-based line number.
+    Header must be ``y0,y1,a`` followed by ``l1..lp`` in order; blank
+    lines are skipped. The data rows become one float array in one
+    conversion; a bad row raises with its 1-based line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        header = [h.strip() for h in header]
-        if header[:3] != ["y0", "y1", "a"]:
-            raise ParseError(f"header must start with y0,y1,a; got {header[:3]}", line=1)
-        p = len(header) - 3
-        expected = [f"l{j + 1}" for j in range(p)]
-        if header[3:] != expected:
-            raise ParseError(f"covariate columns must be {expected}; got {header[3:]}",
-                             line=1)
-        y0, y1, a, l = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + p:
-                raise ParseError(f"expected {3 + p} fields, got {len(row)}", line=lineno)
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if vals[2] not in (0.0, 1.0):
-                raise NonBinaryTreatment(
-                    f"line {lineno}: treatment must be 0 or 1, got {row[2]}")
-            y0.append(vals[0])
-            y1.append(vals[1])
-            a.append(int(vals[2]))
-            l.append(vals[3:])
-    data = PanelDataset(y0=np.array(y0), y1=np.array(y1), a=np.array(a),
-                        l=np.array(l).reshape(len(y0), p))
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError("empty file", line=1)
+    header = [h.strip() for h in rows[0]]
+    if header[:3] != ["y0", "y1", "a"]:
+        raise ParseError(f"header must start with y0,y1,a; got {header[:3]}", line=1)
+    p = len(header) - 3
+    expected = [f"l{j + 1}" for j in range(p)]
+    if header[3:] != expected:
+        raise ParseError(f"covariate columns must be {expected}; got {header[3:]}", line=1)
+    body = [row for row in rows[1:] if row]
+    try:
+        values = np.array(body, dtype=float).reshape(len(body), 3 + p)
+    except ValueError:
+        values = None
+    if values is None or not np.isin(values[:, 2], (0.0, 1.0)).all():
+        raise _row_error(rows, 3 + p)
+    data = PanelDataset(y0=values[:, 0].copy(), y1=values[:, 1].copy(),
+                        a=values[:, 2].astype(int), l=values[:, 3:].copy())
     validate(data)
     return data
 
 
-def write_dataset_csv(path: str, data: PanelDataset) -> None:
-    """Write a dataset in the ingestion schema with 17-digit floats."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y0", "y1", "a"] + [f"l{j + 1}" for j in range(data.p)])
-        for i in range(data.n):
-            row = [f"{data.y0[i]:.17g}", f"{data.y1[i]:.17g}", str(int(data.a[i]))]
-            row += [f"{v:.17g}" for v in data.l[i]]
-            writer.writerow(row)
+def _row_error(rows: list, width: int) -> ValueError:
+    """The error of the first bad data row below the header: a wrong
+    field count, a field that is not a float, or a treatment other than
+    0 or 1, numbered by its line. It only words the error that the
+    conversion in ``ingest_csv`` met."""
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            return ParseError(f"expected {width} fields, got {len(row)}", line=lineno)
+        try:
+            treatment = [float(v) for v in row][2]
+        except ValueError as exc:
+            return ParseError(str(exc), line=lineno)
+        if treatment not in (0.0, 1.0):
+            return NonBinaryTreatment(
+                f"line {lineno}: treatment must be 0 or 1, got {row[2]}")
+    return ParseError("malformed data rows")
+
+
+def dataset_csv(data: PanelDataset) -> str:
+    """A dataset in the ingestion schema: 17-digit floats, CRLF line ends."""
+    header = ",".join(["y0", "y1", "a"] + [f"l{j + 1}" for j in range(data.p)])
+    row = ",".join(["{:.17g}", "{:.17g}", "{:d}"] + ["{:.17g}"] * data.p).format
+    columns = zip(data.y0.tolist(), data.y1.tolist(), data.a.astype(int).tolist(),
+                  *data.l.T.tolist())
+    return "\r\n".join([header, *(row(*values) for values in columns)]) + "\r\n"
+
+
+def _write_files(texts: dict) -> None:
+    """Write each path's text. Every path is opened, not yet truncated,
+    before any is written, so a path that cannot be opened leaves the
+    others as they were; the files this call created are removed again
+    when it fails."""
+    created = [path for path in texts if not os.path.exists(path)]
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(path, "a", newline="", encoding="utf-8"))
+                       for path in texts]
+            for fh, text in zip(handles, texts.values()):
+                fh.truncate(0)
+                fh.write(text)
+    except OSError:
+        for path in created:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +170,6 @@ def _run_estimate(cfg: argparse.Namespace) -> int:
 
 def _run_simulate(cfg: argparse.Namespace) -> int:
     data, truth = gen_stm(cfg.model)
-    write_dataset_csv(cfg.out, data)
     oracle_path = cfg.oracle_out or (cfg.out + ".oracle.json")
     oracle = {
         "schema_version": SCHEMA_VERSION,
@@ -154,8 +181,7 @@ def _run_simulate(cfg: argparse.Namespace) -> int:
         "seed": cfg.seed,
         "config": cfg.model.to_dict(),
     }
-    with open(oracle_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(oracle, indent=2) + "\n")
+    _write_files({cfg.out: dataset_csv(data), oracle_path: json.dumps(oracle, indent=2) + "\n"})
     _emit(cfg, {"dataset": cfg.out, "oracle": oracle_path, "att_true": truth.att_true})
     return 0
 

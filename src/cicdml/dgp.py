@@ -11,7 +11,9 @@ identity transforms and independent treatment reproduces the classical
 two-period difference-in-differences design.
 
 Latent confounders and the assignment noise live only inside this
-module; nothing downstream ever observes them.
+module; nothing downstream ever observes them. The logistic link and its
+inverse are written here on numpy and ``math``, so that the package
+imports numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .data_model import PanelDataset, validate
 from .errors import InvalidTransform
@@ -47,6 +48,24 @@ _SQRT_PI = math.sqrt(math.pi)
 MAX_TREAT_LOGIT = 6.9
 
 TRANSFORM_KINDS = ("identity", "exp", "power", "affine")
+
+
+def logit(x: float) -> float:
+    """log(x / (1 - x)), by scipy.special.logit's formula: near x = 1/2,
+    where that quotient loses precision, log1p(s) - log1p(-s) with
+    s = 2 (x - 1/2). The result is bit-identical to scipy's."""
+    if x < 0.3 or x > 0.65:
+        return math.log(x / (1.0 - x))
+    s = 2.0 * (x - 0.5)
+    return math.log1p(s) - math.log1p(-s)
+
+
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise, by
+    scipy.special.expit's formula on numpy's exp: within an ulp or two of
+    scipy's. Used only by the analytic odds, never by a draw."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -359,7 +378,7 @@ def did_config(n: int, trend: float = 1.0, effect: float = 2.0, pi: float = 0.5,
     if not 0.0 < pi < 1.0:
         raise ValueError("pi must lie in (0, 1)")
     return StmConfig(n=n, p=0, q=1, k0_intercept=0.0, k1_intercept=float(trend),
-                     m_coeffs=(1.0,), treat_intercept=float(logit(pi)),
+                     m_coeffs=(1.0,), treat_intercept=logit(pi),
                      treat_u=(0.0,), eps_sigma=1.0, effect=float(effect), seed=seed)
 
 

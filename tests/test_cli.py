@@ -1,11 +1,18 @@
+import csv
+import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cicdml
 from cicdml import cli
 from cicdml.cli import ingest_csv, main
 from cicdml.dgp import gen_stm, named_config
+from cicdml.errors import DimensionMismatch, NonBinaryTreatment, NonFiniteValue, ParseError
 
 
 @pytest.fixture
@@ -36,6 +43,23 @@ class TestRoundTrip:
         for field in ("y0", "y1", "a", "l"):
             np.testing.assert_array_equal(getattr(data, field), getattr(want, field))
 
+    def test_dataset_text_is_the_row_by_row_csv_writer_text(self, tmp_path):
+        # The text is built in one join; a csv.writer row by row is the
+        # reference, for covariates too, and ingest reads it back exactly.
+        data, _ = gen_stm(named_config("stm-cov", n=200, seed=3))
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["y0", "y1", "a", "l1", "l2"])
+        for i in range(data.n):
+            writer.writerow([f"{data.y0[i]:.17g}", f"{data.y1[i]:.17g}", str(int(data.a[i]))]
+                            + [f"{v:.17g}" for v in data.l[i]])
+        assert cli.dataset_csv(data) == want.getvalue()
+        path = tmp_path / "cov.csv"
+        path.write_bytes(want.getvalue().encode())
+        back = ingest_csv(str(path))
+        for field in ("y0", "y1", "a", "l"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(data, field))
+
     def test_simulate_then_estimate(self, tmp_path, dataset):
         oracle = json.loads((tmp_path / "did.csv.oracle.json").read_text())
         rc, raw = run_estimate(tmp_path, "att.json", "--input", str(dataset), "--folds", "3")
@@ -54,6 +78,67 @@ class TestRoundTrip:
         rc2, second = run_estimate(tmp_path, "second.json", *args)
         assert rc1 == rc2 == 0
         assert first == second
+
+
+class TestColdStart:
+    def test_cli_imports_no_scipy(self):
+        # A fresh interpreter, so that no other test's import counts.
+        src = str(Path(cicdml.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import cicdml.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout == "[]\n"
+
+
+class TestIngestErrors:
+    """Each malformed file raises its class and message, numbered by the
+    1-based line of the first bad row; blank lines are skipped but still
+    counted."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("y0,y1,a\n1.0,2.0,0\n1.5,oops,1\n", ParseError,
+         "line 3: could not convert string to float: 'oops'"),
+        ("y0,y1,a\n1,,0\n1,2,1\n", ParseError, "line 2: could not convert string to float: ''"),
+        ("y0,y1,a,l1\n1,2,0,3\n1,2,1\n", ParseError, "line 3: expected 4 fields, got 3"),
+        ("y0,y1,a\n1,2,0\n1,2,1,4\n", ParseError, "line 3: expected 3 fields, got 4"),
+        ("y0,y1,a\n1,2,0\n \n1,2,1\n", ParseError, "line 3: expected 3 fields, got 1"),
+        ("y0,y1,a\n1,2,0\n\n1,2,2\n", NonBinaryTreatment,
+         "line 4: treatment must be 0 or 1, got 2"),
+        ("y0,y1,a\r\n1,2,0\r\n\r\n1,2,nan\r\n", NonBinaryTreatment,
+         "line 4: treatment must be 0 or 1, got nan"),
+        ("y0,y1,a\n1,2,5\n1,x,1\n", NonBinaryTreatment,
+         "line 2: treatment must be 0 or 1, got 5"),
+        ("y0,y1,a\n1,x,0\n1,2\n", ParseError, "line 2: could not convert string to float: 'x'"),
+        ("y0,y2,a\n1,2,0\n", ParseError,
+         "line 1: header must start with y0,y1,a; got ['y0', 'y2', 'a']"),
+        ("y0,y1,a,l2\n1,2,0,3\n", ParseError,
+         "line 1: covariate columns must be ['l1']; got ['l2']"),
+        ("", ParseError, "line 1: empty file"),
+        ("y0,y1,a\n", DimensionMismatch, "need at least 2 observations"),
+        ("y0,y1,a\n1,nan,0\n1,2,1\n", NonFiniteValue, "y1 contains non-finite values"),
+    ], ids=["bad-float", "empty-field", "short-row", "long-row", "blank-space-row",
+            "treatment-2-after-blank", "treatment-nan-crlf", "first-bad-row-wins",
+            "float-before-width", "header", "covariate-header", "empty-file", "header-only",
+            "non-finite-outcome"])
+    def test_error_class_message_and_line(self, tmp_path, text, error, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(error) as exc:
+            ingest_csv(str(path))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_accepted_forms(self, tmp_path):
+        # Spaces around header names, quoted fields, 1.0 and -0 as
+        # treatments, CRLF line ends and blank lines.
+        path = tmp_path / "ok.csv"
+        path.write_bytes(b' y0 , y1 ,a,l1\r\n"1.5",2,1.0,7\r\n\r\n3,4e0,-0,8\r\n')
+        data = ingest_csv(str(path))
+        np.testing.assert_array_equal(data.y0, [1.5, 3.0])
+        np.testing.assert_array_equal(data.y1, [2.0, 4.0])
+        np.testing.assert_array_equal(data.l, [[7.0], [8.0]])
+        assert data.a.tolist() == [1, 0] and data.a.dtype == np.int64
 
 
 class TestSimulateReport:
@@ -272,6 +357,25 @@ class TestExitCodes:
         assert main(argv + extra) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize("bad", ["oracle", "dataset"])
+    def test_unwritable_simulate_output_leaves_no_file(self, tmp_path, capsys, bad):
+        # Both output paths are opened before either is written, so a
+        # path that cannot be opened leaves neither file behind.
+        good, missing = tmp_path / "o.csv", tmp_path / "absent" / "x"
+        out, oracle = (good, missing) if bad == "oracle" else (missing, good)
+        assert main(["simulate", "--dgp", "did", "--n", "50", "--out", str(out),
+                     "--oracle-out", str(oracle)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_outputs_are_untouched_when_one_path_fails(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        out.write_text("keep")
+        assert main(["simulate", "--dgp", "did", "--n", "50", "--out", str(out),
+                     "--oracle-out", str(tmp_path / "absent" / "x")]) == 2
+        assert out.read_text() == "keep"
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import special
 from scipy.stats import ks_2samp
 
 from cicdml.dgp import (
@@ -8,8 +9,10 @@ from cicdml.dgp import (
     StmConfig,
     TransformSpec,
     did_config,
+    expit,
     gen_did,
     gen_stm,
+    logit,
     named_config,
     qq_invariance_diagnostic,
     qq_transform,
@@ -129,6 +132,27 @@ class TestStmConfigValidation:
     def test_dict_round_trip(self):
         cfg = named_config("stm-power", n=321, seed=4)
         assert StmConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestLogisticLink:
+    """The link and its inverse, written without scipy, against scipy."""
+
+    def test_logit_is_bit_identical_to_scipy(self):
+        grid = list(np.linspace(1e-9, 1.0 - 1e-9, 20_001))
+        for edge in (0.3, 0.5, 0.65):
+            grid += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        grid += [5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53]
+        got = np.array([logit(float(x)) for x in grid])
+        assert_array_equal(got.view(np.int64), special.logit(np.array(grid)).view(np.int64))
+
+    def test_expit_within_2_ulp_of_scipy(self):
+        # Past |x| = 36 the value is below 1e-16 and the two can differ
+        # by a few more ulp; the analytic odds clip it at 1e-12 anyway.
+        x = np.concatenate([np.linspace(-36.0, 36.0, 200_001),
+                            np.random.default_rng(0).uniform(-36.0, 36.0, 100_000)])
+        want = special.expit(x)
+        assert np.all(np.abs(expit(x) - want) <= 2.0 * np.spacing(want))
+        assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
 
 
 class TestTrueNuisances:

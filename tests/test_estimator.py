@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import erfinv
+from scipy.special import erfinv, ndtri
 
 from cicdml import estimator, nuisance
 from cicdml.data_model import EstimandSpec, FoldAssignment, PanelDataset, partition_folds
@@ -367,6 +367,13 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(0.0, 1.0, 1, 0.32)
         assert hi == pytest.approx(z, abs=1e-12)
         assert hi == pytest.approx(0.994458, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.001, 0.01, 0.05, 0.1, 0.2, 0.32, 0.5, 0.9])
+    def test_quantile_within_4_ulp_of_scipy(self, alpha):
+        # z comes from the standard library's NormalDist, not scipy.
+        _, z = confidence_interval(0.0, 1.0, 1, alpha)
+        want = float(ndtri(1.0 - alpha / 2.0))
+        assert abs(z - want) <= 4.0 * np.spacing(want)
 
 
 class TestEstimate:
