@@ -137,16 +137,14 @@ def _write(cfg: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(cfg: argparse.Namespace, payload: dict) -> None:
-    """Write a report in ``--format``, after its schema-version and
+def _report(cfg: argparse.Namespace, payload: dict) -> str:
+    """A report's text in ``--format``, after its schema-version and
     command header."""
     payload = {"schema_version": SCHEMA_VERSION, "command": cfg.subcommand, **payload}
     if cfg.fmt == "tsv":
         lines = [f"{k}\t{_tsv_value(v)}" for k, v in payload.items()]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    _write(cfg, text)
+        return "\n".join(lines) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _tsv_value(v) -> str:
@@ -164,7 +162,7 @@ def _tsv_value(v) -> str:
 
 def _run_estimate(cfg: argparse.Namespace) -> int:
     data = ingest_csv(cfg.input)
-    _emit(cfg, estimate(data, cfg.estimand, cfg.crossfit).to_dict())
+    _write(cfg, _report(cfg, estimate(data, cfg.estimand, cfg.crossfit).to_dict()))
     return 0
 
 
@@ -181,8 +179,11 @@ def _run_simulate(cfg: argparse.Namespace) -> int:
         "seed": cfg.seed,
         "config": cfg.model.to_dict(),
     }
-    _write_files({cfg.out: dataset_csv(data), oracle_path: json.dumps(oracle, indent=2) + "\n"})
-    _emit(cfg, {"dataset": cfg.out, "oracle": oracle_path, "att_true": truth.att_true})
+    report = _report(cfg, {"dataset": cfg.out, "oracle": oracle_path, "att_true": truth.att_true})
+    files = {cfg.out: dataset_csv(data), oracle_path: json.dumps(oracle, indent=2) + "\n"}
+    _write_files({**files, cfg.output: report} if cfg.output else files)
+    if not cfg.output:
+        sys.stdout.write(report)
     return 0
 
 
@@ -213,8 +214,9 @@ def _run_validate(cfg: argparse.Namespace) -> int:
 
 def _run_coverage(cfg: argparse.Namespace) -> int:
     report = coverage_study(cfg.model, cfg.crossfit, cfg.mc_reps, master_seed=cfg.seed)
-    _emit(cfg, {"dgp": cfg.dgp, "n": cfg.model.n, "K": cfg.crossfit.K, "S": cfg.crossfit.S,
-                "alpha": cfg.crossfit.alpha, "seed": cfg.seed, **report.to_dict()})
+    _write(cfg, _report(cfg, {"dgp": cfg.dgp, "n": cfg.model.n, "K": cfg.crossfit.K,
+                              "S": cfg.crossfit.S, "alpha": cfg.crossfit.alpha,
+                              "seed": cfg.seed, **report.to_dict()}))
     return 0
 
 

@@ -37,6 +37,7 @@ from .nuisance import (
     DEFAULT_EPS_CLIP,
     DEFAULT_F_MIN,
     NuisanceSet,
+    _grid_nodes,
     _row_chunk,
     estimate_pi,
     fit_cond_quantile,
@@ -240,9 +241,10 @@ class _CrossFit:
 
     def quantile_root(self, link: GTildeSpec) -> float:
         """First crossing of zero of a quantile-type link's pi-weighted
-        moment (:func:`solve_quantile_root`): scans of the outcome range
-        padded by 5% on each side, then of the cell that holds the
-        crossing. A fitted moment need not be monotone; the smallest
+        moment (:func:`solve_quantile_root`): scans of the outcome range,
+        padded as the odds antiderivative's nodes are
+        (:func:`cicdml.nuisance._grid_nodes`), then of the cell that holds
+        the crossing. A fitted moment need not be monotone; the smallest
         crossing is kept.
 
         The moment is evaluated on an array of t: the link's value summed
@@ -272,9 +274,7 @@ class _CrossFit:
                     val += signed @ (1.0 / self.pi_of[idx[j]])
             return val
 
-        span = np.concatenate([self.data.y1, self.gamma_of])
-        pad = 0.05 * (span.max() - span.min()) + 1e-9
-        return solve_quantile_root(moment, bracket=(span.min() - pad, span.max() + pad))
+        return solve_quantile_root(moment, bracket=_grid_nodes(data.y1, self.gamma_of, 2))
 
     def solve_link(self, link: GTildeSpec) -> Tuple[float, np.ndarray]:
         """Target value and per-unit scores of a link's pooled estimating

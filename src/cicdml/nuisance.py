@@ -38,9 +38,11 @@ equally spaced shared nodes (:func:`_grid_integrals`), of the node odds
 unless the odds tabulate a closed form. Fitted odds with covariates take
 ``GRID_PER_BANDWIDTH`` nodes per x-bandwidth, at least ``GRID_MIN`` and
 at most ``ANTIDERIV_GRID``; other odds take ``ANTIDERIV_GRID``. Without
-covariates the fitted odds' one column takes its sums from training x
-binned on a grid ``ANTIDERIV_REFINE`` times finer and one direct kernel
-convolution per sub-grid phase, unless the dense sums are cheaper.
+covariates ``node_odds`` alone, for every caller, takes the one column's
+sums from training x binned on a grid ``ANTIDERIV_REFINE`` times finer,
+by one direct kernel convolution per sub-grid phase, when the nodes are
+two or more, equally spaced, in bins at most ``_BIN_MAX_WIDTH`` h wide,
+and the dense sums cost more; otherwise dense.
 
 Step links take the odds at points, not integrals: the node odds at a
 link's jumps, or at the QTT moment's scan nodes, signed by whether each
@@ -80,6 +82,10 @@ _KERNEL_REACH = 38.61
 # several array passes. Smaller samples, and node ranges narrow against
 # the bandwidth, take the dense sums.
 _TAPS_PER_POINT = 16
+# Widest bin of binned kernel sums, in bandwidths (node spacing h / 2): there
+# binned odds were within 2.6e-3 relative of dense over the central 96% of x,
+# 2.2e-2 at its sparse ends; QTT scans 2-2.7 h apart were up to 7% off.
+_BIN_MAX_WIDTH = 0.125
 
 def _row_chunk(m: int) -> int:
     """Query rows per chunk when each row has m kernel weights."""
@@ -166,7 +172,9 @@ def _nw_mean(query, train, resp, h, fallback):
 def _binned_nw_sums(nodes, x, resp, h):
     """One-dimensional Nadaraya-Watson numerator and denominator at
     equally spaced nodes, from linearly binned training points (Wand 1994;
-    Fan & Marron 1994); None when the dense sums are cheaper.
+    Fan & Marron 1994). None for fewer than two nodes, spacings that differ
+    from their mean by over 1e-6 of it, bins wider than ``_BIN_MAX_WIDTH``
+    h, or binned sums that cost more than the dense ones.
 
     The bin grid is ``ANTIDERIV_REFINE`` (R) times finer than the nodes,
     with node k on bin R k, and spans every bin within the kernel's reach
@@ -179,7 +187,11 @@ def _binned_nw_sums(nodes, x, resp, h):
     """
     R = ANTIDERIV_REFINE
     n_nodes = nodes.shape[0]
-    delta = (nodes[-1] - nodes[0]) / (R * (n_nodes - 1))
+    spacing = (nodes[-1] - nodes[0]) / max(n_nodes - 1, 1)    # 0 at one node
+    if (not 0.0 < spacing <= R * _BIN_MAX_WIDTH * h
+            or np.abs(np.diff(nodes) - spacing).max() > 1e-6 * spacing):
+        return None
+    delta = spacing / R
     reach = _KERNEL_REACH * h / delta                   # in bins; weight 0 beyond
     if not 2.0 * reach <= _TAPS_PER_POINT * x.shape[0]:  # NaN too
         return None
@@ -269,10 +281,6 @@ def integrate_nu_many(lo, hi, l, nu, weight=None) -> np.ndarray:
     node odds' antiderivative (:func:`_node_odds_integrals`). Swapping
     the limits flips the sign.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape[0] == 0:
-        return np.zeros(0)
     own = getattr(nu, "integral_many", None)
     if own is not None and weight is None:
         return own(lo, hi, l)
@@ -291,6 +299,10 @@ def _node_odds_integrals(lo, hi, l, nu, weight=None) -> np.ndarray:
     ceil(``GRID_PER_BANDWIDTH`` span / h_x) nodes, span being the range
     of the endpoints, clamped to [``GRID_MIN``, ``ANTIDERIV_GRID``].
     Other odds take ``ANTIDERIV_GRID`` nodes."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.shape[0] == 0:
+        return np.zeros(0)
     n_grid = ANTIDERIV_GRID
     if isinstance(nu, NuFn) and nu.p:
         span = max(np.max(lo), np.max(hi)) - min(np.min(lo), np.min(hi))
@@ -567,25 +579,10 @@ class NuFn(_PointwiseFn):
                                       self.h, fallback=float(self.a.mean())), self.eps_clip)
 
     def integral_many(self, lo: np.ndarray, hi: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i.
-
-        The node odds' fourth-order antiderivative of every odds function
-        (:func:`_node_odds_integrals`), with covariates on a grid sized by
-        the x-bandwidth. Without covariates it takes ``ANTIDERIV_GRID``
-        nodes, and the one column's regression sums are taken from
-        linearly binned training x (:func:`_binned_nw_sums`) when that is
-        cheaper than :meth:`node_odds`' dense sums.
-        """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape[0] == 0:
-            return np.zeros(0)
-        if self.p:
-            return _node_odds_integrals(lo, hi, l, self)
-        nodes = _grid_nodes(lo, hi, ANTIDERIV_GRID)
-        sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
-        odds = self.node_odds(nodes, l) if sums is None else self._odds(*sums)
-        return _grid_integrals(nodes, odds, lo, hi)
+        """Signed integrals of the odds over [lo_i, hi_i] at covariates l_i,
+        the node odds' antiderivative (:func:`_node_odds_integrals`): no
+        branch of its own on p, as :meth:`node_odds` picks binned or dense."""
+        return _node_odds_integrals(lo, hi, l, self)
 
     def node_odds(self, nodes: np.ndarray, l) -> np.ndarray:
         """Clipped odds at every node for each covariate row of l, shape
@@ -594,17 +591,22 @@ class NuFn(_PointwiseFn):
         (:func:`signed_odds`).
 
         Without covariates (l of shape (k, 0)) it is one column (G, 1)
-        shared by every unit, from the dense regression sums. With
-        covariates the Gaussian product kernel factorises into an outcome
-        part and a covariate part K(x) C(l): the x-weights at the nodes are
-        formed once, each row's covariate weights C once, and one matrix
-        product with [C a, C] gives every row's numerator and denominator
-        at every node. Callers pass at most :func:`_units_per_chunk` rows, so that
-        the (G, 2k) sums and the (m, 2k) weights fit ``_CHUNK_BUDGET``.
+        shared by every unit, from the binned sums wherever
+        :func:`_binned_nw_sums` serves the nodes (two or more, equally
+        spaced, bins at most ``_BIN_MAX_WIDTH`` h, cheaper than dense),
+        otherwise from the dense sums. With covariates the Gaussian product
+        kernel factorises into an outcome part and a covariate part K(x)
+        C(l): the x-weights at the nodes are formed once, each row's
+        covariate weights C once, and one matrix product with [C a, C]
+        gives every row's numerator and denominator at every node. Callers
+        pass at most :func:`_units_per_chunk` rows, so that the (G, 2k) sums
+        and the (m, 2k) weights fit ``_CHUNK_BUDGET``.
         """
         nodes = np.asarray(nodes, dtype=float)
         if self.p == 0:
-            return self.evaluate_many(nodes, np.empty((nodes.shape[0], 0)))[:, None]
+            sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
+            return (self.evaluate_many(nodes, np.empty((nodes.shape[0], 0))) if sums is None
+                    else self._odds(*sums))[:, None]
         nd = self._node_sums(nodes, l)
         k = nd.shape[1] // 2
         return self._odds(nd[:, :k], nd[:, k:])

@@ -358,14 +358,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
-    @pytest.mark.parametrize("bad", ["oracle", "dataset"])
+    @pytest.mark.parametrize("bad", ["oracle", "dataset", "report"])
     def test_unwritable_simulate_output_leaves_no_file(self, tmp_path, capsys, bad):
-        # Both output paths are opened before either is written, so a
-        # path that cannot be opened leaves neither file behind.
-        good, missing = tmp_path / "o.csv", tmp_path / "absent" / "x"
-        out, oracle = (good, missing) if bad == "oracle" else (missing, good)
-        assert main(["simulate", "--dgp", "did", "--n", "50", "--out", str(out),
-                     "--oracle-out", str(oracle)]) == 2
+        # Every output path is opened before any is written, so a path
+        # that cannot be opened leaves no file behind.
+        paths = {"dataset": tmp_path / "o.csv", "oracle": tmp_path / "o.json"}
+        paths[bad] = tmp_path / "absent" / "x"
+        argv = ["simulate", "--dgp", "did", "--n", "50", "--out", str(paths["dataset"]),
+                "--oracle-out", str(paths["oracle"])]
+        if bad == "report":
+            argv += ["--output", str(paths["report"])]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
         assert list(tmp_path.iterdir()) == []
