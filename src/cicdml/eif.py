@@ -9,9 +9,9 @@ C integrates the treatment odds against the link's variation in x over
 the half-open interval (y1, gamma(y0, l)]: the odds-weighted
 x-derivative for smooth links, the jump sizes times the odds at each
 jump inside the interval for step links. The counterfactual mean,
-distribution and quantile are links; the ATT is the treated outcome
-minus the counterfactual-mean link and the QTT the treated quantile
-minus the counterfactual-quantile link.
+distribution and quantile are links; the ATT is the 1/pi-weighted
+treated mean minus the counterfactual-mean link and the QTT the treated
+quantile minus the counterfactual-quantile link.
 
 This module holds the links and :func:`control_correction`; scores
 are formed only by ``estimator._CrossFit``, odds integrals by

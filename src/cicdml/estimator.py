@@ -5,7 +5,10 @@ on each fold's complement, solve the pooled estimating equation built
 from the orthogonal score, estimate its variance}; aggregate the S
 repetitions by medians (variance inflated by the squared deviation of
 each repetition from the median point estimate); form a normal-quantile
-confidence interval. Plug-in estimators that evaluate the identification
+confidence interval. One solve, ``_CrossFit.solve``, serves every
+estimand: the ATT is the treated mean minus the mean link, the QTT the
+treated quantile minus the quantile link, a CDT or general moment the
+link alone. Plug-in estimators that evaluate the identification
 formulas directly (no cross-fitting, no inference) live here too.
 """
 
@@ -174,10 +177,23 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
                        dens_y1_treated=dens_y1, dens_gamma_treated=dens_gamma)
 
 
+def counterfactual_link(spec: EstimandSpec) -> GTildeSpec:
+    """The counterfactual link of an estimand: the mean link for the ATT,
+    the quantile link at tau for the QTT, the distribution link at
+    y_point for the CDT, and a general moment's own link."""
+    if spec.kind == EstimandKind.ATT:
+        return gtilde_counterfactual_mean()
+    if spec.kind == EstimandKind.QTT:
+        return gtilde_quantile(spec.tau)
+    if spec.kind == EstimandKind.CDT:
+        return gtilde_cdf_indicator(spec.y_point)
+    return spec.gtilde
+
+
 class _CrossFit:
     """One repetition's fold assignment and fitted nuisances, with each
     unit's transported baseline outcome and fold-specific pi in dataset
-    order, computed once and shared by every estimand's solve."""
+    order and each fold's controls, computed once and shared by every solve."""
 
     def __init__(self, data: PanelDataset, folds: FoldAssignment,
                  fitted: List[NuisanceSet]):
@@ -189,7 +205,8 @@ class _CrossFit:
             ev = folds.eval_indices(k)
             self.gamma_of[ev] = eta.gamma(data.y0[ev], data.l[ev])
         self.pi_of = self.fold_values(lambda eta: eta.pi)
-        self.ctrl = np.nonzero(data.a == 0)[0]
+        self.ctrl_of = [np.nonzero((data.a == 0) & (folds.fold_of == k))[0]
+                        for k in range(len(fitted))]
 
     def fold_values(self, fn: Callable[[NuisanceSet], float]) -> np.ndarray:
         """``fn`` of each unit's fold nuisances, per unit."""
@@ -198,28 +215,19 @@ class _CrossFit:
             out[self.folds.eval_indices(k)] = fn(eta)
         return out
 
-    def correction(self, link: GTildeSpec, t: float) -> np.ndarray:
-        """Control correction of each control unit (in ``self.ctrl``
-        order), with the odds of the unit's fold."""
-        data = self.data
-        out = np.empty(self.ctrl.shape[0])
-        fold_c = self.folds.fold_of[self.ctrl]
-        for k, eta in enumerate(self.fitted):
-            sel = fold_c == k
-            if sel.any():
-                idx = self.ctrl[sel]
-                # Passed by this module's name, so a wrapper installed on
-                # estimator.integrate_nu_many sees every odds integral.
-                out[sel] = control_correction(data.y1[idx], self.gamma_of[idx],
-                                              data.l[idx], eta.nu, link, t,
-                                              integrate=integrate_nu_many)
-        return out
-
     def terms(self, link: GTildeSpec, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """Link value at every unit's transported outcome, and the control
-        correction in dataset order (zero for treated units)."""
-        corr = np.zeros(self.data.n)
-        corr[self.ctrl] = self.correction(link, t)
+        correction, with the odds of each control's fold, in dataset order
+        (zero for treated units)."""
+        data = self.data
+        corr = np.zeros(data.n)
+        for eta, idx in zip(self.fitted, self.ctrl_of):
+            if idx.size:
+                # Passed by this module's name, so a wrapper installed on
+                # estimator.integrate_nu_many sees every odds integral.
+                corr[idx] = control_correction(data.y1[idx], self.gamma_of[idx],
+                                               data.l[idx], eta.nu, link, t,
+                                               integrate=integrate_nu_many)
         return np.asarray(link.value(self.gamma_of, t), dtype=float), corr
 
     def scores(self, v: np.ndarray, corr: np.ndarray, slope) -> np.ndarray:
@@ -258,8 +266,6 @@ class _CrossFit:
         treated = data.a == 1
         w_treat = 1.0 / self.pi_of[treated]
         g_treat = self.gamma_of[treated]
-        fold_c = self.folds.fold_of[self.ctrl]
-        folds = [(eta.nu, self.ctrl[fold_c == k]) for k, eta in enumerate(self.fitted)]
 
         def moment(t: np.ndarray) -> np.ndarray:
             val = np.empty(t.shape[0])
@@ -268,9 +274,9 @@ class _CrossFit:
                 tc = t[start:start + step, None]
                 val[start:start + step] = np.sum(
                     w_treat * np.asarray(link.value(g_treat, tc), dtype=float), axis=1)
-            for nu, idx in folds:
+            for eta, idx in zip(self.fitted, self.ctrl_of):
                 for j, signed in signed_odds(t, data.y1[idx], self.gamma_of[idx],
-                                             data.l[idx], nu):
+                                             data.l[idx], eta.nu):
                     val += signed @ (1.0 / self.pi_of[idx[j]])
             return val
 
@@ -289,39 +295,34 @@ class _CrossFit:
         return t, self.scores(v, corr, self.fold_values(
             lambda eta: float(eta.dens_gamma_treated(t))))
 
-    def att_terms(self) -> Tuple[np.ndarray, np.ndarray]:
-        """ATT as the treated outcome minus the counterfactual-mean link."""
-        h, corr = self.terms(gtilde_counterfactual_mean(), 0.0)
-        return self.data.y1 - h, -corr
-
-    def solve_qtt(self, tau: float) -> Tuple[float, np.ndarray]:
-        """QTT as the treated quantile minus the counterfactual-quantile
-        link. The treated quantile is the 1/pi-weighted tau-quantile of
-        the treated y1 (:func:`weighted_quantile`), the first root of its
-        moment sum(a / pi (1{y1 <= t} - tau))."""
+    def solve(self, spec: EstimandSpec) -> Tuple[float, np.ndarray]:
+        """Target value and per-unit scores of an estimand: its treated
+        part, the 1/pi-weighted treated mean or tau-quantile
+        (:func:`weighted_quantile`, with the fold densities of y1 as its
+        moment derivative), minus its :func:`counterfactual_link`, or the
+        link alone. The treated part is solved first, so that folds
+        without treated units raise :class:`NoTreatedInEvaluation` there."""
         data = self.data
-        treated = data.a == 1
-        vartheta1 = weighted_quantile(data.y1[treated], 1.0 / self.pi_of[treated], tau)
-        vartheta2, psi2 = self.solve_link(gtilde_quantile(tau))
-        f1 = self.fold_values(lambda eta: float(eta.dens_y1_treated(vartheta1)))
-        first = data.a / self.pi_of * ((data.y1 <= vartheta1) - tau) / (-f1)
-        return vartheta1 - vartheta2, first - psi2
+        if spec.kind == EstimandKind.ATT:
+            t1, psi1 = self.solve_affine(data.y1, np.zeros(data.n), -1.0)
+        elif spec.kind == EstimandKind.QTT:
+            tr = data.a == 1
+            t1 = weighted_quantile(data.y1[tr], 1.0 / self.pi_of[tr], spec.tau)
+            f1 = self.fold_values(lambda eta: float(eta.dens_y1_treated(t1)))
+            psi1 = data.a / self.pi_of * ((data.y1 <= t1) - spec.tau) / (-f1)
+        else:
+            return self.solve_link(counterfactual_link(spec))
+        t2, psi2 = self.solve_link(counterfactual_link(spec))
+        return t1 - t2, psi1 - psi2
 
 
 def solve_att_once(data: PanelDataset, folds: FoldAssignment,
                    fitted: List[NuisanceSet]) -> Tuple[float, float]:
-    """Solve the pooled ATT estimating equation for one fold assignment.
-
-    The ATT is the treated outcome minus the counterfactual-mean link.
-    Its score is linear in the target with coefficient a / pi_fold, so
-    the solution is closed-form: a pi-weighted ratio of the treated
-    outcome contrasts plus the control odds integrals over the treated
-    weights. With stratified folds all fold pi's coincide and this
-    reduces to the plain ratio. Returns the point estimate and the mean
-    squared score.
-    """
-    cf = _CrossFit(data, folds, fitted)
-    theta, psi = cf.solve_affine(*cf.att_terms(), -1.0)
+    """Solve the pooled ATT estimating equation for one fold assignment:
+    the 1/pi-weighted treated mean minus the counterfactual-mean link,
+    each in closed form (:meth:`_CrossFit.solve`). Returns the point
+    estimate and the mean squared score."""
+    theta, psi = _CrossFit(data, folds, fitted).solve(EstimandSpec.att())
     return theta, float(np.mean(psi * psi))
 
 
@@ -331,8 +332,8 @@ def att_psi_values(data: PanelDataset, folds: FoldAssignment, fitted: List[Nuisa
     ``validation`` evaluates along its nuisance perturbations (one fold,
     the same nuisances for every unit)."""
     cf = _CrossFit(data, folds, fitted)
-    h, corr = cf.att_terms()
-    return cf.scores(h - theta, corr, -1.0)
+    h, corr = cf.terms(gtilde_counterfactual_mean(), 0.0)
+    return cf.scores(data.y1 - h - theta, -corr, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +429,7 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
     Deterministic given the configuration.
     """
     validate(data)
-    need_densities = spec.kind == EstimandKind.QTT or (
-        spec.kind == EstimandKind.GENERAL_MOMENT
-        and getattr(spec.gtilde, "dtheta", None) == "gamma-density")
+    need_densities = counterfactual_link(spec).dtheta == "gamma-density"
     reps: List[Tuple[float, float]] = []
     for s in range(1, cfg.S + 1):
         folds = partition_folds(data.n, cfg.K,
@@ -440,15 +439,12 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
                                      need_densities=need_densities)
                   for k in range(cfg.K)]
         if spec.kind == EstimandKind.ATT:
+            # Called by this module's name: perfbench/layers.py wraps
+            # estimator.solve_att_once, and tests/test_perfbench_layers.py
+            # requires spans from it.
             reps.append(solve_att_once(data, folds, fitted))
             continue
-        cf = _CrossFit(data, folds, fitted)
-        if spec.kind == EstimandKind.QTT:
-            theta, psi = cf.solve_qtt(spec.tau)
-        elif spec.kind == EstimandKind.CDT:
-            theta, psi = cf.solve_link(gtilde_cdf_indicator(spec.y_point))
-        else:
-            theta, psi = cf.solve_link(spec.gtilde)
+        theta, psi = _CrossFit(data, folds, fitted).solve(spec)
         reps.append((theta, float(np.mean(psi * psi))))
     theta_hat, sigma2_hat = median_adjust(reps)
     ci_lo, ci_hi = confidence_interval(theta_hat, sigma2_hat, data.n, cfg.alpha)

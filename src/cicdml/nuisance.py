@@ -93,31 +93,33 @@ def _row_chunk(m: int) -> int:
 
 
 def silverman_bandwidth(x: np.ndarray) -> float:
-    """Silverman rule-of-thumb bandwidth: 0.9 min(sd, iqr/1.34) m^(-1/5)."""
+    """Silverman rule-of-thumb bandwidth: 0.9 min(sd, iqr/1.34) m^(-1/5),
+    with the sd alone where the IQR is 0, as in R's ``bw.nrd0``."""
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
     sd = float(np.std(x))
     q75, q25 = np.percentile(x, [75, 25])
-    spread = min(sd, (q75 - q25) / 1.34)
+    spread = min(sd, (q75 - q25) / 1.34) or sd
     h = 0.9 * spread * m ** (-0.2)
     if h <= 0.0:
-        # Degenerate coordinate: any positive width gives uniform weights.
+        # Constant coordinate: any positive width gives uniform weights.
         h = max(1.0, abs(float(np.mean(x))) * 1e-3)
     return h
 
 
 def _bandwidth_vector(x: np.ndarray, bandwidth) -> np.ndarray:
-    """Per-coordinate bandwidths for the columns of x (m, d)."""
+    """Per-coordinate bandwidths for the columns of x (m, d); a single
+    bandwidth serves every column, none at d = 0."""
     d = x.shape[1]
     if bandwidth is None:
         return np.array([silverman_bandwidth(x[:, j]) for j in range(d)])
     h = np.atleast_1d(np.asarray(bandwidth, dtype=float))
-    if h.shape == (1,) and d > 1:
+    if (h <= 0).any():
+        raise ValueError("bandwidths must be positive")
+    if h.shape == (1,):
         h = np.repeat(h, d)
     if h.shape != (d,):
         raise ValueError(f"bandwidth must be a scalar or length-{d} vector")
-    if (h <= 0).any():
-        raise ValueError("bandwidths must be positive")
     return h
 
 
@@ -525,7 +527,7 @@ def fit_cond_cdf(y, l=None, bandwidth=None) -> CondCdf:
         raise InsufficientData("need at least 2 samples to fit a conditional CDF")
     l = _covariate_matrix(l, y.shape[0], None)
     order = np.argsort(y, kind="stable")
-    h = _bandwidth_vector(l, bandwidth) if l.shape[1] else np.empty(0)
+    h = _bandwidth_vector(l, bandwidth)
     return CondCdf(y_sorted=y[order], l_by_y=l[order], h=h)
 
 

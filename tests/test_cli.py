@@ -235,7 +235,14 @@ class TestExitCodes:
     def test_bad_values_exit_2_with_an_error_line(self, tmp_path, dataset, capsys, extra):
         rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), *extra)
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_cdt_without_a_y_point_exits_2(self, tmp_path, dataset, capsys):
+        rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), "--estimand", "cdt")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --y-point is required for the cdt estimand\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["estimate"]) == 2
@@ -261,6 +268,21 @@ class TestExitCodes:
             assert captured.err.startswith("error:") and captured.out == ""
             assert all(key in captured.err for key in values)
         assert not out.exists() and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"folds": 3', "error: bad JSON config: "),
+        ("[3, 2]", "error: config must be a JSON object\n"),
+    ], ids=["invalid-json", "json-array"])
+    def test_a_config_that_is_no_json_object_exits_2(self, tmp_path, dataset, capsys, text,
+                                                     message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main(["estimate", "--input", str(dataset), "--output", str(tmp_path / "r"),
+                     "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "r").exists()
 
     def test_kernel_is_no_option(self, tmp_path, dataset, capsys):
         # The Gaussian is the only kernel: argparse rejects the flag, and

@@ -33,6 +33,11 @@ class TestValidate:
         with pytest.raises(DegenerateArm):
             validate(ds)
 
+    def test_no_treated_rejected(self):
+        ds = make_dataset([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], [0, 0, 0, 0])
+        with pytest.raises(DegenerateArm, match="no treated units"):
+            validate(ds)
+
     def test_non_finite_outcome_rejected(self):
         ds = make_dataset([1.0, 2.0, 3.0], [2.0, np.nan, 4.0], [1, 0, 1])
         with pytest.raises(NonFiniteValue):
@@ -85,6 +90,15 @@ class TestPartitionFolds:
     def test_too_many_folds(self):
         with pytest.raises(FoldTooSmall):
             partition_folds(3, 4, seed=0)
+
+    @pytest.mark.parametrize("K", [1, 0])
+    def test_fewer_than_two_folds(self, K):
+        with pytest.raises(FoldTooSmall, match="at least 2 folds"):
+            partition_folds(10, K, seed=0)
+
+    def test_stratify_on_of_another_length_is_rejected(self):
+        with pytest.raises(DimensionMismatch, match="stratify_on"):
+            partition_folds(10, 2, stratify_on=np.array([1, 0] * 4), seed=0)
 
     def test_every_index_gets_one_fold(self):
         for seed in range(5):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cicdml import nuisance
-from cicdml.data_model import FoldAssignment, PanelDataset
+from cicdml.data_model import EstimandSpec, FoldAssignment, PanelDataset
 from cicdml.dgp import ConstantNu, LinearNu, gen_stm, named_config, true_nuisances
 from cicdml.eif import (
     GTildeSpec,
@@ -132,7 +132,7 @@ class TestPsiQtt:
     def solve():
         eta = NuisanceSet(gamma=const_gamma(0.0), nu=ConstantNu(1.0), pi=0.5,
                           dens_y1_treated=lambda t: 1.0, dens_gamma_treated=lambda t: 1.0)
-        return engine(eta, [1.0, 5.0], [1, 1]).solve_qtt(0.5)
+        return engine(eta, [1.0, 5.0], [1, 1]).solve(EstimandSpec.qtt(0.5))
 
     def test_treated_arithmetic(self):
         theta, psi = self.solve()
@@ -198,6 +198,10 @@ class TestPsiGeneral:
 
     def test_quantile_spec_marks_density_denominator(self):
         assert gtilde_quantile(0.5).dtheta == "gamma-density"
+
+    def test_dtheta_must_be_nonzero(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            GTildeSpec(value=lambda x, t: x - t, dx=1.0, dtheta=0)
 
     def test_smooth_needs_dx(self):
         # A link is smooth by its dx and a step link by its jumps: it

@@ -10,8 +10,14 @@ from scipy.special import erfinv, ndtri
 from cicdml import estimator, nuisance
 from cicdml.data_model import EstimandSpec, FoldAssignment, PanelDataset, partition_folds
 from cicdml.dgp import ConstantNu, gen_did, gen_stm, named_config, true_nuisances
-from cicdml.eif import gtilde_quantile
-from cicdml.errors import CicError, DegenerateArm, NoBracket
+from cicdml.eif import gtilde_counterfactual_mean, gtilde_quantile
+from cicdml.errors import (
+    CicError,
+    DegenerateArm,
+    InsufficientData,
+    NoBracket,
+    NoTreatedInEvaluation,
+)
 from cicdml.estimator import (
     CrossFitConfig,
     _CrossFit,
@@ -105,6 +111,17 @@ class TestFitFoldNuisances:
         assert eta.dens_y1_treated.h == 0.3
         assert eta.dens_gamma_treated.h == 0.3
 
+    @pytest.mark.parametrize("a,error,match", [
+        ([1, 1, 1, 1], DegenerateArm, "lost a treatment arm"),
+        ([0, 0, 0, 0], DegenerateArm, "lost a treatment arm"),
+        ([1, 1, 1, 0], InsufficientData, "at least 2 control units"),
+    ], ids=["no-controls", "no-treated", "one-control"])
+    def test_a_complement_needs_both_arms_and_two_controls(self, a, error, match):
+        data = PanelDataset(y0=np.arange(6.0), y1=np.arange(6.0), a=np.array(a + [1, 0]),
+                            l=np.empty((6, 0)))
+        with pytest.raises(error, match=match):
+            fit_fold_nuisances(data, np.arange(4), CrossFitConfig())
+
     # No vector can serve every fit: the transport map takes p
     # bandwidths, the odds regression 1 + p and the densities one.
     @pytest.mark.parametrize("bandwidth", [[0.3, 0.3], [0.3, 0.3, 0.3], np.array([0.3]),
@@ -160,7 +177,7 @@ class TestSolveQuantileRoot:
                        [NuisanceSet(gamma=lambda y, l=None: np.zeros(np.shape(y)),
                                     nu=ConstantNu(1.0), pi=0.5)])
         with pytest.raises(CicError):
-            cf.solve_qtt(0.5)
+            cf.solve(EstimandSpec.qtt(0.5))
 
     def test_bisection_on_continuous_function(self):
         got = solve_quantile_root(lambda t: t - 1.5, bracket=(0.0, 4.0))
@@ -169,6 +186,16 @@ class TestSolveQuantileRoot:
     def test_no_bracket(self):
         with pytest.raises(NoBracket):
             solve_quantile_root(lambda t: -1.0, bracket=(0.0, 1.0))
+
+    def test_a_moment_nonnegative_at_the_left_end_returns_it(self):
+        calls = []
+
+        def moment(t):
+            calls.append(t.shape[0])
+            return t - 0.5
+
+        assert solve_quantile_root(moment, bracket=(0.5, 4.0)) == 0.5
+        assert calls == [estimator.ROOT_SCAN_POINTS]
 
     def test_first_crossing_of_a_moment_that_is_not_monotone(self):
         # Negative, positive on (0.5, 0.6), negative, positive past 3.
@@ -262,7 +289,7 @@ class TestQuantileMoment:
         values of its terms."""
         treated = cf.data.a == 1
         v = np.asarray(link.value(cf.gamma_of[treated], t)) / cf.pi_of[treated]
-        c = cf.correction(link, t) / cf.pi_of[cf.ctrl]
+        c = cf.terms(link, t)[1][~treated] / cf.pi_of[~treated]
         return np.sum(v) - np.sum(c), -np.sum(c), np.abs(v).sum() + np.abs(c).sum()
 
     def check(self, monkeypatch, cf, budget=None):
@@ -558,6 +585,35 @@ class TestGeneralMomentLinks:
         general = estimate(data, _general(gtilde_quantile(tau)), cfg)
         treated_q = float(y1_treated[n1 // 2])
         assert qtt.theta_hat == pytest.approx(treated_q - general.theta_hat, abs=1e-10)
+
+
+class TestOneSolve:
+    """Every estimand is a treated part minus a counterfactual link, or
+    the link alone, solved by ``_CrossFit.solve``."""
+
+    @pytest.mark.parametrize("name", ["did", "stm-cov"])
+    def test_att_is_the_treated_mean_minus_the_mean_link(self, name):
+        cf = fitted_engine(name, 400)
+        data, w = cf.data, cf.data.a / cf.pi_of
+        theta, psi = cf.solve(EstimandSpec.att())
+        treated_mean = float(np.sum(w * data.y1) / np.sum(w))
+        link, link_psi = cf.solve(_general(gtilde_counterfactual_mean()))
+        assert theta == pytest.approx(treated_mean - link, abs=1e-12, rel=0)
+        assert_allclose(psi, w * (data.y1 - treated_mean) - link_psi, rtol=0, atol=1e-12)
+        # The joint closed form over the treated contrasts y1 - gamma.
+        h, corr = cf.terms(gtilde_counterfactual_mean(), 0.0)
+        joint = np.sum(w * (data.y1 - h) + (1 - data.a) * corr / cf.pi_of) / np.sum(w)
+        assert theta == pytest.approx(joint, abs=1e-12, rel=0)
+
+    def test_no_treated_units_raise_in_the_treated_mean(self):
+        # The QTT's case is test_treated_quantile_needs_treated_units.
+        cf = _CrossFit(PanelDataset(y0=np.zeros(2), y1=np.array([1.0, 2.0]),
+                                    a=np.zeros(2, dtype=int), l=np.empty((2, 0))),
+                       FoldAssignment(fold_of=np.zeros(2, dtype=int), K=1),
+                       [NuisanceSet(gamma=lambda y, l=None: np.zeros(np.shape(y)),
+                                    nu=ConstantNu(1.0), pi=0.5)])
+        with pytest.raises(NoTreatedInEvaluation, match="no treated units"):
+            cf.solve(EstimandSpec.att())
 
 
 class TestParityPins:

@@ -81,6 +81,35 @@ class TestProductWeights:
         assert_array_equal(w, np.ones((4, 6)))
 
 
+class TestBandwidthRule:
+    def test_zero_iqr_falls_back_to_the_sd(self):
+        # 300 of 2000 ones: both quartiles are 0, so min(sd, IQR / 1.34)
+        # is 0, and the sd rule gives 0.9 * 0.357 * 2000^(-1/5) = 0.070.
+        x = np.zeros(2000)
+        x[:300] = 1.0
+        h = silverman_bandwidth(x)
+        assert h == pytest.approx(0.9 * np.sqrt(0.15 * 0.85) * 2000 ** -0.2, rel=1e-12)
+        # The two levels are 14 bandwidths apart: the strata do not pool.
+        assert np.exp(-0.5 / h ** 2) < 1e-40
+
+    @pytest.mark.parametrize("value,want", [(0.0, 1.0), (3.0, 1.0), (-5e3, 5.0)])
+    def test_a_constant_column_keeps_a_positive_width(self, value, want):
+        assert silverman_bandwidth(np.full(50, value)) == want
+
+    def test_one_bandwidth_serves_any_column_count(self):
+        for d in (0, 1, 3):
+            assert_array_equal(_bandwidth_vector(np.zeros((5, d)), 0.4), np.full(d, 0.4))
+        assert fit_cond_cdf(np.arange(4.0), None, bandwidth=0.4).h.shape == (0,)
+
+    @pytest.mark.parametrize("bandwidth,match", [
+        ([0.4, 0.4, 0.4], "length-2"), (np.ones((2, 2)), "length-2"),
+        ([0.4, 0.0], "positive"), (-0.4, "positive"), ([0.4, -1.0], "positive"),
+    ])
+    def test_a_wrong_length_or_a_nonpositive_entry_is_rejected(self, bandwidth, match):
+        with pytest.raises(ValueError, match=match):
+            _bandwidth_vector(np.zeros((5, 2)), bandwidth)
+
+
 class TestCondCdf:
     def test_empirical_cdf_at_sample_point(self):
         cdf = fit_cond_cdf(np.array([1.0, 2.0, 3.0]))
