@@ -140,11 +140,14 @@ def _rep_seed(seed: int, s: int) -> int:
 
 
 def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitConfig,
-                       need_densities: bool = False) -> NuisanceSet:
-    """Fit (gamma, nu, pi) — and the treated outcome densities when asked —
-    on a training complement.
+                       spec: Optional[EstimandSpec] = None) -> NuisanceSet:
+    """Fit (gamma, nu, pi), and the treated outcome densities that the
+    estimand ``spec`` reads, on a training complement.
 
-    The transport map is fitted on training controls only; the odds
+    A quantile-type counterfactual link reads the density of the
+    transported outcome, and the QTT's treated quantile that of y1
+    (:meth:`_CrossFit.solve`); other estimands, and ``spec`` None, read
+    neither. The transport map is fitted on training controls only; the odds
     regression uses the whole training set with the fitted map applied
     first, and with covariates picks its bandwidth scale by held-out
     Riesz loss within the complement (:func:`cicdml.nuisance.fit_nu`).
@@ -169,10 +172,12 @@ def fit_fold_nuisances(data: PanelDataset, train_idx: np.ndarray, cfg: CrossFitC
     pi = estimate_pi(a)
 
     dens_y1 = dens_gamma = None
-    if need_densities:
+    if spec is not None:
         treated = a == 1
-        dens_y1 = fit_density(y1[treated], bandwidth=cfg.bandwidth, f_min=cfg.f_min)
-        dens_gamma = fit_density(x_train[treated], bandwidth=cfg.bandwidth, f_min=cfg.f_min)
+        if counterfactual_link(spec).dtheta == "gamma-density":
+            dens_gamma = fit_density(x_train[treated], bandwidth=cfg.bandwidth, f_min=cfg.f_min)
+        if spec.kind == EstimandKind.QTT:
+            dens_y1 = fit_density(y1[treated], bandwidth=cfg.bandwidth, f_min=cfg.f_min)
     return NuisanceSet(gamma=gamma, nu=nu, pi=pi,
                        dens_y1_treated=dens_y1, dens_gamma_treated=dens_gamma)
 
@@ -429,14 +434,12 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
     Deterministic given the configuration.
     """
     validate(data)
-    need_densities = counterfactual_link(spec).dtheta == "gamma-density"
     reps: List[Tuple[float, float]] = []
     for s in range(1, cfg.S + 1):
         folds = partition_folds(data.n, cfg.K,
                                 stratify_on=data.a if cfg.stratify else None,
                                 seed=_rep_seed(cfg.seed, s))
-        fitted = [fit_fold_nuisances(data, folds.train_indices(k), cfg,
-                                     need_densities=need_densities)
+        fitted = [fit_fold_nuisances(data, folds.train_indices(k), cfg, spec)
                   for k in range(cfg.K)]
         if spec.kind == EstimandKind.ATT:
             # Called by this module's name: perfbench/layers.py wraps

@@ -35,9 +35,10 @@ an outcome part, formed once at the nodes, and a covariate part, formed
 once per unit, so one matrix product gives every unit's regression sums
 at every node. Every odds integral is one fourth-order antiderivative on
 equally spaced shared nodes (:func:`_grid_integrals`), of the node odds
-unless the odds tabulate a closed form. Fitted odds with covariates take
-``GRID_PER_BANDWIDTH`` nodes per x-bandwidth, at least ``GRID_MIN`` and
-at most ``ANTIDERIV_GRID``; other odds take ``ANTIDERIV_GRID``. Without
+unless the odds tabulate a closed form. Fitted odds, with covariates or
+without, take ``GRID_PER_BANDWIDTH`` nodes per x-bandwidth, at least
+``GRID_MIN`` and at most ``ANTIDERIV_GRID`` (:func:`_odds_nodes`);
+analytic and perturbed odds take ``ANTIDERIV_GRID``. Without
 covariates ``node_odds`` alone, for every caller, takes the one column's
 sums from training x binned on a grid ``ANTIDERIV_REFINE`` times finer,
 by one direct kernel convolution per sub-grid phase, when the nodes are
@@ -58,9 +59,9 @@ import numpy as np
 
 from .errors import DegenerateArm, InsufficientData
 
-ANTIDERIV_GRID = 2048      # odds antiderivative nodes (at most, for fitted odds with covariates)
-GRID_PER_BANDWIDTH = 16    # antiderivative nodes per x-bandwidth of fitted odds with covariates
-GRID_MIN = 64              # the fewest antiderivative nodes of fitted odds with covariates
+ANTIDERIV_GRID = 2048      # antiderivative nodes of analytic odds; the most for fitted odds
+GRID_PER_BANDWIDTH = 16    # antiderivative nodes per x-bandwidth of fitted odds, at any p
+GRID_MIN = 64              # the fewest antiderivative nodes of fitted odds
 ANTIDERIV_REFINE = 4       # p = 0 training x is binned this many times finer than the nodes
 ODDS_SCALES = (1.0, 2.0, 3.0, 4.0)  # odds bandwidth scales scored by held-out loss (p > 0)
 # Max elements per kernel-weight chunk. A chunk of float64 temporaries of
@@ -289,28 +290,35 @@ def integrate_nu_many(lo, hi, l, nu, weight=None) -> np.ndarray:
     return _node_odds_integrals(lo, hi, l, nu, weight)
 
 
+def _odds_nodes(lo, hi, nu) -> np.ndarray:
+    """The antiderivative nodes of the odds nu over intervals with
+    endpoints lo and hi (:func:`_grid_nodes`).
+
+    Fitted odds (:class:`NuFn`) are smooth on the scale of their
+    x-bandwidth h_x = ``nu.h[0]`` (odds scale included), with covariates
+    or without, so they take ceil(``GRID_PER_BANDWIDTH`` span / h_x)
+    nodes, span being the range of the endpoints, clamped to
+    [``GRID_MIN``, ``ANTIDERIV_GRID``]. Other odds, analytic or
+    perturbed, take ``ANTIDERIV_GRID`` nodes."""
+    n_grid = ANTIDERIV_GRID
+    if isinstance(nu, NuFn):
+        span = max(np.max(lo), np.max(hi)) - min(np.min(lo), np.min(hi))
+        n_grid = int(np.clip(np.ceil(GRID_PER_BANDWIDTH * span / nu.h[0]),
+                             GRID_MIN, ANTIDERIV_GRID))
+    return _grid_nodes(lo, hi, n_grid)
+
+
 def _node_odds_integrals(lo, hi, l, nu, weight=None) -> np.ndarray:
     """Signed integrals over [lo_i, hi_i] of the fourth-order
     antiderivative (:func:`_grid_integrals`) of ``nu.node_odds`` (times
-    ``weight``) on nodes spanning every endpoint: one column shared by
+    ``weight``) on the nodes of :func:`_odds_nodes`: one column shared by
     every unit without covariates, so one chunk; one per unit with them,
-    in chunks.
-
-    Fitted odds with covariates are smooth on the scale of their
-    x-bandwidth h_x = ``nu.h[0]`` (odds scale included), so they take
-    ceil(``GRID_PER_BANDWIDTH`` span / h_x) nodes, span being the range
-    of the endpoints, clamped to [``GRID_MIN``, ``ANTIDERIV_GRID``].
-    Other odds take ``ANTIDERIV_GRID`` nodes."""
+    in chunks."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape[0] == 0:
         return np.zeros(0)
-    n_grid = ANTIDERIV_GRID
-    if isinstance(nu, NuFn) and nu.p:
-        span = max(np.max(lo), np.max(hi)) - min(np.min(lo), np.min(hi))
-        n_grid = int(np.clip(np.ceil(GRID_PER_BANDWIDTH * span / nu.h[0]),
-                             GRID_MIN, ANTIDERIV_GRID))
-    nodes = _grid_nodes(lo, hi, n_grid)
+    nodes = _odds_nodes(lo, hi, nu)
     wx = None if weight is None else np.asarray(weight(nodes), dtype=float)[:, None]
     step = lo.shape[0] if l.shape[1] == 0 else _units_per_chunk(nu, nodes.shape[0])
     out = np.empty(lo.shape[0])
@@ -473,11 +481,14 @@ class GammaMap(_PointwiseFn):
 
     Nondecreasing in y for every fixed covariate value because both
     members are; outputs lie in the observed period-1 control range.
-    With covariates both members weight the same units with the same
-    bandwidths, in another order: ``perm`` lists the quantile's units as
-    positions in the CDF's order (None for p = 0, where ranks compose),
-    so each chunk's kernel weights are formed once and permuted for the
-    quantile.
+    Without covariates the ranks compose in integer arithmetic: each
+    key's rank among the period-0 outcomes comes from one binary search
+    over the keys in sorted order, whose bounds carry from key to key,
+    and is scattered back to the key's position. With covariates both
+    members weight the same units with the same bandwidths, in another
+    order: ``perm`` lists the quantile's units as positions in the CDF's
+    order (None for p = 0), so each chunk's kernel weights are formed
+    once and permuted for the quantile.
     """
 
     cdf0: CondCdf
@@ -494,7 +505,9 @@ class GammaMap(_PointwiseFn):
             # Integer rank arithmetic keeps the composition exact.
             m0 = self.cdf0.m
             m1 = self.quantile1.cdf.m
-            k = np.searchsorted(self.cdf0.y_sorted, y, side="right")
+            order = np.argsort(y)
+            k = np.empty(y.shape[0], dtype=np.intp)
+            k[order] = np.searchsorted(self.cdf0.y_sorted, y[order], side="right")
             j = (k * m1 + m0 - 1) // m0
             return self.quantile1.cdf.y_sorted[np.clip(j - 1, 0, m1 - 1)]
         out = np.empty(y.shape[0])
@@ -521,13 +534,19 @@ def fit_cond_cdf(y, l=None, bandwidth=None) -> CondCdf:
         None or an (m, 0) matrix means no covariates (p = 0).
     bandwidth : None, scalar or length-p vector
         None selects Silverman's rule per coordinate.
+
+    Without covariates ``y_sorted`` is y sorted by value. With them the
+    outcomes and covariate rows take the stable order of y, so tied
+    outcomes keep their units' input order in ``l_by_y``.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 2:
         raise InsufficientData("need at least 2 samples to fit a conditional CDF")
     l = _covariate_matrix(l, y.shape[0], None)
-    order = np.argsort(y, kind="stable")
     h = _bandwidth_vector(l, bandwidth)
+    if l.shape[1] == 0:
+        return CondCdf(y_sorted=np.sort(y), l_by_y=l, h=h)
+    order = np.argsort(y, kind="stable")
     return CondCdf(y_sorted=y[order], l_by_y=l[order], h=h)
 
 
@@ -800,8 +819,9 @@ class NuisanceSet:
 
     ``gamma`` maps (y, l) to the transported baseline outcome, ``nu``
     gives treatment odds at (x, l), ``pi`` the marginal treatment
-    probability. The two densities are only required for quantile-type
-    targets and may be None otherwise. Analytic stand-ins with the same
+    probability. The density of the transported outcome is required only
+    for quantile-type links, that of y1 only for the QTT's treated
+    quantile; each may be None otherwise. Analytic stand-ins with the same
     call signatures, odds with a ``node_odds``, are accepted everywhere
     fitted objects are.
     """

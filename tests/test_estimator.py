@@ -37,6 +37,11 @@ from cicdml.estimator import (
 from cicdml.nuisance import NuisanceSet
 
 
+def _general(gtilde):
+    from cicdml.data_model import EstimandKind
+    return EstimandSpec(kind=EstimandKind.GENERAL_MOMENT, gtilde=gtilde)
+
+
 class LookupGamma:
     """Maps chosen baseline outcomes to chosen transported values."""
 
@@ -105,11 +110,26 @@ class TestFitFoldNuisances:
     def test_a_set_bandwidth_reaches_every_fit(self):
         data, _ = gen_stm(named_config("stm-cov", n=200, seed=3))
         eta = fit_fold_nuisances(data, np.arange(data.n), CrossFitConfig(bandwidth=0.3),
-                                 need_densities=True)
+                                 EstimandSpec.qtt(0.5))
         assert np.all(eta.nu.h == 0.3)
         assert np.all(eta.gamma.cdf0.h == 0.3)
         assert eta.dens_y1_treated.h == 0.3
         assert eta.dens_gamma_treated.h == 0.3
+
+    # The QTT alone reads the y1 density, in its treated quantile; every
+    # quantile-type link reads the transported outcome's.
+    @pytest.mark.parametrize("spec,densities", [
+        (None, (False, False)),
+        (EstimandSpec.att(), (False, False)),
+        (EstimandSpec.cdt(1.0), (False, False)),
+        (EstimandSpec.qtt(0.5), (True, True)),
+        (_general(gtilde_quantile(0.5)), (False, True)),
+        (_general(gtilde_counterfactual_mean()), (False, False)),
+    ], ids=["none", "att", "cdt", "qtt", "quantile-link", "mean-link"])
+    def test_each_estimand_fits_the_densities_it_reads(self, spec, densities):
+        data, _ = gen_did(200, seed=3)
+        eta = fit_fold_nuisances(data, np.arange(data.n), CrossFitConfig(), spec)
+        assert (eta.dens_y1_treated is not None, eta.dens_gamma_treated is not None) == densities
 
     @pytest.mark.parametrize("a,error,match", [
         ([1, 1, 1, 1], DegenerateArm, "lost a treatment arm"),
@@ -542,11 +562,6 @@ class TestPlugins:
                             rtol=0, atol=1e-10)
 
 
-def _general(gtilde):
-    from cicdml.data_model import EstimandKind
-    return EstimandSpec(kind=EstimandKind.GENERAL_MOMENT, gtilde=gtilde)
-
-
 def _arm_balanced(data, K):
     """Drop the last units of each arm so both arm sizes divide by K; then
     every training complement has the same treated share."""
@@ -626,8 +641,12 @@ class TestParityPins:
     # (2.120972061067494, 8.541735598504788),
     # (2.725148810008458, 159.82974839663893) and
     # (1.9371820497320544, 8.361188205036278).
+    # The p = 0 ATT pins moved again when p = 0 fitted odds took the
+    # bandwidth-sized grid too; the fourth-order antiderivative on 2048
+    # nodes gave (2.1209720379747634, 8.541736664529404) and
+    # (2.7251490140582817, 159.82982184602517).
     PINNED = {
-        ("did", "att"): (2.1209720379747634, 8.541736664529404),
+        ("did", "att"): (2.1209720364338547, 8.541736650735434),
         ("did", "cdt"): (0.5181396781912045, 1.1009073116074013),
         # The QTT pins move within ROOT_TOL when the link root's scan cell
         # is rescanned rather than bisected; bisection gave
@@ -635,7 +654,7 @@ class TestParityPins:
         # (1.5715154170253296, 79.03628014163505) and
         # (2.081468745568436, 15.631747900154947).
         ("did", "qtt"): (2.2471379222512953, 18.95572373610454),
-        ("stm-exp", "att"): (2.7251490140582817, 159.82982184602517),
+        ("stm-exp", "att"): (2.725148987079816, 159.82981761396763),
         ("stm-exp", "cdt"): (0.34610624216110186, 0.6814906332478567),
         ("stm-exp", "qtt"): (1.5715154203807988, 79.03627997026646),
         # Per-unit composite Simpson on 257 nodes gave
@@ -661,10 +680,14 @@ class TestParityPins:
     # (2.0117710969829035, 8.260273460325386) and
     # (2.0587517497034367, 292.9280745584288) from binned sums, and
     # (2.0117711005524312, 8.260273556922177) and
-    # (2.0587504423366556, 292.928390611057) from dense sums.
+    # (2.0587504423366556, 292.928390611057) from dense sums. The
+    # fourth-order antiderivative on 2048 nodes gave
+    # (2.011771053048796, 8.260272359748535) and
+    # (2.05874853670364, 292.9278393519126); the bandwidth-sized grid
+    # moved them.
     BINNED = {
-        "did": (2.011771053048796, 8.260272359748535),
-        "stm-exp": (2.05874853670364, 292.9278393519126),
+        "did": (2.011770997650153, 8.260270856631383),
+        "stm-exp": (2.0587501720099706, 292.92701248930524),
     }
 
     @pytest.mark.parametrize("name", ["did", "stm-exp"])

@@ -17,6 +17,7 @@ from cicdml.dgp import (
 from cicdml.errors import DegenerateArm, InsufficientData
 from cicdml.nuisance import (
     ODDS_SCALES,
+    GammaMap,
     _bandwidth_vector,
     _nw_mean,
     _product_weights,
@@ -144,6 +145,19 @@ class TestCondCdf:
         assert np.all(np.diff(vals) >= 0)
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_sorted_outcomes_and_rows_are_the_stable_take(self, p):
+        # Integer-valued outcomes with many ties: the values sorted by
+        # value, and the covariate rows in the stable order of y.
+        rng = np.random.default_rng(8)
+        y = rng.integers(-3, 4, 60).astype(float)
+        l = rng.standard_normal((60, p))
+        cdf = fit_cond_cdf(y, l)
+        order = np.argsort(y, kind="stable")
+        assert cdf.y_sorted.tobytes() == y[order].tobytes()
+        assert cdf.l_by_y.shape == (60, p)
+        assert cdf.l_by_y.tobytes() == l[order].tobytes()
+
 
 class TestCondQuantile:
     def test_empirical_quantile(self):
@@ -267,6 +281,26 @@ class TestGammaMap:
         grid = np.linspace(-2.5, 2.5, 80)
         vals = gamma.evaluate_many(grid, np.broadcast_to([0.3], (80, 1)))
         assert np.all(np.diff(vals) >= 0)
+
+    def test_ranks_of_sorted_keys_equal_the_per_key_search(self):
+        # Integer-valued outcomes, keys unsorted, repeated, tied with the
+        # sample and beyond both ends, and samples of unequal size for the
+        # two periods: bit for bit the rank arithmetic on one
+        # np.searchsorted per key.
+        rng = np.random.default_rng(15)
+        y0 = rng.integers(-5, 6, 40).astype(float)
+        y1 = rng.integers(0, 20, 27).astype(float)
+        gamma = GammaMap(cdf0=fit_cond_cdf(y0), quantile1=fit_cond_quantile(y1), perm=None)
+        keys = np.concatenate([rng.integers(-8, 9, 200).astype(float),
+                               rng.uniform(-8.0, 8.0, 50), [-np.inf, np.inf, -5.0, 5.0]])
+        keys = rng.permutation(np.concatenate([keys, keys[:60]]))
+        want = []
+        for key in keys:
+            k = int(np.searchsorted(gamma.cdf0.y_sorted, key, side="right"))
+            j = (k * 27 + 40 - 1) // 40
+            want.append(gamma.quantile1.cdf.y_sorted[min(max(j - 1, 0), 26)])
+        got = gamma.evaluate_many(keys, np.empty((keys.shape[0], 0)))
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_dimension_mismatch_rejected(self):
         # Both halves are fitted on the same control units.
@@ -526,9 +560,9 @@ class TestGridIntegrals:
 
 
 class TestFactorisedOddsIntegral:
-    """NuFn.integral_many with covariates: the fourth-order antiderivative
-    on shared nodes, GRID_PER_BANDWIDTH per x-bandwidth, one column of
-    node odds per unit.
+    """NuFn.integral_many: the fourth-order antiderivative on shared
+    nodes, GRID_PER_BANDWIDTH per x-bandwidth, one column of node odds per
+    unit with covariates (p > 0), one shared column without (p = 0).
 
     ``law`` is the law of the training x: the standard normal, or the
     Epanechnikov law scaled to unit variance, whose support [-sqrt(5),
@@ -565,7 +599,7 @@ class TestFactorisedOddsIntegral:
         return out
 
     @X_LAWS
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2])
     def test_matches_a_dense_reference(self, p, law):
         # One interval spans every endpoint; one of length 1e-3 lies inside
         # a single grid cell, where the cubic Hermite antiderivative follows
@@ -580,9 +614,13 @@ class TestFactorisedOddsIntegral:
         got = nu.integral_many(lo, hi, l)
         want = self.dense(nu, lo, hi, l)
         # The odds are smooth: measured at most 2.2e-7 on 64-114 nodes
-        # (the 2048-node trapezoid: 6.8e-7).
-        assert_allclose(got, want, rtol=0, atol=1e-6)
-        assert got[1] == pytest.approx(want[1], rel=5e-6, abs=0)
+        # (the 2048-node trapezoid: 6.8e-7). At p = 0 the node odds come
+        # from training x binned h/64 apart on 124-177 nodes: measured at
+        # most 8.0e-6, and 5.1e-6 relative on the short interval (2.6e-7
+        # and 7.3e-7 from dense sums on the same nodes).
+        atol, rel = (2e-5, 1e-5) if p == 0 else (1e-6, 5e-6)
+        assert_allclose(got, want, rtol=0, atol=atol)
+        assert got[1] == pytest.approx(want[1], rel=rel, abs=0)
 
     @GAUSSIAN_KERNEL
     def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self, kernel):
@@ -597,9 +635,9 @@ class TestFactorisedOddsIntegral:
         assert_array_equal(nu.integral_many(hi, lo, l), -got)
 
     def test_the_grid_is_sized_by_the_x_bandwidth(self, monkeypatch):
-        # ceil(GRID_PER_BANDWIDTH span / h_x) nodes for fitted odds with
-        # covariates, with or without a weight; ANTIDERIV_GRID for fitted
-        # odds without covariates and for analytic odds.
+        # ceil(GRID_PER_BANDWIDTH span / h_x) nodes for fitted odds, with
+        # covariates and without, with or without a weight; ANTIDERIV_GRID
+        # for analytic odds.
         sizes = []
         grid_nodes = nuisance._grid_nodes
 
@@ -621,11 +659,13 @@ class TestFactorisedOddsIntegral:
 
         sizes.clear()
         flat, _ = self.fitted(0, m=800)
+        want = int(np.ceil(nuisance.GRID_PER_BANDWIDTH * span / flat.h[0]))
+        assert nuisance.GRID_MIN < want < nuisance.ANTIDERIV_GRID
         flat.integral_many(lo, hi, np.empty((9, 0)))
         nuisance.integrate_nu_many(lo, hi, np.empty((9, 0)), flat, weight=np.cos)
         analytic = GaussHermiteNu(named_config("stm-cov"))
         nuisance.integrate_nu_many(lo, hi, l, analytic, weight=np.cos)
-        assert sizes == [nuisance.ANTIDERIV_GRID] * 3
+        assert sizes == [want, want, nuisance.ANTIDERIV_GRID]
 
     # With m = 300 above the node count, m sets the unit chunks. 1000
     # elements give one grid row per x-weight block and one unit per
@@ -761,7 +801,7 @@ class TestBinnedOddsIntegral:
     nodes to PR_ATOL wherever the dense denominator is above DENOM_FLOOR
     times its maximum."""
 
-    RTOL = 1e-4          # measured <= 1e-5 on these inputs
+    RTOL = 1e-4          # measured <= 3.9e-5 on these inputs
     PR_ATOL = 1e-4       # measured <= 3e-5 on these inputs
     DENOM_FLOOR = 1e-3
 
@@ -775,7 +815,7 @@ class TestBinnedOddsIntegral:
 
     @staticmethod
     def dense(nu, lo, hi):
-        nodes = nuisance._grid_nodes(lo, hi, nuisance.ANTIDERIV_GRID)
+        nodes = nuisance._odds_nodes(lo, hi, nu)
         odds = nu.evaluate_many(nodes, np.empty((nodes.shape[0], 0)))
         return nuisance._grid_integrals(nodes, odds, lo, hi)
 
@@ -792,9 +832,14 @@ class TestBinnedOddsIntegral:
     @pytest.mark.parametrize("dist", ["normal", "lognormal"])
     @pytest.mark.parametrize("m", [400, 16000])
     def test_matches_the_dense_antiderivative(self, m, dist, kernel):
-        # At m=400 the integral takes the dense sums, which are cheaper there.
+        # Nodes h/16 apart give each node about 4900 kernel taps, within
+        # _TAPS_PER_POINT per training point at m=400 too, so both sizes
+        # take the binned sums. Measured at most 3.9e-5 relative (m=400)
+        # and 6.3e-6 (m=16000).
         nu, rng = self.fitted(m, dist)
         lo, hi = self.inner_intervals(nu, rng)
+        nodes = nuisance._odds_nodes(lo, hi, nu)
+        assert nuisance._binned_nw_sums(nodes, nu.z[:, 0], nu.a, nu.h[0]) is not None
         got = nu.integral_many(lo, hi, np.empty((lo.shape[0], 0)))
         assert_allclose(got, self.dense(nu, lo, hi), rtol=self.RTOL, atol=0)
         assert_array_equal(got[:5], 0.0)
