@@ -238,6 +238,7 @@ _SUBCOMMANDS = {
 def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     """The CLI parser; ``defaults`` maps a subcommand to argument defaults
     that replace the built-in ones (explicit flags still win)."""
+    fit = CrossFitConfig()
     parser = argparse.ArgumentParser(
         prog="cicdml",
         description="Quantile-transport panel treatment-effect estimation")
@@ -247,30 +248,35 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="nonnegative random seed")
         sp.add_argument("--output", help="write the report here instead of stdout")
         if formats:
-            sp.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
+            sp.add_argument("--format", dest="fmt", choices=FORMATS, default="json",
+                            help="report format")
         sp.add_argument("--config", help="JSON file with defaults for this subcommand")
 
     sp = sub.add_parser("estimate", help="estimate a target from a CSV dataset")
-    sp.add_argument("--estimand", choices=ESTIMANDS, default="att")
+    sp.add_argument("--estimand", choices=ESTIMANDS, default="att",
+                    help="ATT, counterfactual CDF at --y-point, or QTT at --tau")
     sp.add_argument("--y-point", type=float, help="evaluation point (cdt)")
     sp.add_argument("--tau", type=float, help="quantile level (qtt)")
     sp.add_argument("--input", help="dataset CSV path (required)")
-    sp.add_argument("--folds", type=int, default=5, help="cross-fitting folds K")
-    sp.add_argument("--reps", type=int, default=1, help="repetitions S")
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--folds", type=int, default=fit.K, help="cross-fitting folds K")
+    sp.add_argument("--reps", type=int, default=fit.S, help="repetitions S")
+    sp.add_argument("--alpha", type=float, default=fit.alpha, help="interval level 1 - alpha")
     sp.add_argument("--no-stratify", action="store_true",
                     help="plain random folds instead of arm-stratified")
-    sp.add_argument("--eps-clip", type=float, default=0.01)
-    sp.add_argument("--f-min", type=float, default=1e-3)
-    sp.add_argument("--bandwidth", type=float, default=None)
+    sp.add_argument("--eps-clip", type=float, default=fit.eps_clip,
+                    help="propensities are clipped to [eps, 1 - eps]")
+    sp.add_argument("--f-min", type=float, default=fit.f_min, help="floor of the densities")
+    sp.add_argument("--bandwidth", type=float, default=fit.bandwidth,
+                    help="one kernel bandwidth for all coordinates (default: each fit's rule)")
     common(sp)
 
     sp = sub.add_parser("simulate", help="write a simulated dataset and its oracle")
     sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
-    sp.add_argument("--n", type=int, default=1000)
+    sp.add_argument("--n", type=int, default=1000, help="number of units")
     sp.add_argument("--trend", type=float, default=None,
                     help="time trend (did only; default 1.0)")
-    sp.add_argument("--effect", type=float, default=None)
+    sp.add_argument("--effect", type=float, default=None,
+                    help="treatment effect (default: the model's own)")
     sp.add_argument("--pi", type=float, default=None,
                     help="treatment share (did only; default 0.5)")
     sp.add_argument("--out", help="dataset CSV path to write (required)")
@@ -280,18 +286,18 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="run orthogonality and invariance checks; "
                                          "prints one tab-separated line per check")
     sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
-    sp.add_argument("--mc-size", type=int, default=100_000)
-    sp.add_argument("--h", type=float, default=0.05)
-    sp.add_argument("--perturbations", type=int, default=3)
+    sp.add_argument("--mc-size", type=int, default=100_000, help="Monte Carlo draws per check")
+    sp.add_argument("--h", type=float, default=0.05, help="finite-difference step, in (0, 0.5)")
+    sp.add_argument("--perturbations", type=int, default=3, help="random perturbations checked")
     common(sp, formats=False)
 
     sp = sub.add_parser("coverage", help="Monte Carlo interval-coverage study")
     sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
-    sp.add_argument("--n", type=int, default=1000)
-    sp.add_argument("--mc-reps", type=int, default=100)
-    sp.add_argument("--folds", type=int, default=5)
-    sp.add_argument("--reps", type=int, default=1)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--n", type=int, default=1000, help="units per replication")
+    sp.add_argument("--mc-reps", type=int, default=100, help="Monte Carlo replications")
+    sp.add_argument("--folds", type=int, default=fit.K, help="cross-fitting folds K")
+    sp.add_argument("--reps", type=int, default=fit.S, help="repetitions S")
+    sp.add_argument("--alpha", type=float, default=fit.alpha, help="interval level 1 - alpha")
     common(sp)
 
     for name, values in (defaults or {}).items():

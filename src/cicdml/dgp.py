@@ -31,11 +31,11 @@ from .nuisance import (
     NuisanceSet,
     _PointwiseFn,
     _bandwidth_vector,
+    _chunks,
     _covariate_matrix,
     _grid_integrals,
     _grid_nodes,
     _node_odds_integrals,
-    _row_chunk,
     fit_nu,
 )
 
@@ -279,16 +279,23 @@ class GaussHermiteNu(_PointwiseFn):
         budget (``GH_NODES`` logistic values per mean)."""
         spread = math.sqrt(2.0 * self._post_var)
         p = np.empty(mu.shape[0])
-        step = _row_chunk(GH_NODES)
-        for start in range(0, mu.shape[0], step):
-            vals = expit(mu[start:start + step, None] + spread * _GH_X[None, :])
-            p[start:start + step] = vals @ _GH_W / _SQRT_PI
+        for sl in _chunks(mu.shape[0], GH_NODES):
+            vals = expit(mu[sl, None] + spread * _GH_X[None, :])
+            p[sl] = vals @ _GH_W / _SQRT_PI
         np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
         return p / (1.0 - p)
 
     def evaluate_many(self, x, l):
         cfg = self.cfg
         return self._odds(self._mu(cfg.beta1.invert_extended(x) - cfg.k1(l), l))
+
+    def node_odds(self, nodes, l):
+        """Odds at the G nodes for each of the k covariate rows of l, shape
+        (G, k), on the node-by-row grid; one column (G, 1) without them."""
+        rows = l if l.shape[1] else np.empty((1, 0))
+        k = rows.shape[0]
+        vals = self.evaluate_many(np.repeat(nodes, k), np.tile(rows, (nodes.shape[0], 1)))
+        return vals.reshape(nodes.shape[0], k)
 
     def integral_many(self, lo, hi, l):
         """Signed odds integrals over [lo_i, hi_i] at covariates l_i.

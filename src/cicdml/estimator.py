@@ -40,8 +40,8 @@ from .nuisance import (
     DEFAULT_EPS_CLIP,
     DEFAULT_F_MIN,
     NuisanceSet,
+    _chunks,
     _grid_nodes,
-    _row_chunk,
     estimate_pi,
     fit_cond_quantile,
     fit_density,
@@ -274,11 +274,9 @@ class _CrossFit:
 
         def moment(t: np.ndarray) -> np.ndarray:
             val = np.empty(t.shape[0])
-            step = _row_chunk(g_treat.shape[0])
-            for start in range(0, t.shape[0], step):
-                tc = t[start:start + step, None]
-                val[start:start + step] = np.sum(
-                    w_treat * np.asarray(link.value(g_treat, tc), dtype=float), axis=1)
+            for sl in _chunks(t.shape[0], g_treat.shape[0]):
+                val[sl] = np.sum(
+                    w_treat * np.asarray(link.value(g_treat, t[sl, None]), dtype=float), axis=1)
             for eta, idx in zip(self.fitted, self.ctrl_of):
                 for j, signed in signed_odds(t, data.y1[idx], self.gamma_of[idx],
                                              data.l[idx], eta.nu):

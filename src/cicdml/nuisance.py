@@ -23,10 +23,11 @@ covariates, are multiplied by the scale in ``ODDS_SCALES`` (1 to 4) with
 the least Riesz loss E[(1 - A) nu^2] - 2 E[A nu], fitted on the training
 units at even positions and scored on those at odd positions.
 
-Kernel weights are formed in row chunks of at most ``_CHUNK_BUDGET``
-elements, one coordinate at a time. The transport map forms each
-chunk's covariate weights once for its CDF and its quantile, which are
-fitted on the same control units.
+Every chunked pass (here, in the estimator's root solve and in the
+analytic odds) takes its row slices from :func:`_chunks`, the one reader
+of ``_CHUNK_BUDGET``, and forms kernel weights one coordinate at a time.
+The transport map forms each chunk's covariate weights once for its CDF
+and its quantile, which are fitted on the same control units.
 
 ``node_odds(nodes, l)`` is the one primitive for odds at many outcome
 nodes: the odds at every node for each unit's covariates, one shared
@@ -88,9 +89,13 @@ _TAPS_PER_POINT = 16
 # 2.2e-2 at its sparse ends; QTT scans 2-2.7 h apart were up to 7% off.
 _BIN_MAX_WIDTH = 0.125
 
-def _row_chunk(m: int) -> int:
-    """Query rows per chunk when each row has m kernel weights."""
-    return max(1, _CHUNK_BUDGET // max(m, 1))
+def _chunks(n: int, width: int):
+    """The row slices of a chunked pass over n rows of width elements
+    each: in order, covering range(n) once, each at most
+    max(1, ``_CHUNK_BUDGET`` // width) rows."""
+    step = max(1, _CHUNK_BUDGET // max(width, 1))
+    for start in range(0, n, step):
+        yield slice(start, start + step)
 
 
 def silverman_bandwidth(x: np.ndarray) -> float:
@@ -164,9 +169,7 @@ def _clipped_odds(pr: np.ndarray, eps_clip: float) -> np.ndarray:
 def _nw_mean(query, train, resp, h, fallback):
     """Chunked Nadaraya-Watson regression of resp on train, at query rows."""
     out = np.empty(query.shape[0])
-    step = _row_chunk(train.shape[0])
-    for start in range(0, query.shape[0], step):
-        sl = slice(start, start + step)
+    for sl in _chunks(query.shape[0], train.shape[0]):
         w = _product_weights(query[sl], train, h)
         out[sl] = _nw_ratio(w @ resp, w.sum(axis=1), fallback)
     return out
@@ -310,21 +313,17 @@ def _odds_nodes(lo, hi, nu) -> np.ndarray:
 
 def _node_odds_integrals(lo, hi, l, nu, weight=None) -> np.ndarray:
     """Signed integrals over [lo_i, hi_i] of the fourth-order
-    antiderivative (:func:`_grid_integrals`) of ``nu.node_odds`` (times
-    ``weight``) on the nodes of :func:`_odds_nodes`: one column shared by
-    every unit without covariates, so one chunk; one per unit with them,
-    in chunks."""
+    antiderivative (:func:`_grid_integrals`) of the node odds of
+    :func:`_node_odds_chunks` (times ``weight``) on the nodes of
+    :func:`_odds_nodes`, a few scalars per unit."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.shape[0] == 0:
         return np.zeros(0)
     nodes = _odds_nodes(lo, hi, nu)
     wx = None if weight is None else np.asarray(weight(nodes), dtype=float)[:, None]
-    step = lo.shape[0] if l.shape[1] == 0 else _units_per_chunk(nu, nodes.shape[0])
     out = np.empty(lo.shape[0])
-    for start in range(0, lo.shape[0], step):
-        sl = slice(start, start + step)
-        odds = nu.node_odds(nodes, l[sl])
+    for sl, odds in _node_odds_chunks(nodes, l, nu, 1):
         out[sl] = _grid_integrals(nodes, odds if wx is None else odds * wx, lo[sl], hi[sl])
     return out
 
@@ -364,16 +363,6 @@ class _PointwiseFn:
         res = self.evaluate_many(x_arr, _covariate_matrix(l, x_arr.shape[0], self.p))
         return float(res[0]) if np.isscalar(x) else res
 
-    def node_odds(self, nodes, l) -> np.ndarray:
-        """Values at every node for each covariate row of l, shape (G, k),
-        from ``evaluate_many`` on the node-by-row grid; one column (G, 1)
-        shared by every row without covariates."""
-        nodes = np.asarray(nodes, dtype=float)
-        rows = l if l.shape[1] else np.empty((1, 0))
-        k = rows.shape[0]
-        vals = self.evaluate_many(np.repeat(nodes, k), np.tile(rows, (nodes.shape[0], 1)))
-        return vals.reshape(nodes.shape[0], k)
-
 
 # ---------------------------------------------------------------------------
 # Conditional CDF / quantile / transport map
@@ -412,9 +401,7 @@ class CondCdf(_PointwiseFn):
         if self.p == 0:
             return np.searchsorted(self.y_sorted, y, side="right") / self.m
         out = np.empty(y.shape[0])
-        step = _row_chunk(self.m)
-        for start in range(0, y.shape[0], step):
-            sl = slice(start, start + step)
+        for sl in _chunks(y.shape[0], self.m):
             w = self._weights(l[sl])
             out[sl] = self._from_cumulative(np.cumsum(w, axis=1, out=w), y[sl])
         return out
@@ -438,6 +425,8 @@ class CondQuantile(_PointwiseFn):
     located by a cumulative-weight search (the limit of bisection over
     the observed outcome range). u is clamped to the sample range at the
     boundaries: u <= 0 gives the minimum sample, u >= 1 the maximum.
+    Rows where no fit-sample unit carries kernel weight take the quantile
+    without covariates, as the CDF there is the unweighted CDF.
     """
 
     cdf: CondCdf
@@ -448,21 +437,23 @@ class CondQuantile(_PointwiseFn):
 
     def evaluate_many(self, u: np.ndarray, l: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        m = self.cdf.m
         if self.p == 0:
-            idx = np.ceil(u * m - 1e-9).astype(int) - 1
-            return self.cdf.y_sorted[np.clip(idx, 0, m - 1)]
+            return self._unweighted(u)
         out = np.empty(u.shape[0])
-        step = _row_chunk(m)
-        for start in range(0, u.shape[0], step):
-            sl = slice(start, start + step)
+        for sl in _chunks(u.shape[0], self.cdf.m):
             w = self.cdf._weights(l[sl])
             out[sl] = self._from_cumulative(np.cumsum(w, axis=1, out=w), u[sl])
         return out
 
+    def _unweighted(self, u: np.ndarray) -> np.ndarray:
+        """The quantile at u of the fit sample's empirical CDF."""
+        idx = np.ceil(u * self.cdf.m - 1e-9).astype(int) - 1
+        return self.cdf.y_sorted[np.clip(idx, 0, self.cdf.m - 1)]
+
     def _from_cumulative(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The quantile at u_i from row i of the cumulative kernel weights,
-        in the fitted CDF's ``y_sorted`` order; cum is normalised in place."""
+        in the fitted CDF's ``y_sorted`` order; cum is normalised in place.
+        Rows without weight take :meth:`_unweighted`."""
         total = cum[:, -1]
         ok = total > 1e-300
         cum /= np.where(ok, total, 1.0)[:, None]
@@ -470,7 +461,10 @@ class CondQuantile(_PointwiseFn):
         # Each row of cum is nondecreasing, so counting the entries below
         # the target is a left-sided searchsorted per row.
         rows = (cum < target[:, None]).sum(axis=1)
-        return self.cdf.y_sorted[np.clip(rows, 0, self.cdf.m - 1)]
+        out = self.cdf.y_sorted[np.clip(rows, 0, self.cdf.m - 1)]
+        if not ok.all():
+            out[~ok] = self._unweighted(u[~ok])
+        return out
 
 
 @dataclass
@@ -511,9 +505,7 @@ class GammaMap(_PointwiseFn):
             j = (k * m1 + m0 - 1) // m0
             return self.quantile1.cdf.y_sorted[np.clip(j - 1, 0, m1 - 1)]
         out = np.empty(y.shape[0])
-        step = _row_chunk(self.cdf0.m)
-        for start in range(0, y.shape[0], step):
-            sl = slice(start, start + step)
+        for sl in _chunks(y.shape[0], self.cdf0.m):
             w = self.cdf0._weights(l[sl])
             w1 = w[:, self.perm]
             u = self.cdf0._from_cumulative(np.cumsum(w, axis=1, out=w), y[sl])
@@ -619,9 +611,8 @@ class NuFn(_PointwiseFn):
         kernel factorises into an outcome part and a covariate part K(x)
         C(l): the x-weights at the nodes are formed once, each row's
         covariate weights C once, and one matrix product with [C a, C]
-        gives every row's numerator and denominator at every node. Callers
-        pass at most :func:`_units_per_chunk` rows, so that the (G, 2k) sums
-        and the (m, 2k) weights fit ``_CHUNK_BUDGET``.
+        gives every row's numerator and denominator at every node, for
+        the rows of a chunk of :func:`_node_odds_chunks`.
         """
         nodes = np.asarray(nodes, dtype=float)
         if self.p == 0:
@@ -641,11 +632,10 @@ class NuFn(_PointwiseFn):
         """
         c = _product_weights(l, self.z[:, 1:], self.h[1:])
         ca = np.concatenate([c * self.a, c]).T
-        rows = _row_chunk(8 * self.z.shape[0])
         nd = np.empty((nodes.shape[0], ca.shape[1]))
-        for r in range(0, nodes.shape[0], rows):
-            kx = _product_weights(nodes[r:r + rows, None], self.z[:, :1], self.h[:1])
-            np.matmul(kx, ca, out=nd[r:r + rows])
+        for sl in _chunks(nodes.shape[0], 8 * self.z.shape[0]):
+            kx = _product_weights(nodes[sl, None], self.z[:, :1], self.h[:1])
+            np.matmul(kx, ca, out=nd[sl])
         return nd
 
     def _odds(self, num, denom):
@@ -653,15 +643,23 @@ class NuFn(_PointwiseFn):
         return _clipped_odds(_nw_ratio(num, denom, float(self.a.mean())), self.eps_clip)
 
 
-def _units_per_chunk(nu, n_nodes: int) -> int:
-    """Covariate rows per ``node_odds`` call at n_nodes nodes: for fitted
-    odds their (G, 2k) sums and (m, 2k) weights fit the budget, so the
-    larger of G and the m training units sets the rows (256 at G = m =
-    ``ANTIDERIV_GRID``; a bandwidth-sized grid is usually below m), for
-    other odds their (G, k) values."""
-    if not isinstance(nu, NuFn):
-        return _row_chunk(n_nodes)
-    return _row_chunk(2 * max(n_nodes, nu.z.shape[0]))
+def _unit_width(nu, n_nodes: int) -> int:
+    """Elements per covariate row of ``nu.node_odds`` at n_nodes nodes:
+    for fitted odds the row's columns of the (G, 2k) sums and (m, 2k)
+    weights (256 rows a chunk at G = m = ``ANTIDERIV_GRID``), else its G
+    values."""
+    return 2 * max(n_nodes, nu.z.shape[0]) if isinstance(nu, NuFn) else n_nodes
+
+
+def _node_odds_chunks(nodes, l, nu, shared_width: int):
+    """Chunks (sl, odds) of the rows of l, odds (G, k) the node odds of the
+    chunk's k rows: without covariates one column (G, 1), formed once by
+    ``nu.node_odds`` and shared, the caller forming shared_width elements
+    per row; with them ``nu.node_odds`` of each chunk (:func:`_unit_width`)."""
+    shared = None if l.shape[1] else nu.node_odds(nodes, l)
+    width = shared_width if shared is not None else _unit_width(nu, nodes.shape[0])
+    for sl in _chunks(l.shape[0], width):
+        yield sl, nu.node_odds(nodes, l[sl]) if shared is None else shared
 
 
 def signed_odds(nodes, lo, hi, l, nu):
@@ -672,9 +670,8 @@ def signed_odds(nodes, lo, hi, l, nu):
 
     The signed odds of every step-link correction: the control correction
     of a step link sums the jump sizes against S at its jumps, and the
-    QTT moment weights S at its scan nodes. The odds are the odds
-    object's ``node_odds``: one column shared by every unit without
-    covariates, per chunk of :func:`_units_per_chunk` units with them.
+    QTT moment weights S at its scan nodes. The odds are the node odds
+    of :func:`_node_odds_chunks`, with a unit's G signs per row.
     """
     nodes = np.asarray(nodes, dtype=float)
     lo = np.asarray(lo, dtype=float)
@@ -683,14 +680,10 @@ def signed_odds(nodes, lo, hi, l, nu):
                            & (np.maximum(lo, hi) >= nodes.min(initial=np.inf)))
     if units.size == 0:
         return
-    shared = nu.node_odds(nodes, l[units]) if l.shape[1] == 0 else None
-    step = (_row_chunk(nodes.shape[0]) if shared is not None
-            else _units_per_chunk(nu, nodes.shape[0]))
     t = nodes[:, None]
-    for start in range(0, units.size, step):
-        idx = units[start:start + step]
+    for sl, odds in _node_odds_chunks(nodes, l[units], nu, nodes.shape[0]):
+        idx = units[sl]
         s = ((lo[idx] < t) & (t <= hi[idx])).astype(float) - ((hi[idx] < t) & (t <= lo[idx]))
-        odds = shared if shared is not None else nu.node_odds(nodes, l[idx])
         yield idx, np.multiply(s, odds, out=s)
 
 
@@ -703,17 +696,14 @@ def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:
     takes one exp(-D / (2 s^2)). A chunk's distances fill at most
     ``_CHUNK_BUDGET`` / d elements.
     """
-    m, d = train.shape
     fallback = float(a.mean())
     out = np.empty((len(ODDS_SCALES), query.shape[0]))
-    step = _row_chunk(m * d)
-    for start in range(0, query.shape[0], step):
-        dist = _sq_distances(query[start:start + step], train, h)
+    for sl in _chunks(query.shape[0], train.size):
+        dist = _sq_distances(query[sl], train, h)
         w = np.empty_like(dist)
         for k, s in enumerate(ODDS_SCALES):
             np.exp(np.multiply(dist, -0.5 / (s * s), out=w), out=w)
-            out[k, start:start + step] = _clipped_odds(_nw_ratio(w @ a, w.sum(axis=1), fallback),
-                                                       eps_clip)
+            out[k, sl] = _clipped_odds(_nw_ratio(w @ a, w.sum(axis=1), fallback), eps_clip)
     return out
 
 
@@ -771,29 +761,23 @@ def estimate_pi(a) -> float:
 
 
 @dataclass
-class DensityFn:
-    """Kernel density estimate with a floor for use in denominators."""
+class DensityFn(_PointwiseFn):
+    """Kernel density of the outcome (p = 0), floored for use in denominators."""
 
     x: np.ndarray
     h: float
     f_min: float = DEFAULT_F_MIN
+    p = 0
 
-    def evaluate_many(self, t: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, t: np.ndarray, l: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.empty(t.shape[0])
         # _product_weights leaves the Gaussian unnormalised.
         inv = 1.0 / (self.x.shape[0] * self.h * np.sqrt(2.0 * np.pi))
         train, h = self.x[:, None], np.array([self.h])
-        step = _row_chunk(self.x.shape[0])
-        for start in range(0, t.shape[0], step):
-            sl = slice(start, start + step)
+        for sl in _chunks(t.shape[0], self.x.shape[0]):
             out[sl] = _product_weights(t[sl, None], train, h).sum(axis=1) * inv
         return np.maximum(out, self.f_min)
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        res = self.evaluate_many(t_arr)
-        return float(res[0]) if np.isscalar(t) else res
 
 
 def fit_density(x, bandwidth: Optional[float] = None,

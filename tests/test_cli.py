@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -12,6 +14,7 @@ import cicdml
 from cicdml import cli
 from cicdml.cli import ingest_csv, main
 from cicdml.dgp import gen_stm, named_config
+from cicdml.estimator import CrossFitConfig
 from cicdml.errors import DimensionMismatch, NonBinaryTreatment, NonFiniteValue, ParseError
 
 
@@ -443,3 +446,29 @@ class TestValidate:
         via_config = capsys.readouterr().out
         assert main(self.ARGS) == 0
         assert capsys.readouterr().out == via_config
+
+
+class TestParser:
+    def test_cross_fitting_defaults_are_read_from_the_config(self, monkeypatch):
+        # Other defaults in the config class reach both subcommands' runs.
+        @dataclasses.dataclass(frozen=True)
+        class Other(CrossFitConfig):
+            K: int = 7
+            S: int = 3
+            alpha: float = 0.1
+            bandwidth: float = 0.4
+            eps_clip: float = 0.02
+            f_min: float = 2e-3
+
+        for config in (CrossFitConfig, Other):
+            monkeypatch.setattr(cli, "CrossFitConfig", config)
+            parser = cli.build_parser()
+            for argv in (["estimate", "--input", "data.csv"], ["coverage", "--dgp", "did"]):
+                assert cli._to_run_config(parser.parse_args(argv)).crossfit == config()
+
+    def test_every_option_has_help(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        missing = [f"{name} {action.option_strings[0]}" for name, sp in sub.choices.items()
+                   for action in sp._actions if not action.help]
+        assert missing == []

@@ -261,7 +261,7 @@ class TestStepLinkCorrection:
     def test_fitted_odds_with_covariates_across_unit_chunks(self, monkeypatch):
         nu = self.fitted_odds("stm-cov")
         monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 4000)
-        assert nuisance._units_per_chunk(nu, 2) <= 10
+        assert nuisance._CHUNK_BUDGET // nuisance._unit_width(nu, 2) <= 10
         self.check(nu, 2)
 
     def test_analytic_odds_with_covariates(self):

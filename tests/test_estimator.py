@@ -351,7 +351,7 @@ class TestQuantileMoment:
     def test_fitted_odds_with_covariates_across_unit_chunks(self, monkeypatch):
         # 4000 elements make chunks of 7 control units (m is about 267).
         cf = self.check(monkeypatch, fitted_engine("stm-cov", 400), budget=4000)
-        assert nuisance._units_per_chunk(cf.fitted[0].nu, 256) == 7
+        assert nuisance._CHUNK_BUDGET // nuisance._unit_width(cf.fitted[0].nu, 256) == 7
 
     def test_analytic_odds_with_covariates(self, monkeypatch):
         # GaussHermiteNu's node odds are its values on the node-by-unit grid.

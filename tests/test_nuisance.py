@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,76 @@ class TestProductWeights:
     def test_no_coordinates_gives_ones(self, kernel):
         w = _product_weights(np.empty((4, 0)), np.empty((6, 0)), np.empty(0))
         assert_array_equal(w, np.ones((4, 6)))
+
+
+class TestChunks:
+    """nuisance._chunks, the row slices of every chunked pass."""
+
+    @pytest.mark.parametrize("n, width, budget", [
+        (0, 5, 100), (1, 5, 1), (10, 3, 9), (10, 3, 10), (7, 50, 100), (12, 1, 4), (3, 0, 2)])
+    def test_slices_cover_the_rows_once_in_order(self, monkeypatch, n, width, budget):
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
+        parts = [range(n)[sl] for sl in nuisance._chunks(n, width)]
+        assert [i for part in parts for i in part] == list(range(n))
+        assert all(0 < len(part) <= max(1, budget // max(width, 1)) for part in parts)
+
+    @pytest.mark.parametrize("kind", [
+        "_nw_mean", "CondCdf", "CondQuantile", "DensityFn", "GaussHermiteNu", "_node_sums"])
+    def test_one_row_chunks_equal_one_chunk(self, monkeypatch, kind):
+        # At a budget of one element every chunk is one row (one node for
+        # the x-weight blocks); the default takes all 40 in one chunk. Bit
+        # for bit where no matrix product sums a row.
+        rng = np.random.default_rng(72)
+        y = np.round(rng.standard_normal(200), 1)
+        l = rng.standard_normal((200, 2))
+        a = (rng.uniform(size=200) < 0.4).astype(float)
+        q, u, lq = rng.standard_normal(40), rng.uniform(size=40), rng.standard_normal((40, 2))
+        z, zq = np.column_stack([y, l]), np.column_stack([q, lq])
+        fitted = {"CondCdf": fit_cond_cdf(y, l), "CondQuantile": fit_cond_quantile(y, l),
+                  "DensityFn": fit_density(y), "NuFn": fit_nu(y, l, a),
+                  "GaussHermiteNu": GaussHermiteNu(named_config("stm-cov"))}
+        run = {
+            "_nw_mean": lambda: _nw_mean(zq, z, a, _bandwidth_vector(z, None), 0.4),
+            "CondCdf": lambda: fitted["CondCdf"](q, lq),
+            "CondQuantile": lambda: fitted["CondQuantile"](u, lq),
+            "DensityFn": lambda: fitted["DensityFn"](q),
+            "GaussHermiteNu": lambda: fitted["GaussHermiteNu"](q, lq),
+            "_node_sums": lambda: fitted["NuFn"]._node_sums(np.linspace(-2.0, 2.0, 40), lq[:3]),
+        }[kind]
+        want = run()
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 1)
+        got = run()
+        if kind in ("_nw_mean", "GaussHermiteNu", "_node_sums"):
+            # A one-row matrix product takes another BLAS kernel than a
+            # many-row one, which may round differently: measured at most
+            # 4 ulps.
+            assert_allclose(got, want, rtol=4e-15, atol=0)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_the_budget_is_read_only_in_chunks(self):
+        # Every chunked pass of the package takes its slices from _chunks:
+        # no other code reads _CHUNK_BUDGET or loops range(0, n, step).
+        found = []
+        for path in sorted(Path(nuisance.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = set()
+            if path.name == "nuisance.py":
+                chunks = next(node for node in tree.body
+                              if isinstance(node, ast.FunctionDef) and node.name == "_chunks")
+                inside = {id(node) for node in ast.walk(chunks)}
+            for node in ast.walk(tree):
+                reads = (isinstance(node, ast.Name) and node.id == "_CHUNK_BUDGET"
+                         and isinstance(node.ctx, ast.Load)
+                         or isinstance(node, ast.Attribute) and node.attr == "_CHUNK_BUDGET"
+                         or isinstance(node, ast.alias) and node.name == "_CHUNK_BUDGET")
+                loops = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == "range" and len(node.args) == 3
+                         and isinstance(node.args[0], ast.Constant) and node.args[0].value == 0)
+                if reads or loops:
+                    found.append((path.name, node.lineno, id(node) in inside))
+        assert [where for where in found if not where[2]] == []
+        assert len(found) == 2      # the budget read and the loop in _chunks
 
 
 class TestBandwidthRule:
@@ -191,13 +263,16 @@ class TestCondQuantile:
 
 
 def _loop_quantile(q, u, l):
-    """Conditional quantile by the per-row searchsorted loop."""
+    """Conditional quantile by the per-row searchsorted loop; a row
+    without kernel weight takes the empirical quantile, sample
+    ceil(u m - 1e-9) of m."""
     cum = np.cumsum(q.cdf._weights(l), axis=1)
     total = cum[:, -1]
-    cum /= np.where(total > 1e-300, total, 1.0)[:, None]
-    target = u * (1.0 - 1e-12)
-    rows = [np.searchsorted(cum[i], target[i], side="left") for i in range(u.shape[0])]
-    return q.cdf.y_sorted[np.clip(rows, 0, q.cdf.m - 1)]
+    m = q.cdf.m
+    rows = [np.searchsorted(cum[i] / total[i], u[i] * (1.0 - 1e-12), side="left")
+            if total[i] > 1e-300 else int(np.ceil(u[i] * m - 1e-9)) - 1
+            for i in range(u.shape[0])]
+    return q.cdf.y_sorted[np.clip(rows, 0, m - 1)]
 
 
 def _u_hitting(c):
@@ -229,12 +304,17 @@ class TestCondQuantileCount:
         assert_array_equal(quantile.evaluate_many(u, l), _loop_quantile(quantile, u, l))
 
     def test_rows_without_weight(self, quantile):
-        u = np.array([0.0, 0.3, 0.5, 1.0])
-        l = np.full((4, 2), 1e3)
-        assert (quantile.cdf._weights(l).sum(axis=1) <= 1e-300).all()
+        # Beyond the kernel's reach the quantile is the one without
+        # covariates, as the CDF there is the unweighted CDF; rows with
+        # weight in the same call keep the weighted search.
+        u = np.array([0.0, 0.3, 0.5, 1.0, 0.3, 0.5])
+        l = np.full((6, 2), 1e3)
+        l[4:] = 0.0
+        assert (quantile.cdf._weights(l[:4]).sum(axis=1) <= 1e-300).all()
         got = quantile.evaluate_many(u, l)
         assert_array_equal(got, _loop_quantile(quantile, u, l))
-        assert got[0] == quantile.cdf.y_sorted[0] and got[-1] == quantile.cdf.y_sorted[-1]
+        assert_array_equal(got[:4], fit_cond_quantile(quantile.cdf.y_sorted)(u[:4]))
+        assert got[0] == quantile.cdf.y_sorted[0] and got[3] == quantile.cdf.y_sorted[-1]
 
     def test_targets_equal_to_a_cumulative_weight(self, quantile):
         l = np.zeros((6, 2))
@@ -308,6 +388,21 @@ class TestGammaMap:
             fit_gamma(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             fit_gamma(np.array([1.0, 2.0]), np.array([2.0, 1.0]), np.array([[0.0], [1.0], [2.0]]))
+
+    def test_rows_beyond_the_kernels_reach_compose_the_unweighted_halves(self):
+        # Covariates N(0, 1); no control carries weight at l = (60, 0), so
+        # the map there is the one without covariates, not max(y1).
+        rng = np.random.default_rng(16)
+        y0 = rng.standard_normal(500)
+        y1 = y0 + 0.5 + rng.standard_normal(500)
+        l = rng.standard_normal((500, 2))
+        gamma = fit_gamma(y0, y1, l)
+        y = np.linspace(-1.0, 1.0, 9)
+        far = np.broadcast_to([60.0, 0.0], (9, 2))
+        assert (gamma.cdf0._weights(far).sum(axis=1) == 0.0).all()
+        want = fit_cond_quantile(y1)(fit_cond_cdf(y0)(y))
+        assert_array_equal(gamma.evaluate_many(y, far), want)
+        assert want.max() < y1.max()
 
     # 1000 elements make chunks of 3 query rows over 300 controls.
     @pytest.mark.parametrize("budget", [1000, 1 << 20])
