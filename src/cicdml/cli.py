@@ -28,7 +28,13 @@ from .data_model import EstimandSpec, PanelDataset, validate
 from .dgp import DGP_NAMES, gen_stm, named_config, qq_invariance_diagnostic
 from .errors import NonBinaryTreatment, ParseError
 from .estimator import CrossFitConfig, estimate
-from .validation import Perturbation, coverage_study, orthogonality_check
+from .validation import (
+    DEFAULT_FD_STEP,
+    DEFAULT_MC_SIZE,
+    Perturbation,
+    coverage_study,
+    orthogonality_check,
+)
 
 SCHEMA_VERSION = 1
 ESTIMANDS = ("att", "cdt", "qtt")
@@ -103,11 +109,15 @@ def dataset_csv(data: PanelDataset) -> str:
     return "\r\n".join([header, *(row(*values) for values in columns)]) + "\r\n"
 
 
-def _write_files(texts: dict) -> None:
-    """Write each path's text. Every path is opened, not yet truncated,
-    before any is written, so a path that cannot be opened leaves the
-    others as they were; the files this call created are removed again
-    when it fails."""
+def _write_files(cfg: argparse.Namespace, report: str, texts: Optional[dict] = None) -> None:
+    """Write the report to ``--output``, or to stdout without one, and
+    each path's text of ``texts``. Every path is opened, not yet
+    truncated, before any is written, so a path that cannot be opened
+    leaves the others as they were; the files this call created are
+    removed again when it fails. Stdout is written after every file."""
+    texts = dict(texts or {})
+    if cfg.output:
+        texts[cfg.output] = report
     created = [path for path in texts if not os.path.exists(path)]
     try:
         with contextlib.ExitStack() as stack:
@@ -121,20 +131,13 @@ def _write_files(texts: dict) -> None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
         raise
+    if not cfg.output:
+        sys.stdout.write(report)
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-
-def _write(cfg: argparse.Namespace, text: str) -> None:
-    """Write a report to ``--output``, or to stdout without one."""
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _report(cfg: argparse.Namespace, payload: dict) -> str:
@@ -162,7 +165,7 @@ def _tsv_value(v) -> str:
 
 def _run_estimate(cfg: argparse.Namespace) -> int:
     data = ingest_csv(cfg.input)
-    _write(cfg, _report(cfg, estimate(data, cfg.estimand, cfg.crossfit).to_dict()))
+    _write_files(cfg, _report(cfg, estimate(data, cfg.estimand, cfg.crossfit).to_dict()))
     return 0
 
 
@@ -180,10 +183,8 @@ def _run_simulate(cfg: argparse.Namespace) -> int:
         "config": cfg.model.to_dict(),
     }
     report = _report(cfg, {"dataset": cfg.out, "oracle": oracle_path, "att_true": truth.att_true})
-    files = {cfg.out: dataset_csv(data), oracle_path: json.dumps(oracle, indent=2) + "\n"}
-    _write_files({**files, cfg.output: report} if cfg.output else files)
-    if not cfg.output:
-        sys.stdout.write(report)
+    _write_files(cfg, report, {cfg.out: dataset_csv(data),
+                               oracle_path: json.dumps(oracle, indent=2) + "\n"})
     return 0
 
 
@@ -208,15 +209,15 @@ def _run_validate(cfg: argparse.Namespace) -> int:
             f"phi_prime_0={res.phi_prime_0:.3e}\tse={res.phi_prime_se:.3e}")
         failures += 0 if ok else 1
 
-    _write(cfg, "\n".join(lines) + "\n")
+    _write_files(cfg, "\n".join(lines) + "\n")
     return 0 if failures == 0 else 1
 
 
 def _run_coverage(cfg: argparse.Namespace) -> int:
     report = coverage_study(cfg.model, cfg.crossfit, cfg.mc_reps, master_seed=cfg.seed)
-    _write(cfg, _report(cfg, {"dgp": cfg.dgp, "n": cfg.model.n, "K": cfg.crossfit.K,
-                              "S": cfg.crossfit.S, "alpha": cfg.crossfit.alpha,
-                              "seed": cfg.seed, **report.to_dict()}))
+    _write_files(cfg, _report(cfg, {"dgp": cfg.dgp, "n": cfg.model.n, "K": cfg.crossfit.K,
+                                    "S": cfg.crossfit.S, "alpha": cfg.crossfit.alpha,
+                                    "seed": cfg.seed, **report.to_dict()}))
     return 0
 
 
@@ -286,8 +287,10 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="run orthogonality and invariance checks; "
                                          "prints one tab-separated line per check")
     sp.add_argument("--dgp", choices=DGP_NAMES, help="model name (required)")
-    sp.add_argument("--mc-size", type=int, default=100_000, help="Monte Carlo draws per check")
-    sp.add_argument("--h", type=float, default=0.05, help="finite-difference step, in (0, 0.5)")
+    sp.add_argument("--mc-size", type=int, default=DEFAULT_MC_SIZE,
+                    help="Monte Carlo draws per check")
+    sp.add_argument("--h", type=float, default=DEFAULT_FD_STEP,
+                    help="finite-difference step, in (0, 0.5)")
     sp.add_argument("--perturbations", type=int, default=3, help="random perturbations checked")
     common(sp, formats=False)
 
@@ -359,6 +362,11 @@ def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, dest, 2) < 2:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least 2")
     if sub == "estimate":
+        # An option that would do nothing is rejected, not ignored.
+        for dest, kind in (("y_point", "cdt"), ("tau", "qtt")):
+            if getattr(args, dest) is not None and args.estimand != kind:
+                raise ParseError(f"--{dest.replace('_', '-')} applies only to the {kind} "
+                                 f"estimand, not {args.estimand}")
         if args.estimand == "att":
             args.estimand = EstimandSpec.att()
         elif args.estimand == "cdt":

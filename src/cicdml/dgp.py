@@ -68,6 +68,15 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def gauss_hermite_mean(f, mu, var):
+    """E f(mu + sqrt(var) Z) for a standard normal Z, by Gauss-Hermite on
+    ``GH_NODES`` nodes: a number for a number mu, one value per mean for
+    an array of means. The one Gaussian expectation of the analytic odds,
+    the treatment share and the controls' mean outcome."""
+    x = np.asarray(mu, dtype=float)[..., None] + math.sqrt(2.0 * var) * _GH_X
+    return f(x) @ _GH_W / _SQRT_PI
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """A strictly increasing outcome transform.
@@ -277,11 +286,9 @@ class GaussHermiteNu(_PointwiseFn):
     def _odds(self, mu):
         """Odds at posterior logit means mu, in row chunks of the kernel
         budget (``GH_NODES`` logistic values per mean)."""
-        spread = math.sqrt(2.0 * self._post_var)
         p = np.empty(mu.shape[0])
         for sl in _chunks(mu.shape[0], GH_NODES):
-            vals = expit(mu[sl, None] + spread * _GH_X[None, :])
-            p[sl] = vals @ _GH_W / _SQRT_PI
+            p[sl] = gauss_hermite_mean(expit, mu[sl], self._post_var)
         np.clip(p, 1e-12, 1.0 - 1e-12, out=p)
         return p / (1.0 - p)
 
@@ -401,9 +408,7 @@ def true_pi(cfg: StmConfig) -> float:
     slope_sq = sum(c * c for c in cfg.treat_l) + sum(c * c for c in cfg.treat_u)
     if slope_sq == 0.0:
         return float(expit(cfg.treat_intercept))
-    spread = math.sqrt(2.0 * slope_sq)
-    vals = expit(cfg.treat_intercept + spread * _GH_X)
-    return float(vals @ _GH_W / _SQRT_PI)
+    return float(gauss_hermite_mean(expit, cfg.treat_intercept, slope_sq))
 
 
 def true_nuisances(cfg: StmConfig, method: str = "auto",

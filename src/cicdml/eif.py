@@ -1,4 +1,4 @@
-"""Links and the control correction of the orthogonal scores.
+"""Links: the functions of the transported outcome that define targets.
 
 Every target is a moment of a link function ``g(x, t)`` of the
 transported baseline outcome x = gamma(y0, l) among the treated. Its
@@ -13,11 +13,10 @@ distribution and quantile are links; the ATT is the 1/pi-weighted
 treated mean minus the counterfactual-mean link and the QTT the treated
 quantile minus the counterfactual-quantile link.
 
-This module holds the links and :func:`control_correction`; scores
-are formed only by ``estimator._CrossFit``, odds integrals by
-:func:`cicdml.nuisance.integrate_nu_many`, and the odds at step links'
-jumps by :func:`cicdml.nuisance.signed_odds`, which the QTT moment
-shares.
+This module holds the links only. Scores and control corrections are
+formed by ``estimator._CrossFit``, from the odds integrals of
+:func:`cicdml.nuisance.integrate_nu_many` and the signed odds of
+:func:`cicdml.nuisance.signed_odds`.
 """
 
 from __future__ import annotations
@@ -26,13 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .nuisance import integrate_nu_many, signed_odds
-
-
-# ---------------------------------------------------------------------------
-# Links
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -89,30 +81,3 @@ def gtilde_quantile(tau: float) -> GTildeSpec:
         jumps=lambda t: (np.array([t]), np.array([-1.0])),
         dtheta="gamma-density",
     )
-
-
-def control_correction(y1, g, l, nu, link: GTildeSpec, t: float,
-                       integrate=integrate_nu_many) -> np.ndarray:
-    """Control correction of a link at target value t, per unit.
-
-    The oriented Lebesgue-Stieltjes integral of the odds against the
-    link's variation in x over the half-open interval (y1_i, g_i]; when
-    g_i < y1_i the interval is (g_i, y1_i] and the sign flips. Smooth
-    links integrate nu times ``dx`` with ``integrate``: a constant ``dx``
-    scales the plain odds integral, a callable one multiplies the node
-    odds at the nodes (its ``weight``). Step links sum the jump sizes
-    against the signed odds at the jumps (:func:`signed_odds`), for the
-    units whose interval holds a jump. ``l`` holds the units' covariates
-    as an (n, p) matrix.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if link.dx is not None:
-        if not callable(link.dx):
-            return link.dx * integrate(y1, g, l, nu)
-        return integrate(y1, g, l, nu, lambda x: link.dx(x, t))
-    out = np.zeros(y1.shape[0])
-    pts, sizes = link.jumps(t)
-    for idx, signed in signed_odds(pts, y1, g, l, nu):
-        out[idx] = np.asarray(sizes, dtype=float) @ signed
-    return out

@@ -5,11 +5,13 @@ on each fold's complement, solve the pooled estimating equation built
 from the orthogonal score, estimate its variance}; aggregate the S
 repetitions by medians (variance inflated by the squared deviation of
 each repetition from the median point estimate); form a normal-quantile
-confidence interval. One solve, ``_CrossFit.solve``, serves every
-estimand: the ATT is the treated mean minus the mean link, the QTT the
-treated quantile minus the quantile link, a CDT or general moment the
-link alone. Plug-in estimators that evaluate the identification
-formulas directly (no cross-fitting, no inference) live here too.
+confidence interval. One engine, ``_CrossFit``, forms every score,
+the controls' correction included, and one solve, ``_CrossFit.solve``,
+serves every estimand: the ATT is the treated mean minus the mean link,
+the QTT the treated quantile minus the quantile link, a CDT or general
+moment the link alone. Plug-in estimators that evaluate the
+identification formulas directly (no cross-fitting, no inference) live
+here too.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ from .data_model import (
     partition_folds,
     validate,
 )
-from .eif import (
-    GTildeSpec,
-    control_correction,
-    gtilde_cdf_indicator,
-    gtilde_counterfactual_mean,
-    gtilde_quantile,
-)
+from .eif import GTildeSpec, gtilde_cdf_indicator, gtilde_counterfactual_mean, gtilde_quantile
 from .errors import DegenerateArm, InsufficientData, NoBracket, NoTreatedInEvaluation
 from .nuisance import (
     DEFAULT_EPS_CLIP,
@@ -220,19 +216,43 @@ class _CrossFit:
             out[self.folds.eval_indices(k)] = fn(eta)
         return out
 
+    def signed_control_odds(self, nodes):
+        """Chunks (i, S) of every fold's controls, i their dataset indices
+        and S their signed odds at ``nodes`` with their fold's odds
+        (:func:`cicdml.nuisance.signed_odds`), one call per fold."""
+        data = self.data
+        for eta, idx in zip(self.fitted, self.ctrl_of):
+            for j, signed in signed_odds(nodes, data.y1[idx], self.gamma_of[idx],
+                                         data.l[idx], eta.nu):
+                yield idx[j], signed
+
     def terms(self, link: GTildeSpec, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """Link value at every unit's transported outcome, and the control
-        correction, with the odds of each control's fold, in dataset order
-        (zero for treated units)."""
+        correction C, with the odds of each control's fold, in dataset
+        order (zero for treated units).
+
+        C is the oriented integral of the odds against the link's
+        variation in x over (y1, gamma], or minus it over (gamma, y1]. A
+        smooth link integrates the odds times ``dx``
+        (:func:`cicdml.nuisance.integrate_nu_many`): a constant ``dx``
+        scales the plain odds integral, a callable one weights the node
+        odds. A step link sums its jump sizes against the signed odds at
+        its jumps (:meth:`signed_control_odds`)."""
         data = self.data
         corr = np.zeros(data.n)
-        for eta, idx in zip(self.fitted, self.ctrl_of):
-            if idx.size:
-                # Passed by this module's name, so a wrapper installed on
-                # estimator.integrate_nu_many sees every odds integral.
-                corr[idx] = control_correction(data.y1[idx], self.gamma_of[idx],
-                                               data.l[idx], eta.nu, link, t,
-                                               integrate=integrate_nu_many)
+        if link.jumps is not None:
+            pts, sizes = link.jumps(t)
+            sizes = np.asarray(sizes, dtype=float)
+            for i, signed in self.signed_control_odds(pts):
+                corr[i] = sizes @ signed
+        else:
+            # Called by this module's name, so a wrapper installed on
+            # estimator.integrate_nu_many sees every odds integral.
+            for eta, idx in zip(self.fitted, self.ctrl_of):
+                if idx.size:
+                    args = (data.y1[idx], self.gamma_of[idx], data.l[idx], eta.nu)
+                    corr[idx] = (integrate_nu_many(*args, lambda x: link.dx(x, t))
+                                 if callable(link.dx) else link.dx * integrate_nu_many(*args))
         return np.asarray(link.value(self.gamma_of, t), dtype=float), corr
 
     def scores(self, v: np.ndarray, corr: np.ndarray, slope) -> np.ndarray:
@@ -262,9 +282,9 @@ class _CrossFit:
 
         The moment is evaluated on an array of t: the link's value summed
         over the treated at each t (row by row, as at a single t), plus
-        the 1/pi-weighted sum of the signed odds of each fold's controls
-        whose interval (y1, gamma] or (gamma, y1] holds t
-        (:func:`cicdml.nuisance.signed_odds`), which is minus the control
+        the 1/pi-weighted sum of the signed odds of the controls whose
+        interval (y1, gamma] or (gamma, y1] holds t
+        (:meth:`signed_control_odds`), which is minus the control
         correction of the link's unit step down at t.
         """
         data = self.data
@@ -277,10 +297,8 @@ class _CrossFit:
             for sl in _chunks(t.shape[0], g_treat.shape[0]):
                 val[sl] = np.sum(
                     w_treat * np.asarray(link.value(g_treat, t[sl, None]), dtype=float), axis=1)
-            for eta, idx in zip(self.fitted, self.ctrl_of):
-                for j, signed in signed_odds(t, data.y1[idx], self.gamma_of[idx],
-                                             data.l[idx], eta.nu):
-                    val += signed @ (1.0 / self.pi_of[idx[j]])
+            for i, signed in self.signed_control_odds(t):
+                val += signed @ (1.0 / self.pi_of[i])
             return val
 
         return solve_quantile_root(moment, bracket=_grid_nodes(data.y1, self.gamma_of, 2))

@@ -668,10 +668,10 @@ def signed_odds(nodes, lo, hi, l, nu):
     s_i(t) = 1 for t in (lo_i, hi_i], -1 for t in (hi_i, lo_i] and 0
     elsewhere.
 
-    The signed odds of every step-link correction: the control correction
-    of a step link sums the jump sizes against S at its jumps, and the
-    QTT moment weights S at its scan nodes. The odds are the node odds
-    of :func:`_node_odds_chunks`, with a unit's G signs per row.
+    The estimator reads it once per fold, for a step link's control
+    correction (its jump sizes against S at the jumps) and for the QTT
+    moment (S at the scan nodes) alike. The odds are the node odds of
+    :func:`_node_odds_chunks`, with a unit's G signs per row.
     """
     nodes = np.asarray(nodes, dtype=float)
     lo = np.asarray(lo, dtype=float)

@@ -26,9 +26,7 @@ from .data_model import EstimandSpec, FoldAssignment
 from .dgp import (
     LinearNu,
     StmConfig,
-    _GH_W,
-    _GH_X,
-    _SQRT_PI,
+    gauss_hermite_mean,
     gen_stm,
     true_nuisances,
     true_pi,
@@ -45,7 +43,7 @@ from .nuisance import (
     integrate_nu_many,
 )
 
-DEFAULT_MC_SIZE = 200_000
+DEFAULT_MC_SIZE = 100_000
 DEFAULT_FD_STEP = 0.05
 
 
@@ -244,9 +242,7 @@ def mean_y1_control(cfg: StmConfig) -> float:
         raise ValueError("closed-form mean needs an independent-treatment model")
     var = (sum(c * c for c in cfg.k1_coef) + sum(c * c for c in cfg.m_coeffs)
            + cfg.eps_sigma ** 2)
-    nodes = cfg.k1_intercept + math.sqrt(2.0 * var) * _GH_X
-    vals = cfg.beta1.apply(nodes)
-    return float(vals @ _GH_W / _SQRT_PI)
+    return float(gauss_hermite_mean(cfg.beta1.apply, cfg.k1_intercept, var))
 
 
 def expected_second_order_bias(cfg: StmConfig, lam: float, c_gamma: float,

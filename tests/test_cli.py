@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import cicdml
-from cicdml import cli
+from cicdml import cli, validation
 from cicdml.cli import ingest_csv, main
 from cicdml.dgp import gen_stm, named_config
 from cicdml.estimator import CrossFitConfig
@@ -398,6 +399,43 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--folds", "2"],
+        ["validate", "--dgp", "did", "--mc-size", "2000", "--perturbations", "1"],
+        ["coverage", "--dgp", "did", "--n", "200", "--mc-reps", "2", "--folds", "2"],
+    ], ids=["estimate", "validate", "coverage"])
+    def test_unwritable_report_leaves_no_file(self, tmp_path, dataset, capsys, argv):
+        # The report goes through the one writer that simulate uses.
+        if argv[0] == "estimate":
+            argv = argv + ["--input", str(dataset)]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv + ["--output", str(tmp_path / "absent" / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("estimand, option", [
+        ("att", ("tau", "0.5")), ("cdt", ("tau", "0.5")),
+        ("att", ("y-point", "3")), ("qtt", ("y-point", "3")),
+    ], ids=["att-tau", "cdt-tau", "att-y-point", "qtt-y-point"])
+    @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
+    def test_estimand_options_rejected_for_other_estimands(self, tmp_path, dataset, capsys,
+                                                          estimand, option, as_config):
+        out = tmp_path / "x.json"
+        needed = {"cdt": ["--y-point", "1"], "qtt": ["--tau", "0.25"]}.get(estimand, [])
+        argv = ["estimate", "--input", str(dataset), "--estimand", estimand, *needed,
+                "--output", str(out)]
+        if as_config:
+            key = option[0].replace("-", "_")
+            argv += ["--config", write_config(tmp_path, {key: float(option[1])})]
+        else:
+            argv += [f"--{option[0]}", option[1]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --{option[0]} applies only to")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_existing_outputs_are_untouched_when_one_path_fails(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         out.write_text("keep")
@@ -465,6 +503,14 @@ class TestParser:
             parser = cli.build_parser()
             for argv in (["estimate", "--input", "data.csv"], ["coverage", "--dgp", "did"]):
                 assert cli._to_run_config(parser.parse_args(argv)).crossfit == config()
+
+    def test_validate_defaults_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["validate", "--dgp", "did"])
+        assert (args.mc_size, args.h) == (validation.DEFAULT_MC_SIZE,
+                                          validation.DEFAULT_FD_STEP)
+        check = inspect.signature(validation.orthogonality_check).parameters
+        assert (check["mc_size"].default, check["h"].default) == (args.mc_size, args.h)
+        assert inspect.signature(validation.phi_at).parameters["mc_size"].default == args.mc_size
 
     def test_every_option_has_help(self):
         parser = cli.build_parser()

@@ -1,21 +1,22 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cicdml import nuisance
+from cicdml import estimator, nuisance
 from cicdml.data_model import EstimandSpec, FoldAssignment, PanelDataset
 from cicdml.dgp import ConstantNu, LinearNu, gen_stm, named_config, true_nuisances
 from cicdml.eif import (
     GTildeSpec,
-    control_correction,
     gtilde_cdf_indicator,
     gtilde_counterfactual_mean,
     gtilde_quantile,
-    integrate_nu_many,
 )
 from cicdml.errors import NoTreatedInEvaluation
 from cicdml.estimator import _CrossFit, att_psi_values
-from cicdml.nuisance import NuisanceSet, fit_nu
+from cicdml.nuisance import NuisanceSet, fit_nu, integrate_nu_many
 
 
 def const_gamma(value):
@@ -45,6 +46,15 @@ def link_scores(eta, y1, a, link, t):
     cf = engine(eta, y1, a)
     v, corr = cf.terms(link, t)
     return cf.scores(v, corr, -1.0)
+
+
+def one_fold_correction(y1, g, l, nu, link, t):
+    """The one-fold engine's control correction for controls with period-1
+    outcomes y1, transported outcomes g and covariates l: the baseline
+    outcomes are g and the transport stand-in is the identity."""
+    data = PanelDataset(y0=g, y1=y1, a=np.zeros(y1.shape[0], dtype=int), l=l)
+    eta = NuisanceSet(gamma=lambda y, l=None: y, nu=nu, pi=0.5)
+    return _CrossFit(data, one_fold(data.n), [eta]).terms(link, t)[1]
 
 
 def att_scores(eta, y1, a, theta):
@@ -194,7 +204,7 @@ class TestPsiGeneral:
         w[2:-1:2] = 2.0
         want = [(nu(a + (b - a) * s, row) * 2.0 * (a + (b - a) * s)) @ w * (b - a) / (3.0 * 4096)
                 for a, b, row in zip(y1, g, l)]
-        assert_allclose(control_correction(y1, g, l, nu, link, 0.0), want, rtol=0, atol=1e-5)
+        assert_allclose(one_fold_correction(y1, g, l, nu, link, 0.0), want, rtol=0, atol=1e-5)
 
     def test_quantile_spec_marks_density_denominator(self):
         assert gtilde_quantile(0.5).dtheta == "gamma-density"
@@ -248,7 +258,7 @@ class TestStepLinkCorrection:
         y1 = rng.normal(0.7, 1.0, n)
         g = rng.normal(0.7, 1.0, n)
         l = rng.standard_normal((n, p))
-        got = control_correction(y1, g, l, nu, self.LINK, 0.0)
+        got = one_fold_correction(y1, g, l, nu, self.LINK, 0.0)
         want = per_jump_correction(y1, g, l, nu, self.LINK, 0.0)
         assert_allclose(got, want, rtol=1e-12, atol=0)
         # Both jumps, both orientations, and units with neither.
@@ -269,6 +279,30 @@ class TestStepLinkCorrection:
 
     def test_constant_odds(self):
         self.check(ConstantNu(1.7), 0)
+
+
+class TestScoreEngineStructure:
+    def test_the_engine_alone_forms_control_corrections(self):
+        # The links module imports nothing from nuisance, and the engine's
+        # one signed-odds generator is the only caller of signed_odds.
+        src = Path(estimator.__file__).parent
+        links = ast.parse((src / "eif.py").read_text(encoding="utf-8"))
+        imported = [node.module or "" for node in ast.walk(links)
+                    if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(links) if isinstance(node, ast.Import)
+                     for alias in node.names]
+        assert not any("nuisance" in name for name in imported)
+        tree = ast.parse((src / "estimator.py").read_text(encoding="utf-8"))
+        engine_class = next(node for node in tree.body
+                            if isinstance(node, ast.ClassDef) and node.name == "_CrossFit")
+        generator = next(node for node in engine_class.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "signed_control_odds")
+        inside = {id(node) for node in ast.walk(generator)}
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and (getattr(node.func, "id", None) == "signed_odds"
+                      or getattr(node.func, "attr", None) == "signed_odds")]
+        assert len(calls) == 1 and id(calls[0]) in inside
 
 
 class TestDidReduction:
