@@ -1,11 +1,12 @@
 """Command-line interface: ingest, estimate, simulate, validate, coverage.
 
 CSV schema: header ``y0,y1,a,l1,...,lp`` (covariate columns optional),
-decimal point, UTF-8; the treatment column must parse to 0 or 1. Floats
-are serialized with 17 significant digits so a simulate/ingest round
-trip reproduces the data bit-exactly. JSON output carries a fixed
-schema-version field and deterministic key order, so identical commands
-with identical seeds produce byte-identical bytes.
+decimal point, UTF-8 with or without a byte-order mark; the treatment
+column must parse to 0 or 1. Floats are serialized with 17 significant
+digits so a simulate/ingest round trip reproduces the data bit-exactly.
+JSON output carries a fixed schema-version field and deterministic key
+order, so identical commands with identical seeds produce
+byte-identical bytes.
 
 Exit codes: 0 success; 1 only when a ``validate`` check FAILs; 2 for
 every rejected input: a bad flag or config value, an unreadable or
@@ -40,9 +41,6 @@ SCHEMA_VERSION = 1
 ESTIMANDS = ("att", "cdt", "qtt")
 FORMATS = ("json", "tsv")
 
-# Config-file keys are the options' destinations, except these.
-_CONFIG_NAMES = {"fmt": "format", "no_stratify": "stratify"}
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
@@ -56,7 +54,7 @@ def ingest_csv(path: str) -> PanelDataset:
     lines are skipped. The data rows become one float array in one
     conversion; a bad row raises with its 1-based line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParseError("empty file", line=1)
@@ -144,7 +142,7 @@ def _report(cfg: argparse.Namespace, payload: dict) -> str:
     """A report's text in ``--format``, after its schema-version and
     command header."""
     payload = {"schema_version": SCHEMA_VERSION, "command": cfg.subcommand, **payload}
-    if cfg.fmt == "tsv":
+    if cfg.format == "tsv":
         lines = [f"{k}\t{_tsv_value(v)}" for k, v in payload.items()]
         return "\n".join(lines) + "\n"
     return json.dumps(payload, indent=2) + "\n"
@@ -249,8 +247,7 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="nonnegative random seed")
         sp.add_argument("--output", help="write the report here instead of stdout")
         if formats:
-            sp.add_argument("--format", dest="fmt", choices=FORMATS, default="json",
-                            help="report format")
+            sp.add_argument("--format", choices=FORMATS, default="json", help="report format")
         sp.add_argument("--config", help="JSON file with defaults for this subcommand")
 
     sp = sub.add_parser("estimate", help="estimate a target from a CSV dataset")
@@ -262,11 +259,11 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
     sp.add_argument("--folds", type=int, default=fit.K, help="cross-fitting folds K")
     sp.add_argument("--reps", type=int, default=fit.S, help="repetitions S")
     sp.add_argument("--alpha", type=float, default=fit.alpha, help="interval level 1 - alpha")
-    sp.add_argument("--no-stratify", action="store_true",
+    sp.add_argument("--no-stratify", dest="stratify", action="store_false",
                     help="plain random folds instead of arm-stratified")
     sp.add_argument("--eps-clip", type=float, default=fit.eps_clip,
                     help="propensities are clipped to [eps, 1 - eps]")
-    sp.add_argument("--f-min", type=float, default=fit.f_min, help="floor of the densities")
+    sp.add_argument("--f-min", type=float, help="floor of the densities")
     sp.add_argument("--bandwidth", type=float, default=fit.bandwidth,
                     help="one kernel bandwidth for all coordinates (default: each fit's rule)")
     common(sp)
@@ -309,14 +306,14 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
 
 
 def _config_value(key: str, action: argparse.Action, value):
-    """A config value as its flag would give it: a JSON bool for
-    ``stratify``; otherwise of the option's type (an integer for int, a
-    number for float, a string for the rest) and among its choices, or
-    null where the default is null."""
-    if key == "stratify":
+    """A config value as its flag would give it: a JSON bool for a
+    switch (an option whose default is a bool); otherwise of the
+    option's type (an integer for int, a number for float, a string for
+    the rest) and among its choices, or null where the default is null."""
+    if isinstance(action.default, bool):
         if not isinstance(value, bool):
-            raise ParseError(f"config key stratify takes true or false, got {value!r}")
-        return not value
+            raise ParseError(f"config key {key} takes true or false, got {value!r}")
+        return value
     if value is None and action.default is None:
         return None
     kinds = {int: int, float: (int, float)}.get(action.type, str)
@@ -337,12 +334,12 @@ def _config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     if not isinstance(overrides, dict):
         raise ParseError("config must be a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {_CONFIG_NAMES.get(a.dest, a.dest): a
-               for a in sub.choices[args.subcommand]._actions if a.dest not in ("help", "config")}
+    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions
+               if a.dest not in ("help", "config")}
     unknown = set(overrides) - set(actions)
     if unknown:
         raise ParseError(f"unknown config keys for {args.subcommand}: {sorted(unknown)}")
-    return {args.subcommand: {actions[key].dest: _config_value(key, actions[key], value)
+    return {args.subcommand: {key: _config_value(key, actions[key], value)
                               for key, value in overrides.items()}}
 
 
@@ -363,7 +360,7 @@ def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least 2")
     if sub == "estimate":
         # An option that would do nothing is rejected, not ignored.
-        for dest, kind in (("y_point", "cdt"), ("tau", "qtt")):
+        for dest, kind in (("y_point", "cdt"), ("tau", "qtt"), ("f_min", "qtt")):
             if getattr(args, dest) is not None and args.estimand != kind:
                 raise ParseError(f"--{dest.replace('_', '-')} applies only to the {kind} "
                                  f"estimand, not {args.estimand}")
@@ -377,11 +374,12 @@ def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
             if args.tau is None:
                 raise ParseError("--tau is required for the qtt estimand")
             args.estimand = EstimandSpec.qtt(args.tau)
+        # Without --f-min, CrossFitConfig's own density floor holds.
+        floor = {} if args.f_min is None else {"f_min": args.f_min}
         args.crossfit = CrossFitConfig(
             K=args.folds, S=args.reps, alpha=args.alpha,
             seed=args.seed, bandwidth=args.bandwidth,
-            eps_clip=args.eps_clip, f_min=args.f_min,
-            stratify=not args.no_stratify)
+            eps_clip=args.eps_clip, stratify=args.stratify, **floor)
     if sub == "simulate":
         args.model = named_config(args.dgp, n=args.n, seed=args.seed, effect=args.effect,
                                   trend=args.trend, pi=args.pi)

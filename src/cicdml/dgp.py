@@ -19,7 +19,7 @@ imports numpy and the standard library only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -130,11 +130,11 @@ class TransformSpec:
         return self.invert(y)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b, "c": self.c}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformSpec":
-        return cls(kind=d["kind"], a=d.get("a", 1.0), b=d.get("b", 0.0), c=d.get("c", 1.0))
+        return cls(**d)
 
 
 identity = TransformSpec("identity")
@@ -207,12 +207,7 @@ class StmConfig:
         return self.k1_intercept + l @ np.asarray(self.k1_coef)
 
     def to_dict(self) -> dict:
-        d = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        d["beta0"] = self.beta0.to_dict()
-        d["beta1"] = self.beta1.to_dict()
-        for key in ("k0_coef", "k1_coef", "m_coeffs", "treat_l", "treat_u"):
-            d[key] = list(d[key])
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "StmConfig":

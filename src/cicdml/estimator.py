@@ -35,6 +35,7 @@ from .errors import DegenerateArm, InsufficientData, NoBracket, NoTreatedInEvalu
 from .nuisance import (
     DEFAULT_EPS_CLIP,
     DEFAULT_F_MIN,
+    QUANTILE_SLACK,
     NuisanceSet,
     _chunks,
     _grid_nodes,
@@ -79,6 +80,8 @@ class CrossFitConfig:
             raise ValueError("S must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise ValueError("alpha is too small: 1 - alpha/2 rounds to 1")
         if not 0.0 < self.eps_clip < 0.5:
             raise ValueError("eps_clip must lie in (0, 0.5)")
         if not self.f_min > 0.0:
@@ -106,19 +109,9 @@ class EstimateReport:
     seed: int
 
     def to_dict(self) -> dict:
-        d = {
-            "theta_hat": self.theta_hat,
-            "sigma2_hat": self.sigma2_hat,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "per_rep": [list(t) for t in self.per_rep],
-            "estimand": self.estimand.kind.value,
-            "n": self.n,
-            "K": self.K,
-            "S": self.S,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
+        """The fields in order, the estimand as its kind, then the
+        estimand's ``y_point`` or ``tau`` when set."""
+        d = dict(vars(self), estimand=self.estimand.kind.value)
         if self.estimand.y_point is not None:
             d["y_point"] = self.estimand.y_point
         if self.estimand.tau is not None:
@@ -397,12 +390,13 @@ def solve_quantile_root(estimating_fn: Callable, bracket: Tuple[float, float]) -
 def weighted_quantile(y: np.ndarray, w: np.ndarray, tau: float) -> float:
     """The w-weighted tau-quantile of y: the generalized inverse
     inf{t : sum(w 1{y <= t}) >= tau sum(w)}, read from the cumulative
-    weights of y in sorted order."""
+    weights of y in sorted order, with the target lowered by
+    ``QUANTILE_SLACK`` as :class:`cicdml.nuisance.CondQuantile` lowers it."""
     if y.shape[0] == 0:
         raise NoTreatedInEvaluation("no treated units for the treated quantile")
     order = np.argsort(y, kind="stable")
     cum = np.cumsum(w[order])
-    return float(y[order[np.searchsorted(cum, tau * cum[-1])]])
+    return float(y[order[np.searchsorted(cum, tau * cum[-1] * (1.0 - QUANTILE_SLACK))]])
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,10 @@ ODDS_SCALES = (1.0, 2.0, 3.0, 4.0)  # odds bandwidth scales scored by held-out l
 _CHUNK_BUDGET = 1 << 20
 DEFAULT_EPS_CLIP = 0.01
 DEFAULT_F_MIN = 1e-3
+# Relative slack under a quantile's target share of the cumulative
+# weights, so that a target such as 0.07 * 100, which rounds up to
+# 7.000000000000001, stops at the 7th order statistic and not the 8th.
+QUANTILE_SLACK = 1e-12
 
 # Scaled distance |u| past which the float64 kernel weight is exactly 0.0:
 # exp(-u^2 / 2) underflows to zero from u = 38.604 on. Binned kernel sums
@@ -457,7 +461,7 @@ class CondQuantile(_PointwiseFn):
         total = cum[:, -1]
         ok = total > 1e-300
         cum /= np.where(ok, total, 1.0)[:, None]
-        target = u * (1.0 - 1e-12)
+        target = u * (1.0 - QUANTILE_SLACK)
         # Each row of cum is nondecreasing, so counting the entries below
         # the target is a left-sided searchsorted per row.
         rows = (cum < target[:, None]).sum(axis=1)

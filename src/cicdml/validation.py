@@ -17,7 +17,7 @@ estimated per draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -103,9 +103,8 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
 
     Returns an array of shape (len(lambdas), mc_size); row j is the
     vectorised ATT score under the nuisances perturbed by lambda_j. The
-    antiderivative of the odds direction, and without covariates that of
-    the base odds, are built once on nodes covering every lambda's
-    endpoints.
+    antiderivative of the odds direction is built once on nodes covering
+    every lambda's endpoints.
     """
     cfg = replace(dgp, n=mc_size, seed=_derived_seed(seed, 11))
     data, truth = gen_stm(cfg)
@@ -118,14 +117,12 @@ def _psi_lambda_matrix(dgp: StmConfig, pert: Perturbation, lambdas: Sequence[flo
     dg = np.zeros_like(g0) if pert.d_gamma is None else np.asarray(pert.d_gamma(data.y0[ctrl]))
     g_ends = [g0 + lam * dg for lam in (lam_arr.min(initial=0.0), lam_arr.max(initial=0.0))]
     nodes = _grid_nodes(data.y1[ctrl], np.concatenate(g_ends), ANTIDERIV_GRID)
-    base_vals = (np.asarray(eta.nu(nodes, np.empty((nodes.shape[0], 0))))
-                 if dgp.p == 0 else None)
     d_vals = None if pert.d_nu is None else np.asarray(pert.d_nu(nodes))
 
     out = np.empty((lam_arr.shape[0], data.n))
     for j, lam in enumerate(lam_arr):
         eta_lam = NuisanceSet(gamma=_Perturbed(eta.gamma, pert.d_gamma, lam),
-                              nu=_PerturbedNu(eta.nu, lam, nodes, d_vals, base_vals),
+                              nu=_PerturbedNu(eta.nu, lam, nodes, d_vals),
                               pi=eta.pi + lam * pert.d_pi)
         out[j] = att_psi_values(data, one_fold, [eta_lam], truth.att_true)
     return out
@@ -147,19 +144,17 @@ class _Perturbed:
 @dataclass(frozen=True)
 class _PerturbedNu:
     """The integrals of the odds nu0 + lam * d, with d a function of x
-    only: the base odds' integral, from their node values ``base_vals``
-    on ``nodes`` when given and otherwise their own, plus lam times the
-    antiderivative of d's node values ``d_vals`` (None when d is zero)."""
+    only: the base odds' integral (:func:`cicdml.nuisance.integrate_nu_many`)
+    plus lam times the antiderivative of d's node values ``d_vals`` on
+    ``nodes`` (None when d is zero)."""
 
     nu0: object
     lam: float
     nodes: np.ndarray
     d_vals: Optional[np.ndarray]
-    base_vals: Optional[np.ndarray]
 
     def integral_many(self, lo, hi, l):
-        out = (integrate_nu_many(lo, hi, l, self.nu0) if self.base_vals is None
-               else _grid_integrals(self.nodes, self.base_vals, lo, hi))
+        out = integrate_nu_many(lo, hi, l, self.nu0)
         if self.d_vals is not None:
             out = out + self.lam * _grid_integrals(self.nodes, self.d_vals, lo, hi)
         return out
@@ -288,13 +283,7 @@ class CoverageReport:
     mean_bias: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_reps": self.n_reps,
-            "cover_rate": self.cover_rate,
-            "mean_ci_width": self.mean_ci_width,
-            "rmse": self.rmse,
-            "mean_bias": self.mean_bias,
-        }
+        return asdict(self)
 
 
 def coverage_study(dgp: StmConfig, cfg: CrossFitConfig, n_reps: int,

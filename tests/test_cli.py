@@ -64,6 +64,12 @@ class TestRoundTrip:
         for field in ("y0", "y1", "a", "l"):
             np.testing.assert_array_equal(getattr(back, field), getattr(data, field))
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, dataset):
+        # Spreadsheet exports start their UTF-8 files with one.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + dataset.read_bytes())
+        assert cli.dataset_csv(ingest_csv(str(path))).encode() == dataset.read_bytes()
+
     def test_simulate_then_estimate(self, tmp_path, dataset):
         oracle = json.loads((tmp_path / "did.csv.oracle.json").read_text())
         rc, raw = run_estimate(tmp_path, "att.json", "--input", str(dataset), "--folds", "3")
@@ -162,6 +168,29 @@ class TestSimulateReport:
         assert float(report["att_true"]) == oracle["att_true"]
 
 
+class TestReportKeys:
+    FIT = ["schema_version", "command", "theta_hat", "sigma2_hat", "ci_lo", "ci_hi", "per_rep",
+           "estimand", "n", "K", "S", "alpha", "seed"]
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("argv, keys", [
+        (["estimate"], FIT),
+        (["estimate", "--estimand", "cdt", "--y-point", "1.0"], FIT + ["y_point"]),
+        (["estimate", "--estimand", "qtt", "--tau", "0.5"], FIT + ["tau"]),
+        (["coverage", "--dgp", "did", "--n", "200", "--mc-reps", "2"],
+         ["schema_version", "command", "dgp", "n", "K", "S", "alpha", "seed", "n_reps",
+          "cover_rate", "mean_ci_width", "rmse", "mean_bias"]),
+    ], ids=["att", "cdt", "qtt", "coverage"])
+    def test_keys_and_their_order(self, dataset, capsys, argv, keys, fmt):
+        if argv[0] == "estimate":
+            argv = argv + ["--input", str(dataset)]
+        assert main(argv + ["--folds", "2", "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        report = (json.loads(text) if fmt == "json"
+                  else dict(line.split("\t") for line in text.splitlines()))
+        assert list(report) == keys
+
+
 class TestTsv:
     def test_estimate_floats_round_trip_at_17_digits(self, tmp_path, dataset):
         args = ["--input", str(dataset), "--folds", "3"]
@@ -235,12 +264,22 @@ class TestExitCodes:
         ["--f-min", "0"],
         ["--bandwidth", "-1"],
         ["--bandwidth", "inf"],
+        ["--estimand", "qtt", "--tau", "0.5", "--f-min", "0"],
     ])
     def test_bad_values_exit_2_with_an_error_line(self, tmp_path, dataset, capsys, extra):
         rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), *extra)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_an_alpha_whose_quantile_is_infinite_exits_2_before_any_fit(
+            self, tmp_path, dataset, capsys, monkeypatch):
+        # 1 - 1e-17 / 2 rounds to 1, where the normal quantile is infinite.
+        monkeypatch.setattr(cli, "estimate", lambda *args: pytest.fail("estimate ran"))
+        rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), "--alpha", "1e-17")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: alpha is too small: 1 - alpha/2 rounds to 1\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_cdt_without_a_y_point_exits_2(self, tmp_path, dataset, capsys):
         rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), "--estimand", "cdt")
@@ -417,7 +456,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("estimand, option", [
         ("att", ("tau", "0.5")), ("cdt", ("tau", "0.5")),
         ("att", ("y-point", "3")), ("qtt", ("y-point", "3")),
-    ], ids=["att-tau", "cdt-tau", "att-y-point", "qtt-y-point"])
+        ("att", ("f-min", "0.01")), ("cdt", ("f-min", "0.01")),
+    ], ids=["att-tau", "cdt-tau", "att-y-point", "qtt-y-point", "att-f-min", "cdt-f-min"])
     @pytest.mark.parametrize("as_config", [False, True], ids=["flag", "config"])
     def test_estimand_options_rejected_for_other_estimands(self, tmp_path, dataset, capsys,
                                                           estimand, option, as_config):
@@ -432,8 +472,10 @@ class TestExitCodes:
             argv += [f"--{option[0]}", option[1]]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: --{option[0]} applies only to")
-        assert "Traceback" not in captured.err and captured.out == ""
+        kind = {"y-point": "cdt"}.get(option[0], "qtt")
+        assert captured.err == (f"error: --{option[0]} applies only to the {kind} estimand, "
+                                f"not {estimand}\n")
+        assert captured.out == ""
         assert not out.exists()
 
     def test_existing_outputs_are_untouched_when_one_path_fails(self, tmp_path, capsys):

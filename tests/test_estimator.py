@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erfinv, ndtri
 
 from cicdml import estimator, nuisance
@@ -34,7 +34,7 @@ from cicdml.estimator import (
     solve_quantile_root,
     weighted_quantile,
 )
-from cicdml.nuisance import NuisanceSet
+from cicdml.nuisance import NuisanceSet, fit_cond_quantile
 
 
 def _general(gtilde):
@@ -189,6 +189,30 @@ class TestSolveQuantileRoot:
         w = np.array([1.0, 2.0, 1.0, 3.0, 1.0])
         for tau, want in ((0.3, 1.0), (0.375, 1.0), (0.4, 2.0), (0.75, 2.0), (0.76, 3.0)):
             assert weighted_quantile(y, w, tau) == want == self.brute_force_quantile(y, w, tau)
+
+    def test_unit_weights_agree_with_the_empirical_quantile(self):
+        # tau * m can round up past an integer: 0.07 * 100 is
+        # 7.000000000000001, and the quantile is still the 7th outcome.
+        taus = np.arange(1, 100) / 100
+        for m in range(2, 200):
+            y = np.arange(1.0, m + 1)
+            got = [weighted_quantile(y, np.ones(m), tau) for tau in taus]
+            assert_array_equal(got, fit_cond_quantile(y)(taus), err_msg=f"m = {m}")
+
+    def test_equal_fold_weights_take_the_treated_rank(self, monkeypatch):
+        # Every fold has the same pi, so the 95 treated units weigh the
+        # same, and tau = 0.2 is the 19th treated outcome.
+        data, _ = gen_stm(named_config("did", n=200, seed=14))
+        picked = []
+
+        def spy(y, w, tau):
+            picked.append(weighted_quantile(y, w, tau))
+            return picked[-1]
+
+        monkeypatch.setattr(estimator, "weighted_quantile", spy)
+        estimate(data, EstimandSpec.qtt(0.2), CrossFitConfig(seed=14))
+        treated = np.sort(data.y1[data.a == 1])
+        assert treated.shape[0] == 95 and picked == [treated[18]]
 
     def test_treated_quantile_needs_treated_units(self):
         cf = _CrossFit(PanelDataset(y0=np.zeros(2), y1=np.array([1.0, 2.0]),

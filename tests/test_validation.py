@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from cicdml import validation
 from cicdml.dgp import AnalyticGamma, named_config, true_pi
 from cicdml.estimator import CrossFitConfig
-from cicdml.nuisance import NuisanceSet
+from cicdml.nuisance import NuisanceSet, integrate_nu_many
 from cicdml.validation import (
     Perturbation,
     calibrated_linear_nu,
@@ -70,6 +71,21 @@ class TestOrthogonality:
         # Measured phi'(0) = -1.96e-3 (se 1.85e-3) and curvature 1.43e-2
         # (se 1.3e-4).
         self.check("stm-cov")
+
+
+    def test_base_odds_at_p0_are_integrated_by_the_shared_primitive(self, monkeypatch):
+        # The perturbed odds integrate their base odds through
+        # integrate_nu_many without covariates as with them.
+        seen = []
+
+        def spy(lo, hi, l, nu, weight=None):
+            seen.append(l.shape[1])
+            return integrate_nu_many(lo, hi, l, nu, weight)
+
+        monkeypatch.setattr(validation, "integrate_nu_many", spy)
+        phi_at(0.1, named_config("stm-exp", n=100), Perturbation.random_bounded(seed=2),
+               mc_size=2000, seed=2)
+        assert seen == [0]
 
 
 class TestClosedFormCurvature:
