@@ -43,9 +43,10 @@ class GTildeSpec:
     1{x < t} - c, whose one jump, of size -1, sits at t. They are
     root-solved at the first crossing of zero of their moment (a fitted
     moment need not be monotone) by repeated scans, with the value taken
-    on an array of t and the controls' part from the signed odds at every
-    scan node; the derivative is a kernel density of the transported
-    outcome.
+    on an array of t and the controls' part interpolated from one table of
+    node odds per fold; the control correction at the root takes the
+    signed odds there. The derivative is a kernel density of the
+    transported outcome.
     """
 
     value: Callable[[float, float], float]

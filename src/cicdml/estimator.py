@@ -39,6 +39,10 @@ from .nuisance import (
     NuisanceSet,
     _chunks,
     _grid_nodes,
+    _grid_values,
+    _interval_signs,
+    _node_odds_table,
+    _odds_nodes,
     estimate_pi,
     fit_cond_quantile,
     fit_density,
@@ -84,8 +88,8 @@ class CrossFitConfig:
             raise ValueError("alpha is too small: 1 - alpha/2 rounds to 1")
         if not 0.0 < self.eps_clip < 0.5:
             raise ValueError("eps_clip must lie in (0, 0.5)")
-        if not self.f_min > 0.0:
-            raise ValueError("f_min must be positive")
+        if not 0.0 < self.f_min < np.inf:
+            raise ValueError("f_min must be finite and positive")
         bw = self.bandwidth
         if bw is not None and not (np.ndim(bw) == 0 and 0.0 < float(bw) < np.inf):
             raise ValueError("bandwidth must be one finite positive number")
@@ -212,7 +216,9 @@ class _CrossFit:
     def signed_control_odds(self, nodes):
         """Chunks (i, S) of every fold's controls, i their dataset indices
         and S their signed odds at ``nodes`` with their fold's odds
-        (:func:`cicdml.nuisance.signed_odds`), one call per fold."""
+        (:func:`cicdml.nuisance.signed_odds`), one call per fold: a step
+        link's jumps, the QTT's root among them. The QTT's scans read
+        each fold's node-odds table instead (:meth:`quantile_root`)."""
         data = self.data
         for eta, idx in zip(self.fitted, self.ctrl_of):
             for j, signed in signed_odds(nodes, data.y1[idx], self.gamma_of[idx],
@@ -275,23 +281,40 @@ class _CrossFit:
 
         The moment is evaluated on an array of t: the link's value summed
         over the treated at each t (row by row, as at a single t), plus
-        the 1/pi-weighted sum of the signed odds of the controls whose
-        interval (y1, gamma] or (gamma, y1] holds t
-        (:meth:`signed_control_odds`), which is minus the control
-        correction of the link's unit step down at t.
+        the 1/pi-weighted sum, over the controls whose interval (y1, gamma]
+        or (gamma, y1] holds t, of the interval's sign times the odds, which
+        is minus the control correction of the link's unit step down at t.
+        Each fold's node odds are tabulated once, before the first scan, on
+        the nodes of its odds integral (:func:`cicdml.nuisance._odds_nodes`),
+        and every scan reads their Catmull-Rom interpolant
+        (:func:`cicdml.nuisance._grid_values`). The correction at the root,
+        from which the scores are formed, takes the exact signed odds
+        (:meth:`terms`).
         """
         data = self.data
         treated = data.a == 1
         w_treat = 1.0 / self.pi_of[treated]
         g_treat = self.gamma_of[treated]
+        folds = []
+        for eta, idx in zip(self.fitted, self.ctrl_of):
+            if idx.size:
+                lo, hi = data.y1[idx], self.gamma_of[idx]
+                nodes = _odds_nodes(lo, hi, eta.nu)
+                folds.append((lo, hi, 1.0 / self.pi_of[idx], nodes,
+                              _node_odds_table(nodes, data.l[idx], eta.nu)))
 
         def moment(t: np.ndarray) -> np.ndarray:
             val = np.empty(t.shape[0])
             for sl in _chunks(t.shape[0], g_treat.shape[0]):
                 val[sl] = np.sum(
                     w_treat * np.asarray(link.value(g_treat, t[sl, None]), dtype=float), axis=1)
-            for i, signed in self.signed_control_odds(t):
-                val += signed @ (1.0 / self.pi_of[i])
+            for lo, hi, w, nodes, table in folds:
+                # Off the fold's nodes every sign is 0.
+                inside = np.clip(t, nodes[0], nodes[-1])
+                for sl in _chunks(t.shape[0], lo.shape[0]):
+                    signed = _interval_signs(t[sl], lo, hi)
+                    signed *= _grid_values(nodes, table, inside[sl])
+                    val[sl] += signed @ w
             return val
 
         return solve_quantile_root(moment, bracket=_grid_nodes(data.y1, self.gamma_of, 2))

@@ -47,8 +47,13 @@ two or more, equally spaced, in bins at most ``_BIN_MAX_WIDTH`` h wide,
 and the dense sums cost more; otherwise dense.
 
 Step links take the odds at points, not integrals: the node odds at a
-link's jumps, or at the QTT moment's scan nodes, signed by whether each
-unit's interval holds the node (:func:`signed_odds`).
+link's jumps, signed by whether each unit's interval holds the node
+(:func:`signed_odds`, with the signs of :func:`_interval_signs`), the QTT's
+correction at its root included. The QTT moment's scans read instead one
+table per fold of its controls' node odds on their odds integral's nodes
+(:func:`_node_odds_table`), through its Catmull-Rom interpolant
+(:func:`_grid_values`), which finds its cells as the antiderivative does
+(:func:`_grid_cell`) and has the antiderivative's cell integrals.
 """
 
 from __future__ import annotations
@@ -234,6 +239,20 @@ def _grid_nodes(lo, hi, n_grid: int) -> np.ndarray:
     return np.linspace(start - pad, stop + pad, n_grid)
 
 
+def _grid_cell(gx: np.ndarray, x: np.ndarray):
+    """The cell j of each x among the G >= 2 equally spaced nodes gx, which
+    span every x, and x's offset in it in node spacings: [gx[j], gx[j + 1])
+    as np.interp finds it, the last cell closed. The equal spacing puts x
+    within one cell of its scaled offset."""
+    last = gx.shape[0] - 2
+    delta = (gx[-1] - gx[0]) / (last + 1)
+    j = np.minimum((x - gx[0]) / delta, last).astype(np.intp)
+    j -= gx[j] > x
+    j += gx[j + 1] <= x
+    np.minimum(j, last, out=j)
+    return j, (x - gx[j]) / delta
+
+
 def _grid_integrals(gx: np.ndarray, gy: np.ndarray, lo: np.ndarray,
                     hi: np.ndarray) -> np.ndarray:
     """Signed integrals over [lo_i, hi_i] of the fourth-order
@@ -268,19 +287,57 @@ def _grid_integrals(gx: np.ndarray, gy: np.ndarray, lo: np.ndarray,
     cols = 0 if gy.shape[1] == 1 else np.arange(lo.shape[0])
 
     def at(x):
-        # The cell [gx[j], gx[j + 1]) holding x, as np.interp finds it: the
-        # equal spacing puts x within one cell of its scaled offset.
-        j = np.minimum((x - gx[0]) / delta, last).astype(np.intp)
-        j -= gx[j] > x
-        j += gx[j + 1] <= x
-        np.minimum(j, last, out=j)
-        t = (x - gx[j]) / delta
+        j, t = _grid_cell(gx, x)
         u = 1.0 - t
         # F[j] + h01(t) (F[j + 1] - F[j]) + delta (h10(t) y[j] + h11(t) y[j + 1]).
         return (anti[j, cols] + t * t * (3.0 - 2.0 * t) * cell[j, cols]
                 + delta * t * u * (u * gy[j, cols] - t * gy[j + 1, cols]))
 
     return at(hi) - at(lo)
+
+
+# Coefficients of the end cells' differences (columns e0, e1, e2 of the
+# four end values) from the interior cells' (rows a0, a1, a2), with the
+# node beyond the end on the cubic through the four end values.
+_FIRST_CELL = np.array([[3.0, -3.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_LAST_CELL = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -3.0, 3.0]])
+
+
+def _grid_values(gx: np.ndarray, gy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values at x of the Catmull-Rom interpolant of node values gy at the
+    G >= 4 equally spaced nodes gx, which span every x: shape (len(x), k)
+    for gy of shape (G, k), (len(x), 1) for gy of shape (G,).
+
+    In the cell [gx[j], gx[j + 1]) of :func:`_grid_cell` it is the cubic
+    Hermite interpolant of y[j] and y[j + 1] with the slopes
+    (y[j + 1] - y[j - 1]) / 2 and (y[j + 2] - y[j]) / 2 per spacing; the
+    end cells take the node beyond the end from the cubic through the four
+    end values, 4 y[0] - 6 y[1] + 4 y[2] - y[3] and its mirror. It takes
+    each node's value at the node (the last, which closes the last cell, up
+    to rounding), is exact on quadratic node values, and its integral over
+    each cell is that of the fourth-order antiderivative
+    (:func:`_grid_integrals`). It adds differences of neighbouring node
+    values to y[j], so equal neighbours give their value exactly.
+    """
+    gy = gy.reshape(gx.shape[0], -1)
+    j, u = _grid_cell(gx, x)
+    v = 1.0 - u
+    # y[j] + a0 d0 + a1 d1 + a2 d2, with d0 = y[j] - y[j - 1], d1 = y[j + 1] - y[j]
+    # and d2 = y[j + 2] - y[j + 1].
+    coef = np.stack([0.5 * u * v * v, u * (0.5 + u * (1.5 - u)), -0.5 * u * u * v], axis=1)
+    for end, cell in ((j == 0, _FIRST_CELL), (j == gx.shape[0] - 2, _LAST_CELL)):
+        coef[end] = coef[end] @ cell
+    # The differences e0, e1, e2 of the four node values from base on.
+    base = np.clip(j - 1, 0, gx.shape[0] - 4)
+    out = gy[j]
+    lower = gy[base]
+    for r in range(3):
+        upper = gy[base + r + 1]
+        diff = np.subtract(upper, lower, out=lower)
+        diff *= coef[:, r, None]
+        out += diff
+        lower = upper
+    return out
 
 
 def integrate_nu_many(lo, hi, l, nu, weight=None) -> np.ndarray:
@@ -650,8 +707,8 @@ class NuFn(_PointwiseFn):
 def _unit_width(nu, n_nodes: int) -> int:
     """Elements per covariate row of ``nu.node_odds`` at n_nodes nodes:
     for fitted odds the row's columns of the (G, 2k) sums and (m, 2k)
-    weights (256 rows a chunk at G = m = ``ANTIDERIV_GRID``), else its G
-    values."""
+    weights (256 covariate rows a chunk at G = m = ``ANTIDERIV_GRID``),
+    else its G values."""
     return 2 * max(n_nodes, nu.z.shape[0]) if isinstance(nu, NuFn) else n_nodes
 
 
@@ -666,15 +723,36 @@ def _node_odds_chunks(nodes, l, nu, shared_width: int):
         yield sl, nu.node_odds(nodes, l[sl]) if shared is None else shared
 
 
+def _node_odds_table(nodes, l, nu) -> np.ndarray:
+    """The node odds of :func:`_node_odds_chunks` for the k >= 1 rows of l
+    in one table: (G, k) with covariates, the one shared column (G, 1)
+    without them."""
+    chunks = _node_odds_chunks(nodes, l, nu, 1)
+    if not l.shape[1]:
+        return next(chunks)[1]
+    table = np.empty((nodes.shape[0], l.shape[0]))
+    for sl, odds in chunks:
+        table[:, sl] = odds
+    return table
+
+
+def _interval_signs(t, lo, hi) -> np.ndarray:
+    """s_i(t_g), shape (G, k) for G points t and k intervals: 1 for t in
+    (lo_i, hi_i], -1 for t in (hi_i, lo_i] and 0 elsewhere."""
+    t = t[:, None]
+    s = (lo < t).astype(float)
+    s -= hi < t
+    return s
+
+
 def signed_odds(nodes, lo, hi, l, nu):
     """Chunks (idx, S) of the units i whose interval meets [min(nodes),
-    max(nodes)], S[g, j] = s_i(t_g) nu(t_g, l_i) for i = idx[j], with
-    s_i(t) = 1 for t in (lo_i, hi_i], -1 for t in (hi_i, lo_i] and 0
-    elsewhere.
+    max(nodes)], S[g, j] = s_i(t_g) nu(t_g, l_i) for i = idx[j], with the
+    signs s_i of :func:`_interval_signs`.
 
-    The estimator reads it once per fold, for a step link's control
-    correction (its jump sizes against S at the jumps) and for the QTT
-    moment (S at the scan nodes) alike. The odds are the node odds of
+    The estimator reads it once per fold for a step link's control
+    correction, its jump sizes against S at the jumps, the QTT's at its
+    root included. The odds are the node odds of
     :func:`_node_odds_chunks`, with a unit's G signs per row.
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -684,10 +762,9 @@ def signed_odds(nodes, lo, hi, l, nu):
                            & (np.maximum(lo, hi) >= nodes.min(initial=np.inf)))
     if units.size == 0:
         return
-    t = nodes[:, None]
     for sl, odds in _node_odds_chunks(nodes, l[units], nu, nodes.shape[0]):
         idx = units[sl]
-        s = ((lo[idx] < t) & (t <= hi[idx])).astype(float) - ((hi[idx] < t) & (t <= lo[idx]))
+        s = _interval_signs(nodes, lo[idx], hi[idx])
         yield idx, np.multiply(s, odds, out=s)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,15 @@ class TestColdStart:
         proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                               text=True, timeout=60, check=True)
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--no-such-flag"], 2)])
+    def test_the_package_runs_as_a_module(self, argv, code):
+        # python -m cicdml from a checkout, without an installed entry point.
+        src = str(Path(cicdml.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "cicdml", *argv], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == code
+        assert "usage: cicdml" in (proc.stdout if code == 0 else proc.stderr)
 
 
 class TestIngestErrors:
@@ -265,12 +275,14 @@ class TestExitCodes:
         ["--bandwidth", "-1"],
         ["--bandwidth", "inf"],
         ["--estimand", "qtt", "--tau", "0.5", "--f-min", "0"],
+        ["--estimand", "qtt", "--tau", "0.5", "--f-min", "inf"],
     ])
     def test_bad_values_exit_2_with_an_error_line(self, tmp_path, dataset, capsys, extra):
         rc, _ = run_estimate(tmp_path, "out.json", "--input", str(dataset), *extra)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_an_alpha_whose_quantile_is_infinite_exits_2_before_any_fit(
             self, tmp_path, dataset, capsys, monkeypatch):

@@ -151,6 +151,14 @@ class TestFitFoldNuisances:
             CrossFitConfig(bandwidth=bandwidth)
         assert CrossFitConfig(bandwidth=np.float64(0.3)).bandwidth == 0.3
 
+    # An infinite floor would make every score zero, and the interval a
+    # point.
+    @pytest.mark.parametrize("f_min", [np.inf, np.nan, 0.0, -1e-3])
+    def test_the_density_floor_is_finite_and_positive(self, f_min):
+        with pytest.raises(ValueError, match="f_min must be finite and positive"):
+            CrossFitConfig(f_min=f_min)
+        assert CrossFitConfig(f_min=2e-3).f_min == 2e-3
+
 
 class TestSolveQuantileRoot:
     """The two quantile rules: the treated quantile read from weighted
@@ -322,10 +330,25 @@ def captured_moment(monkeypatch, cf, link):
     return seen
 
 
+def one_fold(cf, k=0):
+    """The engine with fold k's nuisances for every unit: one fold, whose
+    node-odds table is the whole moment's."""
+    return _CrossFit(cf.data, FoldAssignment(fold_of=np.zeros(cf.data.n, dtype=int), K=1),
+                     [cf.fitted[k]])
+
+
+def table_nodes(cf, k=0):
+    """The nodes of fold k's node-odds table: those of its controls' odds
+    integral."""
+    ctrl = cf.ctrl_of[k]
+    return nuisance._odds_nodes(cf.data.y1[ctrl], cf.gamma_of[ctrl], cf.fitted[k].nu)
+
+
 class TestQuantileMoment:
-    """The QTT moment on every scan node in one call, against the
-    per-point formula it replaced: the link summed over the treated minus
-    the pi-weighted control corrections at each t."""
+    """The QTT moment of the root solve, which reads each fold's node-odds
+    table through its interpolant, against the per-point formula: the link
+    summed over the treated minus the pi-weighted control corrections at
+    each t, from the exact signed odds."""
 
     @staticmethod
     def per_point(cf, link, t):
@@ -336,52 +359,86 @@ class TestQuantileMoment:
         c = cf.terms(link, t)[1][~treated] / cf.pi_of[~treated]
         return np.sum(v) - np.sum(c), -np.sum(c), np.abs(v).sum() + np.abs(c).sum()
 
-    def check(self, monkeypatch, cf, budget=None):
+    def check(self, monkeypatch, cf, bound, t=None):
+        """The moment at the points t, by default the first scan's 256
+        nodes, within bound times the scale of the per-point formula's
+        terms, with a control part that is not vacuous."""
         link = gtilde_quantile(0.5)
         moment = captured_moment(monkeypatch, cf, link)
-        if budget is not None:
-            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
-        nodes = moment["nodes"]
-        got = moment["fn"](nodes)
-        want, ctrl, scale = np.array([self.per_point(cf, link, t) for t in nodes]).T
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        # The control part is not vacuous.
+        t = moment["nodes"] if t is None else t
+        got = moment["fn"](t)
+        want, ctrl, scale = np.array([self.per_point(cf, link, x) for x in t]).T
+        assert np.all(np.abs(got - want) <= bound * scale)
         assert np.count_nonzero(ctrl) >= 20
-        return cf
+        return got
+
+    def check_root(self, monkeypatch, cf):
+        """The root of the table's moment is the per-point moment's."""
+        link = gtilde_quantile(0.5)
+        bracket = captured_moment(monkeypatch, cf, link)["bracket"]
+        exact = solve_quantile_root(
+            lambda t: np.array([self.per_point(cf, link, x)[0] for x in t]), bracket)
+        assert cf.quantile_root(link) == exact
+
+    def check_engine(self, monkeypatch, cf, scan_bound):
+        """At the table's own nodes (one fold), where the interpolant is the
+        table, the per-point moment up to rounding; at the 256 nodes of the
+        first scan, within the measured interpolation bound; and the same
+        root."""
+        one = one_fold(cf)
+        self.check(monkeypatch, one, 1e-12, table_nodes(one))
+        self.check(monkeypatch, cf, scan_bound)
+        self.check_root(monkeypatch, cf)
 
     def test_fitted_odds_without_covariates(self, monkeypatch):
         # The per-point formula's one node takes the dense sums; so do the
-        # scan's nodes here.
+        # tables here. Measured at the scan nodes: 1.8e-7.
         monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", 0)
-        self.check(monkeypatch, fitted_engine("did", 400))
+        self.check_engine(monkeypatch, fitted_engine("did", 400), 2e-7)
 
     def test_binned_scan_odds_stay_near_the_dense_ones(self, monkeypatch):
-        # The scan's nodes, 0.11-0.12 h apart, take the binned sums in
-        # every fold. Measured: 6.5e-6 of the moment's absolute terms.
-        cf = fitted_engine("did", 400)
+        # Every fold's table takes the binned sums on its nodes, h / 16
+        # apart. Measured at the scan nodes: 6.9e-7 of the moment's absolute
+        # terms.
+        cf = fitted_engine("did", 1000)
+        for k, eta in enumerate(cf.fitted):
+            nu = eta.nu
+            assert nuisance._binned_nw_sums(table_nodes(cf, k), nu.z[:, 0], nu.a,
+                                            nu.h[0]) is not None
         link = gtilde_quantile(0.5)
         moment = captured_moment(monkeypatch, cf, link)
         nodes = moment["nodes"]
-        for eta in cf.fitted:
-            nu = eta.nu
-            assert nuisance._binned_nw_sums(nodes, nu.z[:, 0], nu.a, nu.h[0]) is not None
         binned = moment["fn"](nodes)
         monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", 0)
-        dense = moment["fn"](nodes)
+        dense = captured_moment(monkeypatch, cf, link)["fn"](nodes)
         scale = np.array([self.per_point(cf, link, t)[2] for t in nodes])
         assert np.all(np.abs(binned - dense) <= 1e-4 * scale)
         assert not np.array_equal(binned, dense)
 
     def test_fitted_odds_with_covariates_across_unit_chunks(self, monkeypatch):
-        # 4000 elements make chunks of 7 control units (m is about 267).
-        cf = self.check(monkeypatch, fitted_engine("stm-cov", 400), budget=4000)
-        assert nuisance._CHUNK_BUDGET // nuisance._unit_width(cf.fitted[0].nu, 256) == 7
+        # 4000 elements make tables of 7-unit chunks (m is about 267) and
+        # scans of chunks of 20 to 62 points. Measured at the scan nodes:
+        # 3.4e-7.
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 4000)
+        cf = fitted_engine("stm-cov", 400)
+        self.check_engine(monkeypatch, cf, 4e-7)
+        nu = cf.fitted[0].nu
+        assert 4000 // nuisance._unit_width(nu, table_nodes(cf).shape[0]) == 7
 
     def test_analytic_odds_with_covariates(self, monkeypatch):
-        # GaussHermiteNu's node odds are its values on the node-by-unit grid.
-        self.check(monkeypatch, oracle_engine("stm-cov", 400))
+        # GaussHermiteNu's node odds are its values on the node-by-unit
+        # grid of ANTIDERIV_GRID nodes. Measured at the scan nodes: 5.0e-12.
+        self.check_engine(monkeypatch, oracle_engine("stm-cov", 400), 1e-11)
+
+    def test_odds_that_grow_fast_in_the_right_tail(self, monkeypatch):
+        # stm-exp's odds grow fast in its long right tail, where the moment
+        # is far from 0: measured 9.4e-4 at t = 23, under 1e-6 below t = 8.
+        cf = fitted_engine("stm-exp", 400)
+        self.check(monkeypatch, cf, 1e-3)
+        self.check_root(monkeypatch, cf)
 
     def test_constant_odds(self, monkeypatch):
+        # Equal node odds interpolate to their value exactly.
         link = gtilde_quantile(0.5)
         cf = constant_odds_engine()
         moment = captured_moment(monkeypatch, cf, link)
@@ -391,6 +448,29 @@ class TestQuantileMoment:
         # -2 up to -1, 0 on (-1, 0.5] where the controls cancel the
         # treated, 2 from 0.5 on.
         assert set(got) == {-2.0, 0.0, 2.0}
+        self.check(monkeypatch, cf, 0.0, table_nodes(cf)[::8])
+        self.check_root(monkeypatch, cf)
+
+    @pytest.mark.parametrize("name", ["did", "stm-cov"])
+    def test_one_table_and_one_root_correction_per_fold(self, monkeypatch, name):
+        # However many scans the root solve makes, each fold calls
+        # node_odds once for its table and once for its correction at the
+        # root.
+        cf = fitted_engine(name, 400)
+        calls = []
+        node_odds = nuisance.NuFn.node_odds
+
+        def counted(nu, nodes, l):
+            calls.append(np.shape(nodes)[0])
+            return node_odds(nu, nodes, l)
+
+        monkeypatch.setattr(nuisance.NuFn, "node_odds", counted)
+        link = gtilde_quantile(0.5)
+        moment = captured_moment(monkeypatch, cf, link)
+        assert moment["calls"] >= 3 and len(calls) == 3
+        calls.clear()
+        cf.terms(link, cf.quantile_root(link))
+        assert len(calls) == 2 * 3 and calls[3:] == [1, 1, 1]
 
     def test_link_solve_rescans_the_crossing_cell(self, monkeypatch):
         # One call on the scan grid, then one per 255-fold narrowing of
@@ -403,16 +483,16 @@ class TestQuantileMoment:
                                                 / math.log(255))
 
     def test_peak_memory_stays_bounded(self, monkeypatch):
-        # One fold over all 2000 units: about 1000 control units meet the
-        # scan range, in chunks of 250 against m = 2000 training rows.
-        # Peaks near 17 MiB; all units in one chunk peaked at 63 MiB.
+        # One fold over all 2000 units: the table of about 1000 control
+        # units is built in chunks of 262 against m = 2000 training rows,
+        # and every scan reads it. Peaks near 17.3 MiB, table and scans
+        # included; node odds for all units in one chunk peaked at 63 MiB.
         data, _ = gen_stm(named_config("stm-cov", n=2000, seed=1))
         eta = fit_fold_nuisances(data, np.arange(data.n), CrossFitConfig(K=5))
         cf = _CrossFit(data, FoldAssignment(fold_of=np.zeros(data.n, dtype=int), K=1), [eta])
-        moment = captured_moment(monkeypatch, cf, gtilde_quantile(0.5))
         tracemalloc.start()
         try:
-            moment["fn"](moment["nodes"])
+            cf.quantile_root(gtilde_quantile(0.5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -739,12 +819,11 @@ class TestParityPins:
         assert report.sigma2_hat == pytest.approx(dense.sigma2_hat, rel=1e-4, abs=0)
 
     # QTT at tau = 0.5, n=4000, K=5: the binned odds move no scan's sign,
-    # so the estimate is the all-dense run's bit for bit. did's first scan
-    # takes the binned sums; stm-exp's, about 2 h apart, is too coarse for
-    # them and takes the dense sums, and its first rescan the binned ones.
+    # so the estimate is the all-dense run's bit for bit. Every fold's
+    # node-odds table takes the binned sums; the scans read the tables.
     BINNED_QTT = {
-        "did": ((1.9421447647559893, 17.442698250571347), 0),
-        "stm-exp": ((2.0420531389360552, 42.15265578505238), 1),
+        "did": (1.9421447647559893, 17.442698250571347),
+        "stm-exp": (2.0420531389360552, 42.15265578505238),
     }
 
     @pytest.mark.parametrize("name", ["did", "stm-exp"])
@@ -761,10 +840,10 @@ class TestParityPins:
 
         monkeypatch.setattr(nuisance, "_binned_nw_sums", recorded)
         report = estimate(data, EstimandSpec.qtt(0.5), config)
-        (theta, sigma2), first = self.BINNED_QTT[name]
-        # One call per fold and scan: the scans before the first binned
-        # one take the dense sums, and the first binned one in every fold.
-        assert served[:5 * (first + 1)] == [False] * (5 * first) + [True] * 5
+        theta, sigma2 = self.BINNED_QTT[name]
+        # One binned table per fold, then one dense single-node call per
+        # fold for the correction at the root.
+        assert served == [True] * 5 + [False] * 5
         assert report.theta_hat == pytest.approx(theta, rel=1e-12, abs=0)
         assert report.sigma2_hat == pytest.approx(sigma2, rel=1e-12, abs=0)
         monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", 0)

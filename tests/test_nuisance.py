@@ -654,6 +654,97 @@ class TestGridIntegrals:
             assert_array_equal(nuisance._grid_integrals(gx, values, hi, lo), -got)
 
 
+class TestGridValues:
+    """The node values' Catmull-Rom interpolant, which the QTT scans read:
+    in the antiderivative's cells (one cell rule), through every node
+    value, exact on quadratic node values and on equal neighbours, and with
+    the antiderivative's cell integrals, end cells included."""
+
+    def test_passes_through_every_node_value(self):
+        rng = np.random.default_rng(6)
+        gx = nuisance._grid_nodes(-1.7, 2.3, nuisance.GRID_MIN)
+        gy = np.exp(rng.standard_normal((gx.shape[0], 3)))
+        # Each node opens its cell; the last closes the last cell, at its
+        # value up to rounding (measured 1.4e-14).
+        assert_array_equal(nuisance._grid_values(gx, gy, gx[:-1]), gy[:-1])
+        assert_array_equal(nuisance._grid_values(gx, gy[:, 0], gx[:-1]), gy[:-1, :1])
+        assert_allclose(nuisance._grid_values(gx, gy, gx[-1:]), gy[-1:], rtol=1e-13, atol=0)
+        # One ulp either side of a node lands in the cell the
+        # antiderivative takes, next to the node's value.
+        for side in (-np.inf, np.inf):
+            near = np.nextafter(gx[1:-1], side)
+            assert_allclose(nuisance._grid_values(gx, gy, near), gy[1:-1], rtol=1e-12, atol=0)
+
+    def test_exact_on_quadratic_node_values(self):
+        rng = np.random.default_rng(7)
+        gx = nuisance._grid_nodes(-1.7, 2.3, nuisance.GRID_MIN)
+        x = np.concatenate([TestGridIntegrals.ends(gx, rng), gx[[0, -1]]])
+        c = rng.standard_normal((3, 4))
+        gy = c[0] + c[1] * gx[:, None] + c[2] * gx[:, None] ** 2
+        # Rounding only: measured at most 7.1e-15.
+        assert_allclose(nuisance._grid_values(gx, gy, x),
+                        c[0] + c[1] * x[:, None] + c[2] * x[:, None] ** 2, rtol=0, atol=1e-13)
+
+    def test_equal_neighbours_give_their_value_exactly(self):
+        # Clipped odds are flat where the clip binds.
+        rng = np.random.default_rng(8)
+        gx = nuisance._grid_nodes(-1.7, 2.3, nuisance.GRID_MIN)
+        gy = np.tile([0.3, 1.7, 99.0], (gx.shape[0], 1))
+        x = rng.uniform(gx[0], gx[-1], 500)
+        assert_array_equal(nuisance._grid_values(gx, gy, x), np.tile(gy[0], (500, 1)))
+
+    def test_cell_integrals_are_the_antiderivatives(self):
+        # Simpson's rule is exact on each cell's cubic. Measured at most
+        # 3.9e-14 relative.
+        rng = np.random.default_rng(9)
+        gx = nuisance._grid_nodes(-1.7, 2.3, nuisance.GRID_MIN)
+        gy = np.exp(rng.standard_normal((gx.shape[0], 5)))
+        mid = 0.5 * (gx[:-1] + gx[1:])
+        delta = (gx[-1] - gx[0]) / (gx.shape[0] - 1)
+        simpson = (gy[:-1] + 4.0 * nuisance._grid_values(gx, gy, mid) + gy[1:]) * delta / 6.0
+        for i in range(gy.shape[1]):
+            cells = nuisance._grid_integrals(gx, gy[:, i], gx[:-1], gx[1:])
+            assert_allclose(simpson[:, i], cells, rtol=1e-12, atol=0)
+
+
+class TestNodeOddsTable:
+    """One fold's node odds for the QTT scans, built from the chunks of
+    _node_odds_chunks."""
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_the_table_is_every_rows_node_odds(self, monkeypatch, p):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(300)
+        l = rng.standard_normal((300, p))
+        nu = fit_nu(x, l, (rng.uniform(size=300) < 0.4).astype(float))
+        nodes = nuisance._grid_nodes(-2.0, 2.0, 100)
+        rows = l[:40]
+        want = nu.node_odds(nodes, rows)
+        # Chunks of 7 rows with covariates.
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 7 * nuisance._unit_width(nu, 100))
+        table = nuisance._node_odds_table(nodes, rows, nu)
+        assert table.shape == (100, 40 if p else 1)
+        assert_allclose(table, want, rtol=1e-13, atol=0)
+
+    def test_peak_memory_at_the_most_nodes(self):
+        # Analytic odds always take ANTIDERIV_GRID nodes: 1100 rows make a
+        # 17.2 MiB table, built in three chunks of at most 512 rows. The
+        # chunks' temporaries measured 70 MiB over the table, and they do
+        # not grow with the rows.
+        nu = GaussHermiteNu(named_config("stm-cov"))
+        rng = np.random.default_rng(11)
+        lo, hi = rng.uniform(-3.0, 3.0, (2, 1100))
+        nodes = nuisance._odds_nodes(lo, hi, nu)
+        assert nodes.shape[0] == nuisance.ANTIDERIV_GRID
+        tracemalloc.start()
+        try:
+            table = nuisance._node_odds_table(nodes, rng.standard_normal((1100, 2)), nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 80 * 2 ** 20
+
+
 class TestFactorisedOddsIntegral:
     """NuFn.integral_many: the fourth-order antiderivative on shared
     nodes, GRID_PER_BANDWIDTH per x-bandwidth, one column of node odds per
