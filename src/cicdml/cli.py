@@ -2,8 +2,14 @@
 
 CSV schema: header ``y0,y1,a,l1,...,lp`` (covariate columns optional),
 decimal point, UTF-8 with or without a byte-order mark; the treatment
-column must parse to 0 or 1. Floats are serialized with 17 significant
-digits so a simulate/ingest round trip reproduces the data bit-exactly.
+column must parse to 0 or 1. The data rows are read in one pass of
+numpy's C parser when every field is an ASCII decimal, ``inf`` or
+``nan``, bare, quoted or padded with spaces or tabs; other spellings that
+Python's ``float`` reads (``1_0``, non-ASCII digits or padding) and
+every malformed file go through the csv reader, which gives the same
+values and words each error with its line number. Floats are serialized
+with 17 significant digits so a simulate/ingest round trip reproduces
+the data bit-exactly.
 JSON output carries a fixed schema-version field and deterministic key
 order, so identical commands with identical seeds produce
 byte-identical bytes.
@@ -21,6 +27,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -51,38 +58,76 @@ def ingest_csv(path: str) -> PanelDataset:
     """Parse a dataset CSV and validate it.
 
     Header must be ``y0,y1,a`` followed by ``l1..lp`` in order; blank
-    lines are skipped. The data rows become one float array in one
-    conversion; a bad row raises with its 1-based line number.
+    lines are skipped. The data rows of a file take one pass of numpy's
+    C parser (``np.loadtxt``), which reads ASCII decimals, ``inf`` and
+    ``nan``, quoted or padded fields and any line end. Rows it refuses
+    (``1_0``, non-ASCII digits or padding, a wrong field count, a
+    treatment other than 0 or 1, no rows at all), and the rows of a
+    pipe, are read by the csv reader and converted as one float array,
+    which gives Python's ``float`` spellings the same values and words
+    every error with its 1-based line number.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError("empty file", line=1)
-    header = [h.strip() for h in rows[0]]
-    if header[:3] != ["y0", "y1", "a"]:
-        raise ParseError(f"header must start with y0,y1,a; got {header[:3]}", line=1)
-    p = len(header) - 3
-    expected = [f"l{j + 1}" for j in range(p)]
-    if header[3:] != expected:
-        raise ParseError(f"covariate columns must be {expected}; got {header[3:]}", line=1)
-    body = [row for row in rows[1:] if row]
-    try:
-        values = np.array(body, dtype=float).reshape(len(body), 3 + p)
-    except ValueError:
-        values = None
-    if values is None or not np.isin(values[:, 2], (0.0, 1.0)).all():
-        raise _row_error(rows, 3 + p)
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError("empty file", line=1)
+        header = [h.strip() for h in first]
+        if header[:3] != ["y0", "y1", "a"]:
+            raise ParseError(f"header must start with y0,y1,a; got {header[:3]}", line=1)
+        p = len(header) - 3
+        expected = [f"l{j + 1}" for j in range(p)]
+        if header[3:] != expected:
+            raise ParseError(f"covariate columns must be {expected}; got {header[3:]}", line=1)
+        # A pipe can be read only once, so the csv reader alone reads it.
+        values = _loadtxt_values(fh, 3 + p) if fh.seekable() else None
+        if values is None:
+            if fh.seekable():
+                fh.seek(0)
+                next(reader)
+            values = _csv_values([first, *reader], 3 + p)
     data = PanelDataset(y0=values[:, 0].copy(), y1=values[:, 1].copy(),
                         a=values[:, 2].astype(int), l=values[:, 3:].copy())
     validate(data)
     return data
 
 
+def _loadtxt_values(fh, width: int) -> Optional[np.ndarray]:
+    """The rows after the header as an (n, width) float array with 0/1
+    treatments, in one ``np.loadtxt`` pass over the open file; None
+    where the parser refuses the text or reads no rows, other widths or
+    other treatments, which the csv reader then reads again."""
+    try:
+        with warnings.catch_warnings():
+            # A file without data rows warns; the csv reader words it.
+            warnings.simplefilter("error")
+            values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if values.shape[1] != width or not np.isin(values[:, 2], (0.0, 1.0)).all():
+        return None
+    return values
+
+
+def _csv_values(rows: list, width: int) -> np.ndarray:
+    """The data rows of the csv reader's rows (header first) as one
+    (n, width) float array with 0/1 treatments, converted in one call;
+    else the first bad row's error (:func:`_row_error`)."""
+    body = [row for row in rows[1:] if row]
+    try:
+        values = np.array(body, dtype=float).reshape(len(body), width)
+    except ValueError:
+        values = None
+    if values is None or not np.isin(values[:, 2], (0.0, 1.0)).all():
+        raise _row_error(rows, width)
+    return values
+
+
 def _row_error(rows: list, width: int) -> ValueError:
     """The error of the first bad data row below the header: a wrong
     field count, a field that is not a float, or a treatment other than
     0 or 1, numbered by its line. It only words the error that the
-    conversion in ``ingest_csv`` met."""
+    conversion in :func:`_csv_values` met."""
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue

@@ -293,11 +293,17 @@ class GaussHermiteNu(_PointwiseFn):
 
     def node_odds(self, nodes, l):
         """Odds at the G nodes for each of the k covariate rows of l, shape
-        (G, k), on the node-by-row grid; one column (G, 1) without them."""
+        (G, k), on the node-by-row grid; one column (G, 1) without them.
+        The grid is formed in blocks of nodes that fill an eighth of the
+        budget, as in ``NuFn._node_sums``."""
         rows = l if l.shape[1] else np.empty((1, 0))
         k = rows.shape[0]
-        vals = self.evaluate_many(np.repeat(nodes, k), np.tile(rows, (nodes.shape[0], 1)))
-        return vals.reshape(nodes.shape[0], k)
+        out = np.empty((nodes.shape[0], k))
+        for sl in _chunks(nodes.shape[0], 8 * k):
+            block = nodes[sl]
+            vals = self.evaluate_many(np.repeat(block, k), np.tile(rows, (block.shape[0], 1)))
+            out[sl] = vals.reshape(block.shape[0], k)
+        return out
 
     def integral_many(self, lo, hi, l):
         """Signed odds integrals over [lo_i, hi_i] at covariates l_i.

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cicdml
 from cicdml import cli, validation
@@ -64,6 +66,21 @@ class TestRoundTrip:
         back = ingest_csv(str(path))
         for field in ("y0", "y1", "a", "l"):
             np.testing.assert_array_equal(getattr(back, field), getattr(data, field))
+
+    def test_common_files_take_one_parser_pass(self, monkeypatch, tmp_path, dataset):
+        # Neither the text that simulate writes nor quoted and padded
+        # fields under a byte-order mark with bare-CR ends reach the csv
+        # reader.
+        def refuse(rows, width):
+            raise AssertionError("read again by the csv reader")
+
+        monkeypatch.setattr(cli, "_csv_values", refuse)
+        assert ingest_csv(str(dataset)).n == 300
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b'\xef\xbb\xbfy0,y1,a\r"1.5", -2 ,1\r\r"+.5e1",\t1e3,"0"\r')
+        data = ingest_csv(str(path))
+        np.testing.assert_array_equal(np.c_[data.y0, data.y1], [[1.5, -2.0], [5.0, 1000.0]])
+        assert data.a.tolist() == [1, 0]
 
     def test_a_byte_order_mark_is_skipped(self, tmp_path, dataset):
         # Spreadsheet exports start their UTF-8 files with one.
@@ -137,10 +154,18 @@ class TestIngestErrors:
         ("", ParseError, "line 1: empty file"),
         ("y0,y1,a\n", DimensionMismatch, "need at least 2 observations"),
         ("y0,y1,a\n1,nan,0\n1,2,1\n", NonFiniteValue, "y1 contains non-finite values"),
+        ("\ny0,y1,a\n1,2,0\n", ParseError, "line 1: header must start with y0,y1,a; got []"),
+        ("y0,y1,a\r1,2,0\r\r1,x,1\r", ParseError,
+         "line 4: could not convert string to float: 'x'"),
+        ("y0,y1,a\n1_0,2,0\n\u0663,2,2\n", NonBinaryTreatment,
+         "line 3: treatment must be 0 or 1, got 2"),
+        ("y0,y1,a,l1\n1,2,0,3#4\n1,2,1,5\n", ParseError,
+         "line 2: could not convert string to float: '3#4'"),
     ], ids=["bad-float", "empty-field", "short-row", "long-row", "blank-space-row",
             "treatment-2-after-blank", "treatment-nan-crlf", "first-bad-row-wins",
             "float-before-width", "header", "covariate-header", "empty-file", "header-only",
-            "non-finite-outcome"])
+            "non-finite-outcome", "blank-first-line", "bare-cr", "csv-reader-spellings",
+            "no-comments"])
     def test_error_class_message_and_line(self, tmp_path, text, error, message):
         path = tmp_path / "bad.csv"
         path.write_bytes(text.encode())
@@ -159,6 +184,192 @@ class TestIngestErrors:
         np.testing.assert_array_equal(data.y1, [2.0, 4.0])
         np.testing.assert_array_equal(data.l, [[7.0], [8.0]])
         assert data.a.tolist() == [1, 0] and data.a.dtype == np.int64
+        # Bare-CR line ends, with a blank line.
+        path.write_bytes(b"y0,y1,a\r1.5,2,1\r\r3,4,0\r")
+        data = ingest_csv(str(path))
+        np.testing.assert_array_equal(np.c_[data.y0, data.y1], [[1.5, 2.0], [3.0, 4.0]])
+        assert data.a.tolist() == [1, 0]
+        # Spellings that only Python's float reads: an underscore,
+        # non-ASCII digits and padding. The csv reader converts them.
+        path.write_bytes("y0,y1,a\n1_0,\u0662.5,0\n\u00a03,\uff14,1\n".encode())
+        data = ingest_csv(str(path))
+        np.testing.assert_array_equal(np.c_[data.y0, data.y1], [[10.0, 2.5], [3.0, 4.0]])
+        assert data.a.tolist() == [0, 1]
+
+    def test_a_pipe_is_read_by_the_csv_reader(self):
+        # A pipe can be read only once, so its rows never take numpy's
+        # parser: they get the csv reader's values and errors.
+        def pipe(text):
+            read, write = os.pipe()
+            os.write(write, text.encode())
+            os.close(write)
+            return read
+
+        read = pipe("y0,y1,a\n1_0,2,0\n3,4,1\n")
+        try:
+            np.testing.assert_array_equal(ingest_csv(f"/dev/fd/{read}").y0, [10.0, 3.0])
+        finally:
+            os.close(read)
+        read = pipe("y0,y1,a\n1,2,0\n\n1,2,2\n")
+        try:
+            with pytest.raises(NonBinaryTreatment, match="^line 4: treatment must be 0 or 1"):
+                ingest_csv(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+
+
+def _reference_ingest(path: str):
+    """The conversion that ingest_csv made with the csv reader alone:
+    its rows, then one np.array call, then the first bad row's error;
+    without the dataset checks, so that every value is compared."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError("empty file", line=1)
+    header = [h.strip() for h in rows[0]]
+    if header[:3] != ["y0", "y1", "a"]:
+        raise ParseError(f"header must start with y0,y1,a; got {header[:3]}", line=1)
+    p = len(header) - 3
+    expected = [f"l{j + 1}" for j in range(p)]
+    if header[3:] != expected:
+        raise ParseError(f"covariate columns must be {expected}; got {header[3:]}", line=1)
+    body = [row for row in rows[1:] if row]
+    try:
+        values = np.array(body, dtype=float).reshape(len(body), 3 + p)
+    except ValueError:
+        values = None
+    if values is None or not np.isin(values[:, 2], (0.0, 1.0)).all():
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != 3 + p:
+                raise ParseError(f"expected {3 + p} fields, got {len(row)}", line=lineno)
+            try:
+                treatment = [float(v) for v in row][2]
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            if treatment not in (0.0, 1.0):
+                raise NonBinaryTreatment(
+                    f"line {lineno}: treatment must be 0 or 1, got {row[2]}")
+        raise ParseError("malformed data rows")
+    return cli.PanelDataset(y0=values[:, 0].copy(), y1=values[:, 1].copy(),
+                            a=values[:, 2].astype(int), l=values[:, 3:].copy())
+
+
+_DIGITS = st.text("0123456789", max_size=4)
+_SIGN = st.sampled_from(["", "+", "-"])
+# ASCII decimals with sign and exponent, and the inf and nan forms.
+_DECIMAL = st.one_of(
+    st.builds(lambda sign, whole, frac, exp: sign + whole + frac + exp, _SIGN, _DIGITS,
+              st.one_of(st.just(""), _DIGITS.map(".".__add__)),
+              st.one_of(st.just(""), st.builds("".join, st.tuples(
+                  st.sampled_from("eE"), _SIGN, _DIGITS)))),
+    st.floats().map("{:.17g}".format),
+    st.sampled_from(["inf", "-inf", "+Inf", "Infinity", "-infinity", "nan", "NaN", "-nan",
+                     "+NAN"]),
+)
+# Spellings that Python's float reads and numpy's parser may not, fields
+# that neither reads, and treatments other than 0 or 1.
+_ODD = st.sampled_from([
+    "1_0", "1__0", "_1", "\u0661", "\u0967\u0968", "\uff11.5", "\u00a01", "1\u00a0", "",
+    "x", "0x1p3", "1e", ".", "1#2", '"1"2', '"1" ', '"1\n2"', '" 1\r\n"', '"', 'a"b',
+    '"1""2"', "2", "0.5", "nan", "-1"])
+_PAD = st.sampled_from(["", "", " ", "\t", "  "])
+_BINARY = st.sampled_from(["0", "1", "1.0", "-0", "0e0", "+1", "00", ".0e-0"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_SPACES = st.sampled_from([" ", "\t", "  ", " \t"])
+
+
+def _reads(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _dressed(draw, core):
+    """A field: padded with spaces or tabs, then maybe quoted."""
+    field = draw(_PAD) + draw(core) + draw(_PAD)
+    return f'"{field}"' if draw(st.booleans()) else field
+
+
+@st.composite
+def _csv_texts(draw):
+    """Dataset texts under a header of p covariates: rows of decimals
+    that float reads with 0/1 treatments, and blank lines, the common
+    files. A third of them then take one odd field or line, and a third
+    mix odd fields and lines throughout."""
+    p = draw(st.integers(0, 2))
+    width = 3 + p
+    mode = draw(st.sampled_from(["common", "one odd piece", "mixed"]))
+    field, treatment = _dressed(_DECIMAL.filter(_reads)), _dressed(_BINARY)
+    kinds = ["row"] * 6 + ["blank"]
+    if mode == "mixed":
+        field = treatment = st.one_of(_dressed(_DECIMAL), _dressed(_BINARY), _ODD)
+        kinds += ["space", "ragged"]
+    lines = [["y0", "y1", "a"] + [f"l{j + 1}" for j in range(p)]]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(_SPACES))
+        else:
+            count = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            lines.append([draw(treatment if j == 2 else field) for j in range(count)])
+    if mode == "one odd piece" and len(lines) > 1:
+        i = draw(st.integers(1, len(lines) - 1))
+        row = lines[i] or [draw(field) for _ in range(width)]
+        change = draw(st.sampled_from(["field", "short", "long", "space"]))
+        if change == "field":
+            row[draw(st.integers(0, width - 1))] = draw(_ODD)
+        elif change == "short":
+            row = row[:-1]
+        elif change == "long":
+            row = row + ["1"]
+        else:
+            row = draw(_SPACES)
+        lines[i] = row
+    ends = draw(st.one_of(_LINE_ENDS, st.none()))
+    text = "".join((line if isinstance(line, str) else ",".join(line))
+                   + (ends or draw(_LINE_ENDS)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _ingest_outcome(read, path: str):
+    """The arrays that read gives, by dtype, shape and bytes, or the class
+    and message of its error."""
+    try:
+        data = read(path)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return [(v.dtype.str, v.shape, v.tobytes()) for v in (data.y0, data.y1, data.a, data.l)]
+
+
+class TestIngestParity:
+    """ingest_csv gives what the csv reader's conversion gave, bit for bit,
+    or its error: numpy's parser reads no spelling that the csv reader
+    refuses, reads none to another value, and hands back every file it
+    refuses."""
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("parity") / "data.csv")
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(text=_csv_texts())
+    def test_matches_the_csv_reader(self, csv_path, text):
+        with open(csv_path, "wb") as fh:
+            fh.write(text.encode())
+        want = _ingest_outcome(_reference_ingest, csv_path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "validate", lambda data: None)
+            got = _ingest_outcome(ingest_csv, csv_path)
+        assert got == want
 
 
 class TestSimulateReport:

@@ -728,9 +728,10 @@ class TestNodeOddsTable:
 
     def test_peak_memory_at_the_most_nodes(self):
         # Analytic odds always take ANTIDERIV_GRID nodes: 1100 rows make a
-        # 17.2 MiB table, built in three chunks of at most 512 rows. The
-        # chunks' temporaries measured 70 MiB over the table, and they do
-        # not grow with the rows.
+        # 17.2 MiB table, built in three chunks of at most 512 rows, each
+        # chunk's node-by-row grid in blocks of nodes. The temporaries
+        # measured 46 MiB over the table, and they do not grow with the
+        # rows.
         nu = GaussHermiteNu(named_config("stm-cov"))
         rng = np.random.default_rng(11)
         lo, hi = rng.uniform(-3.0, 3.0, (2, 1100))
@@ -742,7 +743,7 @@ class TestNodeOddsTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < table.nbytes + 80 * 2 ** 20
+        assert peak < table.nbytes + 56 * 2 ** 20
 
 
 class TestFactorisedOddsIntegral:
