@@ -69,7 +69,7 @@ def ingest_csv(path: str) -> PanelDataset:
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
+        first = next(_csv_rows(reader), None)
         if first is None:
             raise ParseError("empty file", line=1)
         header = [h.strip() for h in first]
@@ -83,13 +83,25 @@ def ingest_csv(path: str) -> PanelDataset:
         values = _loadtxt_values(fh, 3 + p) if fh.seekable() else None
         if values is None:
             if fh.seekable():
+                # A new reader numbers the lines from the top again.
                 fh.seek(0)
+                reader = csv.reader(fh)
                 next(reader)
-            values = _csv_values([first, *reader], 3 + p)
+            values = _csv_values([first, *_csv_rows(reader)], 3 + p)
     data = PanelDataset(y0=values[:, 0].copy(), y1=values[:, 1].copy(),
                         a=values[:, 2].astype(int), l=values[:, 3:].copy())
     validate(data)
     return data
+
+
+def _csv_rows(reader):
+    """The rows of a csv reader; an error of the reader itself, such as a
+    field over the csv module's size limit, as a ParseError numbered by
+    the line where the reader met it."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _loadtxt_values(fh, width: int) -> Optional[np.ndarray]:
@@ -157,7 +169,9 @@ def _write_files(cfg: argparse.Namespace, report: str, texts: Optional[dict] = N
     each path's text of ``texts``. Every path is opened, not yet
     truncated, before any is written, so a path that cannot be opened
     leaves the others as they were; the files this call created are
-    removed again when it fails. Stdout is written after every file."""
+    removed again when it fails. A regular file is truncated before it is
+    written, a device or a pipe written as it is. Stdout is written after
+    every file."""
     texts = dict(texts or {})
     if cfg.output:
         texts[cfg.output] = report
@@ -166,8 +180,11 @@ def _write_files(cfg: argparse.Namespace, report: str, texts: Optional[dict] = N
         with contextlib.ExitStack() as stack:
             handles = [stack.enter_context(open(path, "a", newline="", encoding="utf-8"))
                        for path in texts]
-            for fh, text in zip(handles, texts.values()):
-                fh.truncate(0)
+            for fh, (path, text) in zip(handles, texts.items()):
+                # Only a regular file is truncated: a device such as
+                # /dev/null, seekable or not, or a pipe refuses it.
+                if os.path.isfile(path):
+                    fh.truncate(0)
                 fh.write(text)
     except OSError:
         for path in created:

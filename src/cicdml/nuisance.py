@@ -9,7 +9,8 @@ smoothing over covariates with Silverman-type per-coordinate bandwidths.
 With no covariates they reduce exactly to the empirical CDF, empirical
 quantile, and sample means. Every kernel is the Gaussian product kernel
 exp(-D / 2), with D the summed squared scaled distances over the
-coordinates (:func:`_sq_distances`).
+coordinates (:func:`_sq_distances`, or its product form
+:func:`_expanded_sq_distances`).
 
 Covariates are an (n, p) float matrix everywhere inside the package, and
 p = 0 is an (n, 0) matrix. :func:`_covariate_matrix` is the one place
@@ -25,9 +26,19 @@ units at even positions and scored on those at odd positions.
 
 Every chunked pass (here, in the estimator's root solve and in the
 analytic odds) takes its row slices from :func:`_chunks`, the one reader
-of ``_CHUNK_BUDGET``, and forms kernel weights one coordinate at a time.
-The transport map forms each chunk's covariate weights once for its CDF
-and its quantile, which are fitted on the same control units.
+of ``_CHUNK_BUDGET``. Kernels whose values are returned (the odds and
+their node sums, the densities, ``CondCdf`` and ``CondQuantile``, the
+binned taps) form their weights one coordinate at a time
+(:func:`_product_weights`). The two kernels that are read only through
+comparisons take D from one small matrix product instead
+(:func:`_expanded_sq_distances`): the transport map, whose value is an
+order statistic of the controls' y1, and the odds-scale score
+(:func:`_scaled_odds`), read through an argmin. The product rounds the
+weights by about 1e-13 relative, which moves an output only where a
+cumulative share or a loss lies that close to its comparand. The
+transport map forms each chunk's weights once, for its CDF and its
+quantile, which are fitted on the same control units, in one buffer that
+also holds them in the quantile's order.
 
 ``node_odds(nodes, l)`` is the one primitive for odds at many outcome
 nodes: the odds at every node for each unit's covariates, one shared
@@ -151,6 +162,24 @@ def _sq_distances(query: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.nda
         else:
             acc += u
     return np.zeros((query.shape[0], train.shape[0])) if acc is None else acc
+
+
+def _expanded_sq_distances(query: np.ndarray, train: np.ndarray, h: np.ndarray,
+                           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The distances of :func:`_sq_distances` in product form, shape (Q, m):
+    |q|^2 + |t|^2 - 2 q.t as one (Q, d + 2) by (d + 2, m) matrix product,
+    written into out, clamped at 0. Both sides are first centred on the
+    training rows' mean and scaled by h, so a shift of the covariates
+    costs no precision; the product rounds D by about eps (|q|^2 + |t|^2)
+    in those units, not by eps D as the direct sum does, so only kernels
+    read through comparisons take it."""
+    centre = train.mean(axis=0)
+    qs = (query - centre) / h
+    ts = (train - centre) / h
+    left = np.column_stack([-2.0 * qs, np.einsum("ij,ij->i", qs, qs), np.ones(len(qs))])
+    right = np.vstack([ts.T, np.ones(len(ts)), np.einsum("ij,ij->i", ts, ts)])
+    dist = np.matmul(left, right, out=out)
+    return np.maximum(dist, 0.0, out=dist)
 
 
 def _product_weights(query: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -513,16 +542,30 @@ class CondQuantile(_PointwiseFn):
 
     def _from_cumulative(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The quantile at u_i from row i of the cumulative kernel weights,
-        in the fitted CDF's ``y_sorted`` order; cum is normalised in place.
-        Rows without weight take :meth:`_unweighted`."""
+        in the fitted CDF's ``y_sorted`` order; cum is left as it is. Rows
+        without weight take :meth:`_unweighted`.
+
+        Row i counts its entries with cum[i, j] / total_i below the target
+        u_i (1 - ``QUANTILE_SLACK``). Each row of cum is nondecreasing and
+        dividing by a positive total keeps it so, so the count is a
+        left-sided binary search, run on every row at once, that divides
+        only the entries it probes."""
         total = cum[:, -1]
         ok = total > 1e-300
-        cum /= np.where(ok, total, 1.0)[:, None]
+        scale = np.where(ok, total, 1.0)
         target = u * (1.0 - QUANTILE_SLACK)
-        # Each row of cum is nondecreasing, so counting the entries below
-        # the target is a left-sided searchsorted per row.
-        rows = (cum < target[:, None]).sum(axis=1)
-        out = self.cdf.y_sorted[np.clip(rows, 0, self.cdf.m - 1)]
+        at = np.arange(cum.shape[0])
+        lo = np.zeros(cum.shape[0], dtype=np.intp)
+        hi = np.full(cum.shape[0], cum.shape[1], dtype=np.intp)
+        # Invariant: entries before lo are below the target, entries from
+        # hi on are not; each step halves hi - lo.
+        for _ in range(cum.shape[1].bit_length()):
+            mid = (lo + hi) >> 1
+            below = cum[at, np.minimum(mid, cum.shape[1] - 1)] / scale < target
+            below &= mid < hi
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        out = self.cdf.y_sorted[np.minimum(lo, self.cdf.m - 1)]
         if not ok.all():
             out[~ok] = self._unweighted(u[~ok])
         return out
@@ -542,8 +585,10 @@ class GammaMap(_PointwiseFn):
     and is scattered back to the key's position. With covariates both
     members weight the same units with the same bandwidths, in another
     order: ``perm`` lists the quantile's units as positions in the CDF's
-    order (None for p = 0), so each chunk's kernel weights are formed
-    once and permuted for the quantile.
+    order (None for p = 0). Each chunk allocates one buffer of two halves:
+    its kernel weights, from the product-form distances, fill the first,
+    and the second takes them in the quantile's order, so the halves share
+    each pair's weight bit for bit and both cumulative sums run in place.
     """
 
     cdf0: CondCdf
@@ -566,14 +611,20 @@ class GammaMap(_PointwiseFn):
             j = (k * m1 + m0 - 1) // m0
             return self.quantile1.cdf.y_sorted[np.clip(j - 1, 0, m1 - 1)]
         out = np.empty(y.shape[0])
-        for sl in _chunks(y.shape[0], self.cdf0.m):
-            w = self.cdf0._weights(l[sl])
-            w1 = w[:, self.perm]
+        m = self.cdf0.m
+        for sl in _chunks(y.shape[0], 2 * m):
+            lq = l[sl]
+            buf = np.empty((2, lq.shape[0], m))
+            w = _expanded_sq_distances(lq, self.cdf0.l_by_y, self.cdf0.h, out=buf[0])
+            w *= -0.5
+            np.exp(w, out=w)
+            # mode="clip" writes straight into buf[1]; "raise" would buffer it.
+            w1 = np.take(w, self.perm, axis=1, out=buf[1], mode="clip")
             u = self.cdf0._from_cumulative(np.cumsum(w, axis=1, out=w), y[sl])
             out[sl] = self.quantile1._from_cumulative(np.cumsum(w1, axis=1, out=w1), u)
-            # Freed before the next chunk's weights are formed, so that at
-            # most two chunk buffers are alive at once.
-            del w, w1
+            # Freed before the next chunk's buffer is allocated, which then
+            # reuses its memory: one chunk buffer is alive at a time.
+            del buf, w, w1
         return out
 
 
@@ -773,15 +824,18 @@ def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:
     the bandwidths s h for every s in ``ODDS_SCALES``, one row per s.
 
     One pass over the query rows: each chunk's summed squared scaled
-    distances D (:func:`_sq_distances`) are formed once, and each scale
-    takes one exp(-D / (2 s^2)). A chunk's distances fill at most
-    ``_CHUNK_BUDGET`` / d elements.
+    distances D are formed once, in product form
+    (:func:`_expanded_sq_distances`), as :func:`_odds_scale` reads the odds
+    only through the argmin of their losses; each scale takes one
+    exp(-D / (2 s^2)). A chunk's D and weights share one buffer, each
+    half at most ``_CHUNK_BUDGET`` / d elements.
     """
     fallback = float(a.mean())
     out = np.empty((len(ODDS_SCALES), query.shape[0]))
     for sl in _chunks(query.shape[0], train.size):
-        dist = _sq_distances(query[sl], train, h)
-        w = np.empty_like(dist)
+        q = query[sl]
+        dist, w = np.empty((2, q.shape[0], train.shape[0]))
+        _expanded_sq_distances(q, train, h, out=dist)
         for k, s in enumerate(ODDS_SCALES):
             np.exp(np.multiply(dist, -0.5 / (s * s), out=w), out=w)
             out[k, sl] = _clipped_odds(_nw_ratio(w @ a, w.sum(axis=1), fallback), eps_clip)

@@ -217,6 +217,27 @@ class TestIngestErrors:
         finally:
             os.close(read)
 
+    def test_a_field_over_the_csv_limit_is_a_parse_error(self, tmp_path, capsys):
+        # The C pass refuses the unterminated quote, and the csv reader
+        # then meets the 200 001-character field, over its 131 072 limit.
+        path = tmp_path / "big.csv"
+        path.write_text("y0,y1,a\n1," + "9" * 200_001 + ',0\n1,"2,1\n3,4,0\n')
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(str(path))
+        assert str(exc.value) == "line 2: field larger than field limit (131072)"
+        assert main(["estimate", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: field larger than field limit (131072)\n"
+        assert captured.out == ""
+
+    def test_reread_lines_are_numbered_from_the_top(self, tmp_path):
+        # The C pass refuses 1_0, so the csv reader reads the file again
+        # from the top and numbers its own error by the file's line.
+        path = tmp_path / "bad.csv"
+        path.write_text('y0,y1,a\n1_0,2,0\n\n1,"' + "9" * 200_001 + '",1\n')
+        with pytest.raises(ParseError, match="^line 4: field larger than field limit"):
+            ingest_csv(str(path))
+
 
 def _reference_ingest(path: str):
     """The conversion that ingest_csv made with the csv reader alone:
@@ -707,6 +728,13 @@ class TestExitCodes:
         assert main(["simulate", "--dgp", "did", "--n", "50", "--out", str(out),
                      "--oracle-out", str(tmp_path / "absent" / "x")]) == 2
         assert out.read_text() == "keep"
+
+    def test_output_to_a_device(self, dataset, capsys):
+        # /dev/null is seekable but cannot be truncated: the report is
+        # written to it as it is.
+        assert main(["estimate", "--input", str(dataset), "--folds", "2",
+                     "--output", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

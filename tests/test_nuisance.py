@@ -2,9 +2,12 @@ import ast
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cicdml import nuisance
@@ -19,10 +22,15 @@ from cicdml.dgp import (
 from cicdml.errors import DegenerateArm, InsufficientData
 from cicdml.nuisance import (
     ODDS_SCALES,
+    CondCdf,
+    CondQuantile,
     GammaMap,
+    QUANTILE_SLACK,
     _bandwidth_vector,
+    _expanded_sq_distances,
     _nw_mean,
     _product_weights,
+    _sq_distances,
     estimate_pi,
     fit_cond_cdf,
     fit_cond_quantile,
@@ -82,6 +90,59 @@ class TestProductWeights:
     def test_no_coordinates_gives_ones(self, kernel):
         w = _product_weights(np.empty((4, 0)), np.empty((6, 0)), np.empty(0))
         assert_array_equal(w, np.ones((4, 6)))
+
+
+class TestExpandedSqDistances:
+    """The product form |q|^2 + |t|^2 - 2 q.t of the summed squared
+    distances, on centred and scaled coordinates, against the direct
+    per-coordinate sum."""
+
+    @staticmethod
+    def bound(query, train, h, c=8.0):
+        # Each of the d + 2 products and sums rounds by eps of the sum of
+        # the absolute terms, at most 2 (|qs|^2 + |ts|^2); the direct sum
+        # rounds by eps of D, which is smaller.
+        centre = train.mean(axis=0)
+        qs = ((query - centre) / h) ** 2
+        ts = ((train - centre) / h) ** 2
+        size = qs.sum(axis=1)[:, None] + ts.sum(axis=1)[None, :]
+        return c * (train.shape[1] + 2) * np.finfo(float).eps * (1.0 + size)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_within_the_rounding_of_the_product(self, d, offset):
+        rng = np.random.default_rng(40 + d)
+        train = rng.standard_normal((80, d)) + offset
+        h = rng.uniform(0.2, 1.5, d)
+        # Rows inside the data, far beyond it, and on training rows.
+        far = rng.standard_normal((6, d))
+        far += 40.0 * np.sign(far)
+        query = np.concatenate([rng.standard_normal((30, d)), far, train[:5] - offset]) + offset
+        got = _expanded_sq_distances(query, train, h)
+        want = _sq_distances(query, train, h)
+        assert got.shape == want.shape == (41, 80)
+        assert (np.abs(got - want) <= self.bound(query, train, h)).all()
+        assert want[:30].max() > 1.0 and want[30:36].min() > 100.0
+
+    def test_clamped_at_zero_and_written_into_out(self):
+        # A query on a training row is 0 up to rounding, never below it,
+        # though the unclamped product rounds some of them below 0.
+        rng = np.random.default_rng(44)
+        train = 3.0 + rng.standard_normal((200, 3))
+        h = np.array([0.1, 0.2, 0.05])
+        qs = (train - train.mean(axis=0)) / h
+        sq = np.einsum("ij,ij->i", qs, qs)
+        raw = np.column_stack([-2.0 * qs, sq, np.ones(200)]) @ np.vstack([qs.T, np.ones(200), sq])
+        assert (np.diag(raw) < 0.0).any()
+        out = np.full((200, 200), np.nan)
+        got = _expanded_sq_distances(train, train, h, out=out)
+        assert got is out
+        assert (got >= 0.0).all()
+        assert (np.diag(got) <= self.bound(train, train, h).diagonal()).all()
+
+    def test_no_coordinates_gives_zeros(self):
+        got = _expanded_sq_distances(np.empty((4, 0)), np.empty((6, 0)), np.empty(0))
+        assert_array_equal(got, np.zeros((4, 6)))
 
 
 class TestChunks:
@@ -326,6 +387,66 @@ class TestCondQuantileCount:
         assert_array_equal(quantile.evaluate_many(u, l), _loop_quantile(quantile, u, l))
 
 
+@st.composite
+def _cumulative_rows(draw):
+    """Cumulative kernel weights (k, m) with zero weights, repeated
+    weights and rows without weight, and levels u per row: 0, 1, random,
+    or one whose target u (1 - QUANTILE_SLACK) is a row's cumulative
+    share where some level hits it exactly."""
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, 1.0, 0.5, 1e-300, 3e-7, 1.0 / 3.0, 2.0])
+    w = np.where(rng.uniform(size=(k, m)) < 0.6, rng.choice(pool, (k, m)),
+                 rng.uniform(0.0, 10.0, (k, m)))
+    w[rng.uniform(size=k) < 0.15] = 0.0
+    cum = np.cumsum(w, axis=1)
+    u = rng.uniform(size=k)
+    kind = rng.integers(0, 4, k)
+    u[kind == 0] = 0.0
+    u[kind == 1] = 1.0
+    for i in np.flatnonzero((kind == 2) & (cum[:, -1] > 1e-300)):
+        u[i] = _level_hitting(cum[i, rng.integers(0, m)] / cum[i, -1])
+    return cum, u
+
+
+def _level_hitting(c):
+    """A level u with u (1 - QUANTILE_SLACK) == c, or the nearest one
+    tried where none does (c just below a power of two)."""
+    u = c / (1.0 - QUANTILE_SLACK)
+    for _ in range(16):
+        t = u * (1.0 - QUANTILE_SLACK)
+        if t == c:
+            break
+        u = np.nextafter(u, np.inf if t < c else -np.inf)
+    return u
+
+
+class TestCondQuantileBinarySearch:
+    """The per-row binary search of CondQuantile._from_cumulative counts
+    the entries with cum / total below the target, as one comparison
+    pass over every entry counts them, and leaves cum as it was."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(_cumulative_rows(), st.booleans())
+    def test_count_equals_the_comparison_pass(self, rows, tied):
+        cum, u = rows
+        k, m = cum.shape
+        # Outcome ranks as values read the count off (up to m - 1); tied
+        # outcomes as a second check through the values.
+        ranks = np.arange(m, dtype=float)
+        y = np.floor(ranks / 3.0) if tied else ranks
+        q = CondQuantile(cdf=CondCdf(y_sorted=y, l_by_y=np.zeros((m, 1)), h=np.ones(1)))
+        before = cum.copy()
+        got = q._from_cumulative(cum, u)
+        assert cum.tobytes() == before.tobytes()
+        total = cum[:, -1]
+        ok = total > 1e-300
+        count = (cum / np.where(ok, total, 1.0)[:, None]
+                 < (u * (1.0 - QUANTILE_SLACK))[:, None]).sum(axis=1)
+        want = np.where(ok, y[np.minimum(count, m - 1)], q._unweighted(u))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestGammaMap:
     def test_hand_composed_transport(self):
         gamma = fit_gamma(np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0]))
@@ -420,6 +541,52 @@ class TestGammaMap:
         want = gamma.quantile1.evaluate_many(gamma.cdf0.evaluate_many(yq, lq), lq)
         assert_array_equal(gamma.evaluate_many(yq, lq), want)
         assert_array_equal(gamma.quantile1.cdf.l_by_y, gamma.cdf0.l_by_y[gamma.perm])
+
+
+class TestGammaMapSharedBuffer:
+    """The map's weights, in product form, fill one buffer per chunk whose
+    second half is the first permuted: the halves share each pair's weight,
+    and the map composes the exact halves."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 120), st.integers(1, 3),
+           st.sampled_from([0, 1]), st.sampled_from([1000, 1 << 20]))
+    def test_equals_the_composed_exact_halves(self, seed, m, p, decimals, budget):
+        # Tied outcomes in both periods, query rows near the controls and
+        # beyond the kernels' reach; 1000 elements make chunks of at most
+        # 100 rows.
+        rng = np.random.default_rng(seed)
+        y0 = np.round(rng.standard_normal(m), decimals)
+        y1 = np.round(y0 + rng.standard_normal(m), decimals)
+        l = rng.standard_normal((m, p))
+        yq = np.concatenate([rng.standard_normal(30), np.round(y0[:5], decimals)])
+        lq = np.concatenate([rng.standard_normal((30, p)), l[:5]])
+        lq[rng.uniform(size=35) < 0.1] = 80.0
+        with mock.patch.object(nuisance, "_CHUNK_BUDGET", budget):
+            gamma = fit_gamma(y0, y1, l)
+            want = gamma.quantile1.evaluate_many(gamma.cdf0.evaluate_many(yq, lq), lq)
+            got = gamma.evaluate_many(yq, lq)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_chunk_allocates_one_buffer(self):
+        # One chunk's buffer holds its weights and their permuted copy,
+        # 2 rows m elements; the rest is O((rows + m) (d + 2)).
+        rng = np.random.default_rng(17)
+        m, d = 2000, 2
+        y0 = rng.standard_normal(m)
+        gamma = fit_gamma(y0, y0 + rng.standard_normal(m), rng.standard_normal((m, d)))
+        rows = nuisance._CHUNK_BUDGET // (2 * m)
+        assert [s.stop for s in nuisance._chunks(3 * rows, 2 * m)][0] == rows
+        for n in (rows, 3 * rows):
+            yq, lq = rng.standard_normal(n), rng.standard_normal((n, d))
+            tracemalloc.start()
+            try:
+                gamma.evaluate_many(yq, lq)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            buffer = 2 * rows * m * 8
+            assert buffer < peak <= buffer + 4 * 8 * (rows + m) * (d + 2) + 8 * n + 2**16
 
 
 class TestNuFn:
