@@ -2,9 +2,9 @@
 
 Point and distributional effects on the treated are identified by
 transporting baseline outcomes through the control group's conditional
-quantile-quantile map, and estimated either by direct plug-in or by
-cross-fitted, Neyman-orthogonal estimating equations with valid
-normal-quantile confidence intervals.
+quantile-quantile map, and estimated by cross-fitted,
+Neyman-orthogonal estimating equations with valid normal-quantile
+confidence intervals.
 """
 
 from .data_model import (
@@ -37,9 +37,6 @@ from .estimator import (
     confidence_interval,
     estimate,
     median_adjust,
-    plugin_att,
-    plugin_cdt,
-    plugin_qtt,
     solve_att_once,
     solve_quantile_root,
 )
@@ -64,7 +61,6 @@ from .validation import (
     coverage_study,
     orthogonality_check,
     phi_at,
-    rate_probe,
 )
 
 __version__ = "0.1.0"
@@ -108,11 +104,7 @@ __all__ = [
     "orthogonality_check",
     "partition_folds",
     "phi_at",
-    "plugin_att",
-    "plugin_cdt",
-    "plugin_qtt",
     "qq_invariance_diagnostic",
-    "rate_probe",
     "solve_att_once",
     "solve_quantile_root",
     "true_nuisances",

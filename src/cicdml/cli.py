@@ -207,7 +207,7 @@ def _report(cfg: argparse.Namespace, payload: dict) -> str:
     if cfg.format == "tsv":
         lines = [f"{k}\t{_tsv_value(v)}" for k, v in payload.items()]
         return "\n".join(lines) + "\n"
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _tsv_value(v) -> str:
@@ -231,7 +231,6 @@ def _run_estimate(cfg: argparse.Namespace) -> int:
 
 def _run_simulate(cfg: argparse.Namespace) -> int:
     data, truth = gen_stm(cfg.model)
-    oracle_path = cfg.oracle_out or (cfg.out + ".oracle.json")
     oracle = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -242,9 +241,10 @@ def _run_simulate(cfg: argparse.Namespace) -> int:
         "seed": cfg.seed,
         "config": cfg.model.to_dict(),
     }
-    report = _report(cfg, {"dataset": cfg.out, "oracle": oracle_path, "att_true": truth.att_true})
+    report = _report(cfg, {"dataset": cfg.out, "oracle": cfg.oracle_out,
+                           "att_true": truth.att_true})
     _write_files(cfg, report, {cfg.out: dataset_csv(data),
-                               oracle_path: json.dumps(oracle, indent=2) + "\n"})
+                               cfg.oracle_out: json.dumps(oracle, indent=2) + "\n"})
     return 0
 
 
@@ -445,6 +445,13 @@ def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
     if sub == "simulate":
         args.model = named_config(args.dgp, n=args.n, seed=args.seed, effect=args.effect,
                                   trend=args.trend, pi=args.pi)
+        args.oracle_out = args.oracle_out or args.out + ".oracle.json"
+        # Two outputs on one file would leave only the last text there; a
+        # device such as /dev/null takes any number.
+        files = [os.path.realpath(path) for path in (args.out, args.oracle_out, args.output)
+                 if path and (os.path.isfile(path) or not os.path.exists(path))]
+        if len(set(files)) < len(files):
+            raise ParseError("--out, --oracle-out and --output must name different files")
     if sub == "validate":
         # The checks draw their own mc_size samples; the model's n is unused.
         args.model = named_config(args.dgp, seed=args.seed)

@@ -68,10 +68,6 @@ class PanelDataset:
     def p(self) -> int:
         return self.l.shape[1]
 
-    def transform_outcomes(self, fn) -> "PanelDataset":
-        """Apply a strictly increasing map to all outcomes (both periods)."""
-        return PanelDataset(y0=fn(self.y0), y1=fn(self.y1), a=self.a, l=self.l)
-
 
 def validate(dataset: PanelDataset) -> None:
     """Check the PanelDataset invariants, raising on the first violation.

@@ -413,7 +413,7 @@ def true_pi(cfg: StmConfig) -> float:
 
 
 def true_nuisances(cfg: StmConfig, method: str = "auto",
-                   mc_size: Optional[int] = None, seed: int = 0) -> NuisanceSet:
+                   mc_size: Optional[int] = None, seed: Optional[int] = None) -> NuisanceSet:
     """Oracle nuisance set for a model configuration.
 
     ``method="auto"`` uses the closed-form transport map, the exact
@@ -422,15 +422,18 @@ def true_nuisances(cfg: StmConfig, method: str = "auto",
     Monte Carlo oracle, kept as an independent cross-check of the
     analytic route: the odds of A fitted on the true transported outcome
     and covariates of ``mc_size`` fresh draws (default ``cfg.mc_size``)
-    at 1.5 times Silverman's bandwidths, trading a little bias for low
-    variance, and clipped at 1e-6.
+    from ``seed`` (default 0) at 1.5 times Silverman's bandwidths,
+    trading a little bias for low variance, and clipped at 1e-6. Only
+    that route takes ``mc_size`` and ``seed``.
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be auto or mc")
+    if method != "mc" and (mc_size is not None or seed is not None):
+        raise ValueError("mc_size and seed apply only to method mc")
     gamma = AnalyticGamma(cfg)
     pi = true_pi(cfg)
     if method == "mc":
-        l, _, a, y0, _ = _draw(cfg, mc_size or cfg.mc_size, _rng(seed, 3))
+        l, _, a, y0, _ = _draw(cfg, mc_size or cfg.mc_size, _rng(seed or 0, 3))
         x = gamma(y0, l)
         h = 1.5 * _bandwidth_vector(np.column_stack([x, l]), None)
         nu = fit_nu(x, l, a, bandwidth=h, eps_clip=1e-6)

@@ -18,7 +18,7 @@ class DegenerateArm(CicError, ValueError):
 
 
 class NonFiniteValue(CicError, ValueError):
-    """An outcome or covariate is NaN or infinite."""
+    """An outcome, a covariate or an estimate is NaN or infinite."""
 
 
 class FoldTooSmall(CicError, ValueError):

@@ -9,9 +9,7 @@ confidence interval. One engine, ``_CrossFit``, forms every score,
 the controls' correction included, and one solve, ``_CrossFit.solve``,
 serves every estimand: the ATT is the treated mean minus the mean link,
 the QTT the treated quantile minus the quantile link, a CDT or general
-moment the link alone. Plug-in estimators that evaluate the
-identification formulas directly (no cross-fitting, no inference) live
-here too.
+moment the link alone.
 """
 
 from __future__ import annotations
@@ -31,7 +29,13 @@ from .data_model import (
     validate,
 )
 from .eif import GTildeSpec, gtilde_cdf_indicator, gtilde_counterfactual_mean, gtilde_quantile
-from .errors import DegenerateArm, InsufficientData, NoBracket, NoTreatedInEvaluation
+from .errors import (
+    DegenerateArm,
+    InsufficientData,
+    NoBracket,
+    NonFiniteValue,
+    NoTreatedInEvaluation,
+)
 from .nuisance import (
     DEFAULT_EPS_CLIP,
     DEFAULT_F_MIN,
@@ -44,7 +48,6 @@ from .nuisance import (
     _node_odds_table,
     _odds_nodes,
     estimate_pi,
-    fit_cond_quantile,
     fit_density,
     fit_gamma,
     fit_nu,
@@ -464,7 +467,8 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
     partition with a seed derived from (cfg.seed, repetition), fold-wise
     nuisance fits on complements, estimating-equation solve, variance.
     Repetitions are median-aggregated and a normal interval is attached.
-    Deterministic given the configuration.
+    Deterministic given the configuration. A repetition whose estimate or
+    variance is not finite raises :class:`NonFiniteValue`.
     """
     validate(data)
     reps: List[Tuple[float, float]] = []
@@ -478,59 +482,16 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
             # Called by this module's name: perfbench/layers.py wraps
             # estimator.solve_att_once, and tests/test_perfbench_layers.py
             # requires spans from it.
-            reps.append(solve_att_once(data, folds, fitted))
-            continue
-        theta, psi = _CrossFit(data, folds, fitted).solve(spec)
-        reps.append((theta, float(np.mean(psi * psi))))
+            rep = solve_att_once(data, folds, fitted)
+        else:
+            theta, psi = _CrossFit(data, folds, fitted).solve(spec)
+            rep = (theta, float(np.mean(psi * psi)))
+        if not np.isfinite(rep).all():
+            raise NonFiniteValue(f"repetition {s}: the estimate or its variance is not finite")
+        reps.append(rep)
     theta_hat, sigma2_hat = median_adjust(reps)
     ci_lo, ci_hi = confidence_interval(theta_hat, sigma2_hat, data.n, cfg.alpha)
     return EstimateReport(theta_hat=theta_hat, sigma2_hat=sigma2_hat,
                           ci_lo=ci_lo, ci_hi=ci_hi, per_rep=tuple(reps),
                           estimand=spec, n=data.n, K=cfg.K, S=cfg.S,
                           alpha=cfg.alpha, seed=cfg.seed)
-
-
-# ---------------------------------------------------------------------------
-# Identification-formula plug-ins
-# ---------------------------------------------------------------------------
-
-
-def _fit_full_gamma(data: PanelDataset, bandwidth):
-    a = data.a
-    if (a == 1).sum() == 0 or (a == 0).sum() == 0:
-        raise DegenerateArm("plug-in estimators need both treatment arms")
-    ctrl = a == 0
-    return fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl], bandwidth=bandwidth)
-
-
-def imputed_counterfactuals(data: PanelDataset, bandwidth=None) -> np.ndarray:
-    """Transported baseline outcomes of the treated units (their imputed
-    untreated period-1 outcomes)."""
-    gamma = _fit_full_gamma(data, bandwidth)
-    treated = data.a == 1
-    return np.asarray(gamma(data.y0[treated], data.l[treated]))
-
-
-def plugin_att(data: PanelDataset, bandwidth=None) -> float:
-    """Direct plug-in of the identification formula: fit the transport map
-    on all controls and average y1 minus the transported y0 over the
-    treated. No cross-fitting, no interval."""
-    return float(np.mean(data.y1[data.a == 1] - imputed_counterfactuals(data, bandwidth)))
-
-
-def plugin_cdt(data: PanelDataset, y: float, bandwidth=None) -> float:
-    """Plug-in counterfactual distribution at y: the share of treated units
-    whose transported baseline outcome falls strictly below y."""
-    g = imputed_counterfactuals(data, bandwidth=bandwidth)
-    return float(np.mean(g < y))
-
-
-def plugin_qtt(data: PanelDataset, tau: float, bandwidth=None) -> float:
-    """Plug-in quantile treatment effect on the treated: the empirical
-    tau-quantile of treated y1 minus that of the treated units' transported
-    baseline outcomes, each the generalized inverse of an empirical CDF
-    (a covariate-free :class:`cicdml.nuisance.CondQuantile`)."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
-    g = imputed_counterfactuals(data, bandwidth=bandwidth)
-    return fit_cond_quantile(data.y1[data.a == 1])(tau) - fit_cond_quantile(g)(tau)

@@ -3,8 +3,7 @@
 Verifies, by Monte Carlo, that the ATT score has mean zero at the truth,
 that its moment map is flat to first order in nuisance perturbations
 (with the second-order curvature matching its closed form for tractable
-perturbations), that confidence intervals attain nominal coverage, and
-that nuisance errors shrink with the sample size.
+perturbations), and that confidence intervals attain nominal coverage.
 
 The moment map is Phi(lambda) = E[psi(W; theta_true, eta_lambda)] along
 the segment eta_lambda = eta + lambda * (eta_tilde - eta), lambda in
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +34,8 @@ from .estimator import CrossFitConfig, att_psi_values, estimate
 from .nuisance import (
     ANTIDERIV_GRID,
     NuisanceSet,
-    _bandwidth_vector,
     _grid_integrals,
     _grid_nodes,
-    fit_gamma,
-    fit_nu,
     integrate_nu_many,
 )
 
@@ -310,34 +306,3 @@ def coverage_study(dgp: StmConfig, cfg: CrossFitConfig, n_reps: int,
         rmse=float(np.sqrt(np.mean(errors ** 2))),
         mean_bias=float(errors.mean()),
     )
-
-
-def rate_probe(dgp: StmConfig, n_ladder: Sequence[int] = (500, 2000, 8000),
-               bandwidth_scales: Sequence[float] = (1.0,), eval_size: int = 4000,
-               seed: int = 0) -> List[dict]:
-    """Empirical L2 errors of the fitted transport map and odds against
-    their oracles, across sample sizes and bandwidth scales.
-
-    Fits on a fresh draw of each ladder size, evaluates squared errors
-    on an independent draw, and returns one row per (n, scale).
-    """
-    truth_eta = true_nuisances(dgp)
-    eval_data, _ = gen_stm(replace(dgp, n=eval_size, seed=_derived_seed(seed, 77)))
-    g_true = np.asarray(truth_eta.gamma(eval_data.y0, eval_data.l))
-    nu_true = np.asarray(truth_eta.nu(g_true, eval_data.l))
-    rows = []
-    for n in n_ladder:
-        data, _ = gen_stm(replace(dgp, n=int(n), seed=_derived_seed(seed, int(n))))
-        ctrl = data.a == 0
-        gamma_hat = fit_gamma(data.y0[ctrl], data.y1[ctrl], data.l[ctrl])
-        x_train = gamma_hat(data.y0, data.l)
-        base_h = _bandwidth_vector(np.column_stack([x_train, data.l]), None)
-        g_hat = np.asarray(gamma_hat(eval_data.y0, eval_data.l))
-        gamma_l2 = float(np.sqrt(np.mean((g_hat - g_true) ** 2)))
-        for scale in bandwidth_scales:
-            nu_hat = fit_nu(x_train, data.l, data.a, bandwidth=base_h * scale)
-            nu_vals = np.asarray(nu_hat(g_true, eval_data.l))
-            nu_l2 = float(np.sqrt(np.mean((nu_vals - nu_true) ** 2)))
-            rows.append({"n": int(n), "bandwidth_scale": float(scale),
-                         "gamma_l2": gamma_l2, "nu_l2": nu_l2})
-    return rows

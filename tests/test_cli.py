@@ -722,6 +722,60 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("flags", [
+        ["--out", "x.csv", "--output", "x.csv"],
+        ["--out", "x.csv", "--oracle-out", "x.csv"],
+        ["--out", "y.csv", "--oracle-out", "x.csv", "--output", "x.csv"],
+        ["--out", "y.csv", "--output", "y.csv.oracle.json"],
+        ["--out", "x.csv", "--output", "sub/../x.csv"],
+    ], ids=["out-output", "out-oracle", "oracle-output", "default-oracle-output", "spelled"])
+    def test_simulate_outputs_on_one_file_exit_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, flags, existing):
+        # Each output would replace the one before: the dataset would end
+        # up holding the report or the oracle.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "gen_stm", lambda *args: pytest.fail("gen_stm ran"))
+        target = tmp_path / ("y.csv.oracle.json" if "y.csv.oracle.json" in flags else "x.csv")
+        if existing:
+            target.write_text("keep")
+        assert main(["simulate", "--dgp", "did", "--n", "50", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --out, --oracle-out and --output must name "
+                                "different files\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == ([target] if existing else [])
+        if existing:
+            assert target.read_text() == "keep"
+
+    def test_simulate_writes_report_and_oracle_to_one_device(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--dgp", "did", "--n", "50", "--out", str(out),
+                     "--output", os.devnull, "--oracle-out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert list(tmp_path.iterdir()) == [out]
+        assert ingest_csv(str(out)).n == 50
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_estimate_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        # Outcomes near the largest float overflow the scores' squares:
+        # sigma2_hat is infinite.
+        path = tmp_path / "huge.csv"
+        path.write_text("y0,y1,a\n" + "".join(
+            f"{1e300 * (i % 7)!r},{1e300 * (i % 5)!r},{i % 2}\n" for i in range(60)))
+        rc, _ = run_estimate(tmp_path, "out.json", "--input", str(path))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: repetition 1: the estimate or its variance is not finite\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_json_report_refuses_non_finite_values(self, value):
+        args = argparse.Namespace(subcommand="estimate", format="json")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._report(args, {"sigma2_hat": value})
+
     def test_existing_outputs_are_untouched_when_one_path_fails(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         out.write_text("keep")

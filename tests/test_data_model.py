@@ -54,6 +54,20 @@ class TestValidate:
         with pytest.raises(DimensionMismatch):
             validate(ds)
 
+    @pytest.mark.parametrize("y0,l,match", [
+        (np.zeros((4, 1)), np.empty((4, 0)), "one-dimensional"),
+        (np.zeros(4), np.zeros((3, 1)), r"\(n, p\) matrix with n=4"),
+    ], ids=["2d-y0", "wrong-rows-l"])
+    def test_misshapen_arrays_rejected(self, y0, l, match):
+        ds = PanelDataset(y0=y0, y1=np.zeros(4), a=np.array([1, 0, 1, 0]), l=l)
+        with pytest.raises(DimensionMismatch, match=match):
+            validate(ds)
+
+    def test_one_dimensional_covariates_are_one_column(self):
+        ds = make_dataset([1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [1, 0, 1], l=[0.5, 0.6, 0.7])
+        assert ds.l.shape == (3, 1) and ds.p == 1
+        assert ds.l[:, 0].tolist() == [0.5, 0.6, 0.7]
+
     def test_arrays_are_readonly(self):
         ds = make_dataset([1.0, 2.0], [2.0, 3.0], [1, 0])
         with pytest.raises(ValueError):
@@ -70,6 +84,10 @@ class TestEstimandSpec:
             EstimandSpec.qtt(1.0)
         assert EstimandSpec.qtt(0.25).tau == 0.25
 
+    def test_general_moment_needs_a_link(self):
+        with pytest.raises(ValueError, match="gtilde"):
+            EstimandSpec(kind=EstimandKind.GENERAL_MOMENT)
+
 
 class TestPartitionFolds:
     def test_divisible_case(self):
@@ -79,6 +97,9 @@ class TestPartitionFolds:
     def test_remainder_case(self):
         folds = partition_folds(7, 3, seed=0)
         assert sorted(folds.sizes()) == [2, 2, 3]
+
+    def test_n_counts_the_units(self):
+        assert partition_folds(7, 3, seed=0).n == 7
 
     def test_deterministic(self):
         f1 = partition_folds(101, 5, seed=42)

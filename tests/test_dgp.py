@@ -40,6 +40,16 @@ class TestTransformSpec:
         assert np.all(np.diff(t.apply(x)) > 0)
         assert_allclose(t.invert(t.apply(x)), x, atol=1e-12)
 
+    def test_affine_round_trip(self):
+        t = TransformSpec("affine", a=2.0, b=-1.0)
+        x = np.linspace(-3, 3, 7)
+        assert_array_equal(t.apply(x), 2.0 * x - 1.0)
+        assert_array_equal(t.invert(t.apply(x)), x)
+
+    def test_exp_inverse_needs_positive_values(self):
+        with pytest.raises(InvalidTransform, match="positive values"):
+            TransformSpec("exp").invert(np.array([1.0, 0.0]))
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidTransform):
             TransformSpec("power", c=0.0)
@@ -129,6 +139,21 @@ class TestStmConfigValidation:
         with pytest.raises(ValueError):
             StmConfig(n=100, p=2, q=1)
 
+    @pytest.mark.parametrize("values,match", [
+        ({"q": 2}, "length q"),
+        ({"p": 1, "k0_coef": (0.0,), "k1_coef": (0.0,)}, "treat_l must have length p"),
+        ({"eps_sigma": 0.0}, "eps_sigma must be positive"),
+        ({"effect_kind": "log"}, "additive or multiplicative"),
+        ({"effect_kind": "multiplicative", "effect": 0.0}, "multiplicative effect"),
+    ], ids=["q", "treat-l", "eps-sigma", "effect-kind", "multiplicative-effect"])
+    def test_inconsistent_settings_rejected(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            StmConfig(n=100, **values)
+
+    def test_unknown_model_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown DGP name 'stm-nope'"):
+            named_config("stm-nope")
+
     def test_dict_round_trip(self):
         cfg = named_config("stm-power", n=321, seed=4)
         assert StmConfig.from_dict(cfg.to_dict()) == cfg
@@ -186,6 +211,23 @@ class TestTrueNuisances:
             center = 0.5 * (lo + hi)
             model = eta.nu(center) / (1.0 + eta.nu(center))
             assert abs(emp - model) < 0.02
+
+    # Only the Monte Carlo route draws: elsewhere its size and seed would
+    # do nothing.
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"method": "exact"}, "method must be auto or mc"),
+        ({"mc_size": 5}, "apply only to method mc"),
+        ({"seed": 9}, "apply only to method mc"),
+        ({"mc_size": 5, "seed": 0}, "apply only to method mc"),
+    ], ids=["bad-method", "auto-mc-size", "auto-seed", "auto-both"])
+    def test_bad_method_or_options_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            true_nuisances(named_config("stm-cov"), **kwargs)
+
+    def test_mc_oracle_seed_defaults_to_zero(self):
+        cfg = named_config("stm-exp", n=100)
+        default = true_nuisances(cfg, method="mc", mc_size=500).nu
+        assert_array_equal(default.z, true_nuisances(cfg, method="mc", mc_size=500, seed=0).nu.z)
 
     def test_mc_oracle_self_consistency(self):
         cfg = named_config("stm-exp", n=100)

@@ -25,11 +25,7 @@ from cicdml.estimator import (
     confidence_interval,
     estimate,
     fit_fold_nuisances,
-    imputed_counterfactuals,
     median_adjust,
-    plugin_att,
-    plugin_cdt,
-    plugin_qtt,
     solve_att_once,
     solve_quantile_root,
     weighted_quantile,
@@ -158,6 +154,10 @@ class TestFitFoldNuisances:
         with pytest.raises(ValueError, match="f_min must be finite and positive"):
             CrossFitConfig(f_min=f_min)
         assert CrossFitConfig(f_min=2e-3).f_min == 2e-3
+
+    def test_at_least_one_repetition(self):
+        with pytest.raises(ValueError, match="S must be at least 1"):
+            CrossFitConfig(S=0)
 
 
 class TestSolveQuantileRoot:
@@ -611,59 +611,6 @@ class TestEstimate:
         mean_treated_y1 = float(np.mean(data.y1[data.a == 1]))
         assert report.theta_hat == pytest.approx(mean_treated_y1 - att.theta_hat,
                                                  abs=1e-8)
-
-
-class TestPlugins:
-    def test_shift_algebra(self):
-        # Controls transport by exactly +c; treated baselines sit on
-        # control sample points, so the imputation is exact.
-        c, d = 1.5, 4.0
-        ctrl_y0 = np.linspace(-2.0, 2.0, 21)
-        treat_y0 = ctrl_y0[5:10]
-        y0 = np.concatenate([treat_y0, ctrl_y0])
-        y1 = np.concatenate([treat_y0 + d, ctrl_y0 + c])
-        a = np.array([1] * 5 + [0] * 21)
-        data = PanelDataset(y0=y0, y1=y1, a=a, l=np.empty((26, 0)))
-        assert plugin_att(data) == pytest.approx(d - c)
-
-    def test_matches_difference_in_differences(self):
-        data, _ = gen_did(5000, c=1.0, delta=2.0, seed=59)
-        treated = data.a == 1
-        direct = (np.mean(data.y1[treated] - data.y0[treated])
-                  - np.mean(data.y1[~treated] - data.y0[~treated]))
-        assert abs(plugin_att(data) - direct) <= 0.05
-        assert abs(plugin_att(data) - 2.0) <= 0.1
-
-    def test_degenerate_arm(self):
-        data = PanelDataset(y0=np.zeros(4), y1=np.ones(4),
-                            a=np.array([1, 0, 1, 0]), l=np.empty((4, 0)))
-        broken = PanelDataset(y0=data.y0, y1=data.y1,
-                              a=np.ones(4, dtype=int), l=data.l)
-        with pytest.raises(DegenerateArm):
-            plugin_att(broken)
-
-    def test_cdt_boundaries_and_monotonicity(self):
-        data, _ = gen_did(800, seed=61)
-        g = imputed_counterfactuals(data)
-        assert plugin_cdt(data, g.min() - 1.0) == 0.0
-        assert plugin_cdt(data, g.max() + 1.0) == 1.0
-        grid = np.linspace(g.min() - 1, g.max() + 1, 40)
-        vals = [plugin_cdt(data, y) for y in grid]
-        assert np.all(np.diff(vals) >= 0)
-        assert min(vals) >= 0.0 and max(vals) <= 1.0
-
-    def test_qtt_null_effect(self):
-        cfg_null = named_config("did", n=4000, seed=67, effect=0.0)
-        data, _ = gen_stm(cfg_null)
-        assert abs(plugin_qtt(data, 0.5)) <= 0.1
-
-    def test_monotone_transform_equivariance(self):
-        data, _ = gen_did(500, seed=71)
-        base = imputed_counterfactuals(data)
-        for T in (np.exp, lambda x: x ** 3 + x, lambda x: 0.7 * x + 2.0):
-            transformed = data.transform_outcomes(T)
-            assert_allclose(imputed_counterfactuals(transformed), T(base),
-                            rtol=0, atol=1e-10)
 
 
 def _arm_balanced(data, K):

@@ -632,6 +632,11 @@ class TestNuFn:
         with pytest.raises(DegenerateArm):
             fit_nu(np.arange(5.0), None, np.ones(5, dtype=int))
 
+    @pytest.mark.parametrize("eps_clip", [0.0, 0.5])
+    def test_clip_outside_the_open_half_interval_is_rejected(self, eps_clip):
+        with pytest.raises(ValueError, match="eps_clip must lie in"):
+            fit_nu(np.arange(4.0), None, np.array([1, 0, 1, 0]), eps_clip=eps_clip)
+
     def test_integral_matches_direct_quadrature(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(400)
@@ -1134,6 +1139,10 @@ class TestAnalyticOddsIntegral:
             # The constant odds times the length: measured 1.1e-14.
             assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_empty_input(self):
+        nu = GaussHermiteNu(self.COV)
+        assert nu.integral_many(np.zeros(0), np.zeros(0), np.zeros((0, 2))).shape == (0,)
+
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_equal_limits_give_zero_and_swapped_limits_flip_the_sign(self, name):
         nu = GaussHermiteNu(self.CONFIGS[name])
@@ -1350,6 +1359,11 @@ class TestDensityFn:
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
             fit_density(np.array([1.0]))
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.1])
+    def test_nonpositive_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            fit_density(np.array([0.0, 0.1, 0.2]), bandwidth=bandwidth)
 
 
 def _fitted(kind, p):

@@ -12,7 +12,6 @@ from cicdml.validation import (
     expected_second_order_bias,
     orthogonality_check,
     phi_at,
-    rate_probe,
 )
 
 
@@ -31,6 +30,13 @@ class TestZeroPerturbation:
         pert = Perturbation.zero()
         assert phi_at(0.0, cfg, pert, mc_size=2000, seed=3) == \
             phi_at(0.5, cfg, pert, mc_size=2000, seed=3)
+
+
+class TestLambdaRange:
+    @pytest.mark.parametrize("lam", [-0.1, 1.0])
+    def test_lambda_outside_the_half_open_unit_interval_is_rejected(self, lam):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\)"):
+            phi_at(lam, named_config("did", n=100), Perturbation.zero(), mc_size=500)
 
 
 class TestStencilStep:
@@ -104,6 +110,10 @@ class TestClosedFormCurvature:
         # Calibration keeps the moment map flat to first order at zero.
         assert abs(res.phi_prime_0) <= 4.0 * res.phi_prime_se + 1e-6
 
+    def test_closed_form_mean_needs_independent_treatment(self):
+        with pytest.raises(ValueError, match="independent-treatment"):
+            validation.mean_y1_control(named_config("stm-cov"))
+
     def test_joint_transport_and_linear_odds_direction(self):
         cfg = named_config("did", n=100)
         dnu_slope, dnu_intercept = 0.1, -0.05
@@ -127,19 +137,3 @@ class TestCoverageStudy:
     def test_needs_two_replications(self):
         with pytest.raises(ValueError):
             coverage_study(named_config("did", n=200), CrossFitConfig(K=2), 1)
-
-
-class TestRateProbe:
-    @pytest.mark.parametrize("name", ["did", "stm-cov"])
-    def test_one_row_per_size_and_scale(self, name):
-        rows = rate_probe(named_config(name), n_ladder=(200, 400),
-                          bandwidth_scales=(1.0, 2.0), eval_size=500)
-        assert [(r["n"], r["bandwidth_scale"]) for r in rows] == [
-            (200, 1.0), (200, 2.0), (400, 1.0), (400, 2.0)]
-        for r in rows:
-            assert np.isfinite(r["gamma_l2"]) and r["gamma_l2"] > 0.0
-            assert np.isfinite(r["nu_l2"]) and r["nu_l2"] > 0.0
-        # The transport map does not depend on the odds bandwidth scale.
-        assert rows[0]["gamma_l2"] == rows[1]["gamma_l2"]
-        assert rows[2]["gamma_l2"] == rows[3]["gamma_l2"]
-        assert rows[0]["nu_l2"] != rows[1]["nu_l2"]
