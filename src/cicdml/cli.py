@@ -448,7 +448,7 @@ def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
         args.oracle_out = args.oracle_out or args.out + ".oracle.json"
         # Two outputs on one file would leave only the last text there; a
         # device such as /dev/null takes any number.
-        files = [os.path.realpath(path) for path in (args.out, args.oracle_out, args.output)
+        files = [_file_identity(path) for path in (args.out, args.oracle_out, args.output)
                  if path and (os.path.isfile(path) or not os.path.exists(path))]
         if len(set(files)) < len(files):
             raise ParseError("--out, --oracle-out and --output must name different files")
@@ -466,6 +466,16 @@ def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
         args.crossfit = CrossFitConfig(K=args.folds, S=args.reps, alpha=args.alpha,
                                        seed=args.seed)
     return args
+
+
+def _file_identity(path: str):
+    """What makes two paths one file: the resolved path, or the (device,
+    inode) pair of the file it names, which hard links share."""
+    real = os.path.realpath(path)
+    if os.path.exists(real):
+        st = os.stat(real)
+        return st.st_dev, st.st_ino
+    return real
 
 
 def main(argv=None) -> int:

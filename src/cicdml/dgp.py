@@ -421,15 +421,17 @@ def true_nuisances(cfg: StmConfig, method: str = "auto",
     posterior odds otherwise. ``method="mc"`` replaces the odds with a
     Monte Carlo oracle, kept as an independent cross-check of the
     analytic route: the odds of A fitted on the true transported outcome
-    and covariates of ``mc_size`` fresh draws (default ``cfg.mc_size``)
-    from ``seed`` (default 0) at 1.5 times Silverman's bandwidths,
-    trading a little bias for low variance, and clipped at 1e-6. Only
-    that route takes ``mc_size`` and ``seed``.
+    and covariates of ``mc_size`` >= 1 fresh draws (default
+    ``cfg.mc_size``) from ``seed`` (default 0) at 1.5 times Silverman's
+    bandwidths, trading a little bias for low variance, and clipped at
+    1e-6. Only that route takes ``mc_size`` and ``seed``.
     """
     if method not in ("auto", "mc"):
         raise ValueError("method must be auto or mc")
     if method != "mc" and (mc_size is not None or seed is not None):
         raise ValueError("mc_size and seed apply only to method mc")
+    if mc_size is not None and mc_size < 1:
+        raise ValueError("mc_size must be at least 1")
     gamma = AnalyticGamma(cfg)
     pi = true_pi(cfg)
     if method == "mc":

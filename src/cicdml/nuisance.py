@@ -38,7 +38,20 @@ weights by about 1e-13 relative, which moves an output only where a
 cumulative share or a loss lies that close to its comparand. The
 transport map forms each chunk's weights once, for its CDF and its
 quantile, which are fitted on the same control units, in one buffer that
-also holds them in the quantile's order.
+also holds them in the quantile's order; both kernels form their
+training side once per call.
+
+The conditional CDF and quantile, alone and inside the transport map,
+read a row's running weight sums through two levels (:func:`_block_sums`,
+:func:`_block_scan`): 64-column block sums and their running sum, then
+one block's entries, summed in order on from the sum before it. The CDF
+half reads the sum through one rank; the quantile half finds the block
+that first reaches its target share, then the entry in it. Neither forms
+a full-row cumulative sum. A block's scan takes a scratch of two
+(rows, width) arrays, width at most half a row, which the map keeps in
+whichever half of its chunk buffer is idle. Summed in this order a share
+can differ from the full running sum's by rounding, which moves an
+output only where a share lies that close to its target.
 
 ``node_odds(nodes, l)`` is the one primitive for odds at many outcome
 nodes: the odds at every node for each unit's covariates, one shared
@@ -92,6 +105,11 @@ DEFAULT_F_MIN = 1e-3
 # weights, so that a target such as 0.07 * 100, which rounds up to
 # 7.000000000000001, stops at the 7th order statistic and not the 8th.
 QUANTILE_SLACK = 1e-12
+# Columns per block of the running kernel-weight sums of CondCdf,
+# CondQuantile and GammaMap; a block is at most half a row wide, so that
+# a scan of one block per row and its gather indices fit in a buffer the
+# size of the weights.
+_BLOCK = 64
 
 # Scaled distance |u| past which the float64 kernel weight is exactly 0.0:
 # exp(-u^2 / 2) underflows to zero from u = 38.604 on. Binned kernel sums
@@ -164,22 +182,34 @@ def _sq_distances(query: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.nda
     return np.zeros((query.shape[0], train.shape[0])) if acc is None else acc
 
 
-def _expanded_sq_distances(query: np.ndarray, train: np.ndarray, h: np.ndarray,
-                           out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The distances of :func:`_sq_distances` in product form, shape (Q, m):
-    |q|^2 + |t|^2 - 2 q.t as one (Q, d + 2) by (d + 2, m) matrix product,
-    written into out, clamped at 0. Both sides are first centred on the
-    training rows' mean and scaled by h, so a shift of the covariates
-    costs no precision; the product rounds D by about eps (|q|^2 + |t|^2)
-    in those units, not by eps D as the direct sum does, so only kernels
-    read through comparisons take it."""
+def _expanded_sq_distances(train: np.ndarray, h: np.ndarray, scale: float = 1.0):
+    """The distances of :func:`_sq_distances` to the training rows train
+    in product form, times scale: a function of (query, out=None) that
+    gives them for the Q query rows, shape (Q, m), written into out.
+
+    D = |q|^2 + |t|^2 - 2 q.t is one (Q, d + 2) by (d + 2, m) matrix
+    product, clamped at 0. Both sides are first centred on the training
+    rows' mean and scaled by h, so a shift of the covariates costs no
+    precision; the product rounds D by about eps (|q|^2 + |t|^2) in those
+    units, not by eps D as the direct sum does, so only kernels read
+    through comparisons take it. The training side (the mean, the centred
+    and scaled rows and the (d + 2, m) factor, which carries scale) is
+    formed here once, for every query chunk of a pass. scale is a power
+    of two, so the product rounds as without it: -0.5 gives the kernel's
+    exponent -D / 2 bit for bit."""
     centre = train.mean(axis=0)
-    qs = (query - centre) / h
     ts = (train - centre) / h
-    left = np.column_stack([-2.0 * qs, np.einsum("ij,ij->i", qs, qs), np.ones(len(qs))])
     right = np.vstack([ts.T, np.ones(len(ts)), np.einsum("ij,ij->i", ts, ts)])
-    dist = np.matmul(left, right, out=out)
-    return np.maximum(dist, 0.0, out=dist)
+    right *= scale
+    clamp = np.maximum if scale > 0.0 else np.minimum
+
+    def distances(query: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        qs = (query - centre) / h
+        left = np.column_stack([-2.0 * qs, np.einsum("ij,ij->i", qs, qs), np.ones(len(qs))])
+        dist = np.matmul(left, right, out=out)
+        return clamp(dist, 0.0, out=dist)
+
+    return distances
 
 
 def _product_weights(query: np.ndarray, train: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -459,6 +489,108 @@ class _PointwiseFn:
 # ---------------------------------------------------------------------------
 
 
+def _block_width(m: int) -> int:
+    """Columns per block of a row of m >= 2 weights: min(``_BLOCK``,
+    m // 2); the blocks start at multiples of it, the last one possibly
+    narrower."""
+    return min(_BLOCK, m // 2)
+
+
+def _block_sums(w: np.ndarray) -> np.ndarray:
+    """Running block sums P (rows, nb) of the weights w (rows, m): P[i, c]
+    sums row i's blocks 0..c, so P[:, -1] is each row's total."""
+    sums = np.add.reduceat(w, np.arange(0, w.shape[1], _block_width(w.shape[1])), axis=1)
+    return np.cumsum(sums, axis=1, out=sums)
+
+
+def _block_scan(w: np.ndarray, sums: np.ndarray, b: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """Running sums through the entries of block b[i] of row i, from the
+    block sums of :func:`_block_sums`: shape (width, rows), column i
+    running down row i's block.
+
+    The block's weights are gathered and summed in order on from the
+    running sum before the block (0 in the first), then capped at its
+    running block sum, which every entry from its last on reads. Along a
+    row the sums so rise through each block and across blocks, and each
+    block ends on its block sum. scratch, a float buffer of at least
+    2 rows width elements that holds nothing the call needs, takes the
+    gather indices (the first rows width elements, free again on
+    return) and the sums (the next rows width)."""
+    rows, m = w.shape
+    width = _block_width(m)
+    n = rows * width
+    idx = scratch[:n].view(np.intp).reshape(width, rows)
+    run = scratch[n:2 * n].reshape(width, rows)
+    at = np.arange(rows)
+    first = b * width
+    idx[...] = at * m + first
+    idx += np.arange(width)[:, None]
+    # mode="clip" writes straight into run; past the end of a row it reads
+    # the next row's weights, which the last block's end below overwrites.
+    np.take(w.reshape(-1), idx, out=run, mode="clip")
+    run[0] += np.where(b > 0, sums[at, b - 1], 0.0)
+    # Entry by entry, each a pass over the rows: np.cumsum along either
+    # axis of the block is slower.
+    for t in range(1, width):
+        np.add(run[t - 1], run[t], out=run[t])
+    end = sums[at, b]
+    np.minimum(run, end, out=run)
+    run[-1] = end
+    tail = m - (sums.shape[1] - 1) * width        # entries of the last block
+    if tail < width:
+        last = b == sums.shape[1] - 1
+        run[tail - 1:, last] = end[last]
+    return run
+
+
+def _block_cdf(w: np.ndarray, k: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """F-hat at the ranks k (0 to m) from the kernel weights w (rows, m)
+    in ``y_sorted`` order: the running sum through entry k_i - 1, the sum
+    of the blocks before it and a scan of its own (:func:`_block_scan`),
+    over the row's total; k_i / m in rows without weight, as the CDF
+    there is the unweighted one. scratch is a float buffer of rows m
+    elements that holds nothing the call needs."""
+    width = _block_width(w.shape[1])
+    sums = _block_sums(w)
+    j = np.maximum(k - 1, 0)
+    b = j // width
+    run = _block_scan(w, sums, b, scratch)
+    num = np.where(k > 0, run[j - b * width, np.arange(k.shape[0])], 0.0)
+    total = sums[:, -1]
+    ok = total > 1e-300
+    return np.where(ok, num / np.where(ok, total, 1.0), k / w.shape[1])
+
+
+def _block_quantile(w: np.ndarray, u: np.ndarray, scratch: np.ndarray):
+    """The first entry of each row of the kernel weights w (rows, m), in
+    ``y_sorted`` order, whose running sum over the row's total reaches the
+    target u_i (1 - ``QUANTILE_SLACK``), or the last entry where none
+    does; and which rows carry weight.
+
+    The entry's block is the first whose running block sum reaches the
+    target, and the entry is found by counting the entries of that block
+    alone that fall short of it (:func:`_block_scan`). The sums are those
+    of :func:`_block_cdf`, so the quantile at a level that the CDF gave
+    reads the same shares. scratch is a float buffer of rows m elements
+    that holds nothing the call needs."""
+    rows, m = w.shape
+    width = _block_width(m)
+    sums = _block_sums(w)
+    total = sums[:, -1]
+    ok = total > 1e-300
+    scale = np.where(ok, total, 1.0)
+    target = u * (1.0 - QUANTILE_SLACK)
+    shares = np.divide(sums, scale[:, None], out=scratch[:sums.size].reshape(sums.shape))
+    b = np.minimum((shares < target[:, None]).sum(axis=1), sums.shape[1] - 1)
+    run = _block_scan(w, sums, b, scratch)
+    run /= scale
+    # The comparison goes where the scan's gather indices were.
+    below = np.less(run, target, out=scratch[:rows * width].view(np.bool_)[:rows * width]
+                    .reshape(width, rows))
+    return np.minimum(b * width + below.sum(axis=0), m - 1), ok
+
+
 @dataclass
 class CondCdf(_PointwiseFn):
     """Kernel-regression conditional CDF of an outcome given covariates.
@@ -468,6 +600,13 @@ class CondCdf(_PointwiseFn):
     covariate value, nondecreasing by construction because the smoothing
     weights do not depend on y. With p = 0 this is exactly the empirical
     CDF of the fit sample.
+
+    With covariates, the value at rank k (the fit outcomes up to y) is the
+    running sum of a row's weights through entry k - 1 over the row's
+    total, read from the row's 64-column block sums: the sum of the blocks
+    before the entry's block plus a scan of that block alone
+    (:func:`_block_cdf`). Each block's scan ends on its block sum, so the
+    sums stay nondecreasing along the row and the value at rank m is 1.
     """
 
     y_sorted: np.ndarray
@@ -488,22 +627,14 @@ class CondCdf(_PointwiseFn):
     def evaluate_many(self, y: np.ndarray, l: np.ndarray) -> np.ndarray:
         """F-hat(y_i, l_i) for paired query arrays."""
         y = np.asarray(y, dtype=float)
+        k = np.searchsorted(self.y_sorted, y, side="right")
         if self.p == 0:
-            return np.searchsorted(self.y_sorted, y, side="right") / self.m
+            return k / self.m
         out = np.empty(y.shape[0])
         for sl in _chunks(y.shape[0], self.m):
             w = self._weights(l[sl])
-            out[sl] = self._from_cumulative(np.cumsum(w, axis=1, out=w), y[sl])
+            out[sl] = _block_cdf(w, k[sl], np.empty(w.size))
         return out
-
-    def _from_cumulative(self, cum: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """F-hat at y_i from row i of the cumulative kernel weights, in
-        ``y_sorted`` order."""
-        total = cum[:, -1]
-        k = np.searchsorted(self.y_sorted, y, side="right")
-        num = np.where(k > 0, cum[np.arange(cum.shape[0]), np.maximum(k - 1, 0)], 0.0)
-        ok = total > 1e-300
-        return np.where(ok, num / np.where(ok, total, 1.0), k / self.m)
 
 
 @dataclass
@@ -517,6 +648,12 @@ class CondQuantile(_PointwiseFn):
     boundaries: u <= 0 gives the minimum sample, u >= 1 the maximum.
     Rows where no fit-sample unit carries kernel weight take the quantile
     without covariates, as the CDF there is the unweighted CDF.
+
+    With covariates the search reads the CDF's block sums
+    (:func:`_block_quantile`): the first block whose running sum reaches
+    the target share, then the first entry of that block that does; the
+    target is u (1 - ``QUANTILE_SLACK``). A level that :class:`CondCdf`
+    gave on the same weights so finds the entry it was read at.
     """
 
     cdf: CondCdf
@@ -532,7 +669,7 @@ class CondQuantile(_PointwiseFn):
         out = np.empty(u.shape[0])
         for sl in _chunks(u.shape[0], self.cdf.m):
             w = self.cdf._weights(l[sl])
-            out[sl] = self._from_cumulative(np.cumsum(w, axis=1, out=w), u[sl])
+            out[sl] = self._from_weights(w, u[sl], np.empty(w.size))
         return out
 
     def _unweighted(self, u: np.ndarray) -> np.ndarray:
@@ -540,32 +677,12 @@ class CondQuantile(_PointwiseFn):
         idx = np.ceil(u * self.cdf.m - 1e-9).astype(int) - 1
         return self.cdf.y_sorted[np.clip(idx, 0, self.cdf.m - 1)]
 
-    def _from_cumulative(self, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The quantile at u_i from row i of the cumulative kernel weights,
-        in the fitted CDF's ``y_sorted`` order; cum is left as it is. Rows
-        without weight take :meth:`_unweighted`.
-
-        Row i counts its entries with cum[i, j] / total_i below the target
-        u_i (1 - ``QUANTILE_SLACK``). Each row of cum is nondecreasing and
-        dividing by a positive total keeps it so, so the count is a
-        left-sided binary search, run on every row at once, that divides
-        only the entries it probes."""
-        total = cum[:, -1]
-        ok = total > 1e-300
-        scale = np.where(ok, total, 1.0)
-        target = u * (1.0 - QUANTILE_SLACK)
-        at = np.arange(cum.shape[0])
-        lo = np.zeros(cum.shape[0], dtype=np.intp)
-        hi = np.full(cum.shape[0], cum.shape[1], dtype=np.intp)
-        # Invariant: entries before lo are below the target, entries from
-        # hi on are not; each step halves hi - lo.
-        for _ in range(cum.shape[1].bit_length()):
-            mid = (lo + hi) >> 1
-            below = cum[at, np.minimum(mid, cum.shape[1] - 1)] / scale < target
-            below &= mid < hi
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(below, hi, mid)
-        out = self.cdf.y_sorted[np.minimum(lo, self.cdf.m - 1)]
+    def _from_weights(self, w: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The quantile at u_i from row i of the kernel weights w, in the
+        fitted CDF's ``y_sorted`` order (:func:`_block_quantile`, scratch
+        its buffer); rows without weight take :meth:`_unweighted`."""
+        pos, ok = _block_quantile(w, u, scratch)
+        out = self.cdf.y_sorted[pos]
         if not ok.all():
             out[~ok] = self._unweighted(u[~ok])
         return out
@@ -585,10 +702,16 @@ class GammaMap(_PointwiseFn):
     and is scattered back to the key's position. With covariates both
     members weight the same units with the same bandwidths, in another
     order: ``perm`` lists the quantile's units as positions in the CDF's
-    order (None for p = 0). Each chunk allocates one buffer of two halves:
-    its kernel weights, from the product-form distances, fill the first,
-    and the second takes them in the quantile's order, so the halves share
-    each pair's weight bit for bit and both cumulative sums run in place.
+    order (None for p = 0). The training side of the product-form
+    distances (:func:`_expanded_sq_distances`) is formed once per call.
+    Each chunk allocates one buffer of two halves, and its kernel weights
+    fill the first. The CDF half reads them through its block sums
+    (:func:`_block_cdf`), with its scan scratch in the second half; the
+    second half then takes the weights in the quantile's order, and the
+    quantile half reads them (:func:`_block_quantile`) with its scratch in
+    the first. The halves share each pair's weight bit for bit and read it
+    through the same block sums, so the map is the composition of
+    :class:`CondCdf` and :class:`CondQuantile` on these weights.
     """
 
     cdf0: CondCdf
@@ -612,16 +735,18 @@ class GammaMap(_PointwiseFn):
             return self.quantile1.cdf.y_sorted[np.clip(j - 1, 0, m1 - 1)]
         out = np.empty(y.shape[0])
         m = self.cdf0.m
+        exponent = _expanded_sq_distances(self.cdf0.l_by_y, self.cdf0.h, -0.5)
         for sl in _chunks(y.shape[0], 2 * m):
             lq = l[sl]
             buf = np.empty((2, lq.shape[0], m))
-            w = _expanded_sq_distances(lq, self.cdf0.l_by_y, self.cdf0.h, out=buf[0])
-            w *= -0.5
-            np.exp(w, out=w)
+            w = np.exp(exponent(lq, out=buf[0]), out=buf[0])
+            k = np.searchsorted(self.cdf0.y_sorted, y[sl], side="right")
+            # The CDF's scan scratch goes in buf[1] before the take fills
+            # it, the quantile's in buf[0] once the take has read it.
+            u = _block_cdf(w, k, buf[1].reshape(-1))
             # mode="clip" writes straight into buf[1]; "raise" would buffer it.
             w1 = np.take(w, self.perm, axis=1, out=buf[1], mode="clip")
-            u = self.cdf0._from_cumulative(np.cumsum(w, axis=1, out=w), y[sl])
-            out[sl] = self.quantile1._from_cumulative(np.cumsum(w1, axis=1, out=w1), u)
+            out[sl] = self.quantile1._from_weights(w1, u, buf[0].reshape(-1))
             # Freed before the next chunk's buffer is allocated, which then
             # reuses its memory: one chunk buffer is alive at a time.
             del buf, w, w1
@@ -825,17 +950,18 @@ def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:
 
     One pass over the query rows: each chunk's summed squared scaled
     distances D are formed once, in product form
-    (:func:`_expanded_sq_distances`), as :func:`_odds_scale` reads the odds
-    only through the argmin of their losses; each scale takes one
-    exp(-D / (2 s^2)). A chunk's D and weights share one buffer, each
+    (:func:`_expanded_sq_distances`, its training side once per call), as
+    :func:`_odds_scale` reads the odds only through the argmin of their
+    losses; each scale takes one exp(-D / (2 s^2)). A chunk's D and weights share one buffer, each
     half at most ``_CHUNK_BUDGET`` / d elements.
     """
     fallback = float(a.mean())
     out = np.empty((len(ODDS_SCALES), query.shape[0]))
+    distances = _expanded_sq_distances(train, h)
     for sl in _chunks(query.shape[0], train.size):
         q = query[sl]
         dist, w = np.empty((2, q.shape[0], train.shape[0]))
-        _expanded_sq_distances(q, train, h, out=dist)
+        distances(q, out=dist)
         for k, s in enumerate(ODDS_SCALES):
             np.exp(np.multiply(dist, -0.5 / (s * s), out=w), out=w)
             out[k, sl] = _clipped_odds(_nw_ratio(w @ a, w.sum(axis=1), fallback), eps_clip)

@@ -748,6 +748,23 @@ class TestExitCodes:
         if existing:
             assert target.read_text() == "keep"
 
+    @pytest.mark.parametrize("second", ["--output", "--oracle-out"])
+    def test_simulate_outputs_on_hard_links_of_one_file_exit_2(
+            self, tmp_path, capsys, monkeypatch, second):
+        # Two names of one inode: their resolved paths differ, the file
+        # does not.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "gen_stm", lambda *args: pytest.fail("gen_stm ran"))
+        (tmp_path / "h1.csv").write_text("keep")
+        os.link(tmp_path / "h1.csv", tmp_path / "h2.csv")
+        assert os.path.realpath("h1.csv") != os.path.realpath("h2.csv")
+        assert main(["simulate", "--dgp", "did", "--n", "50", "--out", "h1.csv",
+                     second, "h2.csv"]) == 2
+        assert capsys.readouterr() == ("", "error: --out, --oracle-out and --output must "
+                                           "name different files\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["h1.csv", "h2.csv"]
+        assert (tmp_path / "h1.csv").read_text() == "keep"
+
     def test_simulate_writes_report_and_oracle_to_one_device(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["simulate", "--dgp", "did", "--n", "50", "--out", str(out),

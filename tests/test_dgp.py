@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 from scipy.stats import ks_2samp
 
+from cicdml import dgp
 from cicdml.dgp import (
     ConstantNu,
     StmConfig,
@@ -228,6 +229,22 @@ class TestTrueNuisances:
         cfg = named_config("stm-exp", n=100)
         default = true_nuisances(cfg, method="mc", mc_size=500).nu
         assert_array_equal(default.z, true_nuisances(cfg, method="mc", mc_size=500, seed=0).nu.z)
+
+    @pytest.mark.parametrize("mc_size", [0, -1])
+    def test_a_nonpositive_mc_size_is_rejected_before_any_draw(self, monkeypatch, mc_size):
+        monkeypatch.setattr(dgp, "_draw", lambda *args: pytest.fail("_draw ran"))
+        with pytest.raises(ValueError, match="mc_size must be at least 1"):
+            true_nuisances(named_config("stm-exp", n=100), method="mc", mc_size=mc_size)
+
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_mc_oracle_draws_its_size_from_its_seed(self, monkeypatch, seed):
+        # seed 0 is seed 0, not the default standing in for it.
+        asked = []
+        draw, rng = dgp._draw, dgp._rng
+        monkeypatch.setattr(dgp, "_draw", lambda cfg, n, gen: asked.append(n) or draw(cfg, n, gen))
+        monkeypatch.setattr(dgp, "_rng", lambda s, stream: asked.append((s, stream)) or rng(s, stream))
+        true_nuisances(named_config("stm-exp", n=100), method="mc", mc_size=300, seed=seed)
+        assert asked == [(0 if seed is None else seed, 3), 300]
 
     def test_mc_oracle_self_consistency(self):
         cfg = named_config("stm-exp", n=100)

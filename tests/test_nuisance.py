@@ -118,7 +118,7 @@ class TestExpandedSqDistances:
         far = rng.standard_normal((6, d))
         far += 40.0 * np.sign(far)
         query = np.concatenate([rng.standard_normal((30, d)), far, train[:5] - offset]) + offset
-        got = _expanded_sq_distances(query, train, h)
+        got = _expanded_sq_distances(train, h)(query)
         want = _sq_distances(query, train, h)
         assert got.shape == want.shape == (41, 80)
         assert (np.abs(got - want) <= self.bound(query, train, h)).all()
@@ -135,13 +135,13 @@ class TestExpandedSqDistances:
         raw = np.column_stack([-2.0 * qs, sq, np.ones(200)]) @ np.vstack([qs.T, np.ones(200), sq])
         assert (np.diag(raw) < 0.0).any()
         out = np.full((200, 200), np.nan)
-        got = _expanded_sq_distances(train, train, h, out=out)
+        got = _expanded_sq_distances(train, h)(train, out=out)
         assert got is out
         assert (got >= 0.0).all()
         assert (np.diag(got) <= self.bound(train, train, h).diagonal()).all()
 
     def test_no_coordinates_gives_zeros(self):
-        got = _expanded_sq_distances(np.empty((4, 0)), np.empty((6, 0)), np.empty(0))
+        got = _expanded_sq_distances(np.empty((6, 0)), np.empty(0))(np.empty((4, 0)))
         assert_array_equal(got, np.zeros((4, 6)))
 
 
@@ -387,64 +387,96 @@ class TestCondQuantileCount:
         assert_array_equal(quantile.evaluate_many(u, l), _loop_quantile(quantile, u, l))
 
 
-@st.composite
-def _cumulative_rows(draw):
-    """Cumulative kernel weights (k, m) with zero weights, repeated
-    weights and rows without weight, and levels u per row: 0, 1, random,
-    or one whose target u (1 - QUANTILE_SLACK) is a row's cumulative
-    share where some level hits it exactly."""
-    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = np.array([0.0, 1.0, 0.5, 1e-300, 3e-7, 1.0 / 3.0, 2.0])
-    w = np.where(rng.uniform(size=(k, m)) < 0.6, rng.choice(pool, (k, m)),
-                 rng.uniform(0.0, 10.0, (k, m)))
-    w[rng.uniform(size=k) < 0.15] = 0.0
-    cum = np.cumsum(w, axis=1)
-    u = rng.uniform(size=k)
-    kind = rng.integers(0, 4, k)
-    u[kind == 0] = 0.0
-    u[kind == 1] = 1.0
-    for i in np.flatnonzero((kind == 2) & (cum[:, -1] > 1e-300)):
-        u[i] = _level_hitting(cum[i, rng.integers(0, m)] / cum[i, -1])
-    return cum, u
+def _full_cumulative_cdf(cum, y_sorted, y):
+    """F-hat at y_i from row i of the full-row cumulative weights cum, in
+    y_sorted order: the reference the block sums replaced."""
+    k = np.searchsorted(y_sorted, y, side="right")
+    total = cum[:, -1]
+    num = np.where(k > 0, cum[np.arange(cum.shape[0]), np.maximum(k - 1, 0)], 0.0)
+    ok = total > 1e-300
+    return np.where(ok, num / np.where(ok, total, 1.0), k / cum.shape[1])
 
 
-def _level_hitting(c):
-    """A level u with u (1 - QUANTILE_SLACK) == c, or the nearest one
-    tried where none does (c just below a power of two)."""
-    u = c / (1.0 - QUANTILE_SLACK)
-    for _ in range(16):
-        t = u * (1.0 - QUANTILE_SLACK)
-        if t == c:
-            break
-        u = np.nextafter(u, np.inf if t < c else -np.inf)
-    return u
+def _full_cumulative_quantile(cum, y_sorted, u):
+    """The quantile at u_i from row i of the full-row cumulative weights:
+    the count of entries with cum / total below u_i (1 - QUANTILE_SLACK),
+    the empirical quantile in rows without weight."""
+    m = cum.shape[1]
+    total = cum[:, -1]
+    ok = total > 1e-300
+    count = (cum / np.where(ok, total, 1.0)[:, None]
+             < (u * (1.0 - QUANTILE_SLACK))[:, None]).sum(axis=1)
+    unweighted = y_sorted[np.clip(np.ceil(u * m - 1e-9).astype(int) - 1, 0, m - 1)]
+    return np.where(ok, y_sorted[np.minimum(count, m - 1)], unweighted)
 
 
-class TestCondQuantileBinarySearch:
-    """The per-row binary search of CondQuantile._from_cumulative counts
-    the entries with cum / total below the target, as one comparison
-    pass over every entry counts them, and leaves cum as it was."""
+class TestBlockReaders:
+    """CondCdf, CondQuantile and the map read the running weight sums
+    through block sums and one block's scan; against the full-row
+    cumulative sums they replaced. The quantile and the map agree bit for
+    bit; the CDF's value is a ratio of sums taken in another order, so it
+    agrees within their rounding, and reads exactly 1 from the last rank
+    on."""
 
-    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-    @given(_cumulative_rows(), st.booleans())
-    def test_count_equals_the_comparison_pass(self, rows, tied):
-        cum, u = rows
-        k, m = cum.shape
-        # Outcome ranks as values read the count off (up to m - 1); tied
-        # outcomes as a second check through the values.
-        ranks = np.arange(m, dtype=float)
-        y = np.floor(ranks / 3.0) if tied else ranks
-        q = CondQuantile(cdf=CondCdf(y_sorted=y, l_by_y=np.zeros((m, 1)), h=np.ones(1)))
-        before = cum.copy()
-        got = q._from_cumulative(cum, u)
-        assert cum.tobytes() == before.tobytes()
-        total = cum[:, -1]
-        ok = total > 1e-300
-        count = (cum / np.where(ok, total, 1.0)[:, None]
-                 < (u * (1.0 - QUANTILE_SLACK))[:, None]).sum(axis=1)
-        want = np.where(ok, y[np.minimum(count, m - 1)], q._unweighted(u))
-        assert got.tobytes() == want.tobytes()
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 63, 64, 65, 127, 128, 129, 300]),
+           st.integers(1, 3), st.sampled_from([0, 1, 3]), st.sampled_from([1000, 1 << 20]))
+    def test_equal_the_full_cumulative_sums(self, seed, m, p, decimals, budget):
+        # Tied outcomes (rounded to decimals), query outcomes on the
+        # controls' and beyond both ends, query rows near the controls and
+        # beyond the kernels' reach; levels 0, below 0, 1, above 1,
+        # random, and at the running share of a block's last entry.
+        rng = np.random.default_rng(seed)
+        y0 = np.round(rng.standard_normal(m), decimals)
+        y1 = np.round(y0 + rng.standard_normal(m), decimals)
+        l = rng.standard_normal((m, p))
+        k = 40
+        yq = np.concatenate([rng.standard_normal(k - 8), rng.choice(y0, 6), [-9.0, 9.0]])
+        lq = np.concatenate([rng.standard_normal((k - 5, p)), l[rng.integers(0, m, 5)]])
+        lq[rng.uniform(size=k) < 0.1] = 80.0
+        with mock.patch.object(nuisance, "_CHUNK_BUDGET", budget):
+            gamma = fit_gamma(y0, y1, l)
+            cdf, quantile = gamma.cdf0, gamma.quantile1
+            cum = np.cumsum(quantile.cdf._weights(lq), axis=1)
+            width = nuisance._block_width(m)
+            ends = np.minimum(width * rng.integers(1, m // width + 2, k), m) - 1
+            share = cum[np.arange(k), ends] / np.where(cum[:, -1] > 0.0, cum[:, -1], 1.0)
+            u = np.where(rng.uniform(size=k) < 0.5, share, rng.uniform(size=k))
+            u[rng.integers(0, k, 8)] = rng.choice([0.0, -0.5, 1.0, 1.5], 8)
+
+            got = quantile.evaluate_many(u, lq)
+            want = _full_cumulative_quantile(cum, quantile.cdf.y_sorted, u)
+            assert got.tobytes() == want.tobytes()
+
+            got = cdf.evaluate_many(yq, lq)
+            want = _full_cumulative_cdf(np.cumsum(cdf._weights(lq), axis=1), cdf.y_sorted, yq)
+            assert (np.abs(got - want) <= 4 * m * np.finfo(float).eps * want).all()
+            weighted = cdf._weights(lq).sum(axis=1) > 1e-300
+            assert (got[(yq >= cdf.y_sorted[-1]) & weighted] == 1.0).all()
+
+            w = np.exp(-0.5 * _expanded_sq_distances(cdf.l_by_y, cdf.h)(lq))
+            u0 = _full_cumulative_cdf(np.cumsum(w, axis=1), cdf.y_sorted, yq)
+            want = _full_cumulative_quantile(np.cumsum(w[:, gamma.perm], axis=1),
+                                             quantile.cdf.y_sorted, u0)
+            assert gamma.evaluate_many(yq, lq).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 64, 129])
+    def test_sums_rise_along_each_row_and_each_block_ends_on_its_sum(self, m):
+        # Entry by entry, the scans of every block of a row, read through
+        # the CDF at every rank, rise to the block sums and end on them.
+        rng = np.random.default_rng(m)
+        w = np.where(rng.uniform(size=(3, m)) < 0.3, 0.0, rng.exponential(size=(3, m)))
+        w[np.arange(3), rng.integers(0, m, 3)] += 1.0
+        sums = nuisance._block_sums(w)
+        width = nuisance._block_width(m)
+        assert sums.shape == (3, -(-m // width))
+        ranks = np.arange(m + 1)
+        cdf = np.stack([nuisance._block_cdf(np.repeat(w[i:i + 1], m + 1, axis=0), ranks,
+                                            np.empty((m + 1) * m)) for i in range(3)])
+        assert (np.diff(cdf, axis=1) >= 0.0).all()
+        assert (cdf[:, 0] == 0.0).all() and (cdf[:, -1] == 1.0).all()
+        ends = np.minimum(width * np.arange(1, sums.shape[1] + 1), m)
+        assert_array_equal(cdf[:, ends], sums / sums[:, -1:])
 
 
 class TestGammaMap:
@@ -577,6 +609,27 @@ class TestGammaMapSharedBuffer:
         gamma = fit_gamma(y0, y0 + rng.standard_normal(m), rng.standard_normal((m, d)))
         rows = nuisance._CHUNK_BUDGET // (2 * m)
         assert [s.stop for s in nuisance._chunks(3 * rows, 2 * m)][0] == rows
+        for n in (rows, 3 * rows):
+            yq, lq = rng.standard_normal(n), rng.standard_normal((n, d))
+            tracemalloc.start()
+            try:
+                gamma.evaluate_many(yq, lq)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            buffer = 2 * rows * m * 8
+            assert buffer < peak <= buffer + 4 * 8 * (rows + m) * (d + 2) + 8 * n + 2**16
+
+    @pytest.mark.parametrize("m", [5, 100])
+    def test_the_tallest_chunks_stay_within_the_bound(self, m):
+        # Few controls give the most rows a chunk, where (rows, 64)
+        # temporaries of the block scans would weigh most: the bound of
+        # the test above.
+        rng = np.random.default_rng(18)
+        d = 2
+        y0 = rng.standard_normal(m)
+        gamma = fit_gamma(y0, y0 + rng.standard_normal(m), rng.standard_normal((m, d)))
+        rows = nuisance._CHUNK_BUDGET // (2 * m)
         for n in (rows, 3 * rows):
             yq, lq = rng.standard_normal(n), rng.standard_normal((n, d))
             tracemalloc.start()
