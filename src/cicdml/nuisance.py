@@ -22,7 +22,9 @@ With covariates, the odds regression's Silverman bandwidths, whose
 one-dimensional rate m^(-1/5) undersmooths a regression on x and p
 covariates, are multiplied by the scale in ``ODDS_SCALES`` (1 to 4) with
 the least Riesz loss E[(1 - A) nu^2] - 2 E[A nu], fitted on the training
-units at even positions and scored on those at odd positions.
+units at even positions and scored on those at odd positions. The weights
+at a scale whose double is a scale too are those at the double squared
+twice, so of 1 to 4 only 3 and 4 take an exp (:func:`_scaled_odds`).
 
 Every chunked pass (here, in the estimator's root solve and in the
 analytic odds) takes its row slices from :func:`_chunks`, the one reader
@@ -57,10 +59,13 @@ output only where a share lies that close to its target.
 nodes: the odds at every node for each unit's covariates, one shared
 column without covariates. Fitted odds factorise the product kernel into
 an outcome part, formed once at the nodes, and a covariate part, formed
-once per unit, so one matrix product gives every unit's regression sums
-at every node. Every odds integral is one fourth-order antiderivative on
-equally spaced shared nodes (:func:`_grid_integrals`), of the node odds
-unless the odds tabulate a closed form. Fitted odds, with covariates or
+once per unit, each over the treated and the control training units
+apart. A is 0/1, so one matrix product per arm gives every unit's sums at
+every node: the treated sums are the numerators, and with the controls'
+added the denominators (:meth:`NuFn._node_sums`). Every odds integral is
+one fourth-order antiderivative on equally spaced shared nodes
+(:func:`_grid_integrals`), of the node odds unless the odds tabulate a
+closed form. Fitted odds, with covariates or
 without, take ``GRID_PER_BANDWIDTH`` nodes per x-bandwidth, at least
 ``GRID_MIN`` and at most ``ANTIDERIV_GRID`` (:func:`_odds_nodes`);
 analytic and perturbed odds take ``ANTIDERIV_GRID``. Without
@@ -83,11 +88,12 @@ table per fold of its controls' node odds on their odds integral's nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateArm, InsufficientData
+from .errors import DegenerateArm, InsufficientData, NonBinaryTreatment
 
 ANTIDERIV_GRID = 2048      # antiderivative nodes of analytic odds; the most for fitted odds
 GRID_PER_BANDWIDTH = 16    # antiderivative nodes per x-bandwidth of fitted odds, at any p
@@ -846,34 +852,39 @@ class NuFn(_PointwiseFn):
         spaced, bins at most ``_BIN_MAX_WIDTH`` h, cheaper than dense),
         otherwise from the dense sums. With covariates the Gaussian product
         kernel factorises into an outcome part and a covariate part K(x)
-        C(l): the x-weights at the nodes are formed once, each row's
-        covariate weights C once, and one matrix product with [C a, C]
-        gives every row's numerator and denominator at every node, for
-        the rows of a chunk of :func:`_node_odds_chunks`.
+        C(l), and :meth:`_node_sums` gives every row's numerator and
+        denominator at every node from the x-weights at the nodes and each
+        row's covariate weights, for the rows of a chunk of
+        :func:`_node_odds_chunks`.
         """
         nodes = np.asarray(nodes, dtype=float)
         if self.p == 0:
             sums = _binned_nw_sums(nodes, self.z[:, 0], self.a, self.h[0])
             return (self.evaluate_many(nodes, np.empty((nodes.shape[0], 0))) if sums is None
                     else self._odds(*sums))[:, None]
-        nd = self._node_sums(nodes, l)
-        k = nd.shape[1] // 2
-        return self._odds(nd[:, :k], nd[:, k:])
+        return self._odds(*self._node_sums(nodes, l))
 
     def _node_sums(self, nodes, l):
-        """The regression's numerators (first k columns) and denominators
-        (last k) at every node for each of the k covariate rows of l.
+        """The regression's numerators and denominators, each (G, k), at
+        every node for each of the k covariate rows of l.
 
-        The x-weights are formed in blocks of nodes that fill an eighth
-        of the budget, so a block and its temporaries stay well below it.
+        A is 0/1, so the numerator sums the treated training rows' kernel
+        weights and the denominator adds the controls' to it. Each arm's
+        covariate weights C, (m_arm, k), and x-weights K at the nodes,
+        (G, m_arm), are formed apart: num = K_t C_t and den = K_c C_c +
+        num. The x-weights are formed in blocks of nodes that fill an
+        eighth of the budget, so a block and its temporaries stay well
+        below it.
         """
-        c = _product_weights(l, self.z[:, 1:], self.h[1:])
-        ca = np.concatenate([c * self.a, c]).T
-        nd = np.empty((nodes.shape[0], ca.shape[1]))
+        treated = self.a == 1.0
+        arms = [(z[:, :1], _product_weights(l, z[:, 1:], self.h[1:]).T)
+                for z in (self.z[np.flatnonzero(arm)] for arm in (treated, ~treated))]
+        num, den = np.empty((2, nodes.shape[0], l.shape[0]))
         for sl in _chunks(nodes.shape[0], 8 * self.z.shape[0]):
-            kx = _product_weights(nodes[sl, None], self.z[:, :1], self.h[:1])
-            np.matmul(kx, ca, out=nd[sl])
-        return nd
+            for (x, c), sums in zip(arms, (num, den)):
+                np.matmul(_product_weights(nodes[sl, None], x, self.h[:1]), c, out=sums[sl])
+            den[sl] += num[sl]
+        return num, den
 
     def _odds(self, num, denom):
         """Odds of the clipped regression num / denom."""
@@ -882,9 +893,10 @@ class NuFn(_PointwiseFn):
 
 def _unit_width(nu, n_nodes: int) -> int:
     """Elements per covariate row of ``nu.node_odds`` at n_nodes nodes:
-    for fitted odds the row's columns of the (G, 2k) sums and (m, 2k)
-    weights (256 covariate rows a chunk at G = m = ``ANTIDERIV_GRID``),
-    else its G values."""
+    for fitted odds 2 max(G, m), the row's two columns of (G, k) node sums
+    or its covariate weights over the m training rows of both arms with
+    their temporaries (256 covariate rows a chunk at G = m =
+    ``ANTIDERIV_GRID``), else its G values."""
     return 2 * max(n_nodes, nu.z.shape[0]) if isinstance(nu, NuFn) else n_nodes
 
 
@@ -952,19 +964,34 @@ def _scaled_odds(query, train, a, h, eps_clip) -> np.ndarray:
     distances D are formed once, in product form
     (:func:`_expanded_sq_distances`, its training side once per call), as
     :func:`_odds_scale` reads the odds only through the argmin of their
-    losses; each scale takes one exp(-D / (2 s^2)). A chunk's D and weights share one buffer, each
-    half at most ``_CHUNK_BUDGET`` / d elements.
+    losses. A scale whose double is not in ``ODDS_SCALES`` takes one
+    exp(-D / (2 s^2)); a scale whose double is takes the double's weights
+    squared twice, as exp(-D / (2 s^2)) = exp(-D / (8 s^2))^4, so each
+    chain s, s / 2, s / 4, ... of scales shares one exp. Each scale's
+    numerator and denominator come from one product w [a, 1]. A chunk's D
+    and weights share one buffer, each half at most ``_CHUNK_BUDGET`` / d
+    elements.
     """
     fallback = float(a.mean())
+    chains = [list(takewhile(ODDS_SCALES.__contains__,
+                             (s / 2 ** i for i in range(len(ODDS_SCALES)))))
+              for s in ODDS_SCALES if 2.0 * s not in ODDS_SCALES]
     out = np.empty((len(ODDS_SCALES), query.shape[0]))
     distances = _expanded_sq_distances(train, h)
+    a_one = np.column_stack([a, np.ones_like(a)])
     for sl in _chunks(query.shape[0], train.size):
         q = query[sl]
         dist, w = np.empty((2, q.shape[0], train.shape[0]))
         distances(q, out=dist)
-        for k, s in enumerate(ODDS_SCALES):
-            np.exp(np.multiply(dist, -0.5 / (s * s), out=w), out=w)
-            out[k, sl] = _clipped_odds(_nw_ratio(w @ a, w.sum(axis=1), fallback), eps_clip)
+        for chain in chains:
+            np.exp(np.multiply(dist, -0.5 / (chain[0] * chain[0]), out=w), out=w)
+            for i, s in enumerate(chain):
+                if i:
+                    w *= w
+                    w *= w
+                sums = w @ a_one
+                out[ODDS_SCALES.index(s), sl] = _clipped_odds(
+                    _nw_ratio(sums[:, 0], sums[:, 1], fallback), eps_clip)
     return out
 
 
@@ -984,7 +1011,9 @@ def fit_nu(x, l, a, bandwidth=None, eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
 
     ``x`` is the transported baseline outcome evaluated on the training
     units; ``l`` their covariates (None or an (m, 0) matrix for p = 0);
-    ``a`` the indicator.
+    ``a`` the treatment indicator, 0 or 1 (bools too): any other value
+    raises :class:`NonBinaryTreatment`, a ``ValueError``, as the odds
+    sums take the treated rows for the numerator.
     ``bandwidth`` None takes Silverman's rule per coordinate of (x, l),
     with covariates times the scale in ``ODDS_SCALES`` whose odds, fitted
     on the units at even positions (no seed; a sorted input still splits
@@ -998,6 +1027,8 @@ def fit_nu(x, l, a, bandwidth=None, eps_clip: float = DEFAULT_EPS_CLIP) -> NuFn:
     l = _covariate_matrix(l, x.shape[0], None)
     if not 0.0 < eps_clip < 0.5:
         raise ValueError("eps_clip must lie in (0, 0.5)")
+    if not np.isin(a, (0.0, 1.0)).all():
+        raise NonBinaryTreatment("treatment indicator must contain only 0 and 1")
     if a.min() == a.max():
         raise DegenerateArm("odds regression needs both treatment arms")
     z = np.column_stack([x, l])

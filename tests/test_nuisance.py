@@ -19,7 +19,7 @@ from cicdml.dgp import (
     named_config,
     true_nuisances,
 )
-from cicdml.errors import DegenerateArm, InsufficientData
+from cicdml.errors import DegenerateArm, InsufficientData, NonBinaryTreatment
 from cicdml.nuisance import (
     ODDS_SCALES,
     CondCdf,
@@ -685,6 +685,25 @@ class TestNuFn:
         with pytest.raises(DegenerateArm):
             fit_nu(np.arange(5.0), None, np.ones(5, dtype=int))
 
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("a", [[0, 0.5, 1, 1, 0, 1], [0, 1, 2, 1, 0, 1],
+                                   [-1, 1, 0, 1, 0, 1], [0, 1, np.nan, 1, 0, 1]])
+    def test_a_treatment_other_than_0_and_1_is_rejected(self, a, p):
+        l = np.linspace(-1.0, 1.0, 6 * p).reshape(6, p)
+        with pytest.raises(NonBinaryTreatment, match="only 0 and 1"):
+            fit_nu(np.arange(6.0), l, np.array(a))
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_bools_and_integers_fit_as_0_and_1(self, p):
+        rng = np.random.default_rng(8)
+        x, l = rng.standard_normal(80), rng.standard_normal((80, p))
+        a = rng.uniform(size=80) < 0.4
+        want = fit_nu(x, l, a.astype(float))
+        for same in (a, a.astype(np.int64)):
+            got = fit_nu(x, l, same)
+            assert_array_equal(got.a, want.a)
+            assert_array_equal(got.h, want.h)
+
     @pytest.mark.parametrize("eps_clip", [0.0, 0.5])
     def test_clip_outside_the_open_half_interval_is_rejected(self, eps_clip):
         with pytest.raises(ValueError, match="eps_clip must lie in"):
@@ -746,6 +765,37 @@ class TestOddsBandwidthRule:
             assert_allclose(row, want, rtol=1e-12, atol=0)
             assert self.loss(row, a[1::2]) == pytest.approx(self.loss(want, a[1::2]),
                                                           rel=1e-12, abs=0)
+
+    @classmethod
+    def four_exp_losses(cls, query, train, a, a_held, h, eps_clip=0.01):
+        """The held-out losses at each scale, each scale's weights from an
+        exp of its own and its sums from w @ a and the row sums."""
+        dist = _expanded_sq_distances(train, h)(query)
+        losses = []
+        for s in ODDS_SCALES:
+            w = np.exp(dist * (-0.5 / (s * s)))
+            pr = nuisance._nw_ratio(w @ a, w.sum(axis=1), float(a.mean()))
+            losses.append(cls.loss(nuisance._clipped_odds(pr, eps_clip), a_held))
+        return np.array(losses)
+
+    def test_squared_weights_pick_the_scale_of_four_exps(self):
+        # 60 fits of random size, dimension and odds law; the scales they
+        # pick vary, and each is the one that exps at all four scales pick.
+        rng = np.random.default_rng(2024)
+        picked = []
+        for _ in range(60):
+            m, p = int(rng.integers(60, 400)), int(rng.integers(1, 4))
+            z = rng.standard_normal((m, p + 1))
+            score = z @ rng.normal(0.0, rng.uniform(0.2, 2.0), p + 1) + rng.normal(0.0, 0.5)
+            a = (rng.uniform(size=m) < 1.0 / (1.0 + np.exp(-score))).astype(float)
+            h = _bandwidth_vector(z, None)
+            got = nuisance._scaled_odds(z[1::2], z[::2], a[::2], h, 0.01)
+            losses = [self.loss(row, a[1::2]) for row in got]
+            want = self.four_exp_losses(z[1::2], z[::2], a[::2], a[1::2], h)
+            assert np.argmin(losses) == np.argmin(want)
+            assert_allclose(losses, want, rtol=1e-12, atol=0)
+            picked.append(ODDS_SCALES[int(np.argmin(want))])
+        assert len(set(picked)) >= 3
 
     @GAUSSIAN_KERNEL
     def test_chosen_scale_beats_silverman_on_known_odds(self, kernel):
@@ -930,6 +980,45 @@ class TestGridValues:
         for i in range(gy.shape[1]):
             cells = nuisance._grid_integrals(gx, gy[:, i], gx[:-1], gx[1:])
             assert_allclose(simpson[:, i], cells, rtol=1e-12, atol=0)
+
+
+class TestArmSplitNodeSums:
+    """NuFn._node_sums forms each arm's sums apart: the numerator from the
+    treated rows' weights, the denominator from the controls' plus it."""
+
+    @staticmethod
+    def one_product(nu, nodes, l):
+        """The numerators and denominators of one product of the x-weights
+        with [C a, C], over every training row."""
+        c = _product_weights(l, nu.z[:, 1:], nu.h[1:])
+        sums = _product_weights(nodes[:, None], nu.z[:, :1], nu.h[:1]) @ np.concatenate(
+            [c * nu.a, c]).T
+        return sums[:, :l.shape[0]], sums[:, l.shape[0]:]
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("treated", ["many", "one"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_equal_the_one_product_sums(self, monkeypatch, p, treated, budget):
+        # A budget of one element forms the x-weights one node at a time.
+        rng = np.random.default_rng(30 + p)
+        x, l = rng.standard_normal(250), rng.standard_normal((250, p))
+        a = (rng.uniform(size=250) < 0.4).astype(float)
+        if treated == "one":
+            a[:] = 0.0
+            a[17] = 1.0
+        nu = fit_nu(x, l, a)
+        nodes = np.linspace(-2.5, 2.5, 60)
+        lq = rng.standard_normal((30, p))
+        want = self.one_product(nu, nodes, lq)
+        if budget is not None:
+            monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", budget)
+        num, den = nu._node_sums(nodes, lq)
+        assert num.shape == den.shape == (60, 30)
+        assert (den > 0.0).all()
+        assert_allclose(num, want[0], rtol=1e-13, atol=0)
+        assert_allclose(den, want[1], rtol=1e-13, atol=0)
+        if treated == "one":
+            assert_array_equal(num, want[0])
 
 
 class TestNodeOddsTable:
