@@ -465,7 +465,21 @@ def _to_run_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError("--mc-reps must be at least 2")
         args.crossfit = CrossFitConfig(K=args.folds, S=args.reps, alpha=args.alpha,
                                        seed=args.seed)
+    # An output on a file that the run reads would replace its input; a
+    # device such as /dev/null may be both.
+    read = _regular_files(args, ("input", "config"))
+    for ident, dest in _regular_files(args, ("out", "oracle_out", "output")).items():
+        if ident in read:
+            raise ParseError(f"--{dest.replace('_', '-')} names the file that "
+                             f"--{read[ident]} reads")
     return args
+
+
+def _regular_files(args: argparse.Namespace, dests) -> dict:
+    """The options of ``dests`` set to a regular file's path, by the
+    file's identity (:func:`_file_identity`)."""
+    return {_file_identity(path): dest for dest in dests
+            if (path := getattr(args, dest, None)) and os.path.isfile(path)}
 
 
 def _file_identity(path: str):

@@ -15,6 +15,7 @@ moment the link alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 from typing import Callable, List, Optional, Tuple
 
@@ -191,42 +192,48 @@ def counterfactual_link(spec: EstimandSpec) -> GTildeSpec:
     return spec.gtilde
 
 
+class _Fold:
+    """One fold: its nuisances ``eta``, evaluation ``units`` and their
+    transported outcomes ``gamma``; its controls' indices ``ctrl``,
+    intervals (``lo``, ``hi``) = (y1, gamma), covariates ``l`` and weights
+    ``w`` = 1/pi, each sliced once; and their odds ``nodes`` and node-odds
+    ``table``, built on first use and kept for every later solve."""
+
+    def __init__(self, data: PanelDataset, eta: NuisanceSet, units: np.ndarray):
+        self.eta, self.units = eta, units
+        self.gamma = eta.gamma(data.y0[units], data.l[units])
+        is_ctrl = data.a[units] == 0
+        self.ctrl = units[is_ctrl]
+        self.lo, self.hi, self.l = data.y1[self.ctrl], self.gamma[is_ctrl], data.l[self.ctrl]
+        self.w = np.full(self.ctrl.shape[0], 1.0 / eta.pi)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _odds_nodes(self.lo, self.hi, self.eta.nu)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return _node_odds_table(self.nodes, self.l, self.eta.nu)
+
+
 class _CrossFit:
-    """One repetition's fold assignment and fitted nuisances, with each
-    unit's transported baseline outcome and fold-specific pi in dataset
-    order and each fold's controls, computed once and shared by every solve."""
+    """One repetition's folds (:class:`_Fold`), with each unit's
+    transported baseline outcome and fold-specific pi in dataset order,
+    computed once and shared by every solve."""
 
     def __init__(self, data: PanelDataset, folds: FoldAssignment,
                  fitted: List[NuisanceSet]):
         self.data = data
-        self.folds = folds
-        self.fitted = fitted
-        self.gamma_of = np.empty(data.n)
-        for k, eta in enumerate(fitted):
-            ev = folds.eval_indices(k)
-            self.gamma_of[ev] = eta.gamma(data.y0[ev], data.l[ev])
-        self.pi_of = self.fold_values(lambda eta: eta.pi)
-        self.ctrl_of = [np.nonzero((data.a == 0) & (folds.fold_of == k))[0]
-                        for k in range(len(fitted))]
+        self.folds = [_Fold(data, eta, folds.eval_indices(k)) for k, eta in enumerate(fitted)]
+        self.gamma_of = self.fold_values(lambda f: f.gamma)
+        self.pi_of = self.fold_values(lambda f: f.eta.pi)
 
-    def fold_values(self, fn: Callable[[NuisanceSet], float]) -> np.ndarray:
-        """``fn`` of each unit's fold nuisances, per unit."""
+    def fold_values(self, fn: Callable[[_Fold], object]) -> np.ndarray:
+        """``fn`` of each unit's fold, a value per fold or per fold unit."""
         out = np.empty(self.data.n)
-        for k, eta in enumerate(self.fitted):
-            out[self.folds.eval_indices(k)] = fn(eta)
+        for f in self.folds:
+            out[f.units] = fn(f)
         return out
-
-    def signed_control_odds(self, nodes):
-        """Chunks (i, S) of every fold's controls, i their dataset indices
-        and S their signed odds at ``nodes`` with their fold's odds
-        (:func:`cicdml.nuisance.signed_odds`), one call per fold: a step
-        link's jumps, the QTT's root among them. The QTT's scans read
-        each fold's node-odds table instead (:meth:`quantile_root`)."""
-        data = self.data
-        for eta, idx in zip(self.fitted, self.ctrl_of):
-            for j, signed in signed_odds(nodes, data.y1[idx], self.gamma_of[idx],
-                                         data.l[idx], eta.nu):
-                yield idx[j], signed
 
     def terms(self, link: GTildeSpec, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """Link value at every unit's transported outcome, and the control
@@ -239,22 +246,23 @@ class _CrossFit:
         (:func:`cicdml.nuisance.integrate_nu_many`): a constant ``dx``
         scales the plain odds integral, a callable one weights the node
         odds. A step link sums its jump sizes against the signed odds at
-        its jumps (:meth:`signed_control_odds`)."""
-        data = self.data
-        corr = np.zeros(data.n)
+        its jumps (:func:`cicdml.nuisance.signed_odds`), one call per
+        fold: the QTT's correction at its root is one."""
+        corr = np.zeros(self.data.n)
         if link.jumps is not None:
             pts, sizes = link.jumps(t)
             sizes = np.asarray(sizes, dtype=float)
-            for i, signed in self.signed_control_odds(pts):
-                corr[i] = sizes @ signed
+            for f in self.folds:
+                for j, signed in signed_odds(pts, f.lo, f.hi, f.l, f.eta.nu):
+                    corr[f.ctrl[j]] = sizes @ signed
         else:
             # Called by this module's name, so a wrapper installed on
             # estimator.integrate_nu_many sees every odds integral.
-            for eta, idx in zip(self.fitted, self.ctrl_of):
-                if idx.size:
-                    args = (data.y1[idx], self.gamma_of[idx], data.l[idx], eta.nu)
-                    corr[idx] = (integrate_nu_many(*args, lambda x: link.dx(x, t))
-                                 if callable(link.dx) else link.dx * integrate_nu_many(*args))
+            for f in self.folds:
+                if f.ctrl.size:
+                    args = (f.lo, f.hi, f.l, f.eta.nu)
+                    corr[f.ctrl] = (integrate_nu_many(*args, lambda x: link.dx(x, t))
+                                    if callable(link.dx) else link.dx * integrate_nu_many(*args))
         return np.asarray(link.value(self.gamma_of, t), dtype=float), corr
 
     def scores(self, v: np.ndarray, corr: np.ndarray, slope) -> np.ndarray:
@@ -287,37 +295,30 @@ class _CrossFit:
         the 1/pi-weighted sum, over the controls whose interval (y1, gamma]
         or (gamma, y1] holds t, of the interval's sign times the odds, which
         is minus the control correction of the link's unit step down at t.
-        Each fold's node odds are tabulated once, before the first scan, on
-        the nodes of its odds integral (:func:`cicdml.nuisance._odds_nodes`),
-        and every scan reads their Catmull-Rom interpolant
-        (:func:`cicdml.nuisance._grid_values`). The correction at the root,
-        from which the scores are formed, takes the exact signed odds
-        (:meth:`terms`).
+        Every scan reads each fold's node-odds table (:attr:`_Fold.table`,
+        built on the first scan and kept) through its Catmull-Rom
+        interpolant (:func:`cicdml.nuisance._grid_values`). The correction
+        at the root, from which the scores are formed, takes the exact
+        signed odds (:meth:`terms`).
         """
         data = self.data
         treated = data.a == 1
         w_treat = 1.0 / self.pi_of[treated]
         g_treat = self.gamma_of[treated]
-        folds = []
-        for eta, idx in zip(self.fitted, self.ctrl_of):
-            if idx.size:
-                lo, hi = data.y1[idx], self.gamma_of[idx]
-                nodes = _odds_nodes(lo, hi, eta.nu)
-                folds.append((lo, hi, 1.0 / self.pi_of[idx], nodes,
-                              _node_odds_table(nodes, data.l[idx], eta.nu)))
+        folds = [f for f in self.folds if f.ctrl.size]
 
         def moment(t: np.ndarray) -> np.ndarray:
             val = np.empty(t.shape[0])
             for sl in _chunks(t.shape[0], g_treat.shape[0]):
                 val[sl] = np.sum(
                     w_treat * np.asarray(link.value(g_treat, t[sl, None]), dtype=float), axis=1)
-            for lo, hi, w, nodes, table in folds:
+            for f in folds:
                 # Off the fold's nodes every sign is 0.
-                inside = np.clip(t, nodes[0], nodes[-1])
-                for sl in _chunks(t.shape[0], lo.shape[0]):
-                    signed = _interval_signs(t[sl], lo, hi)
-                    signed *= _grid_values(nodes, table, inside[sl])
-                    val[sl] += signed @ w
+                inside = np.clip(t, f.nodes[0], f.nodes[-1])
+                for sl in _chunks(t.shape[0], f.lo.shape[0]):
+                    signed = _interval_signs(t[sl], f.lo, f.hi)
+                    signed *= _grid_values(f.nodes, f.table, inside[sl])
+                    val[sl] += signed @ f.w
             return val
 
         return solve_quantile_root(moment, bracket=_grid_nodes(data.y1, self.gamma_of, 2))
@@ -333,7 +334,7 @@ class _CrossFit:
         t = self.quantile_root(link)
         v, corr = self.terms(link, t)
         return t, self.scores(v, corr, self.fold_values(
-            lambda eta: float(eta.dens_gamma_treated(t))))
+            lambda f: float(f.eta.dens_gamma_treated(t))))
 
     def solve(self, spec: EstimandSpec) -> Tuple[float, np.ndarray]:
         """Target value and per-unit scores of an estimand: its treated
@@ -348,7 +349,7 @@ class _CrossFit:
         elif spec.kind == EstimandKind.QTT:
             tr = data.a == 1
             t1 = weighted_quantile(data.y1[tr], 1.0 / self.pi_of[tr], spec.tau)
-            f1 = self.fold_values(lambda eta: float(eta.dens_y1_treated(t1)))
+            f1 = self.fold_values(lambda f: float(f.eta.dens_y1_treated(t1)))
             psi1 = data.a / self.pi_of * ((data.y1 <= t1) - spec.tau) / (-f1)
         else:
             return self.solve_link(counterfactual_link(spec))

@@ -486,7 +486,7 @@ class TestConfigFile:
         _, plain = run_estimate(tmp_path, "plain.json", *base)
         _, flag = run_estimate(tmp_path, "flag.json", *base, "--no-stratify")
         config = write_config(tmp_path, {"stratify": False})
-        _, via_config = run_estimate(tmp_path, "config.json", *base, "--config", config)
+        _, via_config = run_estimate(tmp_path, "via_config.json", *base, "--config", config)
         assert via_config == flag
         assert via_config != plain
 
@@ -764,6 +764,60 @@ class TestExitCodes:
                                            "name different files\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["h1.csv", "h2.csv"]
         assert (tmp_path / "h1.csv").read_text() == "keep"
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        for name in ("ingest_csv", "gen_stm", "qq_invariance_diagnostic", "coverage_study"):
+            monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail(f"{name} ran"))
+
+    @pytest.mark.parametrize("argv, err", [
+        (["estimate", "--input", "d.csv", "--output", "d.csv"], "--output names the file that --input"),
+        (["estimate", "--input", "d.csv", "--output", "sub/../d.csv"],
+         "--output names the file that --input"),
+        (["estimate", "--input", "d.csv", "--config", "c.json", "--output", "c.json"],
+         "--output names the file that --config"),
+        (["simulate", "--dgp", "did", "--config", "c.json", "--out", "c.json"],
+         "--out names the file that --config"),
+        (["simulate", "--dgp", "did", "--config", "c.json", "--out", "x.csv",
+          "--oracle-out", "c.json"], "--oracle-out names the file that --config"),
+        (["validate", "--dgp", "did", "--config", "c.json", "--output", "c.json"],
+         "--output names the file that --config"),
+        (["coverage", "--dgp", "did", "--config", "c.json", "--output", "c.json"],
+         "--output names the file that --config"),
+    ], ids=["estimate-input", "estimate-spelled", "estimate-config", "simulate-out",
+            "simulate-oracle", "validate-config", "coverage-config"])
+    def test_an_output_on_a_file_the_run_reads_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, err):
+        # Writing the report would replace the dataset or the config.
+        monkeypatch.chdir(tmp_path)
+        self.forbid_work(monkeypatch)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "d.csv").write_text("keep")
+        (tmp_path / "c.json").write_text("{}")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err} reads\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "d.csv", "sub"]
+        assert (tmp_path / "d.csv").read_text() == "keep"
+        assert (tmp_path / "c.json").read_text() == "{}"
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", "h1.csv", "--output", "h2.csv"],
+        ["validate", "--dgp", "did", "--config", "h1.csv", "--output", "h2.csv"],
+    ], ids=["input", "config"])
+    def test_an_output_on_a_hard_link_of_an_input_exits_2(self, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        # Two names of one inode: their resolved paths differ, the file
+        # does not.
+        monkeypatch.chdir(tmp_path)
+        self.forbid_work(monkeypatch)
+        (tmp_path / "h1.csv").write_text("{}")
+        os.link(tmp_path / "h1.csv", tmp_path / "h2.csv")
+        assert os.path.realpath("h1.csv") != os.path.realpath("h2.csv")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: --output names the file that {argv[-4]} "
+                                           "reads\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["h1.csv", "h2.csv"]
+        assert (tmp_path / "h1.csv").read_text() == "{}"
 
     def test_simulate_writes_report_and_oracle_to_one_device(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

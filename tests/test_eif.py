@@ -284,7 +284,7 @@ class TestStepLinkCorrection:
 class TestScoreEngineStructure:
     def test_the_engine_alone_forms_control_corrections(self):
         # The links module imports nothing from nuisance, and the engine's
-        # one signed-odds generator is the only caller of signed_odds.
+        # terms make the only call of signed_odds.
         src = Path(estimator.__file__).parent
         links = ast.parse((src / "eif.py").read_text(encoding="utf-8"))
         imported = [node.module or "" for node in ast.walk(links)
@@ -295,10 +295,9 @@ class TestScoreEngineStructure:
         tree = ast.parse((src / "estimator.py").read_text(encoding="utf-8"))
         engine_class = next(node for node in tree.body
                             if isinstance(node, ast.ClassDef) and node.name == "_CrossFit")
-        generator = next(node for node in engine_class.body
-                         if isinstance(node, ast.FunctionDef)
-                         and node.name == "signed_control_odds")
-        inside = {id(node) for node in ast.walk(generator)}
+        terms = next(node for node in engine_class.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "terms")
+        inside = {id(node) for node in ast.walk(terms)}
         calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and (getattr(node.func, "id", None) == "signed_odds"
                       or getattr(node.func, "attr", None) == "signed_odds")]

@@ -284,12 +284,13 @@ class TestSolveQuantileRoot:
         assert solve_quantile_root(lambda t: t - root, bracket=(1e9, 1e9 + 1.0)) == root
 
 
-def fitted_engine(name, n, K=3, seed=11):
-    """The score engine over K cross-fitted folds of a named model's data."""
+def fitted_engine(name, n, K=3, seed=11, spec=None):
+    """The score engine over K cross-fitted folds of a named model's data,
+    with the densities that ``spec`` reads."""
     data, _ = gen_stm(named_config(name, n=n, seed=seed))
     folds = partition_folds(data.n, K, stratify_on=data.a, seed=seed)
     cfg = CrossFitConfig(K=K)
-    return _CrossFit(data, folds, [fit_fold_nuisances(data, folds.train_indices(k), cfg)
+    return _CrossFit(data, folds, [fit_fold_nuisances(data, folds.train_indices(k), cfg, spec)
                                    for k in range(K)])
 
 
@@ -334,14 +335,7 @@ def one_fold(cf, k=0):
     """The engine with fold k's nuisances for every unit: one fold, whose
     node-odds table is the whole moment's."""
     return _CrossFit(cf.data, FoldAssignment(fold_of=np.zeros(cf.data.n, dtype=int), K=1),
-                     [cf.fitted[k]])
-
-
-def table_nodes(cf, k=0):
-    """The nodes of fold k's node-odds table: those of its controls' odds
-    integral."""
-    ctrl = cf.ctrl_of[k]
-    return nuisance._odds_nodes(cf.data.y1[ctrl], cf.gamma_of[ctrl], cf.fitted[k].nu)
+                     [cf.folds[k].eta])
 
 
 class TestQuantileMoment:
@@ -386,7 +380,7 @@ class TestQuantileMoment:
         first scan, within the measured interpolation bound; and the same
         root."""
         one = one_fold(cf)
-        self.check(monkeypatch, one, 1e-12, table_nodes(one))
+        self.check(monkeypatch, one, 1e-12, one.folds[0].nodes)
         self.check(monkeypatch, cf, scan_bound)
         self.check_root(monkeypatch, cf)
 
@@ -400,17 +394,17 @@ class TestQuantileMoment:
         # Every fold's table takes the binned sums on its nodes, h / 16
         # apart. Measured at the scan nodes: 6.9e-7 of the moment's absolute
         # terms.
-        cf = fitted_engine("did", 1000)
-        for k, eta in enumerate(cf.fitted):
-            nu = eta.nu
-            assert nuisance._binned_nw_sums(table_nodes(cf, k), nu.z[:, 0], nu.a,
-                                            nu.h[0]) is not None
+        # The dense side takes a fresh engine, as cf keeps its binned tables.
+        cf, fresh = fitted_engine("did", 1000), fitted_engine("did", 1000)
+        for f in cf.folds:
+            nu = f.eta.nu
+            assert nuisance._binned_nw_sums(f.nodes, nu.z[:, 0], nu.a, nu.h[0]) is not None
         link = gtilde_quantile(0.5)
         moment = captured_moment(monkeypatch, cf, link)
         nodes = moment["nodes"]
         binned = moment["fn"](nodes)
         monkeypatch.setattr(nuisance, "_TAPS_PER_POINT", 0)
-        dense = captured_moment(monkeypatch, cf, link)["fn"](nodes)
+        dense = captured_moment(monkeypatch, fresh, link)["fn"](nodes)
         scale = np.array([self.per_point(cf, link, t)[2] for t in nodes])
         assert np.all(np.abs(binned - dense) <= 1e-4 * scale)
         assert not np.array_equal(binned, dense)
@@ -422,8 +416,8 @@ class TestQuantileMoment:
         monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 4000)
         cf = fitted_engine("stm-cov", 400)
         self.check_engine(monkeypatch, cf, 4e-7)
-        nu = cf.fitted[0].nu
-        assert 4000 // nuisance._unit_width(nu, table_nodes(cf).shape[0]) == 7
+        nu = cf.folds[0].eta.nu
+        assert 4000 // nuisance._unit_width(nu, cf.folds[0].nodes.shape[0]) == 7
 
     def test_analytic_odds_with_covariates(self, monkeypatch):
         # GaussHermiteNu's node odds are its values on the node-by-unit
@@ -448,14 +442,14 @@ class TestQuantileMoment:
         # -2 up to -1, 0 on (-1, 0.5] where the controls cancel the
         # treated, 2 from 0.5 on.
         assert set(got) == {-2.0, 0.0, 2.0}
-        self.check(monkeypatch, cf, 0.0, table_nodes(cf)[::8])
+        self.check(monkeypatch, cf, 0.0, cf.folds[0].nodes[::8])
         self.check_root(monkeypatch, cf)
 
     @pytest.mark.parametrize("name", ["did", "stm-cov"])
     def test_one_table_and_one_root_correction_per_fold(self, monkeypatch, name):
         # However many scans the root solve makes, each fold calls
         # node_odds once for its table and once for its correction at the
-        # root.
+        # root; a second solve reads the kept tables.
         cf = fitted_engine(name, 400)
         calls = []
         node_odds = nuisance.NuFn.node_odds
@@ -470,7 +464,7 @@ class TestQuantileMoment:
         assert moment["calls"] >= 3 and len(calls) == 3
         calls.clear()
         cf.terms(link, cf.quantile_root(link))
-        assert len(calls) == 2 * 3 and calls[3:] == [1, 1, 1]
+        assert calls == [1, 1, 1]
 
     def test_link_solve_rescans_the_crossing_cell(self, monkeypatch):
         # One call on the scan grid, then one per 255-fold narrowing of
@@ -670,6 +664,30 @@ class TestOneSolve:
         h, corr = cf.terms(gtilde_counterfactual_mean(), 0.0)
         joint = np.sum(w * (data.y1 - h) + (1 - data.a) * corr / cf.pi_of) / np.sum(w)
         assert theta == pytest.approx(joint, abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("name", ["did", "stm-cov"])
+    def test_one_engine_serves_several_estimands_from_one_table_per_fold(
+            self, monkeypatch, name):
+        # Each solve equals a fresh engine's bit for bit, and the engine
+        # builds each fold's node-odds table once: the second QTT reads the
+        # first one's tables, and the ATT and the CDT read none.
+        specs = [EstimandSpec.att(), EstimandSpec.cdt(1.0), EstimandSpec.qtt(0.25),
+                 EstimandSpec.qtt(0.75)]
+        qtt = EstimandSpec.qtt(0.5)
+        fresh = [fitted_engine(name, 400, spec=qtt).solve(spec) for spec in specs]
+        cf = fitted_engine(name, 400, spec=qtt)
+        tables = []
+        table = estimator._node_odds_table
+
+        def counted(*args):
+            tables.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(estimator, "_node_odds_table", counted)
+        for spec, (theta, psi) in zip(specs, fresh):
+            got, got_psi = cf.solve(spec)
+            assert got == theta and np.array_equal(got_psi, psi)
+        assert len(tables) == 3  # one per fold
 
     def test_no_treated_units_raise_in_the_treated_mean(self):
         # The QTT's case is test_treated_quantile_needs_treated_units.
