@@ -461,6 +461,22 @@ def confidence_interval(theta_hat: float, sigma2_hat: float, n: int,
 # ---------------------------------------------------------------------------
 
 
+def _check_bandwidth(data: PanelDataset, bandwidth: float) -> None:
+    """Reject a set bandwidth under which the kernels' squared scaled
+    distances would overflow. A kernel coordinate is an outcome on y1's
+    scale or a covariate; its values lie within 1.1 times its spread in
+    the data of each other and of their mean (the odds nodes pad the
+    outcomes' range by 5% a side). So every term that the product form of
+    the distances (:func:`cicdml.nuisance._expanded_sq_distances`) sums
+    over d <= p + 1 coordinates is at most 4 d (1.1 spread / h)^2."""
+    spread = float(np.ptp(np.column_stack([data.y1, data.l]), axis=0).max())
+    limit = bandwidth * np.sqrt(np.finfo(float).max / (4.84 * (data.l.shape[1] + 1)))
+    if not spread < limit:
+        raise ValueError(f"bandwidth {bandwidth!r} is too small for these data: their "
+                         f"spread, {spread:.6g}, passes {limit:.6g}, where the kernels' "
+                         f"squared distances overflow")
+
+
 def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> EstimateReport:
     """Run the full cross-fitted procedure for one estimand.
 
@@ -468,10 +484,14 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
     partition with a seed derived from (cfg.seed, repetition), fold-wise
     nuisance fits on complements, estimating-equation solve, variance.
     Repetitions are median-aggregated and a normal interval is attached.
-    Deterministic given the configuration. A repetition whose estimate or
-    variance is not finite raises :class:`NonFiniteValue`.
+    Deterministic given the configuration. A set bandwidth too small for
+    the data raises ValueError before any fit (:func:`_check_bandwidth`);
+    a repetition whose estimate or variance is not finite raises
+    :class:`NonFiniteValue`.
     """
     validate(data)
+    if cfg.bandwidth is not None:
+        _check_bandwidth(data, cfg.bandwidth)
     reps: List[Tuple[float, float]] = []
     for s in range(1, cfg.S + 1):
         folds = partition_folds(data.n, cfg.K,

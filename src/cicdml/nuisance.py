@@ -73,7 +73,10 @@ covariates ``node_odds`` alone, for every caller, takes the one column's
 sums from training x binned on a grid ``ANTIDERIV_REFINE`` times finer,
 by one direct kernel convolution per sub-grid phase, when the nodes are
 two or more, equally spaced, in bins at most ``_BIN_MAX_WIDTH`` h wide,
-and the dense sums cost more; otherwise dense.
+and the dense sums cost more; otherwise dense. The convolutions' taps are
+scaled by an exact power of two (``_TAP_SCALE``), so that their far ends,
+subnormal as kernel weights, and every product and sum with them are
+normal floats.
 
 Step links take the odds at points, not integrals: the node odds at a
 link's jumps, signed by whether each unit's interval holds the node
@@ -120,8 +123,19 @@ _BLOCK = 64
 # Scaled distance |u| past which the float64 kernel weight is exactly 0.0:
 # exp(-u^2 / 2) underflows to zero from u = 38.604 on. Binned kernel sums
 # cut their taps there and nowhere nearer, so sparse tails keep every
-# weight the dense sums see.
+# weight the dense sums see. From u = 37.64 on the weights are subnormal,
+# which is why the binned sums scale their taps by ``_TAP_SCALE``.
 _KERNEL_REACH = 38.61
+# Binned kernel sums multiply their taps by this exact power of two and
+# divide the sums by it, so that no tap, product or partial sum of theirs
+# is subnormal, which on many CPUs costs a microcode assist each. The
+# smallest tap, 2^-1074, times the smallest positive bin weight, above
+# 2^-53, stays normal (over 2^-1022) at any scale from 2^105; the largest
+# sum, m 2^200 for m training points, stays finite. A product or sum of
+# normal floats rounds alike at every power-of-two scale, so a sum moves
+# only where the unscaled one would have rounded on the subnormal grid,
+# and there the scaled one is the more accurate.
+_TAP_SCALE = 2.0 ** 200
 # Binned kernel sums are used while their taps per node number at most
 # this many per training point, about where both cost the same: a tap
 # costs two multiply-adds in np.convolve, a dense weight an exp and
@@ -264,6 +278,12 @@ def _binned_nw_sums(nodes, x, resp, h):
     so one direct convolution per phase and per sum gives the sums at the
     nodes alone. No FFT: its rounding error, relative to the total
     weight, would swamp the ratio where the weight is sparse.
+
+    The taps run out to ``_KERNEL_REACH`` h, where they are subnormal, so
+    they are multiplied by ``_TAP_SCALE``, an exact power of two, and the
+    sums divided by it: every tap, product and partial sum is a normal
+    float, and a sum differs from the unscaled one only where that one
+    rounded on the subnormal grid.
     """
     R = ANTIDERIV_REFINE
     n_nodes = nodes.shape[0]
@@ -280,6 +300,7 @@ def _binned_nw_sums(nodes, x, resp, h):
     offsets = (R * s[None, :] - np.arange(R)[:, None]) * delta
     taps = _product_weights(offsets.reshape(-1, 1), np.zeros((1, 1)),
                             np.array([h])).reshape(R, 2 * S + 1)
+    taps *= _TAP_SCALE
     n_bins = R * (n_nodes + 2 * S)
     t = np.clip((x - nodes[0]) / delta + R * S, -1.0, float(n_bins))
     lower = np.floor(t)
@@ -291,7 +312,7 @@ def _binned_nw_sums(nodes, x, resp, h):
     binned = np.stack([np.bincount(idx, weights=w * np.tile(resp, 2)[keep], minlength=n_bins),
                        np.bincount(idx, weights=w, minlength=n_bins)]).reshape(2, -1, R)
     num, denom = (sum(np.convolve(b[:, r], taps[r], mode="valid") for r in range(R))
-                  for b in binned)
+                  / _TAP_SCALE for b in binned)
     return num, denom
 
 

@@ -516,6 +516,29 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
 
+    def test_a_bandwidth_whose_squared_distances_overflow_exits_2(self, tmp_path, capsys):
+        # Run as a module, so that a numpy RuntimeWarning would reach stderr
+        # as a user sees it. At 1e-300 the kernels' squared distances
+        # overflowed (three warnings, exit 0); 1e-150 runs silently.
+        path = tmp_path / "cov.csv"
+        assert main(["simulate", "--dgp", "stm-cov", "--n", "300", "--seed", "3",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        src = str(Path(cicdml.__file__).resolve().parent.parent)
+        for bandwidth, code in (("1e-300", 2), ("1e-150", 0)):
+            out = tmp_path / f"{bandwidth}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cicdml", "estimate", "--input", str(path),
+                 "--estimand", "att", "--bandwidth", bandwidth, "--output", str(out)],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src))
+            assert proc.returncode == code and proc.stdout == ""
+            if code == 0:
+                assert proc.stderr == "" and out.exists()
+            else:
+                assert proc.stderr.startswith("error: bandwidth 1e-300 is too small")
+                assert proc.stderr.count("\n") == 1 and not out.exists()
+
     def test_an_alpha_whose_quantile_is_infinite_exits_2_before_any_fit(
             self, tmp_path, dataset, capsys, monkeypatch):
         # 1 - 1e-17 / 2 rounds to 1, where the normal quantile is infinite.

@@ -147,6 +147,18 @@ class TestFitFoldNuisances:
             CrossFitConfig(bandwidth=bandwidth)
         assert CrossFitConfig(bandwidth=np.float64(0.3)).bandwidth == 0.3
 
+    def test_a_bandwidth_whose_squared_distances_overflow_is_rejected(self):
+        # Before any fit: the first such fit would warn of an overflow.
+        data, _ = gen_stm(named_config("stm-cov", n=200, seed=3))
+        spread = np.ptp(np.column_stack([data.y1, data.l]), axis=0).max()
+        limit = spread / np.sqrt(np.finfo(float).max / (4.84 * 3))
+        with pytest.raises(ValueError, match="bandwidth 1e-300 is too small"):
+            estimate(data, EstimandSpec.att(), CrossFitConfig(bandwidth=1e-300))
+        with pytest.raises(ValueError, match="too small"):
+            estimate(data, EstimandSpec.att(), CrossFitConfig(bandwidth=limit * (1.0 - 1e-9)))
+        report = estimate(data, EstimandSpec.qtt(0.5), CrossFitConfig(bandwidth=limit * 1.01))
+        assert np.isfinite(report.theta_hat)
+
     # An infinite floor would make every score zero, and the interval a
     # point.
     @pytest.mark.parametrize("f_min", [np.inf, np.nan, 0.0, -1e-3])

@@ -1,4 +1,5 @@
 import ast
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -1422,6 +1423,77 @@ class TestBinnedOddsIntegral:
         u = np.array([[reach - 0.01], [reach]])
         w = _product_weights(u, np.zeros((1, 1)), np.ones(1))[:, 0]
         assert w[0] > 0.0 and w[1] == 0.0
+
+    def test_every_scaled_tap_and_product_is_a_normal_float(self, monkeypatch):
+        # Unscaled, the taps from 37.64 h on are subnormal, and so is every
+        # product with them: a microcode assist each on many CPUs.
+        calls = []
+        convolve = np.convolve
+
+        def recorded(binned, taps, mode):
+            calls.append((binned, taps))
+            return convolve(binned, taps, mode)
+
+        monkeypatch.setattr(np, "convolve", recorded)
+        rng = np.random.default_rng(5)
+        h, R = 0.5, nuisance.ANTIDERIV_REFINE
+        nodes = np.linspace(-3.0, 3.0, 193)
+        delta = (nodes[1] - nodes[0]) / R
+        # One point past the others and 1e-9 of a bin past a bin edge, so
+        # that a bin weighs about 1e-9.
+        x = np.append(rng.standard_normal(400), nodes[-1] + (80.0 + 1e-9) * delta)
+        a = (rng.uniform(size=x.shape[0]) < 0.5).astype(float)
+        assert nuisance._binned_nw_sums(nodes, x, a, h) is not None
+        assert len(calls) == 2 * R
+        tiny = np.finfo(float).tiny
+        smallest_bin = min(b[b > 0].min() for b, _ in calls)
+        assert smallest_bin < 1e-8
+        for r, (_, taps) in enumerate(calls[:R]):
+            side = (taps.shape[0] - 1) // 2
+            u = np.abs(R * np.arange(-side, side + 1) - r) * delta / h
+            # The full reach: only the kernel's own underflow gives a 0.
+            assert u.max() >= nuisance._KERNEL_REACH
+            assert (u[taps == 0.0] > 38.6).all()
+            smallest = taps[taps > 0.0].min()
+            assert smallest >= tiny and smallest * smallest_bin >= tiny
+            assert smallest / nuisance._TAP_SCALE < tiny
+        for (_, num_taps), (_, denom_taps) in zip(calls[:R], calls[R:]):
+            assert_array_equal(num_taps, denom_taps)
+
+    def test_sums_at_sparse_nodes_round_once(self):
+        # Nodes run on 38.7 h past the last training point, so that their
+        # sums fall through 1e-300 into the subnormal range. Each matches a
+        # math.fsum of the same taps and bins, rounded once, within an ulp;
+        # the unscaled taps' products rounded on the subnormal grid one by
+        # one, up to 5 ulps and 2.8% relative here.
+        rng = np.random.default_rng(1)
+        h, R, m = 0.5, nuisance.ANTIDERIV_REFINE, 400
+        x = rng.uniform(-2.0, 0.0, m)
+        a = (rng.uniform(size=m) < 0.5).astype(float)
+        spacing = h / 16
+        nodes = spacing * np.arange(-16, int(38.7 * 16) + 1)
+        sums = nuisance._binned_nw_sums(nodes, x, a, h)
+        assert sums is not None
+        # The same linear binning, on the grid the sums use.
+        delta = spacing / R
+        S = int(nuisance._KERNEL_REACH * h / delta) // R + 2
+        t = (x - nodes[0]) / delta + R * S
+        lower = np.floor(t).astype(int)
+        frac = t - lower
+        bins = np.zeros((2, R * (nodes.shape[0] + 2 * S)))
+        for b, resp in zip(bins, (a, np.ones(m))):
+            np.add.at(b, lower, (1.0 - frac) * resp)
+            np.add.at(b, lower + 1, frac * resp)
+        checked = 0
+        for got, b in zip(sums, bins):
+            j = np.flatnonzero(b)
+            for k in range(nodes.shape[0]):
+                taps = np.exp(-0.5 * ((R * (k + S) - j) * delta / h) ** 2)
+                want = math.ldexp(math.fsum(np.ldexp(taps, 200) * b[j]), -200)
+                if 0.0 < want < 1e-300:
+                    assert abs(got[k] - want) <= np.spacing(want), (k, got[k], want)
+                    checked += 1
+        assert checked > 40
 
     @GAUSSIAN_KERNEL
     def test_empty_input(self, kernel):
