@@ -325,7 +325,8 @@ def build_parser(defaults: Optional[dict] = None) -> argparse.ArgumentParser:
                     help="plain random folds instead of arm-stratified")
     sp.add_argument("--eps-clip", type=float, default=fit.eps_clip,
                     help="propensities are clipped to [eps, 1 - eps]")
-    sp.add_argument("--f-min", type=float, help="floor of the densities")
+    sp.add_argument("--f-min", type=float,
+                    help="floor of the densities, in units of 1 / the sd of each density's sample")
     sp.add_argument("--bandwidth", type=float, default=fit.bandwidth,
                     help="one kernel bandwidth for all coordinates (default: each fit's rule)")
     common(sp)

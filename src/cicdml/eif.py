@@ -42,11 +42,13 @@ class GTildeSpec:
     in closed form, or ``"gamma-density"`` for quantile-type links
     1{x < t} - c, whose one jump, of size -1, sits at t. They are
     root-solved at the first crossing of zero of their moment (a fitted
-    moment need not be monotone) by repeated scans, with the value taken
-    on an array of t and the controls' part interpolated from one table of
-    node odds per fold; the control correction at the root takes the
-    signed odds there. The derivative is a kernel density of the
-    transported outcome.
+    moment need not be monotone) by repeated scans of an array of t. The
+    scans rely on that form: a weighted sum of the value over the treated
+    is the weight of those whose x lies below t plus value(+inf, t) times
+    the total weight, read from running weights; the controls' part is
+    read from running sums of one table of node odds per fold. The control
+    correction at the root takes the signed odds there. The derivative is
+    a kernel density of the transported outcome.
     """
 
     value: Callable[[float, float], float]

@@ -42,12 +42,11 @@ from .nuisance import (
     DEFAULT_F_MIN,
     QUANTILE_SLACK,
     NuisanceSet,
-    _chunks,
     _grid_nodes,
-    _grid_values,
-    _interval_signs,
     _node_odds_table,
     _odds_nodes,
+    _signed_prefix,
+    _signed_values,
     estimate_pi,
     fit_density,
     fit_gamma,
@@ -65,7 +64,9 @@ class CrossFitConfig:
     """Settings for the cross-fitted estimator.
 
     K folds, S repetitions, confidence level alpha, master seed,
-    nuisance options (bandwidth, propensity clip, density floor), and
+    nuisance options (bandwidth, propensity clip, density floor ``f_min``,
+    in units of 1/sd of each density's sample, see
+    :class:`cicdml.nuisance.DensityFn`), and
     whether folds are stratified by treatment arm. Every nuisance uses
     the Gaussian product kernel. A ``bandwidth``, one finite positive
     number, is used for every kernel coordinate; None keeps each
@@ -196,8 +197,10 @@ class _Fold:
     """One fold: its nuisances ``eta``, evaluation ``units`` and their
     transported outcomes ``gamma``; its controls' indices ``ctrl``,
     intervals (``lo``, ``hi``) = (y1, gamma), covariates ``l`` and weights
-    ``w`` = 1/pi, each sliced once; and their odds ``nodes`` and node-odds
-    ``table``, built on first use and kept for every later solve."""
+    ``w`` = 1/pi, each sliced once; and their odds ``nodes``, node-odds
+    ``table`` and the table's weighted running sums in the order of each
+    end, ``prefix`` (:func:`cicdml.nuisance._signed_prefix`), each built on
+    first use and kept for every later solve."""
 
     def __init__(self, data: PanelDataset, eta: NuisanceSet, units: np.ndarray):
         self.eta, self.units = eta, units
@@ -214,6 +217,10 @@ class _Fold:
     @cached_property
     def table(self) -> np.ndarray:
         return _node_odds_table(self.nodes, self.l, self.eta.nu)
+
+    @cached_property
+    def prefix(self) -> tuple:
+        return _signed_prefix(self.table, self.lo, self.hi, self.w)
 
 
 class _CrossFit:
@@ -290,35 +297,35 @@ class _CrossFit:
         the crossing. A fitted moment need not be monotone; the smallest
         crossing is kept.
 
-        The moment is evaluated on an array of t: the link's value summed
-        over the treated at each t (row by row, as at a single t), plus
-        the 1/pi-weighted sum, over the controls whose interval (y1, gamma]
-        or (gamma, y1] holds t, of the interval's sign times the odds, which
+        The moment is evaluated on an array of t as two lookups, each a
+        binary search and a few reads per point. The link's value summed
+        over the treated is, for a link 1{x < t} - c, the running 1/pi
+        weight of the sorted treated transported outcomes below t plus
+        value(+inf, t) times their total weight. The controls' part is the
+        1/pi-weighted sum, over the controls whose interval (y1, gamma] or
+        (gamma, y1] holds t, of the interval's sign times the odds, which
         is minus the control correction of the link's unit step down at t.
-        Every scan reads each fold's node-odds table (:attr:`_Fold.table`,
-        built on the first scan and kept) through its Catmull-Rom
-        interpolant (:func:`cicdml.nuisance._grid_values`). The correction
-        at the root, from which the scores are formed, takes the exact
-        signed odds (:meth:`terms`).
+        It takes each fold's node odds (:attr:`_Fold.table`, built on the
+        first scan and kept) through their Catmull-Rom interpolant, and
+        reads it from the table's running sums in the order of each end
+        (:attr:`_Fold.prefix`, :func:`cicdml.nuisance._signed_values`), as
+        the interpolant is linear in the node odds. The correction at the
+        root, from which the scores are formed, takes the exact signed odds
+        (:meth:`terms`).
         """
         data = self.data
         treated = data.a == 1
-        w_treat = 1.0 / self.pi_of[treated]
         g_treat = self.gamma_of[treated]
+        order = np.argsort(g_treat, kind="stable")
+        g_treat = g_treat[order]
+        w_run = np.concatenate([[0.0], np.cumsum(1.0 / self.pi_of[treated][order])])
         folds = [f for f in self.folds if f.ctrl.size]
 
         def moment(t: np.ndarray) -> np.ndarray:
-            val = np.empty(t.shape[0])
-            for sl in _chunks(t.shape[0], g_treat.shape[0]):
-                val[sl] = np.sum(
-                    w_treat * np.asarray(link.value(g_treat, t[sl, None]), dtype=float), axis=1)
+            val = w_run[np.searchsorted(g_treat, t)]
+            val += np.asarray(link.value(np.inf, t), dtype=float) * w_run[-1]
             for f in folds:
-                # Off the fold's nodes every sign is 0.
-                inside = np.clip(t, f.nodes[0], f.nodes[-1])
-                for sl in _chunks(t.shape[0], f.lo.shape[0]):
-                    signed = _interval_signs(t[sl], f.lo, f.hi)
-                    signed *= _grid_values(f.nodes, f.table, inside[sl])
-                    val[sl] += signed @ f.w
+                val += _signed_values(f.nodes, f.table, f.prefix, t)
             return val
 
         return solve_quantile_root(moment, bracket=_grid_nodes(data.y1, self.gamma_of, 2))
@@ -389,15 +396,17 @@ def solve_quantile_root(estimating_fn: Callable, bracket: Tuple[float, float]) -
     each. One call on ``ROOT_SCAN_POINTS`` equally spaced points of the
     bracket finds the first point where the moment is nonnegative. The
     cell before it is scanned in the same way, at its inner points, and so
-    on until the cell is at most ``ROOT_TOL`` wide or holds no float
-    inside: at most 1 + ceil(log(cell / ROOT_TOL) / log(ROOT_SCAN_POINTS
-    - 1)) calls. The right end of the last cell is returned. A moment that
-    crosses zero more than once keeps its first crossing.
+    on until the cell is at most tol = ``ROOT_TOL`` min(1, bracket width)
+    wide or holds no float inside: at most 1 + ceil(log(cell / tol) /
+    log(ROOT_SCAN_POINTS - 1)) calls. A bracket under 1 wide so scales its
+    tolerance with it. The right end of the last cell is returned. A
+    moment that crosses zero more than once keeps its first crossing.
     """
     def nonnegative(t: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.asarray(estimating_fn(t), dtype=float), t.shape) >= 0.0
 
     lo, hi = float(bracket[0]), float(bracket[1])
+    tol = ROOT_TOL * min(hi - lo, 1.0)
     grid = np.linspace(lo, hi, ROOT_SCAN_POINTS)
     hits = np.flatnonzero(nonnegative(grid))
     if hits.size == 0:
@@ -406,7 +415,7 @@ def solve_quantile_root(estimating_fn: Callable, bracket: Tuple[float, float]) -
     if j == 0:
         return lo
     # A cell with no float inside, at large outcomes, cannot shrink.
-    while grid[j] - grid[j - 1] > ROOT_TOL and np.nextafter(grid[j - 1], grid[j]) < grid[j]:
+    while grid[j] - grid[j - 1] > tol and np.nextafter(grid[j - 1], grid[j]) < grid[j]:
         grid = np.linspace(grid[j - 1], grid[j], ROOT_SCAN_POINTS)
         # The moment is negative at the cell's left end and nonnegative
         # at its right end.
@@ -477,6 +486,31 @@ def _check_bandwidth(data: PanelDataset, bandwidth: float) -> None:
                          f"squared distances overflow")
 
 
+def _check_scale(data: PanelDataset, eps_clip: float) -> None:
+    """Reject data too large for float arithmetic, before any fit. Each
+    column (y0, y1 and every covariate) enters sums of its n values, as
+    means, and of n squared deviations, as the rule-of-thumb bandwidths'
+    variances: its largest magnitude must stay under max float / n and its
+    spread under r = sqrt(max float / n). The odds grid's node count,
+    ``GRID_PER_BANDWIDTH`` times the outcomes' spread over a bandwidth,
+    is then finite too. A mean-type score's numerator, a treated unit's
+    link value or a control's odds (at most 1 / eps_clip) over its interval
+    (y1, gamma], is at most the outcomes' spread over eps_clip, and the
+    variance sums n of their squares: the outcomes' spread must stay under
+    eps_clip r."""
+    root = float(np.sqrt(np.finfo(float).max / data.n))
+    ends = [(float(c.min()), float(c.max())) for c in (data.y0, data.y1, *data.l.T)]
+    spread = [hi - lo for lo, hi in ends]      # a float difference overflows to inf
+    for what, value, limit in (
+            ("the outcomes' spread", max(spread[:2]), eps_clip * root),
+            ("the covariates' spread", max(spread[2:], default=0.0), root),
+            ("their largest magnitude", max(max(-lo, hi) for lo, hi in ends), root * root)):
+        if not value < limit:
+            raise ValueError(f"these data are too large for float arithmetic: {what}, "
+                             f"{value:.6g}, passes {limit:.6g}, where the bandwidths, the "
+                             f"odds grid or the variance over {data.n} units overflow")
+
+
 def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> EstimateReport:
     """Run the full cross-fitted procedure for one estimand.
 
@@ -484,12 +518,14 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
     partition with a seed derived from (cfg.seed, repetition), fold-wise
     nuisance fits on complements, estimating-equation solve, variance.
     Repetitions are median-aggregated and a normal interval is attached.
-    Deterministic given the configuration. A set bandwidth too small for
-    the data raises ValueError before any fit (:func:`_check_bandwidth`);
-    a repetition whose estimate or variance is not finite raises
+    Deterministic given the configuration. Data too large for float
+    arithmetic (:func:`_check_scale`), and a set bandwidth too small for
+    them (:func:`_check_bandwidth`), raise ValueError before any fit; a
+    repetition whose estimate or variance is not finite raises
     :class:`NonFiniteValue`.
     """
     validate(data)
+    _check_scale(data, cfg.eps_clip)
     if cfg.bandwidth is not None:
         _check_bandwidth(data, cfg.bandwidth)
     reps: List[Tuple[float, float]] = []

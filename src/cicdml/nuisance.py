@@ -26,22 +26,21 @@ units at even positions and scored on those at odd positions. The weights
 at a scale whose double is a scale too are those at the double squared
 twice, so of 1 to 4 only 3 and 4 take an exp (:func:`_scaled_odds`).
 
-Every chunked pass (here, in the estimator's root solve and in the
-analytic odds) takes its row slices from :func:`_chunks`, the one reader
-of ``_CHUNK_BUDGET``. Kernels whose values are returned (the odds and
-their node sums, the densities, ``CondCdf`` and ``CondQuantile``, the
-binned taps) form their weights one coordinate at a time
-(:func:`_product_weights`). The two kernels that are read only through
-comparisons take D from one small matrix product instead
-(:func:`_expanded_sq_distances`): the transport map, whose value is an
-order statistic of the controls' y1, and the odds-scale score
-(:func:`_scaled_odds`), read through an argmin. The product rounds the
-weights by about 1e-13 relative, which moves an output only where a
-cumulative share or a loss lies that close to its comparand. The
-transport map forms each chunk's weights once, for its CDF and its
-quantile, which are fitted on the same control units, in one buffer that
-also holds them in the quantile's order; both kernels form their
-training side once per call.
+Every chunked pass (here and in the analytic odds) takes its row slices
+from :func:`_chunks`, the one reader of ``_CHUNK_BUDGET``. Kernels whose
+values are returned (the odds and their node sums, the densities,
+``CondCdf`` and ``CondQuantile``, the binned taps) form their weights
+one coordinate at a time (:func:`_product_weights`). The two kernels
+that are read only through comparisons take D from one small matrix
+product instead (:func:`_expanded_sq_distances`): the transport map,
+whose value is an order statistic of the controls' y1, and the
+odds-scale score (:func:`_scaled_odds`), read through an argmin. The
+product rounds the weights by about 1e-13 relative, which moves an
+output only where a cumulative share or a loss lies that close to its
+comparand. The transport map forms each chunk's weights once, for its
+CDF and its quantile, which are fitted on the same control units, in one
+buffer that also holds them in the quantile's order; both kernels form
+their training side once per call.
 
 The conditional CDF and quantile, alone and inside the transport map,
 read a row's running weight sums through two levels (:func:`_block_sums`,
@@ -85,12 +84,20 @@ correction at its root included. The QTT moment's scans read instead one
 table per fold of its controls' node odds on their odds integral's nodes
 (:func:`_node_odds_table`), through its Catmull-Rom interpolant
 (:func:`_grid_values`), which finds its cells as the antiderivative does
-(:func:`_grid_cell`) and has the antiderivative's cell integrals.
+(:func:`_grid_cell`) and has the antiderivative's cell integrals. The
+interpolant is linear in the node odds, so the signed, weighted sum over
+the controls at a point t is the interpolant of one column of two running
+sums of the table, over the controls in the order of each end of their
+intervals (:func:`_signed_prefix`), at the counts of ends below t
+(:func:`_signed_values`): a scan point costs a binary search and a few
+reads per fold, not a pass over the controls. Both interpolants share one
+coefficient routine (:func:`_catmull_rom`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import takewhile
 from typing import Optional
 
@@ -162,13 +169,31 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
     sd = float(np.std(x))
-    q75, q25 = np.percentile(x, [75, 25])
+    q25, q75 = _quartiles(x)
     spread = min(sd, (q75 - q25) / 1.34) or sd
     h = 0.9 * spread * m ** (-0.2)
     if h <= 0.0:
         # Constant coordinate: any positive width gives uniform weights.
         h = max(1.0, abs(float(np.mean(x))) * 1e-3)
     return h
+
+
+def _quartiles(x: np.ndarray):
+    """The lower and upper quartiles of m >= 1 values x as
+    ``np.percentile(x, [25, 75])`` gives them, bit for bit: the order
+    statistics either side of position q (m - 1) from one
+    ``np.partition``, and numpy's linear interpolation between them, which
+    for a weight t >= 0.5 steps back from the upper one."""
+    top = x.shape[0] - 1
+    pos = [0.25 * top, 0.75 * top]
+    below = [int(v) for v in pos]
+    part = np.partition(x, [k for j in below for k in (j, min(j + 1, top))])
+    out = []
+    for v, j in zip(pos, below):
+        a, b, t = float(part[j]), float(part[min(j + 1, top)]), v - j
+        diff = b - a
+        out.append(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 def _bandwidth_vector(x: np.ndarray, bandwidth) -> np.ndarray:
@@ -302,15 +327,34 @@ def _binned_nw_sums(nodes, x, resp, h):
                             np.array([h])).reshape(R, 2 * S + 1)
     taps *= _TAP_SCALE
     n_bins = R * (n_nodes + 2 * S)
-    t = np.clip((x - nodes[0]) / delta + R * S, -1.0, float(n_bins))
+    # Few buffers of m or 2 m, formed in place and freed early: at large m
+    # each fresh one is faulted in page by page.
+    m = x.shape[0]
+    t = np.subtract(x, nodes[0])
+    t /= delta
+    t += R * S
+    np.clip(t, -1.0, float(n_bins), out=t)
     lower = np.floor(t)
-    frac = t - lower
-    idx = np.concatenate([lower, lower + 1.0]).astype(np.int64)
-    w = np.concatenate([1.0 - frac, frac])
-    keep = (idx >= 0) & (idx < n_bins)
-    idx, w = idx[keep], w[keep]
-    binned = np.stack([np.bincount(idx, weights=w * np.tile(resp, 2)[keep], minlength=n_bins),
-                       np.bincount(idx, weights=w, minlength=n_bins)]).reshape(2, -1, R)
+    idx = np.empty((2, m), dtype=np.int64)
+    idx[:] = lower
+    idx[1] += 1
+    frac = np.subtract(t, lower, out=t)
+    del lower
+    w = np.empty((2, m))
+    np.subtract(1.0, frac, out=w[0])
+    w[1] = frac
+    del t, frac
+    resp = np.broadcast_to(resp, (2, m))
+    # Only points clipped to the bin grid's ends, past the kernel's reach
+    # of every node, fall outside it.
+    if idx[0].min() < 0 or idx[1].max() >= n_bins:
+        keep = (idx >= 0) & (idx < n_bins)
+        idx, w, resp = idx[keep], w[keep], resp[keep]
+    # The denominator's weights, then the numerator's, w resp, in place.
+    denom = np.bincount(idx.reshape(-1), weights=w.reshape(-1), minlength=n_bins)
+    w *= resp
+    binned = np.stack([np.bincount(idx.reshape(-1), weights=w.reshape(-1), minlength=n_bins),
+                       denom]).reshape(2, -1, R)
     num, denom = (sum(np.convolve(b[:, r], taps[r], mode="valid") for r in range(R))
                   / _TAP_SCALE for b in binned)
     return num, denom
@@ -318,10 +362,13 @@ def _binned_nw_sums(nodes, x, resp, h):
 
 def _grid_nodes(lo, hi, n_grid: int) -> np.ndarray:
     """Equally spaced antiderivative nodes spanning every endpoint in lo
-    and hi (scalars or arrays), padded on each side by 5% of the span."""
+    and hi (scalars or arrays), padded on each side by 5% of the span and
+    1e-9 of min(span, 1), so that a span under 1 scales its nodes with it;
+    a span of 0 takes the pad of a span of 1e-12."""
     start = float(min(np.min(lo), np.min(hi)))
     stop = float(max(np.max(lo), np.max(hi)))
-    pad = 1e-9 + 0.05 * max(stop - start, 1e-12)
+    span = stop - start
+    pad = 1e-9 * (min(span, 1.0) or 1.0) + 0.05 * (span or 1e-12)
     return np.linspace(start - pad, stop + pad, n_grid)
 
 
@@ -406,24 +453,75 @@ def _grid_values(gx: np.ndarray, gy: np.ndarray, x: np.ndarray) -> np.ndarray:
     values to y[j], so equal neighbours give their value exactly.
     """
     gy = gy.reshape(gx.shape[0], -1)
+    return _catmull_rom(gx, x, lambda rows: gy[rows])
+
+
+def _catmull_rom(gx: np.ndarray, x: np.ndarray, values) -> np.ndarray:
+    """The interpolant of :func:`_grid_values` at x, where values(rows)
+    gives, for an index array of one node per x, those nodes' values, a
+    new array with one row per x; each point may read its own node values.
+    The value is y[j] + a0 e0 + a1 e1 + a2 e2, with j the cell, e0, e1 and
+    e2 the differences of the four node values from base = clip(j - 1, 0,
+    G - 4) on, and the weights a of j's offset, mapped through
+    ``_FIRST_CELL`` or ``_LAST_CELL`` in the end cells."""
     j, u = _grid_cell(gx, x)
     v = 1.0 - u
-    # y[j] + a0 d0 + a1 d1 + a2 d2, with d0 = y[j] - y[j - 1], d1 = y[j + 1] - y[j]
-    # and d2 = y[j + 2] - y[j + 1].
+    # Inside, e0 = y[j] - y[j - 1], e1 = y[j + 1] - y[j] and e2 = y[j + 2] - y[j + 1].
     coef = np.stack([0.5 * u * v * v, u * (0.5 + u * (1.5 - u)), -0.5 * u * u * v], axis=1)
     for end, cell in ((j == 0, _FIRST_CELL), (j == gx.shape[0] - 2, _LAST_CELL)):
         coef[end] = coef[end] @ cell
-    # The differences e0, e1, e2 of the four node values from base on.
     base = np.clip(j - 1, 0, gx.shape[0] - 4)
-    out = gy[j]
-    lower = gy[base]
+    out = values(j)
+    lower = values(base)
+    shape = (-1,) + (1,) * (out.ndim - 1)
     for r in range(3):
-        upper = gy[base + r + 1]
+        upper = values(base + r + 1)
         diff = np.subtract(upper, lower, out=lower)
-        diff *= coef[:, r, None]
+        diff *= coef[:, r].reshape(shape)
         out += diff
         lower = upper
     return out
+
+
+def _signed_prefix(table: np.ndarray, lo: np.ndarray, hi: np.ndarray, w: np.ndarray):
+    """The running sums of weighted node odds from which
+    :func:`_signed_values` reads sum_k w_k s_k(t) nu_k(t) at any t, for
+    the k intervals (lo_k, hi_k] with signs s_k of :func:`_interval_signs`
+    and node odds ``table`` (:func:`_node_odds_table`): lo and hi sorted,
+    and the pair P, shape (2, G, k + 1). P[0][:, n] sums w table over the
+    n intervals of least lo, P[1][:, n] over the n of least hi; both end on
+    P[0]'s total, so that past every endpoint their difference is 0. A
+    shared column (G, 1) takes the running weights alone, (2, 1, k + 1)."""
+    k = lo.shape[0]
+    shared = table.shape[1] == 1
+    pair = np.zeros((2, 1 if shared else table.shape[0], k + 1))
+    for ends, sums in zip((lo, hi), pair):
+        order = np.argsort(ends, kind="stable")
+        terms = w[None, order] if shared else table[:, order] * w[order]
+        np.cumsum(terms, axis=-1, out=sums[:, 1:])
+    pair[1, :, -1] = pair[0, :, -1]
+    return np.sort(lo), np.sort(hi), pair
+
+
+def _signed_values(gx: np.ndarray, table: np.ndarray, prefix, t: np.ndarray) -> np.ndarray:
+    """sum_k w_k s_k(t) nu_k(t) at every point t, with nu_k the Catmull-Rom
+    interpolant (:func:`_catmull_rom`) of column k of ``table`` on the
+    nodes gx, from ``prefix`` = :func:`_signed_prefix` (lo, hi, w).
+
+    s_k(t) = 1{lo_k < t} - 1{hi_k < t} and the interpolant is linear in
+    the node values, so the sum is the interpolant at t of the one column
+    P[0][:, N_lo(t)] - P[1][:, N_hi(t)], N_lo(t) and N_hi(t) the counts of
+    lo and hi below t: two binary searches and five pairs of reads per
+    point, whatever k. A shared column's interpolant is scaled by the
+    difference of running weights instead. Off the nodes both counts are
+    0, or both k, and the sum is exactly 0."""
+    lo, hi, pair = prefix
+    n_lo = np.searchsorted(lo, t)
+    n_hi = np.searchsorted(hi, t)
+    inside = np.clip(t, gx[0], gx[-1])
+    if pair.shape[1] == 1:
+        return _grid_values(gx, table, inside)[:, 0] * (pair[0, 0, n_lo] - pair[1, 0, n_hi])
+    return _catmull_rom(gx, inside, lambda rows: pair[0, rows, n_lo] - pair[1, rows, n_hi])
 
 
 def integrate_nu_many(lo, hi, l, nu, weight=None) -> np.ndarray:
@@ -820,7 +918,9 @@ def fit_gamma(y0, y1, l=None, bandwidth=None) -> GammaMap:
     if y0.shape != y1.shape:
         raise ValueError("y0 and y1 must pair the same units")
     cdf0 = fit_cond_cdf(y0, l, bandwidth=bandwidth)
-    quant1 = fit_cond_quantile(y1, l, bandwidth=bandwidth)
+    # The same covariates take the same bandwidths: the CDF's, not a rerun
+    # of the rule.
+    quant1 = fit_cond_quantile(y1, l, bandwidth=cdf0.h)
     perm = (np.argsort(np.argsort(y0, kind="stable"))[np.argsort(y1, kind="stable")]
             if cdf0.p else None)
     return GammaMap(cdf0=cdf0, quantile1=quant1, perm=perm)
@@ -1075,12 +1175,21 @@ def estimate_pi(a) -> float:
 
 @dataclass
 class DensityFn(_PointwiseFn):
-    """Kernel density of the outcome (p = 0), floored for use in denominators."""
+    """Kernel density of the outcome (p = 0), floored for use in
+    denominators at ``floor`` = f_min / s, s the standard deviation of the
+    sample x (its bandwidth h where that is 0). f_min is so a floor on the
+    density of the outcome in units of its sd, and the floored density
+    scales as 1/c when the outcome is multiplied by c: an absolute floor
+    binds on every outcome measured in small enough units."""
 
     x: np.ndarray
     h: float
     f_min: float = DEFAULT_F_MIN
     p = 0
+
+    @cached_property
+    def floor(self) -> float:
+        return self.f_min / (float(np.std(self.x)) or self.h)
 
     def evaluate_many(self, t: np.ndarray, l: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -1090,12 +1199,13 @@ class DensityFn(_PointwiseFn):
         train, h = self.x[:, None], np.array([self.h])
         for sl in _chunks(t.shape[0], self.x.shape[0]):
             out[sl] = _product_weights(t[sl, None], train, h).sum(axis=1) * inv
-        return np.maximum(out, self.f_min)
+        return np.maximum(out, self.floor)
 
 
 def fit_density(x, bandwidth: Optional[float] = None,
                 f_min: float = DEFAULT_F_MIN) -> DensityFn:
-    """Kernel density estimate with Silverman bandwidth and a value floor."""
+    """Kernel density estimate with Silverman bandwidth and a value floor,
+    f_min over the sample's standard deviation (:class:`DensityFn`)."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] < 2:
         raise InsufficientData("need at least 2 samples to fit a density")

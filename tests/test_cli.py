@@ -539,6 +539,35 @@ class TestExitCodes:
                 assert proc.stderr.startswith("error: bandwidth 1e-300 is too small")
                 assert proc.stderr.count("\n") == 1 and not out.exists()
 
+    def test_outcomes_near_the_float_limit_exit_2_before_any_fit(self, tmp_path):
+        # 200 rows of standard normals times 1e307: the ATT printed numpy
+        # overflow warnings and exited 2 on a non-finite variance, the QTT
+        # and the CDT exited 0 after warnings, the QTT at -1.66e306. Times
+        # 1e150 every estimand runs silently.
+        rng = np.random.default_rng(7)
+        y0 = rng.standard_normal(200)
+        y1 = y0 + 0.5 * rng.standard_normal(200)
+        a = (rng.random(200) < 0.5).astype(int)
+        src = str(Path(cicdml.__file__).resolve().parent.parent)
+        for scale, code in ((1e307, 2), (1e150, 0)):
+            path = tmp_path / f"{scale:g}.csv"
+            rows = [f"{u * scale!r},{v * scale!r},{t}" for u, v, t in
+                    zip(y0.tolist(), y1.tolist(), a.tolist())]
+            path.write_text("y0,y1,a\n" + "\n".join(rows) + "\n")
+            for estimand in (["att"], ["qtt", "--tau", "0.5"], ["cdt", "--y-point", "0"]):
+                out = tmp_path / f"{scale:g}-{estimand[0]}.json"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "cicdml", "estimate", "--input", str(path),
+                     "--estimand", *estimand, "--output", str(out)],
+                    capture_output=True, text=True, timeout=120,
+                    env=dict(os.environ, PYTHONPATH=src))
+                assert proc.returncode == code and proc.stdout == "", estimand
+                if code == 0:
+                    assert proc.stderr == "" and out.exists()
+                else:
+                    assert proc.stderr.startswith("error: these data are too large for float")
+                    assert proc.stderr.count("\n") == 1 and not out.exists()
+
     def test_an_alpha_whose_quantile_is_infinite_exits_2_before_any_fit(
             self, tmp_path, dataset, capsys, monkeypatch):
         # 1 - 1e-17 / 2 rounds to 1, where the normal quantile is infinite.
@@ -852,12 +881,14 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_non_finite_estimate_exits_2_and_writes_no_file(self, tmp_path, capsys):
-        # Outcomes near the largest float overflow the scores' squares:
-        # sigma2_hat is infinite.
+        # The scores' squares overflow: sigma2_hat is infinite. Outcomes
+        # near the largest float are refused before any fit
+        # (test_outcomes_near_the_float_limit_exit_2_before_any_fit); these
+        # pass that bound, which leaves out the scores' 1/pi, here about 20.
         path = tmp_path / "huge.csv"
         path.write_text("y0,y1,a\n" + "".join(
-            f"{1e300 * (i % 7)!r},{1e300 * (i % 5)!r},{i % 2}\n" for i in range(60)))
-        rc, _ = run_estimate(tmp_path, "out.json", "--input", str(path))
+            f"{4e151 * (i % 7)!r},{4e151 * (i % 5)!r},{int(i % 20 == 0)}\n" for i in range(600)))
+        rc, _ = run_estimate(tmp_path, "out.json", "--input", str(path), "--eps-clip", "0.49")
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == "error: repetition 1: the estimate or its variance is not finite\n"

@@ -227,6 +227,33 @@ class TestBandwidthRule:
         # The two levels are 14 bandwidths apart: the strata do not pool.
         assert np.exp(-0.5 / h ** 2) < 1e-40
 
+    def test_quartiles_are_numpys_percentiles_bit_for_bit(self):
+        # One partition and numpy's linear interpolation, its step back from
+        # the upper order statistic included; ties and tiny samples too.
+        rng = np.random.default_rng(10)
+        for m in (1, 2, 3, 4, 5, 6, 7, 16, 17, 1000, 3001):
+            for x in (rng.standard_normal(m), rng.integers(0, 4, m).astype(float),
+                      rng.exponential(size=m) ** 3 * 1e3):
+                assert nuisance._quartiles(x) == list(np.percentile(x, [25, 75])), m
+
+    def test_fitted_bandwidths_are_the_percentile_rule_bit_for_bit(self):
+        # The rule as np.percentile gave it, against every fitted rule-of-
+        # thumb bandwidth: the transport map's two halves (both take the
+        # CDF's), the odds at p = 0 and the density.
+        def rule(x):
+            sd = float(np.std(x))
+            q75, q25 = np.percentile(x, [75, 25])
+            return 0.9 * (min(sd, (q75 - q25) / 1.34) or sd) * x.shape[0] ** -0.2
+
+        rng = np.random.default_rng(11)
+        y0, y1 = rng.standard_normal((2, 301))
+        l = np.column_stack([rng.standard_normal(301), rng.integers(0, 3, 301)])
+        gamma = fit_gamma(y0, y1, l)
+        want = [rule(l[:, 0]), rule(l[:, 1])]
+        assert list(gamma.cdf0.h) == want and list(gamma.quantile1.cdf.h) == want
+        assert list(fit_nu(y0, None, (y1 > 0).astype(float)).h) == [rule(y0)]
+        assert fit_density(y1).h == rule(y1)
+
     @pytest.mark.parametrize("value,want", [(0.0, 1.0), (3.0, 1.0), (-5e3, 5.0)])
     def test_a_constant_column_keeps_a_positive_width(self, value, want):
         assert silverman_bandwidth(np.full(50, value)) == want
@@ -1334,6 +1361,43 @@ class TestBinnedOddsIntegral:
         hi[:5] = lo[:5]
         return lo, hi
 
+    @pytest.mark.parametrize("dist", ["normal", "lognormal"])
+    def test_bins_formed_in_place_equal_the_concatenated_ones(self, monkeypatch, dist):
+        # The reference forms the bin indices and weights by concatenation,
+        # drops those off the grid and tiles resp; the sums are equal bit
+        # for bit, with every point on the bin grid (normal) and with some
+        # clipped off it, past the kernel's reach of every node (lognormal).
+        nu, rng = self.fitted(16000, dist)
+        lo, hi = self.inner_intervals(nu, rng)
+        nodes = nuisance._odds_nodes(lo, hi, nu)
+        x, resp, h = nu.z[:, 0], nu.a, nu.h[0]
+        R = nuisance.ANTIDERIV_REFINE
+        delta = (nodes[-1] - nodes[0]) / (nodes.shape[0] - 1) / R
+        S = int(nuisance._KERNEL_REACH * h / delta) // R + 2
+        n_bins = R * (nodes.shape[0] + 2 * S)
+        t = np.clip((x - nodes[0]) / delta + R * S, -1.0, float(n_bins))
+        lower = np.floor(t)
+        frac = t - lower
+        idx = np.concatenate([lower, lower + 1.0]).astype(np.int64)
+        w = np.concatenate([1.0 - frac, frac])
+        keep = (idx >= 0) & (idx < n_bins)
+        assert keep.all() == (dist == "normal")
+        idx, w = idx[keep], w[keep]
+        want = [np.bincount(idx, weights=w * np.tile(resp, 2)[keep], minlength=n_bins),
+                np.bincount(idx, weights=w, minlength=n_bins)]
+        seen = []
+        bincount = np.bincount
+
+        def recorded(idx, weights, minlength):
+            seen.append(bincount(idx, weights=weights, minlength=minlength))
+            return seen[-1]
+
+        monkeypatch.setattr(np, "bincount", recorded)
+        nuisance._binned_nw_sums(nodes, x, resp, h)
+        assert len(seen) == 2
+        for sums in want:
+            assert any(np.array_equal(sums, got) for got in seen)
+
     @GAUSSIAN_KERNEL
     @pytest.mark.parametrize("dist", ["normal", "lognormal"])
     @pytest.mark.parametrize("m", [400, 16000])
@@ -1567,8 +1631,23 @@ class TestDensityFn:
         assert dens(0.5) == pytest.approx(1.0, abs=0.15)
 
     def test_floor_far_from_data(self):
-        dens = fit_density(np.array([0.0, 0.1, 0.2]), f_min=1e-3)
-        assert dens(1e6) == 1e-3
+        # The floor is f_min over the sample's sd.
+        x = np.array([0.0, 0.1, 0.2])
+        dens = fit_density(x, f_min=1e-3)
+        assert dens(1e6) == 1e-3 / np.std(x)
+
+    @pytest.mark.parametrize("c", [1e-9, 1e3, 1e4])
+    def test_the_floored_density_follows_the_outcomes_units(self, c):
+        # An outcome in c times its units has 1/c times its density, floor
+        # included; the floor of 1e-3 once bound at 1e3 wherever the
+        # density fell under 1.0.
+        x = np.random.default_rng(12).standard_normal(200)
+        t = np.array([0.0, 1.0, 3.0, 8.0, 1e6])
+        assert_allclose(fit_density(c * x)(c * t) * c, fit_density(x)(t), rtol=1e-12, atol=0)
+
+    def test_a_constant_sample_floors_at_f_min_over_its_bandwidth(self):
+        dens = fit_density(np.full(5, 3.0), f_min=1e-3)
+        assert dens.h == 1.0 and dens(1e6) == 1e-3
 
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
