@@ -303,6 +303,7 @@ class GaussHermiteNu(_PointwiseFn):
             block = nodes[sl]
             vals = self.evaluate_many(np.repeat(block, k), np.tile(rows, (block.shape[0], 1)))
             out[sl] = vals.reshape(block.shape[0], k)
+            del vals
         return out
 
     def integral_many(self, lo, hi, l):

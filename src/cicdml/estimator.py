@@ -262,6 +262,7 @@ class _CrossFit:
             for f in self.folds:
                 for j, signed in signed_odds(pts, f.lo, f.hi, f.l, f.eta.nu):
                     corr[f.ctrl[j]] = sizes @ signed
+                    del signed
         else:
             # Called by this module's name, so a wrapper installed on
             # estimator.integrate_nu_many sees every odds integral.
@@ -369,9 +370,17 @@ def solve_att_once(data: PanelDataset, folds: FoldAssignment,
     """Solve the pooled ATT estimating equation for one fold assignment:
     the 1/pi-weighted treated mean minus the counterfactual-mean link,
     each in closed form (:meth:`_CrossFit.solve`). Returns the point
-    estimate and the mean squared score."""
+    estimate and the mean squared score (:func:`_mean_square`)."""
     theta, psi = _CrossFit(data, folds, fitted).solve(EstimandSpec.att())
-    return theta, float(np.mean(psi * psi))
+    return theta, _mean_square(psi)
+
+
+def _mean_square(psi: np.ndarray) -> float:
+    """A repetition's variance, the mean of the squared scores: inf,
+    without a numpy warning, where a square or their sum overflows, so
+    that :func:`estimate`'s finiteness check is the one report of it."""
+    with np.errstate(over="ignore"):
+        return float(np.mean(psi * psi))
 
 
 def att_psi_values(data: PanelDataset, folds: FoldAssignment, fitted: List[NuisanceSet],
@@ -470,45 +479,46 @@ def confidence_interval(theta_hat: float, sigma2_hat: float, n: int,
 # ---------------------------------------------------------------------------
 
 
-def _check_bandwidth(data: PanelDataset, bandwidth: float) -> None:
-    """Reject a set bandwidth under which the kernels' squared scaled
-    distances would overflow. A kernel coordinate is an outcome on y1's
-    scale or a covariate; its values lie within 1.1 times its spread in
-    the data of each other and of their mean (the odds nodes pad the
-    outcomes' range by 5% a side). So every term that the product form of
-    the distances (:func:`cicdml.nuisance._expanded_sq_distances`) sums
-    over d <= p + 1 coordinates is at most 4 d (1.1 spread / h)^2."""
-    spread = float(np.ptp(np.column_stack([data.y1, data.l]), axis=0).max())
-    limit = bandwidth * np.sqrt(np.finfo(float).max / (4.84 * (data.l.shape[1] + 1)))
-    if not spread < limit:
-        raise ValueError(f"bandwidth {bandwidth!r} is too small for these data: their "
-                         f"spread, {spread:.6g}, passes {limit:.6g}, where the kernels' "
-                         f"squared distances overflow")
+def _check_scale(data: PanelDataset, cfg: CrossFitConfig) -> None:
+    """Reject, before any fit, data too large for float arithmetic and a
+    set bandwidth too small for them, from each column's two ends, read
+    once. Each column (y0, y1 and every covariate) enters sums of its n
+    values, as means, and of n squared deviations, as the rule-of-thumb
+    bandwidths' variances: its largest magnitude must stay under max float
+    / n and its spread under r = sqrt(max float / n). The odds grid's node
+    count, ``GRID_PER_BANDWIDTH`` times the outcomes' spread over a
+    bandwidth, is then finite too. A mean-type score's numerator, a
+    treated unit's link value or a control's odds (at most 1 / eps_clip)
+    over its interval (y1, gamma], is at most the outcomes' spread over
+    eps_clip, and the variance sums n of their squares: the outcomes'
+    spread must stay under eps_clip r.
 
-
-def _check_scale(data: PanelDataset, eps_clip: float) -> None:
-    """Reject data too large for float arithmetic, before any fit. Each
-    column (y0, y1 and every covariate) enters sums of its n values, as
-    means, and of n squared deviations, as the rule-of-thumb bandwidths'
-    variances: its largest magnitude must stay under max float / n and its
-    spread under r = sqrt(max float / n). The odds grid's node count,
-    ``GRID_PER_BANDWIDTH`` times the outcomes' spread over a bandwidth,
-    is then finite too. A mean-type score's numerator, a treated unit's
-    link value or a control's odds (at most 1 / eps_clip) over its interval
-    (y1, gamma], is at most the outcomes' spread over eps_clip, and the
-    variance sums n of their squares: the outcomes' spread must stay under
-    eps_clip r."""
+    A kernel coordinate is an outcome on y1's scale or a covariate; its
+    values lie within 1.1 times its spread in the data of each other and
+    of their mean (the odds nodes pad the outcomes' range by 5% a side).
+    So every term that the product form of the distances
+    (:func:`cicdml.nuisance._expanded_sq_distances`) sums over d <= p + 1
+    coordinates is at most 4 d (1.1 spread / h)^2, which a set bandwidth h
+    must keep finite for the widest of y1 and the covariates."""
     root = float(np.sqrt(np.finfo(float).max / data.n))
     ends = [(float(c.min()), float(c.max())) for c in (data.y0, data.y1, *data.l.T)]
     spread = [hi - lo for lo, hi in ends]      # a float difference overflows to inf
     for what, value, limit in (
-            ("the outcomes' spread", max(spread[:2]), eps_clip * root),
+            ("the outcomes' spread", max(spread[:2]), cfg.eps_clip * root),
             ("the covariates' spread", max(spread[2:], default=0.0), root),
             ("their largest magnitude", max(max(-lo, hi) for lo, hi in ends), root * root)):
         if not value < limit:
             raise ValueError(f"these data are too large for float arithmetic: {what}, "
                              f"{value:.6g}, passes {limit:.6g}, where the bandwidths, the "
                              f"odds grid or the variance over {data.n} units overflow")
+    if cfg.bandwidth is None:
+        return
+    widest = max(spread[1:])
+    limit = cfg.bandwidth * np.sqrt(np.finfo(float).max / (4.84 * (data.l.shape[1] + 1)))
+    if not widest < limit:
+        raise ValueError(f"bandwidth {cfg.bandwidth!r} is too small for these data: their "
+                         f"spread, {widest:.6g}, passes {limit:.6g}, where the kernels' "
+                         f"squared distances overflow")
 
 
 def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> EstimateReport:
@@ -519,15 +529,13 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
     nuisance fits on complements, estimating-equation solve, variance.
     Repetitions are median-aggregated and a normal interval is attached.
     Deterministic given the configuration. Data too large for float
-    arithmetic (:func:`_check_scale`), and a set bandwidth too small for
-    them (:func:`_check_bandwidth`), raise ValueError before any fit; a
-    repetition whose estimate or variance is not finite raises
-    :class:`NonFiniteValue`.
+    arithmetic, and a set bandwidth too small for them, raise ValueError
+    before any fit (one check, :func:`_check_scale`); a repetition whose
+    estimate or variance (:func:`_mean_square`) is not finite raises
+    :class:`NonFiniteValue`, which no numpy warning precedes.
     """
     validate(data)
-    _check_scale(data, cfg.eps_clip)
-    if cfg.bandwidth is not None:
-        _check_bandwidth(data, cfg.bandwidth)
+    _check_scale(data, cfg)
     reps: List[Tuple[float, float]] = []
     for s in range(1, cfg.S + 1):
         folds = partition_folds(data.n, cfg.K,
@@ -542,7 +550,7 @@ def estimate(data: PanelDataset, spec: EstimandSpec, cfg: CrossFitConfig) -> Est
             rep = solve_att_once(data, folds, fitted)
         else:
             theta, psi = _CrossFit(data, folds, fitted).solve(spec)
-            rep = (theta, float(np.mean(psi * psi)))
+            rep = (theta, _mean_square(psi))
         if not np.isfinite(rep).all():
             raise NonFiniteValue(f"repetition {s}: the estimate or its variance is not finite")
         reps.append(rep)

@@ -879,7 +879,6 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [out]
         assert ingest_csv(str(out)).n == 50
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_non_finite_estimate_exits_2_and_writes_no_file(self, tmp_path, capsys):
         # The scores' squares overflow: sigma2_hat is infinite. Outcomes
         # near the largest float are refused before any fit
@@ -894,6 +893,23 @@ class TestExitCodes:
         assert captured.err == "error: repetition 1: the estimate or its variance is not finite\n"
         assert captured.out == ""
         assert not (tmp_path / "out.json").exists()
+
+    def test_a_non_finite_variance_prints_one_line_and_no_warning(self, tmp_path):
+        # The data above, from a fresh interpreter with Python's default
+        # warning filters: the sum of the squared scores overflows, which
+        # printed numpy's "overflow encountered in reduce" warning before
+        # the error line.
+        path = tmp_path / "huge.csv"
+        path.write_text("y0,y1,a\n" + "".join(
+            f"{4e151 * (i % 7)!r},{4e151 * (i % 5)!r},{int(i % 20 == 0)}\n" for i in range(600)))
+        src = str(Path(cicdml.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cicdml", "estimate", "--input", str(path),
+             "--eps-clip", "0.49", "--output", str(tmp_path / "out.json")],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: repetition 1: the estimate or its variance is not finite\n"
+        assert proc.stdout == "" and not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_a_json_report_refuses_non_finite_values(self, value):

@@ -719,6 +719,35 @@ class TestEstimate:
                 assert report.sigma2_hat == pytest.approx(
                     c ** (2 * power) * at_one.sigma2_hat, rel=1e-7, abs=0), (c, report.estimand)
 
+    def test_estimates_do_not_move_with_power_of_two_covariate_scales(self):
+        # Covariates times 2^k scale every bandwidth by 2^k exactly, so
+        # every scaled distance, and every estimate, is the one at 2^0. At
+        # 2^-600 the covariates' squared deviations underflow: before, the
+        # bandwidths fell back to a constant column's 1.0 and the ATT read
+        # 1.9718 for 1.5476.
+        data, _ = gen_stm(named_config("stm-cov", n=200, seed=3))
+        cfg = CrossFitConfig(K=5, seed=3)
+
+        def reports(k):
+            scaled = PanelDataset(y0=data.y0, y1=data.y1, a=data.a, l=data.l * 2.0 ** k)
+            return [(r.theta_hat, r.sigma2_hat) for r in (
+                estimate(scaled, spec, cfg) for spec in
+                (EstimandSpec.att(), EstimandSpec.cdt(1.0), EstimandSpec.qtt(0.5)))]
+
+        base = reports(0)
+        for k in (-600, -300, 300):
+            assert reports(k) == base, k
+
+    def test_a_tiny_outcome_scale_gives_a_tiny_qtt_variance(self):
+        # Outcomes times 2^-600: the variance is about 21.1 times 2^-1200,
+        # which underflows. Before, the densities took a constant column's
+        # bandwidth 1.0 and the variance read 8.6.
+        data, _ = gen_stm(named_config("stm-cov", n=200, seed=3))
+        c = 2.0 ** -600
+        scaled = PanelDataset(y0=data.y0 * c, y1=data.y1 * c, a=data.a, l=data.l)
+        report = estimate(scaled, EstimandSpec.qtt(0.5), CrossFitConfig(K=5, seed=3))
+        assert report.sigma2_hat < 1e-300
+
 
 def _arm_balanced(data, K):
     """Drop the last units of each arm so both arm sizes divide by K; then

@@ -216,6 +216,114 @@ class TestChunks:
         assert len(found) == 2      # the budget read and the loop in _chunks
 
 
+def _traced_peak(run):
+    """The peak of traced memory while run() runs, its result included."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneChunkAtATime:
+    """Every chunked pass frees a chunk's temporaries before it allocates
+    the next chunk's: over three or more chunks the peak stays under one
+    chunk's temporaries plus the outputs and an O((rows + m) (d + 2))
+    term, where two chunks' buffers alive together would pass it."""
+
+    def test_odds_scale_score_holds_one_distance_buffer(self, monkeypatch):
+        # A chunk's distances and weights share one (2, rows, m) buffer.
+        rng = np.random.default_rng(91)
+        m, d, rows = 2000, 3, 50
+        z = rng.standard_normal((m, d))
+        a = (rng.uniform(size=m) < 0.4).astype(float)
+        h = _bandwidth_vector(z, None)
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", rows * m * d)
+        for n in (rows, 3 * rows, 3 * rows + 7):
+            q = rng.standard_normal((n, d))
+            peak = _traced_peak(lambda: nuisance._scaled_odds(q, z, a, h, 0.01))
+            buffer = 2 * rows * m * 8
+            outputs = len(ODDS_SCALES) * n * 8
+            assert buffer < peak <= buffer + outputs + 4 * 8 * (rows + m) * (d + 2) + 2**16
+
+    @pytest.mark.parametrize("kind", ["_nw_mean", "CondCdf", "CondQuantile"])
+    def test_weight_passes_hold_one_chunk_of_weights(self, monkeypatch, kind):
+        # At d >= 2 a chunk's weights take two (rows, m) buffers: the
+        # summed distances and one coordinate's, or the weights and the
+        # block scans' scratch.
+        rng = np.random.default_rng(92)
+        m, d, rows = 2000, 3, 50
+        z = rng.standard_normal((m, d))
+        a = (rng.uniform(size=m) < 0.4).astype(float)
+        cdf = fit_cond_cdf(rng.standard_normal(m), z)
+        run = {
+            "_nw_mean": lambda v, lq: _nw_mean(lq, z, a, cdf.h, 0.4),
+            "CondCdf": lambda v, lq: cdf.evaluate_many(v, lq),
+            "CondQuantile": lambda v, lq: CondQuantile(cdf).evaluate_many(v, lq),
+        }[kind]
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", rows * m)
+        for n in (rows, 3 * rows, 3 * rows + 7):
+            v, lq = rng.uniform(size=n), rng.standard_normal((n, d))
+            peak = _traced_peak(lambda: run(v, lq))
+            chunk = 2 * rows * m * 8
+            assert chunk < peak <= chunk + 8 * n + 4 * 8 * (rows + m) * (d + 2) + 2**16
+
+    @pytest.mark.parametrize("kind", ["integrals", "table", "signed_odds"])
+    def test_node_odds_passes_hold_one_chunk_of_odds(self, monkeypatch, kind):
+        # One chunk's temporaries (the covariate weights, the node sums,
+        # the odds and the antiderivative's columns) are measured on a
+        # one-chunk call. Many nodes against few training rows make a
+        # chunk's (G, rows) odds larger than the slack, so that two
+        # chunks' odds alive together would pass the bound.
+        rng = np.random.default_rng(93)
+        m, d, rows = 100, 2, 10
+        nu = fit_nu(rng.standard_normal(m), rng.standard_normal((m, d)),
+                    (rng.uniform(size=m) < 0.4).astype(float))
+        # Every pass takes the odds integral's nodes, about 1000 on the
+        # span that the first interval sets.
+        ends = np.array([-40.0, 40.0])
+        nodes = nuisance._odds_nodes(ends, ends, nu)
+        G = nodes.shape[0]
+        assert G > 8 * m
+
+        def signed(lo, hi, lq):
+            for _, s in nuisance.signed_odds(nodes, lo, hi, lq, nu):
+                del s
+
+        run = {
+            "integrals": lambda lo, hi, lq: nuisance._node_odds_integrals(lo, hi, lq, nu),
+            "table": lambda lo, hi, lq: nuisance._node_odds_table(nodes, lq, nu),
+            "signed_odds": signed,
+        }[kind]
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", rows * nuisance._unit_width(nu, G))
+        per_row = {"integrals": 8, "table": 8 * G, "signed_odds": 0}[kind]
+        peaks = {}
+        for n in (rows, 3 * rows, 4 * rows + 3):
+            lo, hi = rng.uniform(-2.0, 2.0, (2, n))
+            lo[0], hi[0] = ends
+            lq = rng.standard_normal((n, d))
+            peaks[n] = _traced_peak(lambda: run(lo, hi, lq))
+        slack = 4 * 8 * (rows + m) * (d + 2) + 2**12
+        for n, peak in peaks.items():
+            assert peak <= peaks[rows] + per_row * (n - rows) + slack
+
+    def test_analytic_node_odds_hold_one_block_of_the_grid(self, monkeypatch):
+        # One block's temporaries over its nodes by the rows are measured
+        # on a one-block call; a block's values alone weigh more than the
+        # slack.
+        rng = np.random.default_rng(94)
+        nu = GaussHermiteNu(named_config("stm-cov"))
+        rows, d, block = 40, 2, 100
+        lq = rng.standard_normal((rows, d))
+        nodes = nuisance._grid_nodes(-2.0, 2.0, 4 * block + 3)
+        monkeypatch.setattr(nuisance, "_CHUNK_BUDGET", 8 * rows * block)
+        peaks = {G: _traced_peak(lambda: nu.node_odds(nodes[:G], lq))
+                 for G in (block, 3 * block, 4 * block + 3)}
+        for G, peak in peaks.items():
+            assert peak <= peaks[block] + 8 * (G - block) * rows + 4 * 8 * rows * (d + 2) + 2**12
+
+
 class TestBandwidthRule:
     def test_zero_iqr_falls_back_to_the_sd(self):
         # 300 of 2000 ones: both quartiles are 0, so min(sd, IQR / 1.34)
@@ -253,6 +361,23 @@ class TestBandwidthRule:
         assert list(gamma.cdf0.h) == want and list(gamma.quantile1.cdf.h) == want
         assert list(fit_nu(y0, None, (y1 > 0).astype(float)).h) == [rule(y0)]
         assert fit_density(y1).h == rule(y1)
+
+    @pytest.mark.parametrize("k", [0, 300, -300, 600, -600, 1000, -1000])
+    def test_the_rule_and_the_floor_follow_power_of_two_scales(self, k):
+        # Squared deviations of a sample times 2^-600 underflow to 0 and
+        # those of one times 2^600 overflow; the rule and the density floor
+        # take them on the sample scaled to unit magnitude. Before, the
+        # bandwidth at 2^-600 was 1.4e181 times too large (the width of a
+        # constant column), and the floor at 2^600 read 0.0.
+        rng = np.random.default_rng(12)
+        for x in (np.round(rng.standard_normal(301), 1),
+                  np.round(rng.standard_t(1.5, 400), 3),
+                  np.concatenate([np.zeros(50), rng.exponential(size=150) ** 3])):
+            c = math.ldexp(1.0, k)
+            assert silverman_bandwidth(x * c) == silverman_bandwidth(x) * c
+            dens = fit_density(x)
+            assert fit_density(x * c).floor == dens.floor / c
+            assert dens.floor == nuisance.DEFAULT_F_MIN / float(np.std(x))
 
     @pytest.mark.parametrize("value,want", [(0.0, 1.0), (3.0, 1.0), (-5e3, 5.0)])
     def test_a_constant_column_keeps_a_positive_width(self, value, want):
